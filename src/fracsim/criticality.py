@@ -232,10 +232,8 @@ def _forcing_norm_at(params: ModelParams, w: Field, t: float, q: float,
     lam_u, inv = np.unique(lam, return_inverse=True)
     mesh = TimeMesh.make(t, steps, grading=2.0)
     t_hist = mesh.nodes
-    y_hint = float(lam_u[-1]) * t**params.alpha + 1.0
-    w_cells = _cell_weights(params, t_hist, t, lam_u, y_hint=y_hint)
-    s_u = _forcing_weights(params, t_hist, t, lam_u, w_cells, "accurate",
-                           y_hint=y_hint)
+    w_cells = _cell_weights(params, t_hist, t, lam_u)
+    s_u = _forcing_weights(params, t_hist, t, lam_u, w_cells, "accurate")
     modes = to_spectral(w).modes.ravel() * s_u[inv]
     out = to_real(SpectralField(grid=grid, modes=modes.reshape(grid.shape)))
     return lq_norm(out, q)

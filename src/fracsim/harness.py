@@ -180,6 +180,18 @@ def _classify_p(config: SweepConfig, p: float) -> tuple[SweepRow, SimResult | No
     return row, result
 
 
+def _sweep_threads() -> int:
+    """Worker count from FRACSIM_THREADS (unset means 1)."""
+    raw = os.environ.get("FRACSIM_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"FRACSIM_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One classified simulation per p, in p order, deterministically.
 
@@ -189,7 +201,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     ps = config.p_values
     if not ps:
         return []
-    threads = max(1, int(os.environ.get("FRACSIM_THREADS", "1")))
+    threads = _sweep_threads()
     if threads == 1 or len(ps) == 1:
         return [_classify_p(config, p)[0] for p in ps]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -29,7 +29,7 @@ from .errors import (
     ResolutionWarning,
 )
 from .spectral import Field, GridSpec, to_real, to_spectral, SpectralField
-from .special import ml_e_neg, ml_neg_fast
+from .special import ml_neg_fast
 
 __all__ = [
     "ModelParams",
@@ -153,7 +153,7 @@ class PicardResult:
 
 
 def _cell_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
-                  lam_u: np.ndarray, y_hint: float | None = None) -> np.ndarray:
+                  lam_u: np.ndarray) -> np.ndarray:
     """Exact kernel cell integrals W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_now - tau) dtau.
 
     Uses x^a E_{a,a+1}(-lam x^a) evaluated at cell ends; the telescoped sum
@@ -162,13 +162,8 @@ def _cell_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
     a = params.alpha
     d = t_now - t_hist  # decreasing, last entry may be 0
     da = d**a
-    y = da[:, None] * lam_u[None, :]
-    if y_hint is not None:
-        e = da[:, None] * ml_neg_fast(a, a + 1.0, y, y_hint)
-    else:
-        e = da[:, None] * ml_e_neg(a, a + 1.0, y)
-    w = e[:-1] - e[1:]
-    return w
+    e = da[:, None] * ml_neg_fast(a, a + 1.0, da[:, None] * lam_u[None, :])
+    return e[:-1] - e[1:]
 
 
 def duhamel_weights(params: ModelParams, mesh: TimeMesh, xi_sq) -> np.ndarray:
@@ -191,7 +186,7 @@ _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 def _forcing_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
                      lam_u: np.ndarray, w_cells: np.ndarray,
-                     scheme: str, y_hint: float | None = None) -> np.ndarray:
+                     scheme: str) -> np.ndarray:
     """S[lam] ~= int_0^{t_now} tau^sigma Y(t_now - tau; lam) dtau on the mesh cells."""
     a, sig = params.alpha, params.sigma
     n = t_hist.size - 1  # number of cells
@@ -203,7 +198,7 @@ def _forcing_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
         # weight (1-x)^(a-1) (1+x)^sigma after mapping tau = t1 (x+1)/2.
         x, wq = _sp.roots_jacobi(12, a - 1.0, sig)
         psi = (t1 * (1.0 - x) / 2.0) ** a
-        vals = ml_e_neg(a, a, np.outer(psi, lam_u))
+        vals = ml_neg_fast(a, a, np.outer(psi, lam_u))
         return (t1 / 2.0) ** (sig + a) * (wq @ vals)
     # First cell: exact integral of tau^sigma with the kernel frozen at the
     # sigma-weighted centroid (kills the linear term of the kernel expansion).
@@ -211,7 +206,7 @@ def _forcing_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
     psi0 = t_now - tau_bar
     y_first = (
         psi0 ** (a - 1.0)
-        * ml_e_neg(a, a, lam_u * psi0**a)
+        * ml_neg_fast(a, a, lam_u * psi0**a)
         * t1 ** (sig + 1.0)
         / (sig + 1.0)
     )
@@ -231,8 +226,7 @@ def _forcing_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
         tau = mid[:, None] + h[:, None] * _GL4_X[None, :]  # (cells, 4)
         psi = t_now - tau
         pref = (h[:, None] * _GL4_W[None, :]) * tau**sig * psi ** (a - 1.0)
-        y = (psi.ravel() ** a)[:, None] * lam_u[None, :]
-        e = ml_neg_fast(a, a, y, y_hint) if y_hint is not None else ml_e_neg(a, a, y)
+        e = ml_neg_fast(a, a, (psi.ravel() ** a)[:, None] * lam_u[None, :])
         s = s + pref.ravel() @ e
     # Last cell: substitute psi = h v^(1/a), which absorbs the psi^(a-1)
     # weight exactly and leaves the kernel analytic in v (the kernel is a
@@ -241,7 +235,7 @@ def _forcing_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
     v = 0.5 * (_GL8_X + 1.0)
     psi = h_last * v ** (1.0 / a)
     tau = t_now - psi
-    vals = ml_e_neg(a, a, np.outer(h_last**a * v, lam_u))
+    vals = ml_neg_fast(a, a, np.outer(h_last**a * v, lam_u))
     s = s + (h_last**a / (2.0 * a)) * ((_GL8_W * tau**sig) @ vals)
     return s
 
@@ -299,13 +293,17 @@ def integrate(
     m = mesh.steps
     lam_u, inv = _mode_setup(params, grid)
     nmodes = inv.size
-    y_hint = float(lam_u[-1]) * mesh.t_end**a + 1.0
 
     u0_modes = to_spectral(u0).modes.ravel() if u0 is not None else None
     w_modes = to_spectral(w).modes.ravel() if w is not None else None
     shape = grid.shape
 
     nl_hist = np.zeros((m + 1, nmodes), dtype=complex) if nonlinearity else None
+    if nonlinearity:
+        # History-contraction buffers, sized for the last step and reused by
+        # every step instead of allocating two growing temporaries per step.
+        w_full = np.empty((m, nmodes))
+        prod = np.empty((m, nmodes), dtype=complex)
     if u0 is not None:
         u_prev = u0.values
     else:
@@ -323,17 +321,18 @@ def integrate(
 
     for n in range(1, m + 1):
         t_n = t[n]
-        w_cells = _cell_weights(params, t[: n + 1], t_n, lam_u, y_hint)
+        w_cells = _cell_weights(params, t[: n + 1], t_n, lam_u)
         modes_n = np.zeros(nmodes, dtype=complex)
         if u0_modes is not None:
-            z_u = ml_e_neg(a, 1.0, lam_u * t_n**a)
+            z_u = ml_neg_fast(a, 1.0, lam_u * t_n**a)
             modes_n += z_u[inv] * u0_modes
-        if nonlinearity and n >= 1:
-            w_full = w_cells[:, inv]  # (n, nmodes)
-            modes_n += np.sum(w_full * nl_hist[:n], axis=0)
+        if nonlinearity:
+            np.take(w_cells, inv, axis=1, out=w_full[:n])
+            np.multiply(w_full[:n], nl_hist[:n], out=prod[:n])
+            modes_n += prod[:n].sum(axis=0)
         if w_modes is not None:
             s_u = _forcing_weights(params, t[: n + 1], t_n, lam_u, w_cells,
-                                   forcing_scheme, y_hint)
+                                   forcing_scheme)
             modes_n += s_u[inv] * w_modes
 
         values = np.fft.ifftn(modes_n.reshape(shape) / grid.cell_volume).real
@@ -482,22 +481,21 @@ def picard_solve(
     m = mesh.steps
     lam_u, inv = _mode_setup(params, grid)
     shape = grid.shape
-    y_hint = float(lam_u[-1]) * mesh.t_end**a + 1.0
 
     w_tables = [None] + [
-        _cell_weights(params, t[: n + 1], t[n], lam_u, y_hint) for n in range(1, m + 1)
+        _cell_weights(params, t[: n + 1], t[n], lam_u) for n in range(1, m + 1)
     ]
     lin_modes = np.zeros((m + 1, inv.size), dtype=complex)
     if u0 is not None:
         u0_modes = to_spectral(u0).modes.ravel()
         for n in range(1, m + 1):
-            lin_modes[n] += ml_e_neg(a, 1.0, lam_u * t[n] ** a)[inv] * u0_modes
+            lin_modes[n] += ml_neg_fast(a, 1.0, lam_u * t[n] ** a)[inv] * u0_modes
         lin_modes[0] += u0_modes
     if w is not None:
         w_modes = to_spectral(w).modes.ravel()
         for n in range(1, m + 1):
             s_u = _forcing_weights(params, t[: n + 1], t[n], lam_u,
-                                   w_tables[n], forcing_scheme, y_hint)
+                                   w_tables[n], forcing_scheme)
             lin_modes[n] += s_u[inv] * w_modes
 
     def to_values(modes_flat: np.ndarray) -> np.ndarray:

@@ -12,6 +12,13 @@ Evaluation uses three regimes, writing x = -z >= 0:
   through a cached interpolant,
 * the algebraic asymptotic expansion (8 terms) for x >= 50.
 
+`ml_e_neg` evaluates these regimes directly; it serves scattered calls
+(kernel symbols, profiles) and is the reference in tests.  Every value the
+time stepper needs (cell weights, forcing weights, the Z(t)u0 propagator)
+comes instead from `ml_neg_fast`: one cached piecewise-Chebyshev table per
+(a, b), each piece fitted from the three regimes on its own nodes, extended
+on demand whenever a call reaches past the pieces built so far.
+
 The Wright function phi_a(t) = sum (-t)^n / (n! Gamma(-a n + 1 - a)) is an
 entire function whose truncated sum suffers severe cancellation for larger t,
 so it is summed in adaptive-precision arithmetic with the working precision
@@ -20,6 +27,7 @@ chosen from a float-level scan of the term magnitudes.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import mpmath
@@ -276,58 +284,114 @@ def ml_e_neg(alpha: float, beta: float, y):
 class _FastMLNeg:
     """Piecewise Chebyshev fit of y -> E_{a,b}(-y) in v = log1p(y).
 
-    Built once per (a, b) from the regime evaluator `ml_e_neg` and reused for
-    the O(M^2 * modes) weight evaluations of the time stepper. Fit error is
-    far below the regime evaluator's own accuracy (validated in tests).
+    Piece i covers v in [i * PIECE, (i + 1) * PIECE] and is fitted, at degree
+    DEG, from `ml_e_neg` on that piece's own Chebyshev nodes, so each value
+    comes from the series, branch-cut or asymptotic regime that owns it.
+    The table starts empty and appends pieces whenever a call reaches past
+    the last one; existing pieces are never refitted, so a value does not
+    depend on what was evaluated before and is never extrapolated.  Appending
+    is serialised by a lock, so threads sharing a table each see whole,
+    correctly ordered pieces.  Fit error is far below the regime evaluator's
+    own accuracy (validated in tests).
     """
 
     DEG = 14
     PIECE = 0.25  # piece width in log1p(y)
+    CHUNK = 16384  # points per evaluation block
+    _NODES = np.cos(np.pi * (np.arange(DEG + 1) + 0.5) / (DEG + 1.0))
+    # First-kind Chebyshev coefficients by discrete cosine projection.
+    _PROJ = (2.0 / (DEG + 1.0)) * np.cos(
+        np.pi * np.outer(np.arange(DEG + 1), np.arange(DEG + 1) + 0.5) / (DEG + 1.0)
+    )
+    _PROJ[0] *= 0.5
 
-    def __init__(self, alpha: float, beta: float, y_max: float) -> None:
+    def __init__(self, alpha: float, beta: float) -> None:
         self.alpha, self.beta = alpha, beta
-        self.v_max = math.log1p(max(y_max, 1.0)) + 1e-9
-        self.n_pieces = max(4, int(math.ceil(self.v_max / self.PIECE)))
-        self.h = self.v_max / self.n_pieces
-        nodes = np.cos(np.pi * (np.arange(self.DEG + 1) + 0.5) / (self.DEG + 1.0))
-        coeffs = np.empty((self.DEG + 1, self.n_pieces))
-        for i in range(self.n_pieces):
-            lo, hi = i * self.h, (i + 1) * self.h
-            v = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-            f = ml_e_neg(alpha, beta, np.expm1(v))
-            # First-kind Chebyshev coefficients by discrete cosine projection.
-            k = np.arange(self.DEG + 1)
-            m = np.cos(np.pi * np.outer(k, np.arange(self.DEG + 1) + 0.5) /
-                       (self.DEG + 1.0))
-            c = 2.0 / (self.DEG + 1.0) * (m @ f)
-            c[0] *= 0.5
-            coeffs[:, i] = c
-        self.coeffs = coeffs
+        self.coeffs = np.empty((self.DEG + 1, 0))
+        self._lock = threading.Lock()
+
+    def _extend(self, n_pieces: int) -> np.ndarray:
+        """Append fitted pieces until the table holds `n_pieces`; return it."""
+        with self._lock:
+            c = self.coeffs
+            have = c.shape[1]
+            if have < n_pieces:
+                new = np.empty((self.DEG + 1, n_pieces - have))
+                for j, i in enumerate(range(have, n_pieces)):
+                    v = (i + 0.5 + 0.5 * self._NODES) * self.PIECE
+                    y = np.expm1(v)
+                    new[:, j] = self._PROJ @ ml_e_neg(self.alpha, self.beta, y)
+                c = np.concatenate([c, new], axis=1)
+                self.coeffs = c
+        return c
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        v = np.log1p(y)
-        idx = np.minimum((v / self.h).astype(np.intp), self.n_pieces - 1)
-        x = (v - (idx + 0.5) * self.h) * (2.0 / self.h)
-        x2 = 2.0 * x
-        c = self.coeffs
-        b1 = np.zeros_like(y)
-        b2 = np.zeros_like(y)
-        for k in range(self.DEG, 0, -1):
-            b1, b2 = x2 * b1 - b2 + c[k][idx], b1
-        return x * b1 - b2 + c[0][idx]
+        """Values at a 1-D array y >= 0, in blocks of at most CHUNK points.
+
+        Blocking caps the Clenshaw buffers at CHUNK points each, so their
+        memory does not grow with the size of the call.
+        """
+        out = np.empty_like(y)
+        m = min(y.size, self.CHUNK)
+        bufs = np.empty((6, m))
+        idx_buf = np.empty(m, dtype=np.intp)
+        for lo in range(0, y.size, m):
+            n = min(m, y.size - lo)
+            x, x2, b1, b2, tmp, ck = bufs[:, :n]
+            idx = idx_buf[:n]
+            np.log1p(y[lo : lo + n], out=x)
+            x *= 1.0 / self.PIECE
+            idx[...] = x  # truncation is floor for x >= 0
+            # One snapshot of the table per block, at least `top` pieces wide,
+            # so "clip" below never clamps.
+            top = int(idx.max()) + 1
+            c = self.coeffs
+            if top > c.shape[1]:
+                c = self._extend(top)
+            # Local Chebyshev variable 2 * frac(v / PIECE) - 1 in [-1, 1).
+            x -= idx
+            x *= 2.0
+            x -= 1.0
+            np.multiply(x, 2.0, out=x2)
+            b1[...] = 0.0
+            b2[...] = 0.0
+            for k in range(self.DEG, 0, -1):
+                # b1, b2 = x2 * b1 - b2 + c[k][idx], b1
+                np.multiply(x2, b1, out=tmp)
+                tmp -= b2
+                tmp += c[k].take(idx, out=ck, mode="clip")
+                b1, b2, tmp = tmp, b1, b2
+            o = out[lo : lo + n]
+            np.multiply(x, b1, out=o)
+            o -= b2
+            o += c[0].take(idx, out=ck, mode="clip")
+        return out
 
 
 _FAST_CACHE: dict[tuple[float, float], _FastMLNeg] = {}
 
 
-def ml_neg_fast(alpha: float, beta: float, y: np.ndarray, y_max_hint: float) -> np.ndarray:
-    """Bulk E_{alpha,beta}(-y) via a cached interpolant covering [0, y_max_hint]."""
+def ml_neg_fast(alpha: float, beta: float, y) -> np.ndarray:
+    """Bulk E_{alpha,beta}(-y) for y >= 0 from the cached, self-extending table.
+
+    Same orders and domain as `ml_e_neg`, which builds the table for
+    (alpha, beta) and extends it on demand.
+    """
+    y_arr = np.asarray(y, dtype=float)
+    if y_arr.size == 0:
+        return np.empty_like(y_arr)
+    lo, hi = y_arr.min(), y_arr.max()
+    # NaN fails the first test and +inf the second.
+    if not (lo >= 0.0 and hi < math.inf):
+        raise DomainError("ml_neg_fast requires finite y >= 0")
     key = (alpha, beta)
     ev = _FAST_CACHE.get(key)
-    if ev is None or math.log1p(max(y_max_hint, 1.0)) > ev.v_max:
-        ev = _FastMLNeg(alpha, beta, 2.0 * y_max_hint)
-        _FAST_CACHE[key] = ev
-    return ev(np.asarray(y, dtype=float))
+    if ev is None:
+        ev = _FastMLNeg(alpha, beta)
+    # Cached only once a first fit succeeded: ml_e_neg validates the orders.
+    out = ev(y_arr.ravel()).reshape(y_arr.shape)
+    _FAST_CACHE.setdefault(key, ev)
+    return out
 
 
 # --------------------------------------------------------------------------

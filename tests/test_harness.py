@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracsim.harness as harness
+import fracsim.special as special
 from fracsim import (
     BracketingError,
     BracketResult,
@@ -103,6 +104,15 @@ class TestRunSweep:
         monkeypatch.setenv("FRACSIM_THREADS", "2")
         threaded = run_sweep(cfg)
         assert serial == threaded
+
+    def test_threads_on_cold_tables_match_serial(self, monkeypatch):
+        cfg = small_config(p_values=(2.0, 3.0, 4.0))
+        monkeypatch.setattr(special, "_FAST_CACHE", {})
+        monkeypatch.setenv("FRACSIM_THREADS", "2")
+        threaded = run_sweep(cfg)
+        monkeypatch.setattr(special, "_FAST_CACHE", {})
+        monkeypatch.delenv("FRACSIM_THREADS")
+        assert run_sweep(cfg) == threaded
 
     def test_nonpositive_forcing_mass_noted(self):
         rows = run_sweep(
@@ -206,6 +216,22 @@ class TestCli:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0].startswith("p,p_c,p_star,")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        cfg = {
+            "schema": 1,
+            "model": {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1},
+            "p_values": [3.0],
+            "grid": {"points": 64, "half_width": 10.0},
+            "time": {"t_end": 2.0, "steps": 24},
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setenv("FRACSIM_THREADS", value)
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: FRACSIM_THREADS must be a positive integer, got {value!r}\n"
 
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_main(["simulate", "--config", "/nonexistent.json"]) == 1

@@ -24,6 +24,7 @@ from fracsim import (
     to_spectral,
 )
 from fracsim.spectral import Field
+import fracsim.solver as solver
 
 
 def cosine_field(grid: GridSpec, k: int) -> Field:
@@ -302,3 +303,55 @@ class TestPicard:
         mesh = TimeMesh.make(5.0, 40, grading=2.0)
         with pytest.raises(NonContractionError):
             picard_solve(params, grid, u0, None, mesh)
+
+
+class TestRegimeOracle:
+    """The march on the Mittag-Leffler table against the regime evaluator.
+
+    Every weight and propagator value of the march comes from the fast
+    table; swapping it for `ml_e_neg` must leave the run unchanged.
+    """
+
+    PARAMS = ModelParams(0.5, 0.4, -0.25, 3.0)
+    GRID = GridSpec(dim=1, points=128, half_width=20.0)
+
+    @staticmethod
+    def on_regimes(monkeypatch):
+        monkeypatch.setattr(solver, "ml_neg_fast", lambda a, b, y: ml_e_neg(a, b, y))
+
+    @staticmethod
+    def assert_close(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("scheme", ["fast", "accurate"])
+    def test_integrate(self, monkeypatch, scheme):
+        u0 = gaussian_field(self.GRID, 0.05, 1.0)
+        w = gaussian_field(self.GRID, 0.05, 1.0)
+        mesh = TimeMesh.make(10.0, 40, grading=2.0)
+
+        def run():
+            return integrate(self.PARAMS, self.GRID, u0, w, mesh, q_report=4.0,
+                             forcing_scheme=scheme)
+
+        table = run()
+        self.on_regimes(monkeypatch)
+        oracle = run()
+        assert table.classification == oracle.classification == "Global"
+        self.assert_close(table.lq_history, oracle.lq_history)
+        self.assert_close(table.linf_history, oracle.linf_history)
+
+    def test_picard(self, monkeypatch):
+        u0 = gaussian_field(self.GRID, 0.1, 1.0)
+        w = gaussian_field(self.GRID, 0.1, 1.0)
+        mesh = TimeMesh.make(1.0, 16, grading=2.0)
+
+        def run():
+            return picard_solve(self.PARAMS, self.GRID, u0, w, mesh, q_report=4.0,
+                                forcing_scheme="accurate")
+
+        table = run()
+        self.on_regimes(monkeypatch)
+        oracle = run()
+        assert table.iterations == oracle.iterations
+        self.assert_close(table.lq_history, oracle.lq_history)
+        self.assert_close(table.linf_history, oracle.linf_history)

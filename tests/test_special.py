@@ -1,5 +1,8 @@
 """Special functions: Gamma, Beta, Mittag-Leffler and Wright evaluators."""
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from fracsim import (
     ml_e_neg,
     wright_phi,
 )
+import fracsim.special as special
 from fracsim.special import ml_neg_fast, wright_tail_cut
 
 SQRT_PI = 1.7724538509055160273
@@ -126,8 +130,67 @@ class TestMittagLeffler:
         y = rng.uniform(0.0, 500.0, size=2000)
         for ab in ((0.5, 0.5), (0.5, 1.5), (0.7, 1.7)):
             ref = ml_e_neg(*ab, y)
-            fast = ml_neg_fast(*ab, y, 500.0)
+            fast = ml_neg_fast(*ab, y)
             assert np.max(np.abs(ref - fast)) <= 1e-9
+        y = rng.uniform(0.0, 5e3, size=2000)
+        for ab in ((0.5, 1.0), (0.5, 0.5)):
+            assert np.max(np.abs(ml_e_neg(*ab, y) - ml_neg_fast(*ab, y))) <= 1e-9
+
+
+class TestFastTable:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(special, "_FAST_CACHE", {})
+
+    def test_extends_instead_of_extrapolating(self):
+        ml_neg_fast(0.5, 0.5, np.linspace(0.0, 10.0, 50))
+        y = np.array([1e4, 3e4, 1e6])
+        assert np.max(np.abs(ml_neg_fast(0.5, 0.5, y) - ml_e_neg(0.5, 0.5, y))) <= 1e-9
+
+    def test_values_do_not_depend_on_call_history(self, monkeypatch):
+        narrow = np.linspace(0.0, 10.0, 401)
+        wide = np.geomspace(1e-3, 1e5, 401)
+        first_narrow = (ml_neg_fast(0.5, 0.5, narrow), ml_neg_fast(0.5, 0.5, wide))
+        monkeypatch.setattr(special, "_FAST_CACHE", {})
+        wide_first = ml_neg_fast(0.5, 0.5, wide)
+        assert np.array_equal(ml_neg_fast(0.5, 0.5, narrow), first_narrow[0])
+        assert np.array_equal(wide_first, first_narrow[1])
+
+    def test_concurrent_extension_appends_each_piece_once(self, monkeypatch):
+        # Slow fits widen the window in which threads reach the same table end.
+        def slow_fit(alpha, beta, y):
+            time.sleep(1e-3)
+            return ml_e_neg(alpha, beta, y)
+
+        y = np.geomspace(1e-3, 1e4, 3000)
+        serial = special._FastMLNeg(0.5, 1.5)
+        expected = serial(y)
+        monkeypatch.setattr(special, "ml_e_neg", slow_fit)
+        shared = special._FastMLNeg(0.5, 1.5)
+        start = threading.Barrier(4)
+
+        def call(_):
+            start.wait()
+            return shared(y)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(call, range(4)))
+        assert shared.coeffs.shape == serial.coeffs.shape
+        for out in results:
+            assert np.array_equal(out, expected)
+
+    def test_shape_and_empty_input(self):
+        y = np.linspace(0.0, 50.0, 12).reshape(3, 4)
+        assert ml_neg_fast(0.5, 1.5, y).shape == (3, 4)
+        assert ml_neg_fast(0.5, 1.5, np.empty((0, 4))).shape == (0, 4)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            ml_neg_fast(0.5, 0.5, np.array([1.0, bad]))
+        assert special._FAST_CACHE == {}
+        with pytest.raises(DomainError):
+            ml_neg_fast(1.5, 0.5, np.array([1.0]))
 
 
 class TestWright:
