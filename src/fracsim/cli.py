@@ -85,8 +85,12 @@ def _cmd_kernel(args) -> int:
         lines += [f"{float(r)!r},{float(v)!r}" for r, v in zip(prof.radii, prof.values)]
         _emit_text("\n".join(lines) + "\n", args.out)
         return 0
-    # norms mode: ||Z(t)||_q (or Y) on the default grid for a time ladder,
+    # norms mode: ||Z(t)||_q (or Y) on the default 1D grid for a time ladder,
     # with the predicted and fitted log-log slopes.
+    if args.dim != 1:
+        raise DomainError(
+            f"kernel --mode norms computes on a 1D grid; got --dim {args.dim}"
+        )
     kind = "Z" if args.kind == "F" else "Y"
     grid = GridSpec(dim=1, points=4096, half_width=50.0)
     delta_approx = gaussian_field(grid, 1.0, 0.05)
@@ -103,7 +107,7 @@ def _cmd_kernel(args) -> int:
                 for t in t_values
             ]
         )
-        scale = (args.dim * args.alpha / (2.0 * args.s)) * (1.0 - 1.0 / q)
+        scale = (args.alpha / (2.0 * args.s)) * (1.0 - 1.0 / q)
         predicted = -scale if kind == "Z" else -(1.0 - args.alpha + scale)
         fitted = float(np.polyfit(np.log(t_values), np.log(norms), 1)[0])
         for t, n in zip(t_values, norms):

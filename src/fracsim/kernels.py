@@ -22,13 +22,14 @@ also handles the slowly decaying segments correctly).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as _sp
 
 from .errors import DomainError, NumericalError, UnsupportedRangeError
-from .special import gamma, ml_e_neg
+from .special import ml_neg_fast
 from .spectral import Field, GridSpec, to_real, to_spectral
 
 __all__ = [
@@ -64,7 +65,7 @@ def symbol_Z(t: float, xi_sq, alpha: float, s: float):
     xi_sq = np.asarray(xi_sq, dtype=float)
     if np.any(xi_sq < 0.0):
         raise DomainError("xi_sq must be nonnegative")
-    return ml_e_neg(alpha, 1.0, xi_sq**s * t**alpha)
+    return ml_neg_fast(alpha, 1.0, xi_sq**s * t**alpha)
 
 
 def symbol_Y(t: float, xi_sq, alpha: float, s: float):
@@ -75,7 +76,7 @@ def symbol_Y(t: float, xi_sq, alpha: float, s: float):
     xi_sq = np.asarray(xi_sq, dtype=float)
     if np.any(xi_sq < 0.0):
         raise DomainError("xi_sq must be nonnegative")
-    return t ** (alpha - 1.0) * ml_e_neg(alpha, alpha, xi_sq**s * t**alpha)
+    return t ** (alpha - 1.0) * ml_neg_fast(alpha, alpha, xi_sq**s * t**alpha)
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,14 @@ def _averaged_tail_sum(terms: np.ndarray) -> float:
     return float(partial[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _j0_zeros() -> np.ndarray:
+    """First _N_SEGMENTS + 1 zeros of J0 (~4 ms to compute, so once only)."""
+    zeros = _sp.jn_zeros(0, _N_SEGMENTS + 1)
+    zeros.flags.writeable = False
+    return zeros
+
+
 def _oscillatory_inverse(sym_fn, r: float, dim: int) -> float:
     """Radial inverse Fourier transform of a symbol at radius r > 0.
 
@@ -186,7 +195,7 @@ def _oscillatory_inverse(sym_fn, r: float, dim: int) -> float:
         weight = lambda xi: np.cos(xi * r) / np.pi
     elif dim == 2:
         # (1/2pi) int sym(xi) J0(xi r) xi dxi; segments between J0 zeros
-        zeros = _sp.jn_zeros(0, _N_SEGMENTS + 1) / r
+        zeros = _j0_zeros() / r
         weight = lambda xi: _sp.j0(xi * r) * xi / (2.0 * np.pi)
     else:
         # (1/(2 pi^2 r)) int sym(xi) xi sin(xi r) dxi; sin zeros at k pi / r
@@ -269,7 +278,7 @@ def profile(kind: str, alpha: float, s: float, dim: int, radii) -> KernelProfile
     beta = 1.0 if kind == "F" else alpha
 
     def sym_fn(xi):
-        return ml_e_neg(alpha, beta, xi ** (2.0 * s))
+        return ml_neg_fast(alpha, beta, xi ** (2.0 * s))
 
     values = np.empty_like(r)
     start = 0

@@ -12,20 +12,26 @@ Evaluation uses three regimes, writing x = -z >= 0:
   through a cached interpolant,
 * the algebraic asymptotic expansion (8 terms) for x >= 50.
 
-`ml_e_neg` evaluates these regimes directly; it serves scattered calls
-(kernel symbols, profiles) and is the reference in tests.  Every value the
-time stepper needs (cell weights, forcing weights, the Z(t)u0 propagator)
-comes instead from `ml_neg_fast`: one cached piecewise-Chebyshev table per
-(a, b), each piece fitted from the three regimes on its own nodes, extended
-on demand whenever a call reaches past the pieces built so far.
+`ml_e_neg` evaluates these regimes directly.  It builds the table below,
+serves the scalar `mittag_leffler` API and is the oracle in tests.  Every
+bulk caller goes through `ml_neg_fast` instead: the time stepper (cell
+weights, forcing weights, the Z(t)u0 propagator) and the kernels (the Z and
+Y symbols, propagator application, profile inversion).  It keeps one cached
+piecewise-Chebyshev table per (a, b), each piece fitted from the three
+regimes on its own nodes, extended on demand whenever a call reaches past
+the pieces built so far; at a = 1 it uses the closed forms and series
+directly.
 
 The Wright function phi_a(t) = sum (-t)^n / (n! Gamma(-a n + 1 - a)) is an
 entire function whose truncated sum suffers severe cancellation for larger t,
 so it is summed in adaptive-precision arithmetic with the working precision
-chosen from a float-level scan of the term magnitudes.
+chosen from a float-level scan of the term magnitudes.  Beyond the tail cut
+it is continued from its value at the cut; that anchor depends only on a and
+is summed once per a and cached.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -371,11 +377,13 @@ class _FastMLNeg:
 _FAST_CACHE: dict[tuple[float, float], _FastMLNeg] = {}
 
 
-def ml_neg_fast(alpha: float, beta: float, y) -> np.ndarray:
-    """Bulk E_{alpha,beta}(-y) for y >= 0 from the cached, self-extending table.
+def ml_neg_fast(alpha: float, beta: float, y):
+    """E_{alpha,beta}(-y) for y >= 0 from the cached, self-extending table.
 
-    Same orders and domain as `ml_e_neg`, which builds the table for
-    (alpha, beta) and extends it on demand.
+    Same orders, domain and return type as `ml_e_neg` (a float for scalar
+    y), which builds the table for (alpha, beta) and extends it on demand.
+    At alpha = 1 the closed forms and series of `ml_e_neg` are used
+    directly, and y == 0 gives exactly 1/Gamma(beta).
     """
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size == 0:
@@ -384,14 +392,20 @@ def ml_neg_fast(alpha: float, beta: float, y) -> np.ndarray:
     # NaN fails the first test and +inf the second.
     if not (lo >= 0.0 and hi < math.inf):
         raise DomainError("ml_neg_fast requires finite y >= 0")
+    if alpha == 1.0:
+        return ml_e_neg(alpha, beta, y_arr)
     key = (alpha, beta)
     ev = _FAST_CACHE.get(key)
     if ev is None:
         ev = _FastMLNeg(alpha, beta)
     # Cached only once a first fit succeeded: ml_e_neg validates the orders.
-    out = ev(y_arr.ravel()).reshape(y_arr.shape)
+    flat = y_arr.ravel()
+    out = ev(flat)
     _FAST_CACHE.setdefault(key, ev)
-    return out
+    if lo == 0.0:
+        # The fit is only ~1e-15 off at y = 0; the zero mode must be exact.
+        out[flat == 0.0] = _sp.rgamma(beta)
+    return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
 
 # --------------------------------------------------------------------------
@@ -454,7 +468,8 @@ def wright_phi(alpha: float, theta: float) -> float:
 
     Beyond the stretched-exponential cutoff (value < ~1e-14) the tail is
     continued by the leading exponential factor matched at the cutoff, which
-    keeps the result positive and far below every tolerance used here.
+    keeps the result positive and far below every tolerance used here.  The
+    value at the cutoff is summed once per alpha and cached.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -465,5 +480,10 @@ def wright_phi(alpha: float, theta: float) -> float:
         return _wright_series_mp(alpha, theta)
     b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     e = 1.0 / (1.0 - alpha)
-    base = _wright_series_mp(alpha, cut)
-    return base * math.exp(b * cut**e - b * theta**e)
+    return _wright_tail_anchor(alpha) * math.exp(b * cut**e - b * theta**e)
+
+
+@functools.lru_cache(maxsize=64)
+def _wright_tail_anchor(alpha: float) -> float:
+    """phi_alpha at the tail cut: one adaptive-precision sum per alpha."""
+    return _wright_series_mp(alpha, wright_tail_cut(alpha))

@@ -1,9 +1,14 @@
 """Sweep driver, threshold bracketing, config/CSV plumbing and the CLI."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracsim
 import fracsim.harness as harness
 import fracsim.special as special
 from fracsim import (
@@ -249,6 +254,27 @@ class TestCli:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "r,value"
         assert len(lines) == 9
+
+    def test_kernel_norms_only_in_one_dimension(self, capsys):
+        args = ["kernel", "--mode", "norms", "--alpha", "0.5", "--s", "0.4",
+                "--points", "3", "--q", "2"]
+        assert cli_main(args + ["--dim", "1"]) == 0
+        capsys.readouterr()
+        for dim in ("2", "3"):
+            assert cli_main(args + ["--dim", dim]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "1D grid" in err
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(fracsim.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "fracsim", "exponents", "--alpha", "0.5",
+             "--s", "0.4", "--sigma", "-0.25", "--p", "3", "--N", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["p_star"] == pytest.approx(7.0 / 3.0)
 
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx
 
+import fracsim.kernels as kernels
 from fracsim import (
     DomainError,
     Field,
@@ -36,7 +37,10 @@ def exact_delta(grid):
 
 class TestSymbols:
     def test_z_zero_mode(self):
-        assert symbol_Z(3.7, 0.0, 0.5, 0.4) == pytest.approx(1.0, abs=1e-14)
+        val = symbol_Z(3.7, 0.0, 0.5, 0.4)
+        assert type(val) is float
+        assert val == 1.0
+        assert symbol_Z(3.7, np.array([0.0, 1.0]), 0.5, 0.4)[0] == 1.0
 
     def test_z_heat_limit(self):
         xi_sq = np.array([0.0, 0.5, 2.0])
@@ -239,3 +243,36 @@ class TestPropagator:
         m_coarse, m_fine = max_ratio(6), max_ratio(9)
         assert np.isfinite(m_fine)
         assert abs(m_fine - m_coarse) <= 0.1 * m_coarse
+
+
+class TestTableOracle:
+    """Symbols, profiles and propagators on the table against the regime evaluator.
+
+    Every Mittag-Leffler value the kernels need comes from the fast table;
+    swapping it for `ml_e_neg` must change each result by at most 1e-10
+    relative to its largest entry.
+    """
+
+    RADII = np.geomspace(1e-2, 1e2, 12)
+
+    @staticmethod
+    def on_regimes(monkeypatch):
+        monkeypatch.setattr(kernels, "ml_neg_fast", lambda a, b, y: ml_e_neg(a, b, y))
+
+    @staticmethod
+    def assert_close(table, oracle):
+        assert np.max(np.abs(table - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("kind,dim", [("F", 1), ("F", 2), ("F", 3), ("G", 1)])
+    def test_profile(self, monkeypatch, kind, dim):
+        table = profile(kind, 0.5, 0.4, dim, self.RADII).values
+        self.on_regimes(monkeypatch)
+        self.assert_close(table, profile(kind, 0.5, 0.4, dim, self.RADII).values)
+
+    @pytest.mark.parametrize("kind", ["Z", "Y"])
+    def test_apply_propagator(self, monkeypatch, kind):
+        f = gaussian_field(GRID, 1.0, 1.0)
+        table = [apply_propagator(kind, t, f, 0.5, 0.4).values for t in (0.5, 4.0)]
+        self.on_regimes(monkeypatch)
+        for t, got in zip((0.5, 4.0), table):
+            self.assert_close(got, apply_propagator(kind, t, f, 0.5, 0.4).values)

@@ -184,6 +184,28 @@ class TestFastTable:
         assert ml_neg_fast(0.5, 1.5, y).shape == (3, 4)
         assert ml_neg_fast(0.5, 1.5, np.empty((0, 4))).shape == (0, 4)
 
+    @pytest.mark.parametrize("ab", [(0.5, 1.0), (0.5, 0.5), (0.7, 1.7), (1.0, 0.5)])
+    def test_zero_is_exact_and_scalars_are_floats(self, ab):
+        want = 1.0 / math.gamma(ab[1])
+        vals = ml_neg_fast(*ab, np.array([0.0, 2.0, 0.0]))
+        assert vals[0] == vals[2] == pytest.approx(want, rel=1e-15)
+        assert vals[0] == ml_e_neg(*ab, 0.0)
+        one = ml_neg_fast(*ab, 0.0)
+        assert type(one) is float and one == vals[0]
+        assert ml_neg_fast(*ab, 2.0) == vals[1]
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
+    def test_alpha_one_uses_the_closed_forms(self, beta):
+        y = np.linspace(0.0, 30.0, 301)
+        assert np.array_equal(ml_neg_fast(1.0, beta, y), ml_e_neg(1.0, beta, y))
+        assert ml_neg_fast(1.0, beta, 29.0) == ml_e_neg(1.0, beta, 29.0)
+        assert special._FAST_CACHE == {}
+        if beta not in (1.0, 2.0):
+            # The series serves y <= 30 only; both evaluators refuse beyond.
+            for fn in (ml_e_neg, ml_neg_fast):
+                with pytest.raises(UnsupportedRangeError):
+                    fn(1.0, beta, np.array([1.0, 31.0]))
+
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
@@ -224,6 +246,27 @@ class TestWright:
             limit=200,
         )
         assert val == pytest.approx(float(ml_e_neg(alpha, 1.0, lam)), abs=1e-6)
+
+    def test_tail_anchor_is_summed_once_per_alpha(self, monkeypatch):
+        alpha = 0.7
+        cut = wright_tail_cut(alpha)
+        b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+        e = 1.0 / (1.0 - alpha)
+        real = special._wright_series_mp
+        anchor = real(alpha, cut)
+        sums = []
+
+        def counting(a, theta):
+            sums.append((a, theta))
+            return real(a, theta)
+
+        special._wright_tail_anchor.cache_clear()
+        monkeypatch.setattr(special, "_wright_series_mp", counting)
+        for theta in (1.01 * cut, 2.0 * cut, 34.0, 34.0):
+            want = anchor * math.exp(b * cut**e - b * theta**e)
+            assert wright_phi(alpha, theta) == want
+        assert sums == [(alpha, cut)]
+        special._wright_tail_anchor.cache_clear()
 
     def test_domain(self):
         with pytest.raises(DomainError):
