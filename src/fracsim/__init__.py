@@ -14,10 +14,8 @@ from .errors import (
     UnsupportedRangeError,
 )
 from .special import (
-    MLParams,
     beta_fn,
     gamma,
-    mittag_leffler,
     ml_e_neg,
     wright_phi,
     wright_tail_cut,
@@ -32,6 +30,7 @@ from .spectral import (
     indicator_field,
     load_field,
     lq_norm,
+    restricted_lq_norm,
     save_field,
     spectral_tail_fraction,
     to_real,
@@ -39,12 +38,10 @@ from .spectral import (
 )
 from .kernels import (
     KernelProfile,
-    KernelSymbol,
     apply_propagator,
     profile,
     profile_lq_norm,
     q_critical,
-    restricted_lq_norm,
     symbol_Y,
     symbol_Z,
 )
@@ -53,12 +50,12 @@ from .solver import (
     GLOBAL,
     UNDETERMINED,
     ClassifyThresholds,
+    LinearPlan,
     ModelParams,
     PicardResult,
     SimResult,
     TimeMesh,
     classify,
-    duhamel_weights,
     estimate_decay_exponent,
     integrate,
     picard_solve,

@@ -166,11 +166,9 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_hypotheses(args) -> int:
+    config = config_from_json(args.config)
     with open(args.config) as fh:
         cfg = json.load(fh)
-    if cfg.get("schema") != 1:
-        raise DomainError(f"unsupported config schema {cfg.get('schema')!r}")
-    config = config_from_json(args.config)
     if len(config.p_values) != 1:
         raise DomainError("hypotheses needs a config with a single p")
     params = config.model(config.p_values[0])

@@ -29,11 +29,10 @@ from .kernels import (
     profile,
     profile_lq_norm,
     q_critical,
-    restricted_lq_norm,
 )
-from .solver import ModelParams, TimeMesh, _cell_weights, _forcing_weights
+from .solver import LinearPlan, ModelParams, TimeMesh
 from .special import beta_fn, gamma as gamma_fn
-from .spectral import Field, lq_norm
+from .spectral import Field, lq_norm, restricted_lq_norm
 
 __all__ = [
     "ExponentReport",
@@ -225,18 +224,9 @@ class SmallnessReport:
 def _forcing_norm_at(params: ModelParams, w: Field, t: float, q: float,
                      steps: int = 400) -> float:
     """||S_w(t)||_q via the exact per-mode Duhamel forcing weights."""
-    from .spectral import SpectralField, to_real, to_spectral
-
-    grid = w.grid
-    lam = grid.xi_squared().ravel() ** params.s
-    lam_u, inv = np.unique(lam, return_inverse=True)
-    mesh = TimeMesh.make(t, steps, grading=2.0)
-    t_hist = mesh.nodes
-    w_cells = _cell_weights(params, t_hist, t, lam_u)
-    s_u = _forcing_weights(params, t_hist, t, lam_u, w_cells, "accurate")
-    modes = to_spectral(w).modes.ravel() * s_u[inv]
-    out = to_real(SpectralField(grid=grid, modes=modes.reshape(grid.shape)))
-    return lq_norm(out, q)
+    plan = LinearPlan(params, w.grid, TimeMesh.make(t, steps, grading=2.0), "accurate")
+    modes = plan.linear_modes(steps, None, plan.to_modes(w.values))
+    return lq_norm(Field(w.grid, plan.to_values(modes)), q)
 
 
 def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,

@@ -21,9 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .criticality import beta_exponent, p_star_exponent
-from .errors import BracketingError, DomainError
+from .errors import (
+    BracketingError,
+    DomainError,
+    NumericalError,
+    PreconditionError,
+    UnsupportedRangeError,
+)
 from .solver import (
     BLOWUP,
+    FORCING_SCHEMES,
     GLOBAL,
     UNDETERMINED,
     ClassifyThresholds,
@@ -109,6 +116,11 @@ class SweepConfig:
         object.__setattr__(self, "p_values", p)
         if not (self.t_end > 0.0 and self.steps >= 2):
             raise DomainError("need t_end > 0 and steps >= 2")
+        if self.forcing_scheme not in FORCING_SCHEMES:
+            raise DomainError(
+                f"unknown forcing scheme {self.forcing_scheme!r}; "
+                f"expected one of {FORCING_SCHEMES}"
+            )
 
     def model(self, p: float) -> ModelParams:
         return ModelParams(
@@ -152,7 +164,10 @@ def _classify_p(config: SweepConfig, p: float) -> tuple[SweepRow, SimResult | No
             thresholds=config.thresholds,
             forcing_scheme=config.forcing_scheme,
         )
-    except Exception as exc:  # recorded, never aborts the sweep
+    except (NumericalError, DomainError, UnsupportedRangeError,
+            PreconditionError) as exc:
+        # Recorded, never aborting the sweep; any other exception is a
+        # programming error and propagates.
         row = SweepRow(
             p=p,
             p_c=params.dim * (p - 1.0) / (2.0 * params.s),
@@ -302,58 +317,86 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REQUIRED = object()
+
+
+def _value(cfg: dict, path: str, conv, default=_REQUIRED):
+    """conv(cfg[k1][k2]...) for path "k1.k2..."; errors name the path."""
+    node = cfg
+    for key in path.split("."):
+        if not isinstance(node, dict):
+            raise DomainError(f"config {path}: parent is not an object")
+        if key not in node:
+            if default is _REQUIRED:
+                raise DomainError(f"config is missing {path}")
+            return default
+        node = node[key]
+    try:
+        return conv(node)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"config {path}: {exc}") from None
+
+
 def config_from_dict(cfg: dict) -> SweepConfig:
-    """Build a SweepConfig from a schema-1 JSON dict."""
+    """Build a SweepConfig from a schema-1 JSON dict.
+
+    Missing required keys and values of the wrong type raise DomainError
+    naming the key path (e.g. ``time.steps``).
+    """
+    if not isinstance(cfg, dict):
+        raise DomainError("config must be a JSON object")
     if cfg.get("schema") != 1:
         raise DomainError(f"unsupported config schema {cfg.get('schema')!r}")
-    model = cfg["model"]
-    grid_d = cfg.get("grid", {})
+    dim = _value(cfg, "model.dim", int)
     grid = GridSpec(
-        dim=int(model["dim"]),
-        points=int(grid_d.get("points", 4096)),
-        half_width=float(grid_d.get("half_width", 50.0)),
+        dim=dim,
+        points=_value(cfg, "grid.points", int, 4096),
+        half_width=_value(cfg, "grid.half_width", float, 50.0),
     )
-    time_d = cfg.get("time", {})
-    thr_d = cfg.get("classify", {})
-    p_values = cfg.get("p_values")
-    if p_values is None:
-        p_values = [cfg["p"]]
+    if cfg.get("p_values") is not None:
+        p_values = _value(cfg, "p_values", lambda v: tuple(float(x) for x in v))
+    else:
+        p_values = (_value(cfg, "p", float),)
 
-    def data_spec(d: dict | None) -> DataSpec:
-        if d is None:
+    def data_spec(name: str) -> DataSpec:
+        if cfg.get(name) is None:
             return DataSpec(kind="zero")
         return DataSpec(
-            kind=d.get("kind", "zero"),
-            amplitude=float(d.get("amplitude", 0.0)),
-            width=float(d.get("width", 1.0)),
+            kind=_value(cfg, f"{name}.kind", str, "zero"),
+            amplitude=_value(cfg, f"{name}.amplitude", float, 0.0),
+            width=_value(cfg, f"{name}.width", float, 1.0),
         )
 
-    t_end = float(time_d.get("t_end", 50.0))
+    t_end = _value(cfg, "time.t_end", float, 50.0)
     thresholds = ClassifyThresholds(
-        u_max=float(thr_d.get("u_max", 1e8)),
-        ratio_max=float(thr_d.get("ratio_max", 10.0)),
-        t_end=float(thr_d.get("t_end", t_end)),
-        beta=float(thr_d.get("beta", 0.0)),
-        monotone_slack=float(thr_d.get("monotone_slack", 0.01)),
+        u_max=_value(cfg, "classify.u_max", float, 1e8),
+        ratio_max=_value(cfg, "classify.ratio_max", float, 10.0),
+        t_end=_value(cfg, "classify.t_end", float, t_end),
+        beta=_value(cfg, "classify.beta", float, 0.0),
+        monotone_slack=_value(cfg, "classify.monotone_slack", float, 0.01),
     )
     return SweepConfig(
-        alpha=float(model["alpha"]),
-        s=float(model["s"]),
-        sigma=float(model["sigma"]),
-        dim=int(model["dim"]),
-        p_values=tuple(float(x) for x in p_values),
-        u0=data_spec(cfg.get("u0")),
-        w=data_spec(cfg.get("w")),
+        alpha=_value(cfg, "model.alpha", float),
+        s=_value(cfg, "model.s", float),
+        sigma=_value(cfg, "model.sigma", float),
+        dim=dim,
+        p_values=p_values,
+        u0=data_spec("u0"),
+        w=data_spec("w"),
         grid=grid,
         t_end=t_end,
-        steps=int(time_d.get("steps", 600)),
-        grading=float(time_d.get("grading", 2.0)),
+        steps=_value(cfg, "time.steps", int, 600),
+        grading=_value(cfg, "time.grading", float, 2.0),
         thresholds=thresholds,
-        q_report=float(cfg.get("q_report", 4.0)),
-        forcing_scheme=str(cfg.get("forcing_scheme", "fast")),
+        q_report=_value(cfg, "q_report", float, 4.0),
+        forcing_scheme=_value(cfg, "forcing_scheme", str, "fast"),
     )
 
 
 def config_from_json(path: str | Path) -> SweepConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise DomainError(f"config {path} is not valid JSON: {exc}") from None
+    return config_from_dict(cfg)

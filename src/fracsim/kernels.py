@@ -33,14 +33,12 @@ from .special import ml_neg_fast
 from .spectral import Field, GridSpec, to_real, to_spectral
 
 __all__ = [
-    "KernelSymbol",
     "KernelProfile",
     "symbol_Z",
     "symbol_Y",
     "profile",
     "apply_propagator",
     "profile_lq_norm",
-    "restricted_lq_norm",
     "q_critical",
 ]
 
@@ -77,24 +75,6 @@ def symbol_Y(t: float, xi_sq, alpha: float, s: float):
     if np.any(xi_sq < 0.0):
         raise DomainError("xi_sq must be nonnegative")
     return t ** (alpha - 1.0) * ml_neg_fast(alpha, alpha, xi_sq**s * t**alpha)
-
-
-@dataclass(frozen=True)
-class KernelSymbol:
-    """Callable wrapper for a kernel's Fourier symbol."""
-
-    kind: str  # "Z" or "Y"
-    alpha: float
-    s: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Y"):
-            raise DomainError(f"kind must be 'Z' or 'Y', got {self.kind!r}")
-        _check_alpha_s(self.alpha, self.s)
-
-    def __call__(self, t: float, xi_sq):
-        fn = symbol_Z if self.kind == "Z" else symbol_Y
-        return fn(t, xi_sq, self.alpha, self.s)
 
 
 # --------------------------------------------------------------------------
@@ -181,6 +161,23 @@ def _j0_zeros() -> np.ndarray:
     return zeros
 
 
+def _split_panels(breaks: np.ndarray, width: float) -> np.ndarray:
+    """Cut each interval of `breaks` into equal panels no wider than `width`.
+
+    Interval i gets m_i panels with inner points lo + k * step, k = 1..m_i,
+    and its last point set to hi: the points np.linspace(lo, hi, m_i + 1)
+    gives, for all intervals at once.
+    """
+    lo, hi = breaks[:-1], breaks[1:]
+    m = np.ceil((hi - lo) / width).astype(np.intp)
+    step = (hi - lo) / m
+    ends = np.cumsum(m)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - m, m)
+    pts = k * np.repeat(step, m) + np.repeat(lo, m)
+    pts[ends - 1] = hi
+    return np.concatenate((breaks[:1], pts))
+
+
 def _oscillatory_inverse(sym_fn, r: float, dim: int) -> float:
     """Radial inverse Fourier transform of a symbol at radius r > 0.
 
@@ -208,12 +205,7 @@ def _oscillatory_inverse(sym_fn, r: float, dim: int) -> float:
     cut = zeros[_N_DIRECT - 1]
     breaks = np.concatenate(([0.0], np.geomspace(cut * 1e-8, cut, 48)))
     breaks = np.unique(np.concatenate((breaks, zeros[: _N_DIRECT - 1])))
-    half_period = np.pi / r
-    pieces = [np.array([0.0])]
-    for a_, b_ in zip(breaks[:-1], breaks[1:]):
-        m = int(np.ceil((b_ - a_) / half_period))
-        pieces.append(np.linspace(a_, b_, m + 1)[1:])
-    breaks = np.concatenate(pieces)
+    breaks = _split_panels(breaks, np.pi / r)
     hh = 0.5 * np.diff(breaks)
     mm = 0.5 * (breaks[:-1] + breaks[1:])
     xx = mm[:, None] + hh[:, None] * _GLQ_X[None, :]
@@ -431,15 +423,3 @@ def profile_lq_norm(
             )
 
     return float((_SPHERE_AREA[prof.dim] * total) ** (1.0 / q))
-
-
-def restricted_lq_norm(field: Field, q: float, r_min: float) -> float:
-    """L^q norm of a field restricted to the exterior region |x| > r_min."""
-    if q < 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
-    grid = field.grid
-    mask = grid.radius_squared() > r_min**2
-    vals = np.abs(field.values[mask])
-    if q == np.inf:
-        return float(np.max(vals)) if vals.size else 0.0
-    return float((np.sum(vals**q) * grid.cell_volume) ** (1.0 / q))

@@ -16,7 +16,7 @@ def _checks():
     from .criticality import beta_exponent, critical_exponents, p_star_exponent
     from .fractional import TimeSeries, caputo_derivative
     from .kernels import symbol_Y, symbol_Z
-    from .solver import ModelParams, TimeMesh, duhamel_weights
+    from .solver import LinearPlan, ModelParams, TimeMesh
     from .special import beta_fn, gamma, ml_e_neg, wright_phi
     from .spectral import Field, GridSpec, fractional_laplacian
 
@@ -56,8 +56,9 @@ def _checks():
     def weight_telescoping():
         params = ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=1)
         mesh = TimeMesh.make(2.0, 40)
-        w = duhamel_weights(params, mesh, 0.0)
-        got = float(np.sum(w[-1]))
+        plan = LinearPlan(params, GridSpec(dim=1, points=64, half_width=10.0), mesh)
+        row = plan.cell_weights(mesh.steps)  # column 0 is the zero mode
+        got = float(np.sum(row[:, 0]))
         want = mesh.t_end**0.5 / gamma(1.5)
         return abs(got - want) / want, 1e-12
 

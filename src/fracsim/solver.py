@@ -6,8 +6,13 @@ kernel is integrated in closed form through differences of
 x^a E_{a,a+1}(-lam x^a), while the nonlinearity is sampled piecewise
 constant at left endpoints. The t^sigma forcing factor is integrated with
 its endpoint singularities handled per cell (exact first-cell moment with
-the kernel frozen at the sigma-weighted centroid; Gauss-Jacobi on the
-kernel-singular last cell in the "accurate" scheme).
+the kernel frozen at the sigma-weighted centroid; in the "accurate" scheme,
+Gauss-Legendre on interior cells and a substitution that absorbs the
+kernel singularity on the last cell).
+
+`LinearPlan` owns this p-independent linear part (the eigenvalue map, the
+flat-mode FFT convention, the cell weights, the forcing rules and Z(t)u0);
+`integrate`, `picard_solve` and the smallness check each build one.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -28,7 +33,7 @@ from .errors import (
     PreconditionError,
     ResolutionWarning,
 )
-from .spectral import Field, GridSpec, to_real, to_spectral, SpectralField
+from .spectral import Field, GridSpec, SpectralField, lq_norm, spectral_tail_fraction
 from .special import ml_neg_fast
 
 __all__ = [
@@ -37,7 +42,8 @@ __all__ = [
     "ClassifyThresholds",
     "SimResult",
     "PicardResult",
-    "duhamel_weights",
+    "LinearPlan",
+    "FORCING_SCHEMES",
     "integrate",
     "picard_solve",
     "classify",
@@ -148,128 +154,136 @@ class PicardResult:
 
 
 # --------------------------------------------------------------------------
-# weights
+# linear plan
 # --------------------------------------------------------------------------
 
 
-def _cell_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
-                  lam_u: np.ndarray) -> np.ndarray:
-    """Exact kernel cell integrals W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_now - tau) dtau.
-
-    Uses x^a E_{a,a+1}(-lam x^a) evaluated at cell ends; the telescoped sum
-    over all cells is exactly t^a E_{a,a+1}(-lam t^a).
-    """
-    a = params.alpha
-    d = t_now - t_hist  # decreasing, last entry may be 0
-    da = d**a
-    e = da[:, None] * ml_neg_fast(a, a + 1.0, da[:, None] * lam_u[None, :])
-    return e[:-1] - e[1:]
-
-
-def duhamel_weights(params: ModelParams, mesh: TimeMesh, xi_sq) -> np.ndarray:
-    """History weight table W[n, j, k] for nodes n = 1..M, cells j < n.
-
-    Entries with j >= n are zero. `xi_sq` is an array of squared wavenumbers.
-    """
-    lam = np.atleast_1d(np.asarray(xi_sq, dtype=float)) ** params.s
-    t = mesh.nodes
-    m = mesh.steps
-    out = np.zeros((m + 1, m, lam.size))
-    for n in range(1, m + 1):
-        out[n, :n, :] = _cell_weights(params, t[: n + 1], t[n], lam)
-    return out
-
+FORCING_SCHEMES = ("fast", "accurate")
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 
-def _forcing_weights(params: ModelParams, t_hist: np.ndarray, t_now: float,
-                     lam_u: np.ndarray, w_cells: np.ndarray,
-                     scheme: str) -> np.ndarray:
-    """S[lam] ~= int_0^{t_now} tau^sigma Y(t_now - tau; lam) dtau on the mesh cells."""
-    a, sig = params.alpha, params.sigma
-    n = t_hist.size - 1  # number of cells
-    if sig == 0.0:
-        return np.sum(w_cells, axis=0)
-    t1 = t_hist[1]
-    if n == 1:
-        # Single cell with both endpoint singularities: Gauss-Jacobi with
-        # weight (1-x)^(a-1) (1+x)^sigma after mapping tau = t1 (x+1)/2.
-        x, wq = _sp.roots_jacobi(12, a - 1.0, sig)
-        psi = (t1 * (1.0 - x) / 2.0) ** a
-        vals = ml_neg_fast(a, a, np.outer(psi, lam_u))
-        return (t1 / 2.0) ** (sig + a) * (wq @ vals)
-    # First cell: exact integral of tau^sigma with the kernel frozen at the
-    # sigma-weighted centroid (kills the linear term of the kernel expansion).
-    tau_bar = t1 * (sig + 1.0) / (sig + 2.0)
-    psi0 = t_now - tau_bar
-    y_first = (
-        psi0 ** (a - 1.0)
-        * ml_neg_fast(a, a, lam_u * psi0**a)
-        * t1 ** (sig + 1.0)
-        / (sig + 1.0)
-    )
-    if scheme == "fast":
-        mids = 0.5 * (t_hist[1:n] + t_hist[2 : n + 1])
-        s = y_first + (mids**sig) @ w_cells[1:n]
-        return s
-    if scheme != "accurate":
-        raise DomainError(f"unknown forcing scheme {scheme!r}")
-    s = y_first
-    if n >= 3:
-        # Interior cells: 4-point Gauss-Legendre on the smooth integrand.
-        lo = t_hist[1 : n - 1]
-        hi = t_hist[2:n]
-        h = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        tau = mid[:, None] + h[:, None] * _GL4_X[None, :]  # (cells, 4)
-        psi = t_now - tau
-        pref = (h[:, None] * _GL4_W[None, :]) * tau**sig * psi ** (a - 1.0)
-        e = ml_neg_fast(a, a, (psi.ravel() ** a)[:, None] * lam_u[None, :])
-        s = s + pref.ravel() @ e
-    # Last cell: substitute psi = h v^(1/a), which absorbs the psi^(a-1)
-    # weight exactly and leaves the kernel analytic in v (the kernel is a
-    # function of psi^a = h^a v, so no fractional powers survive).
-    h_last = t_now - t_hist[n - 1]
-    v = 0.5 * (_GL8_X + 1.0)
-    psi = h_last * v ** (1.0 / a)
-    tau = t_now - psi
-    vals = ml_neg_fast(a, a, np.outer(h_last**a * v, lam_u))
-    s = s + (h_last**a / (2.0 * a)) * ((_GL8_W * tau**sig) @ vals)
-    return s
+class LinearPlan:
+    """The p-independent linear part of the march on one grid and mesh.
+
+    Modes are flat FFT-ordered arrays in the continuum normalization of
+    `to_spectral`; every per-mode factor is evaluated once per unique
+    eigenvalue lam = |xi|^(2s) (`lam_u`) and spread to the modes by `inv`.
+    """
+
+    def __init__(self, params: ModelParams, grid: GridSpec, mesh: TimeMesh,
+                 forcing_scheme: str = "fast") -> None:
+        if grid.dim != params.dim:
+            raise PreconditionError("grid dimension does not match model dimension")
+        if forcing_scheme not in FORCING_SCHEMES:
+            raise DomainError(
+                f"unknown forcing scheme {forcing_scheme!r}; "
+                f"expected one of {FORCING_SCHEMES}"
+            )
+        self.params, self.grid, self.mesh = params, grid, mesh
+        self.forcing_scheme = forcing_scheme
+        lam = grid.xi_squared().ravel() ** params.s
+        self.lam_u, self.inv = np.unique(lam, return_inverse=True)
+
+    @property
+    def nmodes(self) -> int:
+        return self.inv.size
+
+    def to_modes(self, values: np.ndarray) -> np.ndarray:
+        """Flat modes of real-space samples."""
+        return np.fft.fftn(values).ravel() * self.grid.cell_volume
+
+    def to_values(self, modes: np.ndarray) -> np.ndarray:
+        """Real-space samples of flat modes."""
+        return np.fft.ifftn(modes.reshape(self.grid.shape) / self.grid.cell_volume).real
+
+    def cell_weights(self, n: int) -> np.ndarray:
+        """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
+
+        Uses x^a E_{a,a+1}(-lam x^a) evaluated at cell ends; the telescoped
+        sum over all cells is exactly t_n^a E_{a,a+1}(-lam t_n^a).
+        """
+        a = self.params.alpha
+        d = self.mesh.nodes[n] - self.mesh.nodes[: n + 1]  # last entry is 0
+        da = d**a
+        e = da[:, None] * ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, :])
+        return e[:-1] - e[1:]
+
+    def forcing_weights(self, n: int, cells: np.ndarray | None = None) -> np.ndarray:
+        """S[lam] ~= int_0^{t_n} tau^sigma Y(t_n - tau; lam) dtau on the mesh cells.
+
+        `cells` is node n's cell-weight row if the caller already holds it;
+        the row is computed here only when the rule reads it (sigma = 0 or
+        the "fast" scheme).
+        """
+        a, sig = self.params.alpha, self.params.sigma
+        lam_u, t_hist = self.lam_u, self.mesh.nodes[: n + 1]
+        t_now = t_hist[n]
+        if sig == 0.0:
+            return np.sum(self.cell_weights(n) if cells is None else cells, axis=0)
+        t1 = t_hist[1]
+        if n == 1:
+            # Single cell with both endpoint singularities: Gauss-Jacobi with
+            # weight (1-x)^(a-1) (1+x)^sigma after mapping tau = t1 (x+1)/2.
+            x, wq = _sp.roots_jacobi(12, a - 1.0, sig)
+            psi = (t1 * (1.0 - x) / 2.0) ** a
+            vals = ml_neg_fast(a, a, np.outer(psi, lam_u))
+            return (t1 / 2.0) ** (sig + a) * (wq @ vals)
+        # First cell: exact integral of tau^sigma with the kernel frozen at the
+        # sigma-weighted centroid (kills the linear term of the kernel expansion).
+        tau_bar = t1 * (sig + 1.0) / (sig + 2.0)
+        psi0 = t_now - tau_bar
+        y_first = (
+            psi0 ** (a - 1.0)
+            * ml_neg_fast(a, a, lam_u * psi0**a)
+            * t1 ** (sig + 1.0)
+            / (sig + 1.0)
+        )
+        if self.forcing_scheme == "fast":
+            if cells is None:
+                cells = self.cell_weights(n)
+            mids = 0.5 * (t_hist[1:n] + t_hist[2 : n + 1])
+            return y_first + (mids**sig) @ cells[1:n]
+        s = y_first
+        if n >= 3:
+            # Interior cells: 4-point Gauss-Legendre on the smooth integrand.
+            lo = t_hist[1 : n - 1]
+            hi = t_hist[2:n]
+            h = 0.5 * (hi - lo)
+            mid = 0.5 * (hi + lo)
+            tau = mid[:, None] + h[:, None] * _GL4_X[None, :]  # (cells, 4)
+            psi = t_now - tau
+            pref = (h[:, None] * _GL4_W[None, :]) * tau**sig * psi ** (a - 1.0)
+            e = ml_neg_fast(a, a, (psi.ravel() ** a)[:, None] * lam_u[None, :])
+            s = s + pref.ravel() @ e
+        # Last cell: substitute psi = h v^(1/a), which absorbs the psi^(a-1)
+        # weight exactly and leaves the kernel analytic in v (the kernel is a
+        # function of psi^a = h^a v, so no fractional powers survive).
+        h_last = t_now - t_hist[n - 1]
+        v = 0.5 * (_GL8_X + 1.0)
+        psi = h_last * v ** (1.0 / a)
+        tau = t_now - psi
+        vals = ml_neg_fast(a, a, np.outer(h_last**a * v, lam_u))
+        return s + (h_last**a / (2.0 * a)) * ((_GL8_W * tau**sig) @ vals)
+
+    def linear_modes(self, n: int, u0_modes: np.ndarray | None,
+                     w_modes: np.ndarray | None,
+                     cells: np.ndarray | None = None) -> np.ndarray:
+        """Modes of Z(t_n) u0 + S_w(t_n) at node n; None drops a term."""
+        out = np.zeros(self.nmodes, dtype=complex)
+        if u0_modes is not None:
+            a = self.params.alpha
+            z = ml_neg_fast(a, 1.0, self.lam_u * self.mesh.nodes[n] ** a)
+            out += z[self.inv] * u0_modes
+        if w_modes is not None:
+            out += self.forcing_weights(n, cells)[self.inv] * w_modes
+        return out
 
 
 # --------------------------------------------------------------------------
 # integrator
 # --------------------------------------------------------------------------
-
-
-def _mode_setup(params: ModelParams, grid: GridSpec):
-    lam = grid.xi_squared().ravel() ** params.s
-    lam_u, inv = np.unique(lam, return_inverse=True)
-    return lam_u, inv
-
-
-def _tail_fraction_from_modes(grid: GridSpec, modes_flat: np.ndarray) -> float:
-    energy = np.abs(modes_flat.reshape(grid.shape)) ** 2
-    total = float(np.sum(energy))
-    if total == 0.0:
-        return 0.0
-    k = np.fft.fftfreq(grid.points) * grid.points
-    hi = np.abs(k) >= grid.points // 4
-    if grid.dim == 1:
-        mask = hi
-    else:
-        grids = np.meshgrid(*([hi] * grid.dim), indexing="ij")
-        mask = np.logical_or.reduce(grids)
-    return float(np.sum(energy[mask])) / total
-
-
-def _lq_of_values(grid: GridSpec, values: np.ndarray, q: float) -> float:
-    if q == np.inf:
-        return float(np.max(np.abs(values)))
-    return float((np.sum(np.abs(values) ** q) * grid.cell_volume) ** (1.0 / q))
 
 
 def integrate(
@@ -285,18 +299,15 @@ def integrate(
     tail_threshold: float = 1e-6,
 ) -> SimResult:
     """March the mild solution across the mesh; halt on blow-up triggers."""
-    if grid.dim != params.dim:
-        raise PreconditionError("grid dimension does not match model dimension")
+    plan = LinearPlan(params, grid, mesh, forcing_scheme)
     thr = thresholds or ClassifyThresholds(t_end=mesh.t_end)
-    a, p = params.alpha, params.p
+    p = params.p
     t = mesh.nodes
     m = mesh.steps
-    lam_u, inv = _mode_setup(params, grid)
-    nmodes = inv.size
+    nmodes = plan.nmodes
 
-    u0_modes = to_spectral(u0).modes.ravel() if u0 is not None else None
-    w_modes = to_spectral(w).modes.ravel() if w is not None else None
-    shape = grid.shape
+    u0_modes = plan.to_modes(u0.values) if u0 is not None else None
+    w_modes = plan.to_modes(w.values) if w is not None else None
 
     nl_hist = np.zeros((m + 1, nmodes), dtype=complex) if nonlinearity else None
     if nonlinearity:
@@ -307,11 +318,11 @@ def integrate(
     if u0 is not None:
         u_prev = u0.values
     else:
-        u_prev = np.zeros(shape)
+        u_prev = np.zeros(grid.shape)
     if nonlinearity:
-        nl_hist[0] = np.fft.fftn(np.abs(u_prev) ** p).ravel() * grid.cell_volume
+        nl_hist[0] = plan.to_modes(np.abs(u_prev) ** p)
 
-    lq = [_lq_of_values(grid, u_prev, q_report)]
+    lq = [lq_norm(Field(grid, u_prev), q_report)]
     linf = [float(np.max(np.abs(u_prev)))]
     tail_max = 0.0
     trigger_time: float | None = None
@@ -321,21 +332,14 @@ def integrate(
 
     for n in range(1, m + 1):
         t_n = t[n]
-        w_cells = _cell_weights(params, t[: n + 1], t_n, lam_u)
-        modes_n = np.zeros(nmodes, dtype=complex)
-        if u0_modes is not None:
-            z_u = ml_neg_fast(a, 1.0, lam_u * t_n**a)
-            modes_n += z_u[inv] * u0_modes
+        cells = plan.cell_weights(n) if nonlinearity else None
+        modes_n = plan.linear_modes(n, u0_modes, w_modes, cells)
         if nonlinearity:
-            np.take(w_cells, inv, axis=1, out=w_full[:n])
+            np.take(cells, plan.inv, axis=1, out=w_full[:n])
             np.multiply(w_full[:n], nl_hist[:n], out=prod[:n])
             modes_n += prod[:n].sum(axis=0)
-        if w_modes is not None:
-            s_u = _forcing_weights(params, t[: n + 1], t_n, lam_u, w_cells,
-                                   forcing_scheme)
-            modes_n += s_u[inv] * w_modes
 
-        values = np.fft.ifftn(modes_n.reshape(shape) / grid.cell_volume).real
+        values = plan.to_values(modes_n)
         n_reached = n
         last_values = values
 
@@ -346,9 +350,10 @@ def integrate(
             linf.append(np.inf)
             break
         cur_linf = float(np.max(np.abs(values)))
-        lq.append(_lq_of_values(grid, values, q_report))
+        lq.append(lq_norm(Field(grid, values), q_report))
         linf.append(cur_linf)
-        tail_max = max(tail_max, _tail_fraction_from_modes(grid, modes_n))
+        tail = spectral_tail_fraction(SpectralField(grid, modes_n.reshape(grid.shape)))
+        tail_max = max(tail_max, tail)
         if cur_linf > thr.u_max:
             trigger_time = t_n
             notes.append(f"amplitude threshold exceeded at t={t_n:.6g}")
@@ -359,7 +364,7 @@ def integrate(
             notes.append(f"per-step growth ratio exceeded at t={t_n:.6g}")
             break
         if nonlinearity:
-            nl_hist[n] = np.fft.fftn(np.abs(values) ** p).ravel() * grid.cell_volume
+            nl_hist[n] = plan.to_modes(np.abs(values) ** p)
 
     if tail_max > tail_threshold:
         notes.append(
@@ -474,47 +479,32 @@ def picard_solve(
     implicit; iteration proceeds from the zero-nonlinearity solution.
     Raises NonContractionError if the sup-norm update fails to contract.
     """
-    if grid.dim != params.dim:
-        raise PreconditionError("grid dimension does not match model dimension")
-    a, p = params.alpha, params.p
-    t = mesh.nodes
+    plan = LinearPlan(params, grid, mesh, forcing_scheme)
+    p = params.p
     m = mesh.steps
-    lam_u, inv = _mode_setup(params, grid)
-    shape = grid.shape
+    u0_modes = plan.to_modes(u0.values) if u0 is not None else None
+    w_modes = plan.to_modes(w.values) if w is not None else None
 
-    w_tables = [None] + [
-        _cell_weights(params, t[: n + 1], t[n], lam_u) for n in range(1, m + 1)
-    ]
-    lin_modes = np.zeros((m + 1, inv.size), dtype=complex)
-    if u0 is not None:
-        u0_modes = to_spectral(u0).modes.ravel()
-        for n in range(1, m + 1):
-            lin_modes[n] += ml_neg_fast(a, 1.0, lam_u * t[n] ** a)[inv] * u0_modes
-        lin_modes[0] += u0_modes
-    if w is not None:
-        w_modes = to_spectral(w).modes.ravel()
-        for n in range(1, m + 1):
-            s_u = _forcing_weights(params, t[: n + 1], t[n], lam_u,
-                                   w_tables[n], forcing_scheme)
-            lin_modes[n] += s_u[inv] * w_modes
+    w_tables = [None] + [plan.cell_weights(n) for n in range(1, m + 1)]
+    lin_modes = np.zeros((m + 1, plan.nmodes), dtype=complex)
+    if u0_modes is not None:
+        lin_modes[0] = u0_modes
+    for n in range(1, m + 1):
+        lin_modes[n] = plan.linear_modes(n, u0_modes, w_modes, w_tables[n])
 
-    def to_values(modes_flat: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(modes_flat.reshape(shape) / grid.cell_volume).real
-
-    hist = np.array([to_values(lin_modes[n]) for n in range(m + 1)])
+    hist = np.array([plan.to_values(lin_modes[n]) for n in range(m + 1)])
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0
     for it in range(1, max_iter + 1):
         nl = np.stack(
-            [np.fft.fftn(np.abs(hist[j]) ** p).ravel() * grid.cell_volume
-             for j in range(m + 1)]
+            [plan.to_modes(np.abs(hist[j]) ** p) for j in range(m + 1)]
         )
         new_hist = hist.copy()
         for n in range(1, m + 1):
-            wf = w_tables[n][:, inv]
+            wf = w_tables[n][:, plan.inv]
             contrib = np.sum(wf * 0.5 * (nl[:n] + nl[1 : n + 1]), axis=0)
-            new_hist[n] = to_values(lin_modes[n] + contrib)
+            new_hist[n] = plan.to_values(lin_modes[n] + contrib)
         diff = float(np.max(np.abs(new_hist - hist)))
         hist = new_hist
         if not math.isfinite(diff):
@@ -533,11 +523,11 @@ def picard_solve(
     else:
         raise NonContractionError(f"no convergence within {max_iter} iterations")
 
-    lq_hist = np.array([_lq_of_values(grid, hist[n], q_report) for n in range(m + 1)])
+    lq_hist = np.array([lq_norm(Field(grid, hist[n]), q_report) for n in range(m + 1)])
     linf_hist = np.array([float(np.max(np.abs(hist[n]))) for n in range(m + 1)])
     contraction = float(np.median(factors)) if factors else 0.0
     return PicardResult(
-        t_nodes=t.copy(),
+        t_nodes=mesh.nodes.copy(),
         lq_history=lq_hist,
         linf_history=linf_hist,
         iterations=it,

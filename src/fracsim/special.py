@@ -13,8 +13,8 @@ Evaluation uses three regimes, writing x = -z >= 0:
 * the algebraic asymptotic expansion (8 terms) for x >= 50.
 
 `ml_e_neg` evaluates these regimes directly.  It builds the table below,
-serves the scalar `mittag_leffler` API and is the oracle in tests.  Every
-bulk caller goes through `ml_neg_fast` instead: the time stepper (cell
+is the scalar API and is the oracle in tests.  Every bulk caller goes
+through `ml_neg_fast` instead: the time stepper's `LinearPlan` (cell
 weights, forcing weights, the Z(t)u0 propagator) and the kernels (the Z and
 Y symbols, propagator application, profile inversion).  It keeps one cached
 piecewise-Chebyshev table per (a, b), each piece fitted from the three
@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -44,10 +43,8 @@ from scipy import special as _sp
 from .errors import DomainError, NumericalError, UnsupportedRangeError
 
 __all__ = [
-    "MLParams",
     "gamma",
     "beta_fn",
-    "mittag_leffler",
     "ml_e_neg",
     "wright_phi",
     "wright_tail_cut",
@@ -71,31 +68,6 @@ def beta_fn(a: float, b: float) -> float:
     if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_fn requires a, b > 0, got {a!r}, {b!r}")
     return float(_sp.beta(a, b))
-
-
-@dataclass(frozen=True)
-class MLParams:
-    """Order parameters of the two-parameter Mittag-Leffler function."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        if not (self.beta > 0.0 and np.isfinite(self.beta)):
-            raise DomainError(f"beta must be positive, got {self.beta!r}")
-
-
-def mittag_leffler(params: MLParams, x: float) -> float:
-    """E_{alpha,beta}(x) for real x <= 0."""
-    if not np.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
-    if x > 0.0:
-        raise UnsupportedRangeError(
-            "mittag_leffler is only supported on the negative real axis"
-        )
-    return float(ml_e_neg(params.alpha, params.beta, -x))
 
 
 # --------------------------------------------------------------------------

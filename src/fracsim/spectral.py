@@ -8,13 +8,12 @@ c * (2L)^d. Wavenumbers along each axis are xi_k = pi k / L.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResolutionWarning
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "GridSpec",
@@ -24,6 +23,7 @@ __all__ = [
     "to_real",
     "fractional_laplacian",
     "lq_norm",
+    "restricted_lq_norm",
     "spectral_tail_fraction",
     "gaussian_field",
     "indicator_field",
@@ -145,43 +145,39 @@ def fractional_laplacian(f: Field, s: float) -> Field:
     return to_real(SpectralField(f.grid, sf.modes * mult))
 
 
+def _lq(values: np.ndarray, cell_volume: float, q: float) -> float:
+    if not (q == np.inf or (q >= 1.0 and np.isfinite(q))):
+        raise DomainError(f"q must satisfy q >= 1 or be inf, got {q!r}")
+    if q == np.inf:
+        return float(np.max(np.abs(values))) if values.size else 0.0
+    return float((np.sum(np.abs(values) ** q) * cell_volume) ** (1.0 / q))
+
+
 def lq_norm(f: Field, q: float) -> float:
     """L^q norm on the box; q = inf gives the max norm."""
-    if q == np.inf:
-        return float(np.max(np.abs(f.values)))
-    if not (q >= 1.0 and np.isfinite(q)):
-        raise DomainError(f"q must satisfy q >= 1 or be inf, got {q!r}")
-    return float(
-        (np.sum(np.abs(f.values) ** q) * f.grid.cell_volume) ** (1.0 / q)
-    )
+    return _lq(f.values, f.grid.cell_volume, q)
 
 
-def spectral_tail_fraction(f: Field) -> float:
+def restricted_lq_norm(f: Field, q: float, r_min: float) -> float:
+    """L^q norm of a field restricted to the exterior region |x| > r_min."""
+    return _lq(f.values[f.grid.radius_squared() > r_min**2], f.grid.cell_volume, q)
+
+
+def spectral_tail_fraction(sf: SpectralField) -> float:
     """Fraction of spectral energy carried by the top octave of wavenumbers."""
-    sf = to_spectral(f)
+    grid = sf.grid
     energy = np.abs(sf.modes) ** 2
     total = float(np.sum(energy))
     if total == 0.0:
         return 0.0
-    k = np.fft.fftfreq(f.grid.points) * f.grid.points  # integer mode index
-    hi = np.abs(k) >= f.grid.points // 4
-    if f.grid.dim == 1:
+    k = np.fft.fftfreq(grid.points) * grid.points  # integer mode index
+    hi = np.abs(k) >= grid.points // 4
+    if grid.dim == 1:
         mask = hi
     else:
-        grids = np.meshgrid(*([hi] * f.grid.dim), indexing="ij")
+        grids = np.meshgrid(*([hi] * grid.dim), indexing="ij")
         mask = np.logical_or.reduce(grids)
     return float(np.sum(energy[mask])) / total
-
-
-def warn_if_underresolved(f: Field, threshold: float = 1e-6) -> float:
-    frac = spectral_tail_fraction(f)
-    if frac > threshold:
-        warnings.warn(
-            f"top-octave spectral energy fraction {frac:.2e} exceeds {threshold:.0e}",
-            ResolutionWarning,
-            stacklevel=2,
-        )
-    return frac
 
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> Field:

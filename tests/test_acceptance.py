@@ -13,6 +13,7 @@ from fracsim import (
     ClassifyThresholds,
     DataSpec,
     GridSpec,
+    LinearPlan,
     ModelParams,
     SweepConfig,
     TimeMesh,
@@ -33,7 +34,6 @@ from fracsim import (
     wright_tail_cut,
 )
 from fracsim.fractional import TimeSeries
-from fracsim.solver import _cell_weights, _forcing_weights
 from fracsim.special import beta_fn, gamma as gamma_fn
 from fracsim.spectral import Field, to_spectral
 
@@ -76,9 +76,10 @@ def test_criterion_02_beta_identity_graded_quadrature():
     # int_0^1 tau^{-1/4} (1-tau)^{-1/2} dtau via the solver's graded forcing
     # quadrature at lambda = 0, against the Gamma-function oracle.
     mesh = TimeMesh.make(1.0, 100, grading=2.0)
-    lam = np.array([0.0])
-    cells = _cell_weights(CANONICAL, mesh.nodes, 1.0, lam)
-    s_val = _forcing_weights(CANONICAL, mesh.nodes, 1.0, lam, cells, "accurate")
+    grid = GridSpec(dim=1, points=64, half_width=10.0)
+    plan = LinearPlan(CANONICAL, grid, mesh, "accurate")
+    assert plan.lam_u[0] == 0.0
+    s_val = plan.forcing_weights(mesh.steps)
     measured = float(s_val[0]) * gamma_fn(CANONICAL.alpha)
     exact = beta_fn(0.75, 0.5)
     rel = abs(measured - exact) / exact

@@ -18,6 +18,7 @@ from fracsim import (
     DataSpec,
     DomainError,
     GridSpec,
+    NumericalError,
     SweepConfig,
     bracket_pstar,
     config_from_dict,
@@ -92,6 +93,10 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             config_from_dict({"schema": 2, "model": {}})
 
+    def test_unknown_forcing_scheme_rejected(self):
+        with pytest.raises(DomainError, match="forcing scheme"):
+            small_config(forcing_scheme="bogus")
+
 
 class TestRunSweep:
     def test_empty(self):
@@ -118,6 +123,20 @@ class TestRunSweep:
         monkeypatch.setattr(special, "_FAST_CACHE", {})
         monkeypatch.delenv("FRACSIM_THREADS")
         assert run_sweep(cfg) == threaded
+
+    def test_only_numerical_and_domain_errors_become_failed_rows(self, monkeypatch):
+        def raise_(exc):
+            def fake(*args, **kwargs):
+                raise exc
+            return fake
+
+        monkeypatch.setattr(harness, "integrate", raise_(NumericalError("stalled")))
+        (row,) = run_sweep(small_config())
+        assert row.classification == "Failed"
+        assert row.note == "NumericalError: stalled"
+        monkeypatch.setattr(harness, "integrate", raise_(TypeError("a bug")))
+        with pytest.raises(TypeError, match="a bug"):
+            run_sweep(small_config())
 
     def test_nonpositive_forcing_mass_noted(self):
         rows = run_sweep(
@@ -237,6 +256,24 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: FRACSIM_THREADS must be a positive integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"schema": 1, "model": ', "not valid JSON"),
+        ('{"schema": 1, "p": 3.0}', "config is missing model.dim"),
+        ('{"schema": 1, "p": 3.0, "model": {"alpha": 0.5, "s": 0.4, '
+         '"sigma": -0.25, "dim": 1}, "time": {"steps": "abc"}}', "config time.steps: "),
+        ('{"schema": 1, "p": 3.0, "model": {"alpha": 0.5, "s": 0.4, '
+         '"sigma": -0.25, "dim": 1}, "grid": {"points": 64}, '
+         '"forcing_scheme": "bogus"}', "unknown forcing scheme 'bogus'"),
+    ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme"])
+    def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert names in captured.err
 
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_main(["simulate", "--config", "/nonexistent.json"]) == 1

@@ -11,7 +11,6 @@ from fracsim import (
     DomainError,
     Field,
     GridSpec,
-    KernelSymbol,
     NumericalError,
     UnsupportedRangeError,
     apply_propagator,
@@ -78,13 +77,24 @@ class TestSymbols:
             symbol_Z(0.0, 1.0, 0.5, 0.4)
         with pytest.raises(DomainError):
             symbol_Y(-1.0, 1.0, 0.5, 0.4)
-        with pytest.raises(DomainError):
-            KernelSymbol("Q", 0.5, 0.4)
-        sym = KernelSymbol("Z", 0.5, 0.4)
-        assert sym(1.0, 1.0) == pytest.approx(symbol_Z(1.0, 1.0, 0.5, 0.4))
 
 
 class TestProfiles:
+    @pytest.mark.parametrize("r", [1e-3, 0.37, 12.0, 1e3])
+    def test_panel_split_matches_linspace(self, r):
+        # The head breaks of a dim-1 inversion at radius r, split the loop way.
+        zeros = (np.arange(kernels._N_DIRECT) + 0.5) * np.pi / r
+        cut = zeros[-1]
+        breaks = np.unique(np.concatenate(
+            ([0.0], np.geomspace(cut * 1e-8, cut, 48), zeros[:-1])))
+        width = np.pi / r
+        pieces = [breaks[:1]]
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            m = int(np.ceil((hi - lo) / width))
+            pieces.append(np.linspace(lo, hi, m + 1)[1:])
+        assert np.array_equal(kernels._split_panels(breaks, width),
+                              np.concatenate(pieces))
+
     def test_gaussian_heat_kernel(self):
         radii = np.concatenate(([0.0], np.geomspace(1e-2, 30.0, 40)))
         prof = profile("F", 1.0, 1.0, 1, radii)

@@ -10,12 +10,12 @@ from fracsim import (
     ClassifyThresholds,
     DomainError,
     GridSpec,
+    LinearPlan,
     ModelParams,
     NonContractionError,
     PreconditionError,
     TimeMesh,
     classify,
-    duhamel_weights,
     estimate_decay_exponent,
     gaussian_field,
     integrate,
@@ -81,46 +81,54 @@ class TestConfigObjects:
 
 
 class TestWeightTable:
+    """Node n's cell-weight row from the plan, one column per unique lam."""
+
+    GRID = GridSpec(dim=1, points=64, half_width=10.0)
+
     def test_zero_mode_closed_form(self):
         # lambda = 0: cell weight is ((t-t_j)^a - (t-t_{j+1})^a) / Gamma(a+1).
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         mesh = TimeMesh.make(2.0, 8, grading=2.0)
-        w = duhamel_weights(params, mesh, np.array([0.0]))
+        plan = LinearPlan(params, self.GRID, mesh)
+        assert plan.lam_u[0] == 0.0
         a = params.alpha
         t = mesh.nodes
         for n in range(1, 9):
             expected = (
                 (t[n] - t[:n]) ** a - (t[n] - t[1 : n + 1]) ** a
             ) / gamma_fn(a + 1.0)
-            assert w[n, :n, 0] == pytest.approx(expected, rel=1e-12)
+            assert plan.cell_weights(n)[:, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_classical_limit_exponential_weights(self):
-        # alpha = 1: the kernel is e^{-lam (t - tau)}.
+        # alpha = 1: the kernel is e^{-lam (t - tau)}.  A wide box keeps every
+        # lam = |xi| at most ~1, as in the single-lam check this replaces.
         params = ModelParams(1.0, 0.5, 0.0, 2.0)
         mesh = TimeMesh.make(1.5, 6, grading=1.0)
-        lam = 0.7  # xi_sq = lam^2 so xi_sq^s = lam
-        w = duhamel_weights(params, mesh, np.array([lam**2]))
+        plan = LinearPlan(params, GridSpec(dim=1, points=64, half_width=100.0), mesh)
+        lam = plan.lam_u[1:]
+        assert plan.lam_u[0] == 0.0 and lam.max() < 1.01
         t = mesh.nodes
         for n in range(1, 7):
             expected = (
-                np.exp(-lam * (t[n] - t[1 : n + 1])) - np.exp(-lam * (t[n] - t[:n]))
+                np.exp(-lam * (t[n] - t[1 : n + 1, None]))
+                - np.exp(-lam * (t[n] - t[:n, None]))
             ) / lam
-            assert w[n, :n, 0] == pytest.approx(expected, rel=1e-12)
+            assert plan.cell_weights(n)[:, 1:] == pytest.approx(expected, rel=1e-12)
 
     def test_telescoping_and_positivity(self):
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         mesh = TimeMesh.make(3.0, 12, grading=2.0)
-        xi_sq = np.array([0.0, 0.5, 2.0, 10.0])
-        w = duhamel_weights(params, mesh, xi_sq)
-        assert np.all(w >= 0.0)
+        plan = LinearPlan(params, self.GRID, mesh)
         a = params.alpha
-        lam = xi_sq**params.s
+        lam = plan.lam_u
         for n in range(1, 13):
+            w = plan.cell_weights(n)
+            # one row per cell before node n, one column per unique lam
+            assert w.shape == (n, lam.size)
+            assert np.all(w >= 0.0)
             t_n = mesh.nodes[n]
             total = t_n**a * ml_e_neg(a, a + 1.0, lam * t_n**a)
-            assert np.sum(w[n, :n, :], axis=0) == pytest.approx(total, rel=1e-10)
-            # entries at and beyond the current node are identically zero
-            assert np.all(w[n, n:, :] == 0.0)
+            assert np.sum(w, axis=0) == pytest.approx(total, rel=1e-10)
 
 
 class TestLinearExactness:
@@ -283,6 +291,19 @@ class TestIntegratorBehaviour:
         mesh = TimeMesh.make(1.0, 5)
         with pytest.raises(PreconditionError):
             integrate(params, grid, None, None, mesh)
+
+    @pytest.mark.parametrize("sigma, with_w", [(0.0, True), (-0.25, False)])
+    def test_unknown_forcing_scheme_rejected(self, sigma, with_w):
+        # Neither run reads the scheme (sigma = 0 sums the cell weights, and
+        # w = None has no forcing), so only an up-front check can reject it.
+        params = ModelParams(0.5, 0.4, sigma, 3.0)
+        grid = GridSpec(dim=1, points=64, half_width=10.0)
+        w = gaussian_field(grid, 0.05, 1.0) if with_w else None
+        mesh = TimeMesh.make(1.0, 5)
+        with pytest.raises(DomainError, match="forcing scheme"):
+            integrate(params, grid, None, w, mesh, forcing_scheme="bogus")
+        with pytest.raises(DomainError, match="forcing scheme"):
+            picard_solve(params, grid, None, w, mesh, forcing_scheme="bogus")
 
 
 class TestPicard:

@@ -13,11 +13,9 @@ from scipy.special import erfcx
 
 from fracsim import (
     DomainError,
-    MLParams,
     UnsupportedRangeError,
     beta_fn,
     gamma,
-    mittag_leffler,
     ml_e_neg,
     wright_phi,
 )
@@ -97,15 +95,10 @@ class TestMittagLeffler:
         assert np.max(np.abs(vals - oracle)) <= 1e-9
 
     def test_wrapper_and_domain(self):
-        assert mittag_leffler(MLParams(0.5, 1.0), -1.0) == pytest.approx(
-            ML_HALF_AT_MINUS_ONE, abs=1e-10
-        )
-        with pytest.raises(UnsupportedRangeError):
-            mittag_leffler(MLParams(0.5, 1.0), 0.5)
         with pytest.raises(DomainError):
-            MLParams(1.5, 1.0)
+            ml_e_neg(1.5, 1.0, 1.0)
         with pytest.raises(DomainError):
-            MLParams(0.5, -1.0)
+            ml_e_neg(0.5, -1.0, 1.0)
         with pytest.raises(DomainError):
             ml_e_neg(0.5, 1.0, -1.0)
 
