@@ -15,7 +15,8 @@ import numpy as np
 from . import __version__
 from .criticality import critical_exponents, local_average_hypotheses
 from .errors import BracketingError, DomainError, NumericalError, PreconditionError
-from .harness import bracket_pstar, config_from_json, rows_to_csv, run_sweep
+from .harness import (bracket_pstar, config_from_dict, config_from_json,
+                      hypotheses_options, read_config, rows_to_csv, run_sweep)
 from .kernels import apply_propagator, profile
 from .solver import ModelParams, integrate
 from .spectral import GridSpec, gaussian_field, lq_norm
@@ -66,14 +67,7 @@ def _cmd_exponents(args) -> int:
     params = ModelParams(
         alpha=args.alpha, s=args.s, sigma=args.sigma, p=args.p, dim=args.N
     )
-    rep = critical_exponents(params, q=args.q)
-    from dataclasses import asdict
-
-    payload = asdict(rep)
-    payload = json.loads(
-        json.dumps(payload, default=_json_default, allow_nan=False)
-    )
-    _emit_json(payload, args.out)
+    _emit_json(critical_exponents(params, q=args.q), args.out)
     return 0
 
 
@@ -166,32 +160,16 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_hypotheses(args) -> int:
-    config = config_from_json(args.config)
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = read_config(args.config)
+    config = config_from_dict(cfg)
     if len(config.p_values) != 1:
         raise DomainError("hypotheses needs a config with a single p")
     params = config.model(config.p_values[0])
-    hyp = cfg.get("hypotheses", {})
+    options = hypotheses_options(cfg, config.q_report)
     zero = gaussian_field(config.grid, 0.0, 1.0)
     u0 = config.u0.build(config.grid) or zero
     w = config.w.build(config.grid) or zero
-    rep = local_average_hypotheses(
-        params,
-        u0,
-        w,
-        q=float(hyp.get("q", config.q_report)),
-        M=float(hyp.get("M", 1.0)),
-        delta=float(hyp.get("delta", 1.0)),
-        M_script=float(hyp.get("M_script", 1.0)),
-        tail_norm_exponent=str(hyp.get("tail_norm_exponent", "q")),
-    )
-    from dataclasses import asdict
-
-    payload = json.loads(
-        json.dumps(asdict(rep), default=_json_default, allow_nan=False)
-    )
-    _emit_json(payload, args.out)
+    _emit_json(local_average_hypotheses(params, u0, w, **options), args.out)
     return 0
 
 

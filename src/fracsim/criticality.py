@@ -30,7 +30,7 @@ from .kernels import (
     profile_lq_norm,
     q_critical,
 )
-from .solver import LinearPlan, ModelParams, TimeMesh
+from .solver import LinearPlan, ModelParams
 from .special import beta_fn, gamma as gamma_fn
 from .spectral import Field, lq_norm, restricted_lq_norm
 
@@ -221,11 +221,10 @@ class SmallnessReport:
     sample_values: np.ndarray
 
 
-def _forcing_norm_at(params: ModelParams, w: Field, t: float, q: float,
-                     steps: int = 400) -> float:
-    """||S_w(t)||_q via the exact per-mode Duhamel forcing weights."""
-    plan = LinearPlan(params, w.grid, TimeMesh.make(t, steps, grading=2.0), "accurate")
-    modes = plan.linear_modes(steps, None, plan.to_modes(w.values))
+def _forcing_norm_at(params: ModelParams, w: Field, t: float, q: float) -> float:
+    """||S_w(t)||_q from the closed-form per-mode forcing solution."""
+    plan = LinearPlan(params, w.grid)
+    modes = plan.exact_forcing(t)[plan.inv] * plan.to_modes(w.values)
     return lq_norm(Field(w.grid, plan.to_values(modes)), q)
 
 
@@ -234,9 +233,9 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
     """Left side of the a-priori decay criterion on concrete data.
 
     For each sampled t this computes t^beta (||Z(t)u0||_q + ||S_w(t)||_q),
-    where the forcing term uses the solver's forcing-only closed-form
-    weights; the comparison constant is left to the caller (the theory does
-    not fix it).
+    where S_w(t) is the forcing-only solution evaluated exactly per mode by
+    `LinearPlan.exact_forcing`; the comparison constant is left to the caller
+    (the theory does not fix it).
     """
     window = admissible_q_window(params)
     if not window.contains(q):

@@ -51,6 +51,8 @@ __all__ = [
     "rows_to_csv",
     "config_from_dict",
     "config_from_json",
+    "hypotheses_options",
+    "read_config",
 ]
 
 CSV_COLUMNS = (
@@ -393,10 +395,29 @@ def config_from_dict(cfg: dict) -> SweepConfig:
     )
 
 
-def config_from_json(path: str | Path) -> SweepConfig:
+def hypotheses_options(cfg: dict, q_default: float) -> dict:
+    """Keyword arguments of `local_average_hypotheses` from `hypotheses`.
+
+    Values of the wrong type raise DomainError naming the key path (e.g.
+    ``hypotheses.q``); absent keys take their defaults.
+    """
+    return {
+        "q": _value(cfg, "hypotheses.q", float, q_default),
+        "M": _value(cfg, "hypotheses.M", float, 1.0),
+        "delta": _value(cfg, "hypotheses.delta", float, 1.0),
+        "M_script": _value(cfg, "hypotheses.M_script", float, 1.0),
+        "tail_norm_exponent": _value(cfg, "hypotheses.tail_norm_exponent", str, "q"),
+    }
+
+
+def read_config(path: str | Path) -> dict:
+    """The parsed JSON config file; invalid JSON raises DomainError."""
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not text
             raise DomainError(f"config {path} is not valid JSON: {exc}") from None
-    return config_from_dict(cfg)
+
+
+def config_from_json(path: str | Path) -> SweepConfig:
+    return config_from_dict(read_config(path))

@@ -62,6 +62,14 @@ def _checks():
         want = mesh.t_end**0.5 / gamma(1.5)
         return abs(got - want) / want, 1e-12
 
+    def forcing_closed_form():
+        # lam = 0: int_0^t tau^sigma (t-tau)^(a-1) dtau / Gamma(a)
+        params = ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=1)
+        plan = LinearPlan(params, GridSpec(dim=1, points=64, half_width=10.0))
+        got = float(plan.exact_forcing(2.0)[0])  # column 0 is the zero mode
+        want = 2.0**0.25 * beta_fn(0.75, 0.5) / gamma(0.5)
+        return abs(got - want) / want, 1e-12
+
     def exponent_algebra():
         params = ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=1)
         rep = critical_exponents(params, q=4.0)
@@ -103,6 +111,7 @@ def _checks():
         ("gamma golden value", gamma_golden),
         ("kernel symbols at zero mode", symbols_at_zero_mode),
         ("history weights telescope", weight_telescoping),
+        ("forcing closed form at zero mode", forcing_closed_form),
         ("critical exponent algebra", exponent_algebra),
         ("decay exponent vanishes at critical q", beta_vanishes_at_critical_q),
         ("memory-derivative power rule", caputo_power_rule),

@@ -4,11 +4,12 @@ The per-mode mild solution is advanced on a (possibly graded) mesh by
 Duhamel quadrature with exact history weights: on every cell the relaxation
 kernel is integrated in closed form through differences of
 x^a E_{a,a+1}(-lam x^a), while the nonlinearity is sampled piecewise
-constant at left endpoints. The t^sigma forcing factor is integrated with
-its endpoint singularities handled per cell (exact first-cell moment with
-the kernel frozen at the sigma-weighted centroid; in the "accurate" scheme,
-Gauss-Legendre on interior cells and a substitution that absorbs the
-kernel singularity on the last cell).
+constant at left endpoints. The forcing-only term S_w(t) of the t^sigma
+forcing has the closed form Gamma(sigma+1) t^(sigma+a) E_{a,a+sigma+1}(-lam t^a)
+per mode, which the "accurate" scheme evaluates exactly; the default "fast"
+scheme integrates it on the mesh cells (exact first-cell moment with the
+kernel frozen at the sigma-weighted centroid, midpoint samples of t^sigma
+against the cell weights elsewhere).
 
 `LinearPlan` owns this p-independent linear part (the eigenvalue map, the
 flat-mode FFT convention, the cell weights, the forcing rules and Z(t)u0);
@@ -160,9 +161,6 @@ class PicardResult:
 
 FORCING_SCHEMES = ("fast", "accurate")
 
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-
 
 class LinearPlan:
     """The p-independent linear part of the march on one grid and mesh.
@@ -170,9 +168,11 @@ class LinearPlan:
     Modes are flat FFT-ordered arrays in the continuum normalization of
     `to_spectral`; every per-mode factor is evaluated once per unique
     eigenvalue lam = |xi|^(2s) (`lam_u`) and spread to the modes by `inv`.
+    A plan without a mesh serves the mode map and `exact_forcing` only.
     """
 
-    def __init__(self, params: ModelParams, grid: GridSpec, mesh: TimeMesh,
+    def __init__(self, params: ModelParams, grid: GridSpec,
+                 mesh: TimeMesh | None = None,
                  forcing_scheme: str = "fast") -> None:
         if grid.dim != params.dim:
             raise PreconditionError("grid dimension does not match model dimension")
@@ -210,13 +210,25 @@ class LinearPlan:
         e = da[:, None] * ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, :])
         return e[:-1] - e[1:]
 
-    def forcing_weights(self, n: int, cells: np.ndarray | None = None) -> np.ndarray:
-        """S[lam] ~= int_0^{t_n} tau^sigma Y(t_n - tau; lam) dtau on the mesh cells.
+    def exact_forcing(self, t: float) -> np.ndarray:
+        """S[lam] = int_0^t tau^sigma Y(t - tau; lam) dtau in closed form.
 
-        `cells` is node n's cell-weight row if the caller already holds it;
-        the row is computed here only when the rule reads it (sigma = 0 or
-        the "fast" scheme).
+        The Mittag-Leffler convolution identity gives
+        Gamma(sigma+1) t^(sigma+a) E_{a,a+sigma+1}(-lam t^a) for t > 0.
         """
+        a, sig = self.params.alpha, self.params.sigma
+        scale = _sp.gamma(sig + 1.0) * t ** (sig + a)
+        return scale * ml_neg_fast(a, a + sig + 1.0, self.lam_u * t**a)
+
+    def forcing_weights(self, n: int, cells: np.ndarray | None = None) -> np.ndarray:
+        """S[lam] = int_0^{t_n} tau^sigma Y(t_n - tau; lam) dtau under the scheme.
+
+        "accurate" is `exact_forcing(t_n)`; "fast" integrates on the mesh
+        cells.  `cells` is node n's cell-weight row if the caller already
+        holds it; the row is computed here only when the rule reads it.
+        """
+        if self.forcing_scheme == "accurate":
+            return self.exact_forcing(self.mesh.nodes[n])
         a, sig = self.params.alpha, self.params.sigma
         lam_u, t_hist = self.lam_u, self.mesh.nodes[: n + 1]
         t_now = t_hist[n]
@@ -240,32 +252,10 @@ class LinearPlan:
             * t1 ** (sig + 1.0)
             / (sig + 1.0)
         )
-        if self.forcing_scheme == "fast":
-            if cells is None:
-                cells = self.cell_weights(n)
-            mids = 0.5 * (t_hist[1:n] + t_hist[2 : n + 1])
-            return y_first + (mids**sig) @ cells[1:n]
-        s = y_first
-        if n >= 3:
-            # Interior cells: 4-point Gauss-Legendre on the smooth integrand.
-            lo = t_hist[1 : n - 1]
-            hi = t_hist[2:n]
-            h = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            tau = mid[:, None] + h[:, None] * _GL4_X[None, :]  # (cells, 4)
-            psi = t_now - tau
-            pref = (h[:, None] * _GL4_W[None, :]) * tau**sig * psi ** (a - 1.0)
-            e = ml_neg_fast(a, a, (psi.ravel() ** a)[:, None] * lam_u[None, :])
-            s = s + pref.ravel() @ e
-        # Last cell: substitute psi = h v^(1/a), which absorbs the psi^(a-1)
-        # weight exactly and leaves the kernel analytic in v (the kernel is a
-        # function of psi^a = h^a v, so no fractional powers survive).
-        h_last = t_now - t_hist[n - 1]
-        v = 0.5 * (_GL8_X + 1.0)
-        psi = h_last * v ** (1.0 / a)
-        tau = t_now - psi
-        vals = ml_neg_fast(a, a, np.outer(h_last**a * v, lam_u))
-        return s + (h_last**a / (2.0 * a)) * ((_GL8_W * tau**sig) @ vals)
+        if cells is None:
+            cells = self.cell_weights(n)
+        mids = 0.5 * (t_hist[1:n] + t_hist[2 : n + 1])
+        return y_first + (mids**sig) @ cells[1:n]
 
     def linear_modes(self, n: int, u0_modes: np.ndarray | None,
                      w_modes: np.ndarray | None,

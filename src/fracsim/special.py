@@ -19,8 +19,9 @@ weights, forcing weights, the Z(t)u0 propagator) and the kernels (the Z and
 Y symbols, propagator application, profile inversion).  It keeps one cached
 piecewise-Chebyshev table per (a, b), each piece fitted from the three
 regimes on its own nodes, extended on demand whenever a call reaches past
-the pieces built so far; at a = 1 it uses the closed forms and series
-directly.
+the pieces built so far.  At a = 1 both use closed forms instead:
+exp(-y) for b = 1, (1 - exp(-y))/y for b = 2, and 1F1(1; b; -y)/Gamma(b)
+otherwise.
 
 The Wright function phi_a(t) = sum (-t)^n / (n! Gamma(-a n + 1 - a)) is an
 entire function whose truncated sum suffers severe cancellation for larger t,
@@ -40,7 +41,7 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _sp
 
-from .errors import DomainError, NumericalError, UnsupportedRangeError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "gamma",
@@ -223,13 +224,8 @@ def ml_e_neg(alpha: float, beta: float, y):
             ys = y_arr[~small]
             out[~small] = -np.expm1(-ys) / ys
         else:
-            # Only needed for small arguments in practice; the series is
-            # benign there because terms decay like 1/n! for y <= ~30.
-            if np.max(y_arr) > 30.0:
-                raise UnsupportedRangeError(
-                    "alpha=1 with non-integer beta supported only for y <= 30"
-                )
-            out[:] = _series_neg(alpha, beta, y_arr)
+            # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), accurate on y in [0, 1e6].
+            out[:] = _sp.hyp1f1(1.0, beta, -y_arr) * _sp.rgamma(beta)
         return float(out[0]) if scalar else out
 
     x_lo, interp = _get_mid(alpha, beta)
@@ -354,8 +350,8 @@ def ml_neg_fast(alpha: float, beta: float, y):
 
     Same orders, domain and return type as `ml_e_neg` (a float for scalar
     y), which builds the table for (alpha, beta) and extends it on demand.
-    At alpha = 1 the closed forms and series of `ml_e_neg` are used
-    directly, and y == 0 gives exactly 1/Gamma(beta).
+    At alpha = 1 the closed forms of `ml_e_neg` are used directly, and
+    y == 0 gives exactly 1/Gamma(beta).
     """
     y_arr = np.asarray(y, dtype=float)
     if y_arr.size == 0:

@@ -7,6 +7,7 @@ c * (2L)^d. Wavenumbers along each axis are xi_k = pi k / L.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,21 +164,23 @@ def restricted_lq_norm(f: Field, q: float, r_min: float) -> float:
     return _lq(f.values[f.grid.radius_squared() > r_min**2], f.grid.cell_volume, q)
 
 
+@functools.lru_cache(maxsize=16)
+def _top_octave_mask(grid: GridSpec) -> np.ndarray:
+    """Read-only mask of the modes with some |index| >= points/4, per grid."""
+    k = np.fft.fftfreq(grid.points) * grid.points  # integer mode index
+    hi = np.abs(k) >= grid.points // 4
+    mask = np.logical_or.reduce(np.meshgrid(*([hi] * grid.dim), indexing="ij"))
+    mask.flags.writeable = False
+    return mask
+
+
 def spectral_tail_fraction(sf: SpectralField) -> float:
     """Fraction of spectral energy carried by the top octave of wavenumbers."""
-    grid = sf.grid
     energy = np.abs(sf.modes) ** 2
     total = float(np.sum(energy))
     if total == 0.0:
         return 0.0
-    k = np.fft.fftfreq(grid.points) * grid.points  # integer mode index
-    hi = np.abs(k) >= grid.points // 4
-    if grid.dim == 1:
-        mask = hi
-    else:
-        grids = np.meshgrid(*([hi] * grid.dim), indexing="ij")
-        mask = np.logical_or.reduce(grids)
-    return float(np.sum(energy[mask])) / total
+    return float(np.sum(energy[_top_octave_mask(sf.grid)])) / total
 
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> Field:

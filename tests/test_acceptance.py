@@ -73,8 +73,8 @@ def test_criterion_01_special_function_golden_values():
 
 
 def test_criterion_02_beta_identity_graded_quadrature():
-    # int_0^1 tau^{-1/4} (1-tau)^{-1/2} dtau via the solver's graded forcing
-    # quadrature at lambda = 0, against the Gamma-function oracle.
+    # int_0^1 tau^{-1/4} (1-tau)^{-1/2} dtau via the solver's closed-form
+    # forcing at lambda = 0, against the Gamma-function oracle.
     mesh = TimeMesh.make(1.0, 100, grading=2.0)
     grid = GridSpec(dim=1, points=64, half_width=10.0)
     plan = LinearPlan(CANONICAL, grid, mesh, "accurate")
@@ -83,10 +83,10 @@ def test_criterion_02_beta_identity_graded_quadrature():
     measured = float(s_val[0]) * gamma_fn(CANONICAL.alpha)
     exact = beta_fn(0.75, 0.5)
     rel = abs(measured - exact) / exact
-    print(f"\n  quadrature {measured:.12f} vs B(0.75,0.5) {exact:.12f}"
+    print(f"\n  closed form {measured:.12f} vs B(0.75,0.5) {exact:.12f}"
           f"  rel err {rel:.3e}")
     assert exact == pytest.approx(2.396280469, abs=1e-8)
-    assert rel <= 1e-6
+    assert rel <= 1e-12
 
 
 def test_criterion_03_kernel_mass_conservation():
@@ -196,7 +196,7 @@ def test_criterion_07_forcing_only_closed_forms():
     mean = float(np.mean(res.final_field.values))
     rel0 = abs(mean - exact0) / exact0
     print(f"\n  lambda=0: mean {mean:.12f} vs {exact0:.12f}  rel err {rel0:.3e}")
-    assert rel0 <= 1e-6
+    assert rel0 <= 1e-12
 
     # lambda > 0: cosine mode k=8 on [-50, 50); amplitude at T=2 frozen from
     # 30-digit adaptive quadrature of the singular Duhamel integral.
@@ -211,7 +211,7 @@ def test_criterion_07_forcing_only_closed_forms():
     val = float(res.final_field.values[grid.points // 2])
     rel1 = abs(val - frozen) / frozen
     print(f"  lambda>0: amplitude {val:.12f} vs {frozen:.12f}  rel err {rel1:.3e}")
-    assert rel1 <= 1e-6
+    assert rel1 <= 1e-12
 
 
 DICHOTOMY_GRID = GridSpec(dim=1, points=1024, half_width=50.0)

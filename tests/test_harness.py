@@ -275,6 +275,50 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert names in captured.err
 
+    def test_hypotheses_reads_its_section(self, tmp_path, capsys):
+        cfg = {
+            "schema": 1, "p": 3.0,
+            "model": {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1},
+            "w": {"kind": "gaussian", "amplitude": 0.05, "width": 1.0},
+            "grid": {"points": 64, "half_width": 10.0},
+            "hypotheses": {"q": 5.0, "M": 2.0, "tail_norm_exponent": "r"},
+        }
+        cfg_path = tmp_path / "hyp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["hypotheses", "--config", str(cfg_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        config = config_from_dict(cfg)
+        w = config.w.build(config.grid)
+        zero = fracsim.gaussian_field(config.grid, 0.0, 1.0)
+        want = fracsim.local_average_hypotheses(
+            config.model(3.0), zero, w, q=5.0, M=2.0, delta=1.0, M_script=1.0,
+            tail_norm_exponent="r",
+        )
+        assert payload["M"] == 2.0
+        assert payload["R_0"] == want.R_0 and payload["avg_rhs"] == want.avg_rhs
+
+    @pytest.mark.parametrize("section, names", [
+        ({"q": "abc"}, "config hypotheses.q: "),
+        ({"M": [1.0]}, "config hypotheses.M: "),
+        ("abc", "config hypotheses.q: parent is not an object"),
+    ], ids=["q-not-float", "M-is-list", "not-an-object"])
+    def test_bad_hypotheses_section_is_one_line_usage_error(
+        self, tmp_path, capsys, section, names
+    ):
+        cfg = {
+            "schema": 1, "p": 3.0,
+            "model": {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1},
+            "grid": {"points": 64, "half_width": 10.0},
+            "hypotheses": section,
+        }
+        cfg_path = tmp_path / "hyp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["hypotheses", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert names in captured.err
+
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_main(["simulate", "--config", "/nonexistent.json"]) == 1
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 
@@ -162,7 +163,7 @@ class TestLinearExactness:
         a, sig = params.alpha, params.sigma
         exact = c * 2.0 ** (sig + a) * beta_fn(sig + 1.0, a) / gamma_fn(a)
         mean = float(np.mean(res.final_field.values))
-        assert mean == pytest.approx(exact, rel=1e-6)
+        assert mean == pytest.approx(exact, rel=1e-12)
 
     def test_forcing_single_mode_oracle(self):
         # cos mode k = 8 on [-50, 50): lam = (8 pi / 50)^{0.8}. The mode
@@ -180,7 +181,7 @@ class TestLinearExactness:
         )
         # solution is frozen * cos(xi x); read it off at x = 0
         val = float(res.final_field.values[grid.points // 2])
-        assert val == pytest.approx(frozen, rel=1e-6)
+        assert val == pytest.approx(frozen, rel=1e-12)
 
     def test_forcing_sigma_zero_is_exact(self):
         # sigma = 0 reduces to the telescoped weight sum, exact per mode:
@@ -196,22 +197,43 @@ class TestLinearExactness:
         assert mean == pytest.approx(exact, rel=1e-13)
 
     def test_forcing_scheme_refinement(self):
-        # the accurate scheme error against the frozen oracle shrinks as the
-        # mesh is refined.
+        # against the frozen oracle, the fast rule's error shrinks as the mesh
+        # is refined, while the closed form is exact at every step count.
         frozen = 0.8491344240237772
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         grid = GridSpec(dim=1, points=256, half_width=50.0)
         w = cosine_field(grid, 8)
-        errs = []
-        for steps in (25, 50, 100):
-            mesh = TimeMesh.make(2.0, steps, grading=2.0)
-            res = integrate(
-                params, grid, None, w, mesh, nonlinearity=False,
-                forcing_scheme="accurate",
-            )
-            val = float(res.final_field.values[grid.points // 2])
-            errs.append(abs(val - frozen) / frozen)
-        assert errs[0] > errs[1] > errs[2]
+        errs = {"fast": [], "accurate": []}
+        for scheme, found in errs.items():
+            for steps in (25, 50, 100):
+                mesh = TimeMesh.make(2.0, steps, grading=2.0)
+                res = integrate(
+                    params, grid, None, w, mesh, nonlinearity=False,
+                    forcing_scheme=scheme,
+                )
+                val = float(res.final_field.values[grid.points // 2])
+                found.append(abs(val - frozen) / frozen)
+        fast = errs["fast"]
+        assert fast[0] > fast[1] > fast[2]
+        assert max(errs["accurate"]) <= 1e-12
+
+    def test_exact_forcing_at_alpha_one(self):
+        # alpha = 1: S(t; lam) = int_0^t tau^sigma e^{-lam (t - tau)} dtau.
+        # E_{1,1.75} comes from 1F1; lam t reaches ~50, where its power
+        # series cancels badly.
+        params = ModelParams(1.0, 0.5, -0.25, 3.0)
+        grid = GridSpec(dim=1, points=64, half_width=10.0)
+        mesh = TimeMesh.make(5.0, 4, grading=2.0)
+        plan = LinearPlan(params, grid, mesh, "accurate")
+        assert plan.lam_u.max() * mesh.t_end > 30.0
+        for n in (1, 4):
+            t = mesh.nodes[n]
+            want = [
+                quad(lambda tau: math.exp(-lam * (t - tau)), 0.0, t,
+                     weight="alg", wvar=(-0.25, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+                for lam in plan.lam_u
+            ]
+            np.testing.assert_allclose(plan.forcing_weights(n), want, rtol=1e-12)
 
 
 class TestClassification:

@@ -4,6 +4,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +14,6 @@ from scipy.special import erfcx
 
 from fracsim import (
     DomainError,
-    UnsupportedRangeError,
     beta_fn,
     gamma,
     ml_e_neg,
@@ -93,6 +93,17 @@ class TestMittagLeffler:
         vals = ml_e_neg(0.5, 0.5, y)
         oracle = 1.0 / SQRT_PI - y * erfcx(y)
         assert np.max(np.abs(vals - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize("beta", [0.5, 1.25, 1.75])
+    def test_alpha_one_hypergeometric(self, beta):
+        # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), oracle at 40 digits.
+        y = np.concatenate([[0.0, 29.0, 31.0], np.geomspace(1e-3, 1e6, 60)])
+        with mpmath.workdps(40):
+            want = np.array([
+                float(mpmath.hyp1f1(1, beta, -mpmath.mpf(v)) / mpmath.gamma(beta))
+                for v in y
+            ])
+        np.testing.assert_allclose(ml_e_neg(1.0, beta, y), want, rtol=1e-12, atol=0.0)
 
     def test_wrapper_and_domain(self):
         with pytest.raises(DomainError):
@@ -189,15 +200,12 @@ class TestFastTable:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
     def test_alpha_one_uses_the_closed_forms(self, beta):
-        y = np.linspace(0.0, 30.0, 301)
-        assert np.array_equal(ml_neg_fast(1.0, beta, y), ml_e_neg(1.0, beta, y))
+        y = np.concatenate([np.linspace(0.0, 30.0, 301), np.geomspace(31.0, 1e6, 50)])
+        vals = ml_neg_fast(1.0, beta, y)
+        assert np.array_equal(vals, ml_e_neg(1.0, beta, y))
+        assert np.all(np.isfinite(vals))
         assert ml_neg_fast(1.0, beta, 29.0) == ml_e_neg(1.0, beta, 29.0)
         assert special._FAST_CACHE == {}
-        if beta not in (1.0, 2.0):
-            # The series serves y <= 30 only; both evaluators refuse beyond.
-            for fn in (ml_e_neg, ml_neg_fast):
-                with pytest.raises(UnsupportedRangeError):
-                    fn(1.0, beta, np.array([1.0, 31.0]))
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_domain(self, bad):

@@ -23,6 +23,7 @@ from fracsim import (
     to_real,
     to_spectral,
 )
+import fracsim.spectral as spectral
 
 GRID = GridSpec(dim=1, points=128, half_width=10.0)
 
@@ -170,6 +171,21 @@ class TestTailMonitor:
         rng = np.random.default_rng(5)
         f = Field(GRID, rng.standard_normal(128))
         assert spectral_tail_fraction(to_spectral(f)) > 0.1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cached_mask_matches_direct_construction(self, dim):
+        grid = GridSpec(dim=dim, points=64, half_width=5.0)
+        k = np.fft.fftfreq(grid.points) * grid.points
+        hi = np.abs(k) >= grid.points // 4
+        mask = np.logical_or.reduce(np.meshgrid(*([hi] * dim), indexing="ij"))
+        rng = np.random.default_rng(dim)
+        for _ in range(2):  # the second call reads the cached mask
+            sf = to_spectral(Field(grid, rng.standard_normal(grid.shape)))
+            energy = np.abs(sf.modes) ** 2
+            want = float(np.sum(energy[mask])) / float(np.sum(energy))
+            assert spectral_tail_fraction(sf) == want
+        cached = spectral._top_octave_mask(grid)
+        assert np.array_equal(cached, mask) and not cached.flags.writeable
 
 
 class TestDataAndIO:
