@@ -1,14 +1,19 @@
 """Command-line surface.
 
 Subcommands: exponents, kernel, simulate, sweep, bracket, hypotheses,
-selftest.  Exit codes: 0 success, 1 usage error, 2 numerical failure.
+selftest.  Exit codes: 0 success, 1 usage error, 2 numerical failure; a
+reader that closes stdout early ends the command quietly with 0.  JSON
+output writes non-finite floats as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
@@ -32,22 +37,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _json_default(obj):
-    if isinstance(obj, float) and not np.isfinite(obj):
+def _plain(obj):
+    """obj as JSON-ready Python values; non-finite floats become "inf", "-inf", "nan"."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "__dataclass_fields__"):
-        from dataclasses import asdict
-
-        return asdict(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return obj
 
 
 def _emit_json(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False)
+    text = json.dumps(_plain(payload), indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -236,7 +242,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (say `| head -1`): stop quietly, and point
+        # stdout at /dev/null so the flush at interpreter exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -2,12 +2,14 @@
 
 Closed-form exponent algebra:
 
-    p_c  = N(p-1)/(2s)                      scale-critical Lebesgue exponent
-    p_F  = 1 + 2s/N                         Fujita exponent (unforced problem)
-    p*   = (Na - 2s sigma)/(Na - 2s(a+sigma))   forced blow-up/global threshold
-    q_c  = N/(N - 2s)                       kernel integrability threshold
-    gamma = N - 2sp/(p-1) - 2s sigma/a      blow-up certificate exponent
-    beta(q) = a/(p-1) - Na/(2sq)            decay exponent of t^beta ||u||_q
+    p_c      = N(p-1)/(2s)                   scale-critical Lebesgue exponent
+    p_fujita = 1 + 2s/N                      Fujita exponent (unforced problem)
+    p*       = (Na - 2s sigma)/(Na - 2s(a+sigma))
+                                             forced blow-up/global threshold,
+                                             the paper's p_F (field p_star)
+    q_c      = N/(N - 2s)                    kernel integrability threshold
+    gamma    = N - 2sp/(p-1) - 2s sigma/a    blow-up certificate exponent
+    beta(q)  = a/(p-1) - Na/(2sq)            decay exponent of t^beta ||u||_q
     r_c: from beta + a - (Na/2s)(1/r_c - 1/q) + sigma = 0 (q-independent)
 
 with a = alpha, N = dim.  The module also evaluates, on concrete gridded
@@ -79,7 +81,7 @@ class QWindow:
 @dataclass(frozen=True)
 class ExponentReport:
     p_c: float
-    p_F: float
+    p_fujita: float
     q_c: float
     gamma: float
     p_star: float | None
@@ -161,7 +163,7 @@ def critical_exponents(params: ModelParams, q: float | None = None) -> ExponentR
         flags.append("outside-theorem-range")
 
     p_c = N * (p - 1.0) / (2.0 * s)
-    p_F = 1.0 + 2.0 * s / N
+    p_fujita = 1.0 + 2.0 * s / N
     q_c = q_critical(N, s)
     gamma = N - 2.0 * s * p / (p - 1.0) - 2.0 * s * sig / a
 
@@ -192,7 +194,7 @@ def critical_exponents(params: ModelParams, q: float | None = None) -> ExponentR
 
     return ExponentReport(
         p_c=p_c,
-        p_F=p_F,
+        p_fujita=p_fujita,
         q_c=q_c,
         gamma=gamma,
         p_star=p_star,

@@ -221,12 +221,15 @@ def _oscillatory_inverse(sym_fn, r: float, dim: int) -> float:
     return head + tail
 
 
-def _value_at_origin(sym_fn, alpha: float, s: float, kind: str, dim: int) -> float:
+def _value_at_origin(alpha: float, beta: float, s: float, kind: str, dim: int) -> float:
     """Profile value at r = 0, where the transform is non-oscillatory.
 
     The symbol decays like |xi|^{-2s} (F) or |xi|^{-4s} (G) when alpha < 1,
     so the origin value is finite only when that decay beats the xi^{dim-1}
-    volume factor; otherwise the profile diverges at the origin.
+    volume factor; otherwise the profile diverges at the origin.  With
+    y = xi^{2s} and mu = dim/(2s) the value is c_dim/(2s) times the Mellin
+    transform int_0^inf y^{mu-1} E_{a,b}(-y) dy = Gamma(mu) Gamma(1-mu) /
+    Gamma(b - a mu); its limits are Gamma(mu) at a = 1 and a at mu = 1 (G).
     """
     decay = np.inf if alpha == 1.0 else (2.0 * s if kind == "F" else 4.0 * s)
     if dim >= decay:
@@ -235,21 +238,14 @@ def _value_at_origin(sym_fn, alpha: float, s: float, kind: str, dim: int) -> flo
             f"alpha={alpha}; request strictly positive radii"
         )
     angular = {1: 1.0 / np.pi, 2: 1.0 / (2.0 * np.pi), 3: 1.0 / (2.0 * np.pi**2)}[dim]
-    import scipy.integrate as _si
-
-    val, err = _si.quad(
-        lambda xi: float(sym_fn(np.array([xi]))[0]) * xi ** (dim - 1) * angular,
-        0.0,
-        np.inf,
-        epsabs=1e-12,
-        epsrel=1e-10,
-        limit=400,
-    )
-    if not np.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise NumericalError(
-            f"origin quadrature did not converge (value={val}, err={err})"
-        )
-    return val
+    mu = dim / (2.0 * s)
+    if alpha == 1.0:
+        mellin = _sp.gamma(mu)
+    elif mu == 1.0:  # only G (b = a) reaches it: Gamma(1-mu) / Gamma(a(1-mu)) -> a
+        mellin = alpha
+    else:
+        mellin = _sp.gamma(mu) * _sp.gamma(1.0 - mu) * _sp.rgamma(beta - alpha * mu)
+    return float(angular * mellin / (2.0 * s))
 
 
 def profile(kind: str, alpha: float, s: float, dim: int, radii) -> KernelProfile:
@@ -275,7 +271,7 @@ def profile(kind: str, alpha: float, s: float, dim: int, radii) -> KernelProfile
     values = np.empty_like(r)
     start = 0
     if r[0] == 0.0:
-        values[0] = _value_at_origin(sym_fn, alpha, s, kind, dim)
+        values[0] = _value_at_origin(alpha, beta, s, kind, dim)
         start = 1
     for i in range(start, r.size):
         values[i] = _oscillatory_inverse(sym_fn, r[i], dim)

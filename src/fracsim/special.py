@@ -7,9 +7,11 @@ Evaluation uses three regimes, writing x = -z >= 0:
 * power series for small x (stopped once terms fall below 1e-18 of the
   running sum; the cutoff is argument- and order-dependent so that
   floating-point cancellation never exceeds ~1e4 ulps of the max term),
-* a branch-cut (Laplace-type) integral representation for moderate x,
-  evaluated once per (a, b) pair on Chebyshev nodes in log x and reused
-  through a cached interpolant,
+* the branch-cut (Laplace-type) integral representation of Gorenflo,
+  Loutchko & Luchko (2002) for moderate x and b <= 1, summed for all
+  arguments of a call at once by one fixed composite Gauss-Legendre rule in
+  log r whose nodes depend only on (a, b) (within 4e-16 absolute of an
+  mpmath quadrature); b > 1 steps down to b <= 1 with the exact recursion,
 * the algebraic asymptotic expansion (8 terms) for x >= 50.
 
 `ml_e_neg` evaluates these regimes directly.  It builds the table below,
@@ -38,7 +40,6 @@ import threading
 
 import mpmath
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .errors import DomainError, NumericalError
@@ -112,50 +113,7 @@ def _asymptotic_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch_cut_point(alpha: float, beta: float, x: float) -> float:
-    """E_{a,b}(-x) by adaptive quadrature of the branch-cut representation.
-
-    Valid for 0 < a < 1 and 0 < b <= 1 (so the collapsed Hankel contour
-    carries no origin contribution) and x > 0.
-    """
-    s_b = math.sin(math.pi * beta)
-    s_ab = math.sin(math.pi * (alpha - beta))
-    c_a = math.cos(math.pi * alpha)
-
-    def f(r: float) -> float:
-        ra = r**alpha
-        num = ra * s_b - x * s_ab
-        den = ra * ra + 2.0 * x * ra * c_a + x * x
-        return math.exp(-r) * r ** (alpha - beta) * num / den / math.pi
-
-    # On [0, 1] substitute r = v^(1/a); the integrand becomes v^((1-b)/a) *
-    # smooth, removing the endpoint singularity for b <= 1.
-    inv_a = 1.0 / alpha
-
-    def f_sub(v: float) -> float:
-        r = v**inv_a
-        ra = v
-        num = ra * s_b - x * s_ab
-        den = ra * ra + 2.0 * x * ra * c_a + x * x
-        return (
-            math.exp(-r)
-            * v ** ((1.0 - beta) / alpha)
-            * num
-            / den
-            / (alpha * math.pi)
-        )
-
-    head, _ = _integrate.quad(f_sub, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    r_max = 120.0
-    # The denominator is smallest near r ~ x^(1/a); hint the adaptive rule.
-    r_pole = x**inv_a if c_a < 0.0 else None
-    points = [r_pole] if (r_pole is not None and 1.0 < r_pole < r_max) else None
-    tail, _ = _integrate.quad(
-        f, 1.0, r_max, epsabs=1e-14, epsrel=1e-12, limit=400, points=points
-    )
-    return head + tail
-
-
+@functools.lru_cache(maxsize=256)
 def _series_edge(alpha: float, beta: float) -> float:
     """Largest series argument keeping alternating-sum cancellation ~<= 1e4."""
     n = np.arange(1, _MAX_SERIES_TERMS)
@@ -166,45 +124,86 @@ def _series_edge(alpha: float, beta: float) -> float:
     return 0.25
 
 
-class _MLMidInterpolant:
-    """Chebyshev interpolant of E_{a,b}(-e^v) on the mid-range, 0 < b <= 1."""
-
-    def __init__(self, alpha: float, beta: float, x_lo: float) -> None:
-        self.x_lo = x_lo
-        lo, hi = math.log(x_lo * 0.9), math.log(_ASYMPTOTIC_EDGE * 1.1)
-
-        def f(v: np.ndarray) -> np.ndarray:
-            return np.array(
-                [_branch_cut_point(alpha, beta, math.exp(t)) for t in np.atleast_1d(v)]
-            )
-
-        self.cheb = np.polynomial.chebyshev.Chebyshev.interpolate(
-            f, deg=110, domain=[lo, hi]
-        )
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self.cheb(np.log(y))
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_BRANCH_CUT_BLOCK = 1 << 16  # (argument, node) pairs per evaluation block
 
 
-_ML_CACHE: dict[tuple[float, float], tuple[float, _MLMidInterpolant | None]] = {}
+@functools.lru_cache(maxsize=64)
+def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+    """Nodes r^a and weights of the fixed branch-cut rule for (a, b).
+
+    Composite 20-point Gauss-Legendre in u = log r, from u_lo, where the
+    integrand of `_branch_cut` has fallen below 1e-18, up to r = 45, where
+    e^-r < 3e-20.  In u the integrand is analytic except where its
+    denominator vanishes, at Re u = log(x)/a, Im u = +-pi (1-a)/a.  Above
+    u_mid = min(log(x_lo)/a - 2, 0) panels of width min(0.5, 2 pi (1-a)/a)
+    resolve those poles and the bend of e^-r; below it the integrand is a
+    smooth power of r and panels of width 4 suffice.  The nodes depend on
+    (a, b) only, never on the arguments.
+    """
+    x_lo = _series_edge(alpha, beta)
+    u_hi = math.log(45.0)
+    u_mid = min(math.log(x_lo) / alpha - 2.0, 0.0)
+    u_lo = math.log(1e-18 * x_lo) / (alpha - beta + 1.0)
+    h = min(0.5, 2.0 * math.pi * (1.0 - alpha) / alpha)
+    n_fine = math.ceil((u_hi - u_mid) / h)
+    n_coarse = math.ceil((u_mid - u_lo) / 4.0)
+    edges = np.concatenate([
+        np.linspace(u_mid - 4.0 * n_coarse, u_mid, n_coarse + 1)[:-1],
+        np.linspace(u_mid, u_hi, n_fine + 1),
+    ])
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X
+    w = half * _GL_W * np.exp(-np.exp(u) + (alpha - beta + 1.0) * u) / math.pi
+    rho = np.exp(alpha * u)
+    rule = (
+        rho.ravel(),
+        (w * rho * math.sin(math.pi * beta)).ravel(),
+        (w * math.sin(math.pi * (alpha - beta))).ravel(),
+    )
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
-def _get_mid(alpha: float, beta: float) -> tuple[float, _MLMidInterpolant | None]:
-    key = (alpha, beta)
-    hit = _ML_CACHE.get(key)
-    if hit is None:
-        x_lo = _series_edge(alpha, beta)
-        interp = _MLMidInterpolant(alpha, beta, x_lo) if beta <= 1.0 else None
-        hit = (x_lo, interp)
-        _ML_CACHE[key] = hit
-    return hit
+def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """E_{a,b}(-x) for 0 < a < 1, 0 < b <= 1 and x in (x_lo, 50).
+
+    The collapsed Hankel contour (no origin contribution for b <= 1) gives
+
+        E_{a,b}(-x) = 1/pi int_0^inf e^-r r^(a-b)
+                      (r^a sin(pi b) - x sin(pi (a-b)))
+                      / (r^2a + 2 x r^a cos(pi a) + x^2) dr,
+
+    summed with `_branch_cut_rule` for all x at once, in blocks of at most
+    _BRANCH_CUT_BLOCK (argument, node) pairs.  Each value is a row sum of
+    elementwise terms, so it does not depend on the other arguments.
+    """
+    rho, w_a, w_b = _branch_cut_rule(alpha, beta)
+    c = math.cos(math.pi * alpha)
+    s2 = math.sin(math.pi * alpha) ** 2
+    out = np.empty_like(x)
+    m = max(1, _BRANCH_CUT_BLOCK // rho.size)
+    for lo in range(0, x.size, m):
+        xb = x[lo : lo + m, None]
+        # r^2a + 2 x r^a cos(pi a) + x^2 = (r^a + x cos(pi a))^2 + (x sin(pi a))^2
+        den = rho + c * xb
+        den *= den
+        den += s2 * xb * xb
+        num = w_a - xb * w_b
+        num /= den
+        out[lo : lo + m] = num.sum(axis=1)
+    return out
 
 
 def ml_e_neg(alpha: float, beta: float, y):
     """E_{alpha,beta}(-y) for y >= 0, elementwise over arrays.
 
-    alpha in (0, 1], beta > 0. Absolute accuracy ~1e-11 or better across
-    y in [0, 1e6] for the (alpha, beta) pairs the solver uses.
+    alpha in (0, 1], beta > 0.  On the mid range x_lo < y < 50 (the fixed
+    branch-cut rule) each value depends only on its own argument, and the
+    absolute error against an mpmath quadrature is below 4e-16 for alpha in
+    {0.3, 0.5, 0.7, 0.9, 0.95} and beta in {alpha, 1}; the series near its
+    edge x_lo and the asymptotic expansion near y = 50 stay within ~1e-11.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
@@ -228,7 +227,7 @@ def ml_e_neg(alpha: float, beta: float, y):
             out[:] = _sp.hyp1f1(1.0, beta, -y_arr) * _sp.rgamma(beta)
         return float(out[0]) if scalar else out
 
-    x_lo, interp = _get_mid(alpha, beta)
+    x_lo = _series_edge(alpha, beta)
     m_series = y_arr <= x_lo
     m_asym = y_arr >= _ASYMPTOTIC_EDGE
     m_mid = ~(m_series | m_asym)
@@ -240,8 +239,7 @@ def ml_e_neg(alpha: float, beta: float, y):
     if np.any(m_mid):
         ym = y_arr[m_mid]
         if beta <= 1.0:
-            assert interp is not None
-            out[m_mid] = interp(ym)
+            out[m_mid] = _branch_cut(alpha, beta, ym)
         else:
             # Step the second order parameter down with the exact recursion
             # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z until b <= 1.

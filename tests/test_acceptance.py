@@ -161,7 +161,7 @@ def test_criterion_05_exponent_algebra():
     print(f"  classical limit p*(alpha=s=1, sigma=-1/2, N=3) = {classical}")
     assert classical == pytest.approx((3.0 + 1.0) / (3.0 + 1.0 - 2.0), abs=1e-12)
     rep = critical_exponents(ModelParams(1.0, 1.0, 0.0, 2.0, dim=3))
-    assert rep.p_F == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
+    assert rep.p_fujita == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
 
 
 def test_criterion_06_picard_oracle_equivalence():

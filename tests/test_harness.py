@@ -220,6 +220,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["p_star"] == pytest.approx(7.0 / 3.0)
         assert payload["p_c"] == pytest.approx(1.25)
+        assert payload["p_fujita"] == pytest.approx(1.8)
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         cfg = {
@@ -319,6 +320,20 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert names in captured.err
 
+    def test_hypotheses_on_zero_data_writes_inf_as_a_string(self, tmp_path, capsys):
+        cfg = {
+            "schema": 1, "p": 3.0,
+            "model": {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1},
+            "u0": {"kind": "zero"}, "w": {"kind": "zero"},
+            "grid": {"points": 64, "half_width": 10.0},
+        }
+        cfg_path = tmp_path / "hyp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["hypotheses", "--config", str(cfg_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["local_F_rhs"] == "inf"
+        assert "zero-data" in payload["flags"]
+
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_main(["simulate", "--config", "/nonexistent.json"]) == 1
 
@@ -356,6 +371,22 @@ class TestCli:
         )
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout)["p_star"] == pytest.approx(7.0 / 3.0)
+
+    def test_closed_stdout_exits_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(fracsim.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader left: every write to stdout fails
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "fracsim", "exponents", "--alpha", "0.5",
+                 "--s", "0.4", "--sigma", "-0.25", "--p", "3", "--N", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert run.stderr == ""
+        assert run.returncode == 0
 
     def test_selftest_passes(self, capsys):
         assert cli_main(["selftest"]) == 0

@@ -137,6 +137,21 @@ class TestProfiles:
             1.0 / math.gamma(0.5), rel=0.02
         )
 
+    @pytest.mark.parametrize("kind,alpha,s,dim", [
+        ("F", 0.5, 0.8, 1), ("F", 0.7, 0.9, 1), ("G", 0.5, 0.4, 1),
+        ("G", 0.5, 0.5, 1), ("G", 0.7, 0.9, 3), ("F", 1.0, 0.5, 2),
+    ])
+    def test_origin_value_against_quadrature(self, kind, alpha, s, dim):
+        # c_dim int_0^inf E_{a,b}(-xi^2s) xi^(dim-1) dxi by adaptive quadrature,
+        # covering mu = dim/(2s) below 1, at 1 (G) and above 1 (G).
+        beta = 1.0 if kind == "F" else alpha
+        angular = {1: 1.0 / np.pi, 2: 1.0 / (2.0 * np.pi), 3: 1.0 / (2.0 * np.pi**2)}
+        f = lambda xi: float(ml_e_neg(alpha, beta, xi ** (2.0 * s))) * xi ** (dim - 1)
+        want = sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+                   for lo, hi in ((0.0, 1.0), (1.0, np.inf))) * angular[dim]
+        got = profile(kind, alpha, s, dim, np.array([0.0, 1.0])).values[0]
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             profile("X", 0.5, 0.4, 1, np.array([1.0, 2.0]))

@@ -141,6 +141,54 @@ class TestMittagLeffler:
             assert np.max(np.abs(ml_e_neg(*ab, y) - ml_neg_fast(*ab, y))) <= 1e-9
 
 
+def branch_cut_oracle(alpha, beta, x):
+    """E_{a,b}(-x) by 25-digit mpmath quadrature of the branch-cut integral.
+
+    In v = r^a the integrand is bounded at 0 for b <= 1; b > 1 steps down with
+    E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x)) / x.
+    """
+    with mpmath.workdps(25):
+        if beta > 1.0:
+            head = mpmath.rgamma(mpmath.mpf(beta) - alpha)
+            return (head - branch_cut_oracle(alpha, beta - alpha, x)) / x
+        a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+        s_b, s_ab, c_a = mpmath.sinpi(b), mpmath.sinpi(a - b), mpmath.cospi(a)
+
+        def f(v):
+            return (mpmath.exp(-(v ** (1 / a))) * v ** ((1 - b) / a)
+                    * (v * s_b - x * s_ab) / (v * v + 2 * x * v * c_a + x * x))
+
+        # Break at the near-pole of the denominator, v = -x cos(pi a).
+        pts = [0, 1] + ([-x * c_a / 2, -x * c_a, -2 * x * c_a] if c_a < 0 else [])
+        return mpmath.quad(f, sorted(set(pts)) + [mpmath.inf]) / (a * mpmath.pi)
+
+
+class TestMidRegime:
+    """`ml_e_neg` on x_lo < y < 50, where the fixed branch-cut rule owns it."""
+
+    @staticmethod
+    def mid_points(alpha, beta, n):
+        return np.geomspace(special._series_edge(alpha, beta), 50.0, n + 2)[1:-1]
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(a, b) for a in (0.3, 0.5, 0.7, 0.9, 0.95) for b in (a, 1.0)]
+        + [(0.5, 1.5), (0.5, 1.25)],
+    )
+    def test_against_mpmath(self, alpha, beta):
+        y = self.mid_points(alpha, beta, 8)
+        want = np.array([float(branch_cut_oracle(alpha, beta, v)) for v in y])
+        np.testing.assert_allclose(ml_e_neg(alpha, beta, y), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.95, 0.95), (0.5, 1.5)])
+    def test_values_do_not_depend_on_the_other_arguments(self, alpha, beta):
+        # Enough points to span several evaluation blocks.
+        y = self.mid_points(alpha, beta, 400)
+        vals = ml_e_neg(alpha, beta, y)
+        assert np.array_equal(ml_e_neg(alpha, beta, y[::-1]), vals[::-1])
+        assert all(ml_e_neg(alpha, beta, v) == want for v, want in zip(y, vals))
+
+
 class TestFastTable:
     @pytest.fixture(autouse=True)
     def fresh_tables(self, monkeypatch):
