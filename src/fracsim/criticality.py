@@ -223,21 +223,15 @@ class SmallnessReport:
     sample_values: np.ndarray
 
 
-def _forcing_norm_at(params: ModelParams, w: Field, t: float, q: float) -> float:
-    """||S_w(t)||_q from the closed-form per-mode forcing solution."""
-    plan = LinearPlan(params, w.grid)
-    modes = plan.exact_forcing(t)[plan.inv] * plan.to_modes(w.values)
-    return lq_norm(Field(w.grid, plan.to_values(modes)), q)
-
-
 def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
                         t_samples) -> SmallnessReport:
     """Left side of the a-priori decay criterion on concrete data.
 
     For each sampled t this computes t^beta (||Z(t)u0||_q + ||S_w(t)||_q),
     where S_w(t) is the forcing-only solution evaluated exactly per mode by
-    `LinearPlan.exact_forcing`; the comparison constant is left to the caller
-    (the theory does not fix it).
+    `LinearPlan.exact_forcing` on one plan and one transform of w shared by
+    all sample times; the comparison constant is left to the caller (the
+    theory does not fix it).
     """
     window = admissible_q_window(params)
     if not window.contains(q):
@@ -253,13 +247,17 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
     beta = beta_exponent(params, q).value
     zero_u0 = not np.any(u0.values)
     zero_w = not np.any(w.values)
+    if not zero_w:
+        plan = LinearPlan(params, w.grid)
+        w_modes = plan.to_modes(w.values)
     vals = np.empty_like(t_samples)
     for i, t in enumerate(t_samples):
         term = 0.0
         if not zero_u0:
             term += lq_norm(apply_propagator("Z", t, u0, params.alpha, params.s), q)
         if not zero_w:
-            term += _forcing_norm_at(params, w, t, q)
+            s_w = plan.to_values(plan.exact_forcing(t)[plan.inv] * w_modes)
+            term += lq_norm(Field(w.grid, s_w), q)
         vals[i] = t**beta * term
     return SmallnessReport(
         sup_value=float(np.max(vals)),

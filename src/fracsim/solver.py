@@ -12,8 +12,12 @@ kernel frozen at the sigma-weighted centroid, midpoint samples of t^sigma
 against the cell weights elsewhere).
 
 `LinearPlan` owns this p-independent linear part (the eigenvalue map, the
-flat-mode FFT convention, the cell weights, the forcing rules and Z(t)u0);
-`integrate`, `picard_solve` and the smallness check each build one.
+real-FFT half-spectrum mode convention, the cell weights, the forcing rules
+and Z(t)u0); `integrate`, `picard_solve` and the smallness check each build
+one. Every field of the march is real, so the modes are the `rfftn` half
+spectrum: the last axis keeps only k = 0 .. points/2, and each kept mode off
+the k = 0 and k = points/2 planes stands for itself and its conjugate twin,
+which the tail monitor counts with Hermitian weight 2.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -34,7 +38,7 @@ from .errors import (
     PreconditionError,
     ResolutionWarning,
 )
-from .spectral import Field, GridSpec, SpectralField, lq_norm, spectral_tail_fraction
+from .spectral import Field, GridSpec, half_spectrum_tail_fraction, lq_norm
 from .special import ml_neg_fast
 
 __all__ = [
@@ -165,10 +169,13 @@ FORCING_SCHEMES = ("fast", "accurate")
 class LinearPlan:
     """The p-independent linear part of the march on one grid and mesh.
 
-    Modes are flat FFT-ordered arrays in the continuum normalization of
-    `to_spectral`; every per-mode factor is evaluated once per unique
-    eigenvalue lam = |xi|^(2s) (`lam_u`) and spread to the modes by `inv`.
-    A plan without a mesh serves the mode map and `exact_forcing` only.
+    Modes are the flattened real-FFT half spectrum (`rfftn` order, last axis
+    cut to points/2 + 1) in the continuum normalization of `to_spectral`;
+    the omitted modes are the complex conjugates of kept ones, so a kept
+    mode off the last-axis planes k = 0 and k = points/2 carries Hermitian
+    weight 2 in any energy sum. Every per-mode factor is evaluated once per
+    unique eigenvalue lam = |xi|^(2s) (`lam_u`) and spread to the modes by
+    `inv`. A plan without a mesh serves the mode map and `exact_forcing` only.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec,
@@ -183,20 +190,23 @@ class LinearPlan:
             )
         self.params, self.grid, self.mesh = params, grid, mesh
         self.forcing_scheme = forcing_scheme
-        lam = grid.xi_squared().ravel() ** params.s
-        self.lam_u, self.inv = np.unique(lam, return_inverse=True)
+        xi2 = grid.xi_squared()[..., : grid.points // 2 + 1]
+        self.half_shape = xi2.shape
+        self.lam_u, self.inv = np.unique(xi2.ravel() ** params.s, return_inverse=True)
 
     @property
     def nmodes(self) -> int:
         return self.inv.size
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Flat modes of real-space samples."""
-        return np.fft.fftn(values).ravel() * self.grid.cell_volume
+        """Flat half-spectrum modes of real-space samples."""
+        return np.fft.rfftn(values).ravel() * self.grid.cell_volume
 
     def to_values(self, modes: np.ndarray) -> np.ndarray:
-        """Real-space samples of flat modes."""
-        return np.fft.ifftn(modes.reshape(self.grid.shape) / self.grid.cell_volume).real
+        """Real-space samples of flat half-spectrum modes."""
+        grid = self.grid
+        return np.fft.irfftn(modes.reshape(self.half_shape) / grid.cell_volume,
+                             s=grid.shape, axes=tuple(range(grid.dim)))
 
     def cell_weights(self, n: int) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
@@ -325,7 +335,9 @@ def integrate(
         cells = plan.cell_weights(n) if nonlinearity else None
         modes_n = plan.linear_modes(n, u0_modes, w_modes, cells)
         if nonlinearity:
-            np.take(cells, plan.inv, axis=1, out=w_full[:n])
+            # mode="clip" skips the bounds-checked buffered copy that the
+            # default mode makes with `out`; `inv` is always in range.
+            np.take(cells, plan.inv, axis=1, out=w_full[:n], mode="clip")
             np.multiply(w_full[:n], nl_hist[:n], out=prod[:n])
             modes_n += prod[:n].sum(axis=0)
 
@@ -342,7 +354,7 @@ def integrate(
         cur_linf = float(np.max(np.abs(values)))
         lq.append(lq_norm(Field(grid, values), q_report))
         linf.append(cur_linf)
-        tail = spectral_tail_fraction(SpectralField(grid, modes_n.reshape(grid.shape)))
+        tail = half_spectrum_tail_fraction(grid, modes_n)
         tail_max = max(tail_max, tail)
         if cur_linf > thr.u_max:
             trigger_time = t_n

@@ -26,6 +26,7 @@ __all__ = [
     "lq_norm",
     "restricted_lq_norm",
     "spectral_tail_fraction",
+    "half_spectrum_tail_fraction",
     "gaussian_field",
     "indicator_field",
     "save_field",
@@ -181,6 +182,30 @@ def spectral_tail_fraction(sf: SpectralField) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(energy[_top_octave_mask(sf.grid)])) / total
+
+
+@functools.lru_cache(maxsize=16)
+def _half_spectrum_energy_weights(grid: GridSpec) -> np.ndarray:
+    """Read-only rows (top-octave, all) of Hermitian weights per rfftn mode.
+
+    The top-octave mask is symmetric under k -> -k, so its slice to the
+    half spectrum marks exactly the kept twins of the masked modes.
+    """
+    mask = _top_octave_mask(grid)[..., : grid.points // 2 + 1]
+    herm = np.full(mask.shape, 2.0)
+    herm[..., 0] = herm[..., -1] = 1.0  # the self-conjugate planes k = 0, points/2
+    rows = np.stack([herm * mask, herm]).reshape(2, -1)
+    rows.flags.writeable = False
+    return rows
+
+
+def half_spectrum_tail_fraction(grid: GridSpec, modes: np.ndarray) -> float:
+    """`spectral_tail_fraction` of a real field given its rfftn half spectrum."""
+    energy = np.abs(modes).ravel() ** 2
+    tail, total = _half_spectrum_energy_weights(grid) @ energy
+    if total == 0.0:
+        return 0.0
+    return float(tail / total)
 
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> Field:

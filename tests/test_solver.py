@@ -236,6 +236,65 @@ class TestLinearExactness:
             np.testing.assert_allclose(plan.forcing_weights(n), want, rtol=1e-12)
 
 
+class TestModeMap:
+    """The plan's real-FFT half-spectrum mode map in dims 1-3."""
+
+    @staticmethod
+    def plan(dim, mesh=None, scheme="fast"):
+        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim)
+        return LinearPlan(params, GridSpec(dim=dim, points=64, half_width=8.0),
+                          mesh, scheme)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mode_count_and_eigenvalues(self, dim):
+        plan = self.plan(dim)
+        points = plan.grid.points
+        assert plan.nmodes == points ** (dim - 1) * (points // 2 + 1)
+        lam_full = plan.grid.xi_squared() ** plan.params.s
+        assert np.array_equal(plan.lam_u, np.unique(lam_full))
+        if dim == 1:  # every half-spectrum mode has its own eigenvalue
+            assert plan.lam_u.size == plan.nmodes
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_round_trip(self, dim):
+        plan = self.plan(dim)
+        v = np.random.default_rng(dim).standard_normal(plan.grid.shape)
+        back = plan.to_values(plan.to_modes(v))
+        assert back.shape == v.shape
+        assert np.max(np.abs(back - v)) <= 1e-14 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_linear_march_matches_full_spectrum(self, dim):
+        # Z(t)u0 + S_w(t) from the full complex spectrum, built here from
+        # ml_e_neg and the closed-form forcing, at every node of the march.
+        mesh = TimeMesh.make(2.0, 6, grading=2.0)
+        plan = self.plan(dim, mesh, "accurate")
+        grid, params = plan.grid, plan.params
+        r_sq = grid.radius_squared()
+        x0 = grid.axis()[(slice(None),) + (None,) * (dim - 1)]
+        u0 = Field(grid, np.exp(-r_sq / 4.0) * (1.0 + 0.3 * x0))
+        w = Field(grid, 0.5 * np.exp(-((x0 - 1.0) ** 2) - r_sq / 9.0))
+        res = integrate(params, grid, u0, w, mesh, q_report=2.0,
+                        nonlinearity=False, forcing_scheme="accurate")
+        lam_full = grid.xi_squared() ** params.s
+        _, inv_full = np.unique(lam_full, return_inverse=True)
+        inv_full = inv_full.reshape(grid.shape)
+        u0_hat, w_hat = to_spectral(u0).modes, to_spectral(w).modes
+        assert res.t_nodes.size == mesh.steps + 1
+        for n in range(1, mesh.steps + 1):
+            t_n = mesh.nodes[n]
+            z = ml_e_neg(params.alpha, 1.0, lam_full * t_n**params.alpha)
+            modes = z * u0_hat + plan.exact_forcing(t_n)[inv_full] * w_hat
+            want = np.fft.ifftn(modes / grid.cell_volume).real
+            np.testing.assert_allclose(
+                res.linf_history[n], np.max(np.abs(want)), rtol=1e-12)
+            np.testing.assert_allclose(
+                res.lq_history[n], np.sqrt(np.sum(want**2) * grid.cell_volume),
+                rtol=1e-12)
+        np.testing.assert_allclose(res.final_field.values, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+
 class TestClassification:
     THR = ClassifyThresholds(u_max=1e8, ratio_max=10.0, t_end=10.0)
 

@@ -15,6 +15,7 @@ from fracsim import (
     SpectralField,
     fractional_laplacian,
     gaussian_field,
+    half_spectrum_tail_fraction,
     indicator_field,
     load_field,
     lq_norm,
@@ -186,6 +187,21 @@ class TestTailMonitor:
             assert spectral_tail_fraction(sf) == want
         cached = spectral._top_octave_mask(grid)
         assert np.array_equal(cached, mask) and not cached.flags.writeable
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_half_spectrum_fraction_matches_full(self, dim):
+        # Hermitian weights on the rfftn half spectrum reproduce the
+        # full-spectrum top-octave fraction of a real field.
+        grid = GridSpec(dim=dim, points=64, half_width=5.0)
+        rng = np.random.default_rng(10 + dim)
+        for _ in range(2):
+            f = Field(grid, rng.standard_normal(grid.shape))
+            half = np.fft.rfftn(f.values) * grid.cell_volume
+            want = spectral_tail_fraction(to_spectral(f))
+            assert half_spectrum_tail_fraction(grid, half) == pytest.approx(
+                want, rel=1e-13)
+        zero = np.zeros(grid.shape[:-1] + (grid.points // 2 + 1,), dtype=complex)
+        assert half_spectrum_tail_fraction(grid, zero) == 0.0
 
 
 class TestDataAndIO:
