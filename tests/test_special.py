@@ -164,11 +164,12 @@ def branch_cut_oracle(alpha, beta, x):
 
 
 class TestMidRegime:
-    """`ml_e_neg` on x_lo < y < 50, where the fixed branch-cut rule owns it."""
+    """`ml_e_neg` on x_lo < y < 150, where the fixed branch-cut rule owns it."""
 
     @staticmethod
     def mid_points(alpha, beta, n):
-        return np.geomspace(special._series_edge(alpha, beta), 50.0, n + 2)[1:-1]
+        x_lo, x_hi = special._series_edge(alpha, beta), special._ASYMPTOTIC_EDGE
+        return np.geomspace(x_lo, x_hi, n + 2)[1:-1]
 
     @pytest.mark.parametrize(
         "alpha,beta",
@@ -176,9 +177,13 @@ class TestMidRegime:
         + [(0.5, 1.5), (0.5, 1.25)],
     )
     def test_against_mpmath(self, alpha, beta):
-        y = self.mid_points(alpha, beta, 8)
+        # The mid range and both sides of its edges: the series below x_lo
+        # and the asymptotic expansion from 150 on.
+        edges = np.array([special._series_edge(alpha, beta), special._ASYMPTOTIC_EDGE])
+        near = edges[:, None] * np.array([0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1])
+        y = np.concatenate([self.mid_points(alpha, beta, 8), near.ravel()])
         want = np.array([float(branch_cut_oracle(alpha, beta, v)) for v in y])
-        np.testing.assert_allclose(ml_e_neg(alpha, beta, y), want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(ml_e_neg(alpha, beta, y), want, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.95, 0.95), (0.5, 1.5)])
     def test_values_do_not_depend_on_the_other_arguments(self, alpha, beta):
@@ -230,6 +235,23 @@ class TestFastTable:
         assert shared.coeffs.shape == serial.coeffs.shape
         for out in results:
             assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_matches_the_regime_evaluator(self, alpha):
+        # b = 1, a, a + 1 and a + sigma + 1 for sigma in {-0.25, -0.5}.
+        y = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 600), np.linspace(0.0, 200.0, 801)])
+        for beta in (1.0, alpha, alpha + 1.0, alpha + 0.75, alpha + 0.5):
+            err = np.max(np.abs(ml_neg_fast(alpha, beta, y) - ml_e_neg(alpha, beta, y)))
+            assert err <= 1e-13, (beta, err)
+
+    def test_one_wide_call_builds_the_same_table_as_many_narrow_ones(self):
+        wide = special._FastMLNeg(0.7, 1.45)
+        wide(np.array([0.0, 3e4]))
+        narrow = special._FastMLNeg(0.7, 1.45)
+        for top in np.geomspace(1e-3, 3e4, 60):
+            narrow(np.linspace(0.0, top, 7))
+        assert narrow.coeffs.shape == wide.coeffs.shape
+        assert narrow.coeffs.tobytes() == wide.coeffs.tobytes()
 
     def test_shape_and_empty_input(self):
         y = np.linspace(0.0, 50.0, 12).reshape(3, 4)
