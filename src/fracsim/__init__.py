@@ -27,7 +27,6 @@ from .spectral import (
     SpectralField,
     fractional_laplacian,
     gaussian_field,
-    half_spectrum_tail_fraction,
     indicator_field,
     load_field,
     lq_norm,

@@ -116,8 +116,8 @@ class SweepConfig:
         if list(p) != sorted(p):
             raise DomainError("p_values must be sorted ascending")
         object.__setattr__(self, "p_values", p)
-        if not (self.t_end > 0.0 and self.steps >= 2):
-            raise DomainError("need t_end > 0 and steps >= 2")
+        object.__setattr__(self, "_mesh",
+                           TimeMesh.make(self.t_end, self.steps, self.grading))
         if self.forcing_scheme not in FORCING_SCHEMES:
             raise DomainError(
                 f"unknown forcing scheme {self.forcing_scheme!r}; "
@@ -130,7 +130,8 @@ class SweepConfig:
         )
 
     def mesh(self) -> TimeMesh:
-        return TimeMesh.make(self.t_end, self.steps, self.grading)
+        """The time mesh, built and checked once when the config is made."""
+        return self._mesh
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,12 @@ def _classify_p(config: SweepConfig, p: float) -> tuple[SweepRow, SimResult | No
         mass = float(np.sum(w_field.values)) * config.grid.cell_volume
         if mass <= 0.0:
             notes.append("forcing-mass-nonpositive")
-    beta = beta_exponent(params, config.q_report).value
+    tags = dict(
+        p=p,
+        p_c=params.dim * (p - 1.0) / (2.0 * params.s),
+        p_star=p_star_exponent(params.alpha, params.s, params.sigma, params.dim),
+        beta=beta_exponent(params, config.q_report).value,
+    )
     try:
         result = integrate(
             params,
@@ -170,29 +176,16 @@ def _classify_p(config: SweepConfig, p: float) -> tuple[SweepRow, SimResult | No
             PreconditionError) as exc:
         # Recorded, never aborting the sweep; any other exception is a
         # programming error and propagates.
-        row = SweepRow(
-            p=p,
-            p_c=params.dim * (p - 1.0) / (2.0 * params.s),
-            p_star=p_star_exponent(params.alpha, params.s, params.sigma, params.dim),
-            beta=beta,
-            classification="Failed",
-            blowup_time_est=None,
-            decay_exponent=None,
-            r_squared=None,
-            note="; ".join(notes + [f"{type(exc).__name__}: {exc}"]),
-        )
-        return row, None
-    notes.extend(result.notes)
+        note = "; ".join(notes + [f"{type(exc).__name__}: {exc}"])
+        return SweepRow(**tags, classification="Failed", blowup_time_est=None,
+                        decay_exponent=None, r_squared=None, note=note), None
     row = SweepRow(
-        p=p,
-        p_c=params.dim * (p - 1.0) / (2.0 * params.s),
-        p_star=p_star_exponent(params.alpha, params.s, params.sigma, params.dim),
-        beta=beta,
+        **tags,
         classification=result.classification,
         blowup_time_est=result.blowup_time_est,
         decay_exponent=result.decay_exponent,
         r_squared=result.decay_r_squared,
-        note="; ".join(notes),
+        note="; ".join(notes + result.notes),
     )
     return row, result
 
@@ -339,6 +332,13 @@ def _value(cfg: dict, path: str, conv, default=_REQUIRED):
         raise DomainError(f"config {path}: {exc}") from None
 
 
+def _integer(value) -> int:
+    """int(value); booleans and numbers with a fractional part are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(cfg: dict) -> SweepConfig:
     """Build a SweepConfig from a schema-1 JSON dict.
 
@@ -349,10 +349,10 @@ def config_from_dict(cfg: dict) -> SweepConfig:
         raise DomainError("config must be a JSON object")
     if cfg.get("schema") != 1:
         raise DomainError(f"unsupported config schema {cfg.get('schema')!r}")
-    dim = _value(cfg, "model.dim", int)
+    dim = _value(cfg, "model.dim", _integer)
     grid = GridSpec(
         dim=dim,
-        points=_value(cfg, "grid.points", int, 4096),
+        points=_value(cfg, "grid.points", _integer, 4096),
         half_width=_value(cfg, "grid.half_width", float, 50.0),
     )
     if cfg.get("p_values") is not None:
@@ -387,7 +387,7 @@ def config_from_dict(cfg: dict) -> SweepConfig:
         w=data_spec("w"),
         grid=grid,
         t_end=t_end,
-        steps=_value(cfg, "time.steps", int, 600),
+        steps=_value(cfg, "time.steps", _integer, 600),
         grading=_value(cfg, "time.grading", float, 2.0),
         thresholds=thresholds,
         q_report=_value(cfg, "q_report", float, 4.0),

@@ -30,7 +30,7 @@ import scipy.special as _sp
 
 from .errors import DomainError, NumericalError, UnsupportedRangeError
 from .special import ml_neg_fast
-from .spectral import Field, GridSpec, to_real, to_spectral
+from .spectral import Field, SpectralField, to_real, to_spectral
 
 __all__ = [
     "KernelProfile",
@@ -55,26 +55,26 @@ def _check_alpha_s(alpha: float, s: float) -> None:
         raise DomainError(f"s must be in (0, 1], got {s}")
 
 
-def symbol_Z(t: float, xi_sq, alpha: float, s: float):
-    """Fourier symbol of the data propagator; equals 1 at xi = 0."""
+def _symbol_argument(t: float, xi_sq, alpha: float, s: float) -> np.ndarray:
+    """The Mittag-Leffler argument |xi|^(2s) t^alpha of both symbols, checked."""
     _check_alpha_s(alpha, s)
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     xi_sq = np.asarray(xi_sq, dtype=float)
     if np.any(xi_sq < 0.0):
         raise DomainError("xi_sq must be nonnegative")
-    return ml_neg_fast(alpha, 1.0, xi_sq**s * t**alpha)
+    return xi_sq**s * t**alpha
+
+
+def symbol_Z(t: float, xi_sq, alpha: float, s: float):
+    """Fourier symbol of the data propagator; equals 1 at xi = 0."""
+    return ml_neg_fast(alpha, 1.0, _symbol_argument(t, xi_sq, alpha, s))
 
 
 def symbol_Y(t: float, xi_sq, alpha: float, s: float):
     """Fourier symbol of the memory kernel; equals t^(alpha-1)/Gamma(alpha) at xi = 0."""
-    _check_alpha_s(alpha, s)
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    xi_sq = np.asarray(xi_sq, dtype=float)
-    if np.any(xi_sq < 0.0):
-        raise DomainError("xi_sq must be nonnegative")
-    return t ** (alpha - 1.0) * ml_neg_fast(alpha, alpha, xi_sq**s * t**alpha)
+    return t ** (alpha - 1.0) * ml_neg_fast(
+        alpha, alpha, _symbol_argument(t, xi_sq, alpha, s))
 
 
 # --------------------------------------------------------------------------
@@ -83,21 +83,16 @@ def symbol_Y(t: float, xi_sq, alpha: float, s: float):
 
 
 def apply_propagator(kind: str, t: float, f: Field, alpha: float, s: float) -> Field:
-    """Multiply f mode-wise by the kernel symbol and transform back.
+    """Multiply the half-spectrum modes of f by the kernel symbol and transform back.
 
     For kind="Z" the zero mode is multiplied by exactly 1, so the spatial
     mean of f is preserved to machine precision.
     """
     if kind not in ("Z", "Y"):
         raise DomainError(f"kind must be 'Z' or 'Y', got {kind!r}")
-    spec = to_spectral(f)
-    xi_sq = f.grid.xi_squared()
-    fn = symbol_Z if kind == "Z" else symbol_Y
-    mult = fn(t, xi_sq, alpha, s)
-    out = spec.modes * mult
-    from .spectral import SpectralField
-
-    return to_real(SpectralField(grid=f.grid, modes=out))
+    symbol = symbol_Z if kind == "Z" else symbol_Y
+    modes = to_spectral(f).modes * symbol(t, f.grid.xi_squared(), alpha, s)
+    return to_real(SpectralField(f.grid, modes))
 
 
 # --------------------------------------------------------------------------

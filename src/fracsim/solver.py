@@ -12,12 +12,9 @@ kernel frozen at the sigma-weighted centroid, midpoint samples of t^sigma
 against the cell weights elsewhere).
 
 `LinearPlan` owns this p-independent linear part (the eigenvalue map, the
-real-FFT half-spectrum mode convention, the cell weights, the forcing rules
-and Z(t)u0); `integrate`, `picard_solve` and the smallness check each build
-one. Every field of the march is real, so the modes are the `rfftn` half
-spectrum: the last axis keeps only k = 0 .. points/2, and each kept mode off
-the k = 0 and k = points/2 planes stands for itself and its conjugate twin,
-which the tail monitor counts with Hermitian weight 2.
+cell weights, the forcing rules and Z(t)u0); `integrate`, `picard_solve` and
+the smallness check each build one. Its modes are the flattened real-FFT
+half spectrum of `spectral`, the package's one mode convention.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -38,7 +35,8 @@ from .errors import (
     PreconditionError,
     ResolutionWarning,
 )
-from .spectral import Field, GridSpec, half_spectrum_tail_fraction, lq_norm
+from .spectral import (Field, GridSpec, SpectralField, lq_norm,
+                       spectral_tail_fraction)
 from .special import ml_neg_fast
 
 __all__ = [
@@ -105,9 +103,9 @@ class TimeMesh:
 
     @classmethod
     def make(cls, t_end: float, steps: int, grading: float = 2.0) -> "TimeMesh":
-        if not (t_end > 0.0) or steps < 2:
-            raise DomainError("need t_end > 0 and steps >= 2")
-        if grading < 1.0:
+        if not (0.0 < t_end < np.inf) or steps < 2:
+            raise DomainError("need finite t_end > 0 and steps >= 2")
+        if not grading >= 1.0:
             raise DomainError("grading must be >= 1")
         j = np.arange(steps + 1, dtype=float)
         return cls(t_end * (j / steps) ** grading, grading)
@@ -130,6 +128,17 @@ class ClassifyThresholds:
     t_end: float = 50.0
     beta: float = 0.0
     monotone_slack: float = 0.01
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("u_max", 0.0 < self.u_max < np.inf, "be finite and > 0"),
+            ("ratio_max", 1.0 < self.ratio_max < np.inf, "be finite and > 1"),
+            ("t_end", self.t_end > 0.0, "be > 0"),
+            ("beta", np.isfinite(self.beta), "be finite"),
+            ("monotone_slack", self.monotone_slack >= 0.0, "be >= 0"),
+        ):
+            if not ok:
+                raise DomainError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -169,13 +178,12 @@ FORCING_SCHEMES = ("fast", "accurate")
 class LinearPlan:
     """The p-independent linear part of the march on one grid and mesh.
 
-    Modes are the flattened real-FFT half spectrum (`rfftn` order, last axis
-    cut to points/2 + 1) in the continuum normalization of `to_spectral`;
-    the omitted modes are the complex conjugates of kept ones, so a kept
-    mode off the last-axis planes k = 0 and k = points/2 carries Hermitian
-    weight 2 in any energy sum. Every per-mode factor is evaluated once per
-    unique eigenvalue lam = |xi|^(2s) (`lam_u`) and spread to the modes by
-    `inv`. A plan without a mesh serves the mode map and `exact_forcing` only.
+    Modes are the flattened half spectrum of `GridSpec.to_modes` (shape
+    `grid.mode_shape`), so a kept mode off the last-axis planes k = 0 and
+    k = points/2 stands for itself and its conjugate twin. Every per-mode
+    factor is evaluated once per unique eigenvalue lam = |xi|^(2s) (`lam_u`)
+    and spread to the modes by `inv`. A plan without a mesh serves the mode
+    map and `exact_forcing` only.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec,
@@ -190,9 +198,8 @@ class LinearPlan:
             )
         self.params, self.grid, self.mesh = params, grid, mesh
         self.forcing_scheme = forcing_scheme
-        xi2 = grid.xi_squared()[..., : grid.points // 2 + 1]
-        self.half_shape = xi2.shape
-        self.lam_u, self.inv = np.unique(xi2.ravel() ** params.s, return_inverse=True)
+        self.lam_u, self.inv = np.unique(grid.xi_squared().ravel() ** params.s,
+                                         return_inverse=True)
 
     @property
     def nmodes(self) -> int:
@@ -200,13 +207,11 @@ class LinearPlan:
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Flat half-spectrum modes of real-space samples."""
-        return np.fft.rfftn(values).ravel() * self.grid.cell_volume
+        return self.grid.to_modes(values).ravel()
 
     def to_values(self, modes: np.ndarray) -> np.ndarray:
         """Real-space samples of flat half-spectrum modes."""
-        grid = self.grid
-        return np.fft.irfftn(modes.reshape(self.half_shape) / grid.cell_volume,
-                             s=grid.shape, axes=tuple(range(grid.dim)))
+        return self.grid.to_values(modes.reshape(self.grid.mode_shape))
 
     def cell_weights(self, n: int) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
@@ -309,18 +314,14 @@ def integrate(
     u0_modes = plan.to_modes(u0.values) if u0 is not None else None
     w_modes = plan.to_modes(w.values) if w is not None else None
 
-    nl_hist = np.zeros((m + 1, nmodes), dtype=complex) if nonlinearity else None
+    u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
     if nonlinearity:
+        nl_hist = np.zeros((m + 1, nmodes), dtype=complex)
+        nl_hist[0] = plan.to_modes(np.abs(u_prev) ** p)
         # History-contraction buffers, sized for the last step and reused by
         # every step instead of allocating two growing temporaries per step.
         w_full = np.empty((m, nmodes))
         prod = np.empty((m, nmodes), dtype=complex)
-    if u0 is not None:
-        u_prev = u0.values
-    else:
-        u_prev = np.zeros(grid.shape)
-    if nonlinearity:
-        nl_hist[0] = plan.to_modes(np.abs(u_prev) ** p)
 
     lq = [lq_norm(Field(grid, u_prev), q_report)]
     linf = [float(np.max(np.abs(u_prev)))]
@@ -354,7 +355,8 @@ def integrate(
         cur_linf = float(np.max(np.abs(values)))
         lq.append(lq_norm(Field(grid, values), q_report))
         linf.append(cur_linf)
-        tail = half_spectrum_tail_fraction(grid, modes_n)
+        tail = spectral_tail_fraction(
+            SpectralField(grid, modes_n.reshape(grid.mode_shape)))
         tail_max = max(tail_max, tail)
         if cur_linf > thr.u_max:
             trigger_time = t_n

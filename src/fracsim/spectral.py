@@ -1,15 +1,17 @@
-"""Periodic pseudo-spectral representation of fields on [-L, L]^d.
+"""Periodic pseudo-spectral representation of real fields on [-L, L]^d.
 
-Transforms use the continuum normalization: `to_spectral` returns
-cell_volume * FFT(values), i.e. a Riemann-sum approximation of the Fourier
-integral on the box, so the zero mode of a constant field c equals
-c * (2L)^d. Wavenumbers along each axis are xi_k = pi k / L.
+Every operator multiplies the modes of a real field by a real symbol of |xi|,
+so modes are the half spectrum `GridSpec.to_modes` = cell_volume *
+rfftn(values) (shape `mode_shape`: the last axis keeps k = 0 .. points/2), in
+the continuum normalization: the zero mode of a constant c is c * (2L)^d. A
+mode off the last-axis planes k = 0 and k = points/2 stands for itself and its
+conjugate twin. Wavenumbers along each axis are xi_k = pi k / L.
 """
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ __all__ = [
     "lq_norm",
     "restricted_lq_norm",
     "spectral_tail_fraction",
-    "half_spectrum_tail_fraction",
     "gaussian_field",
     "indicator_field",
     "save_field",
@@ -60,8 +61,22 @@ class GridSpec:
         return (self.points,) * self.dim
 
     @property
+    def mode_shape(self) -> tuple[int, ...]:
+        """Shape of the half spectrum: the last axis keeps k = 0 .. points/2."""
+        return (self.points,) * (self.dim - 1) + (self.points // 2 + 1,)
+
+    @property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
+
+    def to_modes(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum modes cell_volume * rfftn(values) of real samples."""
+        return np.fft.rfftn(values) * self.cell_volume
+
+    def to_values(self, modes: np.ndarray) -> np.ndarray:
+        """Real samples of half-spectrum modes; inverse of `to_modes`."""
+        return np.fft.irfftn(modes / self.cell_volume, s=self.shape,
+                             axes=tuple(range(self.dim)))
 
     def axis(self) -> np.ndarray:
         """Sample coordinates along one axis: x_i = -L + i*spacing."""
@@ -72,20 +87,17 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
     def xi_squared(self) -> np.ndarray:
-        """|xi|^2 on the full FFT-ordered mode grid."""
-        ax = self.xi_axis() ** 2
-        if self.dim == 1:
-            return ax
-        grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return sum(grids)
+        """|xi|^2 on the half-spectrum mode grid (`mode_shape`)."""
+        return self._on_modes(self.xi_axis() ** 2)
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the sample grid."""
-        ax = self.axis() ** 2
-        if self.dim == 1:
-            return ax
-        grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return sum(grids)
+        return sum(np.meshgrid(*[self.axis() ** 2] * self.dim, indexing="ij"))
+
+    def _on_modes(self, per_axis: np.ndarray) -> np.ndarray:
+        """Sum over the axes of an FFT-ordered, k-even `per_axis` on the half grid."""
+        axes = [per_axis] * (self.dim - 1) + [per_axis[: self.points // 2 + 1]]
+        return sum(np.meshgrid(*axes, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ class Field:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """FFT-ordered modes of a real field (conjugate-symmetric)."""
+    """Half-spectrum modes of a real field, shaped `grid.mode_shape`."""
 
     grid: GridSpec
     modes: np.ndarray
@@ -116,35 +128,47 @@ class SpectralField:
     def __post_init__(self) -> None:
         m = np.asarray(self.modes, dtype=complex)
         object.__setattr__(self, "modes", m)
-        if m.shape != self.grid.shape:
+        if m.shape != self.grid.mode_shape:
             raise PreconditionError(
-                f"modes shape {m.shape} does not match grid {self.grid.shape}"
+                f"modes shape {m.shape} does not match grid {self.grid.mode_shape}"
             )
         if not np.all(np.isfinite(m.view(float))):
             raise PreconditionError("modes must be finite")
 
 
+# Largest anti-Hermitian part of the self-conjugate planes that `to_real`
+# accepts, relative to the largest mode: rounding only.
+_SYMMETRY_TOL = 1e-10
+
+
 def to_spectral(f: Field) -> SpectralField:
-    return SpectralField(f.grid, np.fft.fftn(f.values) * f.grid.cell_volume)
+    return SpectralField(f.grid, f.grid.to_modes(f.values))
 
 
-def to_real(sf: SpectralField, symmetry_tol: float = 1e-10) -> Field:
-    raw = np.fft.ifftn(sf.modes) / sf.grid.cell_volume
-    scale = float(np.max(np.abs(raw))) or 1.0
-    if float(np.max(np.abs(raw.imag))) > symmetry_tol * scale:
+def to_real(sf: SpectralField) -> Field:
+    """The real field of a half spectrum.
+
+    The planes k = 0 and k = points/2 hold their own twins: irfftn would
+    silently drop their anti-Hermitian part, so beyond rounding it raises.
+    """
+    grid = sf.grid
+    planes = sf.modes[..., [0, -1]]
+    flip = -np.arange(grid.points) % grid.points  # index of -k along an axis
+    twins = planes[np.ix_(*[flip] * (grid.dim - 1))].conj()
+    anti_hermitian = np.max(np.abs(planes - twins))
+    if anti_hermitian > _SYMMETRY_TOL * np.max(np.abs(sf.modes)):
         raise PreconditionError(
             "modes are not conjugate-symmetric: inverse transform is not real"
         )
-    return Field(sf.grid, raw.real)
+    return Field(grid, grid.to_values(sf.modes))
 
 
 def fractional_laplacian(f: Field, s: float) -> Field:
     """Spectral (-Laplace)^s via the multiplier |xi|^(2s); zero mode maps to 0."""
     if not (0.0 < s <= 1.0):
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    sf = to_spectral(f)
-    mult = f.grid.xi_squared() ** s
-    return to_real(SpectralField(f.grid, sf.modes * mult))
+    modes = to_spectral(f).modes * f.grid.xi_squared() ** s
+    return to_real(SpectralField(f.grid, modes))
 
 
 def _lq(values: np.ndarray, cell_volume: float, q: float) -> float:
@@ -166,43 +190,24 @@ def restricted_lq_norm(f: Field, q: float, r_min: float) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _top_octave_mask(grid: GridSpec) -> np.ndarray:
-    """Read-only mask of the modes with some |index| >= points/4, per grid."""
-    k = np.fft.fftfreq(grid.points) * grid.points  # integer mode index
-    hi = np.abs(k) >= grid.points // 4
-    mask = np.logical_or.reduce(np.meshgrid(*([hi] * grid.dim), indexing="ij"))
-    mask.flags.writeable = False
-    return mask
+def _tail_weights(grid: GridSpec) -> np.ndarray:
+    """Read-only rows (top octave, all) of Hermitian energy weights per mode.
 
-
-def spectral_tail_fraction(sf: SpectralField) -> float:
-    """Fraction of spectral energy carried by the top octave of wavenumbers."""
-    energy = np.abs(sf.modes) ** 2
-    total = float(np.sum(energy))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(energy[_top_octave_mask(sf.grid)])) / total
-
-
-@functools.lru_cache(maxsize=16)
-def _half_spectrum_energy_weights(grid: GridSpec) -> np.ndarray:
-    """Read-only rows (top-octave, all) of Hermitian weights per rfftn mode.
-
-    The top-octave mask is symmetric under k -> -k, so its slice to the
-    half spectrum marks exactly the kept twins of the masked modes.
+    The top octave is the modes with some |index| >= points/4; a mode off
+    the self-conjugate planes k = 0 and k = points/2 weighs 2 for its twin.
     """
-    mask = _top_octave_mask(grid)[..., : grid.points // 2 + 1]
-    herm = np.full(mask.shape, 2.0)
-    herm[..., 0] = herm[..., -1] = 1.0  # the self-conjugate planes k = 0, points/2
-    rows = np.stack([herm * mask, herm]).reshape(2, -1)
+    k = np.arange(grid.points)
+    top = grid._on_modes(np.minimum(k, grid.points - k) >= grid.points // 4) > 0
+    herm = np.full(grid.mode_shape, 2.0)
+    herm[..., 0] = herm[..., -1] = 1.0
+    rows = np.stack([herm * top, herm]).reshape(2, -1)
     rows.flags.writeable = False
     return rows
 
 
-def half_spectrum_tail_fraction(grid: GridSpec, modes: np.ndarray) -> float:
-    """`spectral_tail_fraction` of a real field given its rfftn half spectrum."""
-    energy = np.abs(modes).ravel() ** 2
-    tail, total = _half_spectrum_energy_weights(grid) @ energy
+def spectral_tail_fraction(sf: SpectralField) -> float:
+    """Fraction of spectral energy carried by the top octave of wavenumbers."""
+    tail, total = _tail_weights(sf.grid) @ (np.abs(sf.modes).ravel() ** 2)
     if total == 0.0:
         return 0.0
     return float(tail / total)
@@ -226,12 +231,8 @@ def save_field(f: Field, path: str | Path) -> None:
     """Raw little-endian float64 row-major dump plus a JSON sidecar."""
     path = Path(path)
     path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    sidecar = {
-        "dim": f.grid.dim,
-        "points": f.grid.points,
-        "half_width": f.grid.half_width,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
+    sidecar = json.dumps(asdict(f.grid))  # dim, points, half_width
+    path.with_suffix(path.suffix + ".json").write_text(sidecar)
 
 
 def load_field(path: str | Path) -> Field:

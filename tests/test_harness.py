@@ -29,6 +29,20 @@ from fracsim.cli import main as cli_main
 from fracsim.harness import SweepRow
 
 
+def config_with(key_path: str, value) -> str:
+    """A runnable sweep/bracket config with one key set, as JSON text."""
+    cfg = {
+        "schema": 1, "p_values": [1.8, 3.0],
+        "model": {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1},
+        "w": {"kind": "gaussian", "amplitude": 0.05, "width": 1.0},
+        "grid": {"points": 64, "half_width": 10.0},
+        "time": {"t_end": 2.0, "steps": 24},
+    }
+    section, key = key_path.split(".")
+    cfg.setdefault(section, {})[key] = value
+    return json.dumps(cfg)
+
+
 def small_config(p_values=(3.0,), **overrides) -> SweepConfig:
     base = dict(
         alpha=0.5,
@@ -258,19 +272,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: FRACSIM_THREADS must be a positive integer, got {value!r}\n"
 
-    @pytest.mark.parametrize("text, names", [
-        ('{"schema": 1, "model": ', "not valid JSON"),
-        ('{"schema": 1, "p": 3.0}', "config is missing model.dim"),
+    @pytest.mark.parametrize("text, names, command", [
+        ('{"schema": 1, "model": ', "not valid JSON", "sweep"),
+        ('{"schema": 1, "p": 3.0}', "config is missing model.dim", "sweep"),
         ('{"schema": 1, "p": 3.0, "model": {"alpha": 0.5, "s": 0.4, '
-         '"sigma": -0.25, "dim": 1}, "time": {"steps": "abc"}}', "config time.steps: "),
+         '"sigma": -0.25, "dim": 1}, "time": {"steps": "abc"}}', "config time.steps: ",
+         "sweep"),
         ('{"schema": 1, "p": 3.0, "model": {"alpha": 0.5, "s": 0.4, '
          '"sigma": -0.25, "dim": 1}, "grid": {"points": 64}, '
-         '"forcing_scheme": "bogus"}', "unknown forcing scheme 'bogus'"),
-    ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme"])
-    def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names):
+         '"forcing_scheme": "bogus"}', "unknown forcing scheme 'bogus'", "sweep"),
+        (config_with("time.grading", 0.5), "grading must be >= 1", "sweep"),
+        (config_with("time.grading", 0.5), "grading must be >= 1", "bracket"),
+        (config_with("time.grading", float("nan")), "grading must be >= 1", "sweep"),
+        (config_with("time.t_end", float("inf")), "need finite t_end > 0", "sweep"),
+        (config_with("time.steps", 20.7), "config time.steps: expected an integer", "sweep"),
+        (config_with("model.dim", 1.9), "config model.dim: expected an integer", "sweep"),
+        (config_with("model.dim", True), "config model.dim: expected an integer", "sweep"),
+        (config_with("grid.points", 64.5), "config grid.points: expected an integer", "sweep"),
+        (config_with("classify.u_max", -1), "u_max must be finite and > 0", "sweep"),
+        (config_with("classify.u_max", -1), "u_max must be finite and > 0", "bracket"),
+        (config_with("classify.ratio_max", 1.0), "ratio_max must be finite and > 1", "sweep"),
+        (config_with("classify.monotone_slack", -0.1), "monotone_slack must be >= 0",
+         "sweep"),
+    ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
+            "grading-below-one", "bracket-grading-below-one", "grading-nan",
+            "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
+            "points-fractional", "u-max-negative", "bracket-u-max-negative",
+            "ratio-max-one", "slack-negative"])
+    def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
+                                                command):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(text)
-        assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -269,6 +269,23 @@ class TestPropagator:
         assert np.isfinite(m_fine)
         assert abs(m_fine - m_coarse) <= 0.1 * m_coarse
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["Z", "Y"])
+    def test_matches_full_spectrum(self, kind, dim):
+        # The half-spectrum propagator against the symbol applied to the
+        # full complex spectrum, built here.
+        grid = GridSpec(dim=dim, points=64, half_width=8.0)
+        rng = np.random.default_rng(30 + dim)
+        f = Field(grid, rng.standard_normal(grid.shape))
+        ax = (2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)) ** 2
+        xi_sq = sum(np.meshgrid(*([ax] * dim), indexing="ij"))
+        symbol = symbol_Z if kind == "Z" else symbol_Y
+        for t in (0.5, 4.0):
+            modes = np.fft.fftn(f.values) * symbol(t, xi_sq, 0.5, 0.4)
+            want = np.fft.ifftn(modes).real
+            got = apply_propagator(kind, t, f, 0.5, 0.4).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestTableOracle:
     """Symbols, profiles and propagators on the table against the regime evaluator.

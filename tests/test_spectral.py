@@ -15,7 +15,6 @@ from fracsim import (
     SpectralField,
     fractional_laplacian,
     gaussian_field,
-    half_spectrum_tail_fraction,
     indicator_field,
     load_field,
     lq_norm,
@@ -29,6 +28,18 @@ import fracsim.spectral as spectral
 GRID = GridSpec(dim=1, points=128, half_width=10.0)
 
 
+def full_xi_squared(grid: GridSpec) -> np.ndarray:
+    """|xi|^2 on the full FFT-ordered mode grid."""
+    ax = (2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)) ** 2
+    return sum(np.meshgrid(*([ax] * grid.dim), indexing="ij"))
+
+
+def full_top_octave(grid: GridSpec) -> np.ndarray:
+    """Mask of the full-spectrum modes with some |index| >= points/4."""
+    hi = np.abs(np.fft.fftfreq(grid.points) * grid.points) >= grid.points // 4
+    return np.logical_or.reduce(np.meshgrid(*([hi] * grid.dim), indexing="ij"))
+
+
 class TestGridSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -39,6 +50,14 @@ class TestGridSpec:
             GridSpec(dim=1, points=32, half_width=1.0)  # too few
         with pytest.raises(DomainError):
             GridSpec(dim=1, points=128, half_width=-1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_half_spectrum_grid(self, dim):
+        grid = GridSpec(dim=dim, points=64, half_width=5.0)
+        assert grid.mode_shape == (64,) * (dim - 1) + (33,)
+        # the half grid is the full grid's last axis cut to k = 0 .. points/2
+        want = full_xi_squared(grid)[..., :33]
+        assert np.array_equal(grid.xi_squared(), want)
 
     def test_geometry(self):
         assert GRID.spacing == pytest.approx(20.0 / 128)
@@ -66,11 +85,12 @@ class TestTransforms:
         rng = np.random.default_rng(3)
         f = Field(GRID, rng.standard_normal(128))
         sf = to_spectral(f)
-        # ||f||_2^2 * (2L) = sum |modes|^2 / N with this normalization.
+        # ||f||_2^2 * (2L) = sum |modes|^2 / N over the full spectrum; the
+        # half spectrum counts each mode off k = 0 and k = N/2 twice.
+        energy = np.abs(sf.modes) ** 2
+        full_sum = 2.0 * np.sum(energy) - energy[0] - energy[-1]
         real_sq = float(np.sum(f.values**2)) * GRID.cell_volume
-        spec_sq = float(np.sum(np.abs(sf.modes) ** 2)) / (
-            GRID.points * GRID.cell_volume
-        )
+        spec_sq = float(full_sum) / (GRID.points * GRID.cell_volume)
         assert real_sq == pytest.approx(spec_sq, rel=1e-10)
 
     def test_constant_field(self):
@@ -80,10 +100,35 @@ class TestTransforms:
         assert np.max(np.abs(sf.modes[1:])) <= 1e-10
 
     def test_asymmetric_modes_rejected(self):
-        modes = np.zeros(128, dtype=complex)
-        modes[1] = 1.0  # no conjugate partner
+        modes = np.zeros(GRID.mode_shape, dtype=complex)
+        modes[1] = 1.0  # its conjugate twin is implied: a real cosine
+        assert np.max(np.abs(to_real(SpectralField(GRID, modes)).values)) > 0.0
+        modes[0] = 1j  # the zero mode is its own twin, so must be real
         with pytest.raises(PreconditionError):
             to_real(SpectralField(GRID, modes))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("plane", [0, -1])
+    def test_self_conjugate_planes_must_be_hermitian(self, dim, plane):
+        # k = 0 and k = points/2 of the last axis hold their own twins; the
+        # inverse transform would silently drop an anti-Hermitian part.
+        grid = GridSpec(dim=dim, points=64, half_width=5.0)
+        rng = np.random.default_rng(dim)
+        sf = to_spectral(Field(grid, rng.standard_normal(grid.shape)))
+        to_real(sf)  # a real field's own half spectrum passes
+        scale = float(np.max(np.abs(sf.modes)))
+        # the plane's own zero mode, and (dims 2-3) an entry off it whose
+        # twin at index -3 is left unchanged
+        indices = [(0,) * (dim - 1)] + [(3,) + (0,) * (dim - 2)] * (dim > 1)
+        for index in indices:
+            modes = sf.modes.copy()
+            modes[index + (plane,)] += 1e-6j * scale
+            with pytest.raises(PreconditionError):
+                to_real(SpectralField(grid, modes))
+
+    def test_mode_shape_enforced(self):
+        with pytest.raises(PreconditionError):
+            SpectralField(GRID, np.zeros(128, dtype=complex))
 
 
 class TestFractionalLaplacian:
@@ -132,6 +177,15 @@ class TestFractionalLaplacian:
         with pytest.raises(DomainError):
             fractional_laplacian(Field(GRID, np.ones(128)), 1.5)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_full_spectrum(self, dim):
+        grid = GridSpec(dim=dim, points=64, half_width=5.0)
+        f = Field(grid, np.random.default_rng(20 + dim).standard_normal(grid.shape))
+        for s in (0.3, 1.0):
+            want = np.fft.ifftn(np.fft.fftn(f.values) * full_xi_squared(grid) ** s).real
+            got = fractional_laplacian(f, s).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestNorms:
     def test_unit_cell(self):
@@ -175,33 +229,30 @@ class TestTailMonitor:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cached_mask_matches_direct_construction(self, dim):
+        # Hermitian weights on the top octave of the full mask's half.
         grid = GridSpec(dim=dim, points=64, half_width=5.0)
-        k = np.fft.fftfreq(grid.points) * grid.points
-        hi = np.abs(k) >= grid.points // 4
-        mask = np.logical_or.reduce(np.meshgrid(*([hi] * dim), indexing="ij"))
-        rng = np.random.default_rng(dim)
-        for _ in range(2):  # the second call reads the cached mask
-            sf = to_spectral(Field(grid, rng.standard_normal(grid.shape)))
-            energy = np.abs(sf.modes) ** 2
-            want = float(np.sum(energy[mask])) / float(np.sum(energy))
-            assert spectral_tail_fraction(sf) == want
-        cached = spectral._top_octave_mask(grid)
-        assert np.array_equal(cached, mask) and not cached.flags.writeable
+        herm = np.full(grid.mode_shape, 2.0)
+        herm[..., 0] = herm[..., -1] = 1.0
+        mask = full_top_octave(grid)[..., : grid.points // 2 + 1]
+        cached = spectral._tail_weights(grid)
+        assert spectral._tail_weights(grid) is cached
+        assert np.array_equal(cached, [(herm * mask).ravel(), herm.ravel()])
+        assert not cached.flags.writeable
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_half_spectrum_fraction_matches_full(self, dim):
-        # Hermitian weights on the rfftn half spectrum reproduce the
-        # full-spectrum top-octave fraction of a real field.
+        # Hermitian weights on the half spectrum reproduce the full-spectrum
+        # top-octave fraction of a real field.
         grid = GridSpec(dim=dim, points=64, half_width=5.0)
         rng = np.random.default_rng(10 + dim)
-        for _ in range(2):
+        for _ in range(2):  # the second call reads the cached weights
             f = Field(grid, rng.standard_normal(grid.shape))
-            half = np.fft.rfftn(f.values) * grid.cell_volume
-            want = spectral_tail_fraction(to_spectral(f))
-            assert half_spectrum_tail_fraction(grid, half) == pytest.approx(
+            energy = np.abs(np.fft.fftn(f.values)) ** 2
+            want = float(np.sum(energy[full_top_octave(grid)]) / np.sum(energy))
+            assert spectral_tail_fraction(to_spectral(f)) == pytest.approx(
                 want, rel=1e-13)
-        zero = np.zeros(grid.shape[:-1] + (grid.points // 2 + 1,), dtype=complex)
-        assert half_spectrum_tail_fraction(grid, zero) == 0.0
+        zero = SpectralField(grid, np.zeros(grid.mode_shape, dtype=complex))
+        assert spectral_tail_fraction(zero) == 0.0
 
 
 class TestDataAndIO:
