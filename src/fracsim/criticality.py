@@ -25,15 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, UnsupportedRangeError
-from .kernels import (
-    KernelProfile,
-    apply_propagator,
-    profile,
-    profile_lq_norm,
-    q_critical,
-)
+from .kernels import KernelProfile, profile, profile_lq_norm, q_critical
 from .solver import LinearPlan, ModelParams
-from .special import beta_fn, gamma as gamma_fn
+from .special import beta_fn, gamma as gamma_fn, ml_neg_fast
 from .spectral import Field, lq_norm, restricted_lq_norm
 
 __all__ = [
@@ -227,11 +221,12 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
                         t_samples) -> SmallnessReport:
     """Left side of the a-priori decay criterion on concrete data.
 
-    For each sampled t this computes t^beta (||Z(t)u0||_q + ||S_w(t)||_q),
-    where S_w(t) is the forcing-only solution evaluated exactly per mode by
-    `LinearPlan.exact_forcing` on one plan and one transform of w shared by
-    all sample times; the comparison constant is left to the caller (the
-    theory does not fix it).
+    For each sampled t this computes t^beta (||Z(t)u0||_q + ||S_w(t)||_q)
+    on one `LinearPlan` and one transform each of u0 and w shared by all
+    sample times: Z(t)u0 is E_{a,1}(-lam t^a) per mode, and the forcing-only
+    solution S_w(t) is evaluated exactly per mode by
+    `LinearPlan.exact_forcing`. The comparison constant is left to the
+    caller (the theory does not fix it).
     """
     window = admissible_q_window(params)
     if not window.contains(q):
@@ -245,17 +240,16 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
     if t_samples.ndim != 1 or t_samples.size == 0 or np.any(t_samples <= 0.0):
         raise DomainError("t_samples must be a nonempty array of positive times")
     beta = beta_exponent(params, q).value
-    zero_u0 = not np.any(u0.values)
-    zero_w = not np.any(w.values)
-    if not zero_w:
-        plan = LinearPlan(params, w.grid)
-        w_modes = plan.to_modes(w.values)
+    plan = LinearPlan(params, w.grid)
+    u0_modes = plan.to_modes(u0.values) if np.any(u0.values) else None
+    w_modes = plan.to_modes(w.values) if np.any(w.values) else None
     vals = np.empty_like(t_samples)
     for i, t in enumerate(t_samples):
         term = 0.0
-        if not zero_u0:
-            term += lq_norm(apply_propagator("Z", t, u0, params.alpha, params.s), q)
-        if not zero_w:
+        if u0_modes is not None:
+            z = ml_neg_fast(params.alpha, 1.0, plan.lam_u * t**params.alpha)
+            term += lq_norm(Field(w.grid, plan.to_values(z[plan.inv] * u0_modes)), q)
+        if w_modes is not None:
             s_w = plan.to_values(plan.exact_forcing(t)[plan.inv] * w_modes)
             term += lq_norm(Field(w.grid, s_w), q)
         vals[i] = t**beta * term

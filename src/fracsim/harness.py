@@ -118,6 +118,12 @@ class SweepConfig:
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "_mesh",
                            TimeMesh.make(self.t_end, self.steps, self.grading))
+        if self.thresholds.t_end > self.t_end:
+            # classify could never reach it: every row would be Undetermined
+            raise DomainError(
+                f"classify.t_end {self.thresholds.t_end!r} exceeds "
+                f"time.t_end {self.t_end!r}"
+            )
         if self.forcing_scheme not in FORCING_SCHEMES:
             raise DomainError(
                 f"unknown forcing scheme {self.forcing_scheme!r}; "

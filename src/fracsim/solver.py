@@ -57,6 +57,10 @@ GLOBAL = "Global"
 BLOWUP = "BlowUp"
 UNDETERMINED = "Undetermined"
 
+# A run whose top-octave spectral energy fraction exceeds this gets a note
+# and a ResolutionWarning: the grid no longer resolves the solution.
+TAIL_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -301,7 +305,6 @@ def integrate(
     thresholds: ClassifyThresholds | None = None,
     nonlinearity: bool = True,
     forcing_scheme: str = "fast",
-    tail_threshold: float = 1e-6,
 ) -> SimResult:
     """March the mild solution across the mesh; halt on blow-up triggers."""
     plan = LinearPlan(params, grid, mesh, forcing_scheme)
@@ -370,7 +373,7 @@ def integrate(
         if nonlinearity:
             nl_hist[n] = plan.to_modes(np.abs(values) ** p)
 
-    if tail_max > tail_threshold:
+    if tail_max > TAIL_THRESHOLD:
         notes.append(
             f"top-octave spectral energy fraction reached {tail_max:.2e}"
         )

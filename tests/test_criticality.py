@@ -7,10 +7,12 @@ import pytest
 from fracsim import (
     DomainError,
     GridSpec,
+    LinearPlan,
     ModelParams,
     PreconditionError,
     UnsupportedRangeError,
     admissible_q_window,
+    apply_propagator,
     beta_exponent,
     critical_exponents,
     gaussian_field,
@@ -165,6 +167,26 @@ class TestSmallness:
         )
         assert rep.sample_values == pytest.approx(expected, rel=1e-12)
         assert rep.sup_value == pytest.approx(float(expected.max()), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, q", [(1, 4.0), (2, 8.0)])
+    def test_plan_terms_equal_the_propagator_oracle(self, dim, q):
+        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim)
+        grid = GridSpec(dim=dim, points=1024 if dim == 1 else 64, half_width=20.0)
+        u0 = gaussian_field(grid, 0.1, 1.0)
+        w = gaussian_field(grid, 0.1, 2.0)
+        ts = [0.5, 1.0, 7.3]
+        rep = smallness_condition(params, u0, w, q, ts)
+        plan = LinearPlan(params, grid)
+        w_modes = plan.to_modes(w.values)
+        want = [
+            t**rep.beta * (
+                lq_norm(apply_propagator("Z", t, u0, 0.5, 0.4), q)
+                + lq_norm(Field(grid, plan.to_values(
+                    plan.exact_forcing(t)[plan.inv] * w_modes)), q)
+            )
+            for t in ts
+        ]
+        assert rep.sample_values.tolist() == want
 
     def test_linearity_in_amplitude(self, canonical_params):
         u0 = gaussian_field(GRID, 0.1, 1.0)

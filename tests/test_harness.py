@@ -171,13 +171,14 @@ class TestRunSweep:
 
 def fake_rows(label_of):
     def fake(config, p):
+        label = label_of(p)
         row = SweepRow(
             p=p,
             p_c=0.0,
             p_star=None,
             beta=0.0,
-            classification=label_of(p),
-            blowup_time_est=None,
+            classification=label,
+            blowup_time_est=1.0 / p if label == "BlowUp" else None,
             decay_exponent=None,
             r_squared=None,
         )
@@ -294,11 +295,14 @@ class TestCli:
         (config_with("classify.ratio_max", 1.0), "ratio_max must be finite and > 1", "sweep"),
         (config_with("classify.monotone_slack", -0.1), "monotone_slack must be >= 0",
          "sweep"),
+        (config_with("classify.t_end", 5.0), "exceeds time.t_end", "sweep"),
+        (config_with("classify.t_end", 5.0), "exceeds time.t_end", "bracket"),
     ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
             "grading-below-one", "bracket-grading-below-one", "grading-nan",
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
             "points-fractional", "u-max-negative", "bracket-u-max-negative",
-            "ratio-max-one", "slack-negative"])
+            "ratio-max-one", "slack-negative", "classify-t-end-past-horizon",
+            "bracket-classify-t-end-past-horizon"])
     def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
                                                 command):
         cfg_path = tmp_path / "bad.json"
@@ -383,6 +387,38 @@ class TestCli:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "r,value"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("kind", ["F", "G"])
+    def test_kernel_norms_fit_the_predicted_slopes(self, capsys, kind):
+        assert cli_main(["kernel", "--mode", "norms", "--kind", kind, "--alpha",
+                         "0.5", "--s", "0.4", "--points", "9", "--q", "1", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "t,q,norm,predicted_slope,fitted_slope"
+        slopes = {(q, pred, fit) for _, q, _, pred, fit in
+                  (map(float, line.split(",")) for line in lines[1:])}
+        assert {q for q, _, _ in slopes} == {1.0, 2.0}
+        for _, pred, fit in slopes:
+            assert abs(fit - pred) / max(abs(pred), 0.01) <= 0.02
+
+    def test_bracket_reports_p_star_and_blowup_times(self, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr(
+            harness, "_classify_p",
+            fake_rows(lambda p: "BlowUp" if p < 2.0 else "Global"),
+        )
+        cfg_path = tmp_path / "bracket.json"
+        cfg_path.write_text(config_with("classify.t_end", 2.0))
+        assert cli_main(["bracket", "--config", str(cfg_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"p_lo", "p_hi", "midpoint", "p_star",
+                                "undetermined", "evaluations"}
+        assert payload["p_star"] == pytest.approx(7.0 / 3.0)
+        assert payload["p_lo"] < 2.0 <= payload["p_hi"]
+        assert payload["evaluations"]
+        for entry in payload["evaluations"]:
+            assert set(entry) == {"p", "classification", "blowup_time_est", "note"}
+            blowup = entry["classification"] == "BlowUp"
+            assert entry["blowup_time_est"] == (1.0 / entry["p"] if blowup else None)
 
     def test_kernel_norms_only_in_one_dimension(self, capsys):
         args = ["kernel", "--mode", "norms", "--alpha", "0.5", "--s", "0.4",
