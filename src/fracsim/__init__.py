@@ -28,10 +28,8 @@ from .spectral import (
     fractional_laplacian,
     gaussian_field,
     indicator_field,
-    load_field,
     lq_norm,
     restricted_lq_norm,
-    save_field,
     spectral_tail_fraction,
     to_real,
     to_spectral,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +105,7 @@ class SweepConfig:
     t_end: float
     steps: int
     grading: float = 2.0
-    thresholds: ClassifyThresholds = field(default_factory=ClassifyThresholds)
+    thresholds: ClassifyThresholds | None = None  # None: classify at t_end
     q_report: float = 4.0
     forcing_scheme: str = "fast"
 
@@ -118,6 +118,9 @@ class SweepConfig:
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "_mesh",
                            TimeMesh.make(self.t_end, self.steps, self.grading))
+        if self.thresholds is None:
+            object.__setattr__(self, "thresholds",
+                               ClassifyThresholds(t_end=self.t_end))
         if self.thresholds.t_end > self.t_end:
             # classify could never reach it: every row would be Undetermined
             raise DomainError(

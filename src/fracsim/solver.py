@@ -16,6 +16,13 @@ cell weights, the forcing rules and Z(t)u0); `integrate`, `picard_solve` and
 the smallness check each build one. Its modes are the flattened real-FFT
 half spectrum of `spectral`, the package's one mode convention.
 
+The nonlinear history N_j is stored as real and imaginary planes, shape
+(M+1, 2, modes) float64, and `LinearPlan.history_modes` contracts it with
+node n's weight row, gathered to the modes, in one real einsum. That one
+contraction serves `integrate` (left-endpoint history) and `picard_solve`
+(its trapezoid history). A march holds the history, (M+1)*modes*16 B, and
+the gather buffer, M*modes*8 B; no product buffer.
+
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
 which makes the map implicit and genuinely distinct from `integrate`.
@@ -220,14 +227,40 @@ class LinearPlan:
     def cell_weights(self, n: int) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
 
-        Uses x^a E_{a,a+1}(-lam x^a) evaluated at cell ends; the telescoped
-        sum over all cells is exactly t_n^a E_{a,a+1}(-lam t_n^a).
+        Differences of e(d) = d^a E_{a,a+1}(-lam d^a) at the left ends
+        d = t_n - t_j, j < n; e(0) = 0 closes the last cell, so the d = 0
+        point is never evaluated. The telescoped sum over all cells is
+        exactly t_n^a E_{a,a+1}(-lam t_n^a).
         """
         a = self.params.alpha
-        d = self.mesh.nodes[n] - self.mesh.nodes[: n + 1]  # last entry is 0
-        da = d**a
-        e = da[:, None] * ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, :])
-        return e[:-1] - e[1:]
+        da = (self.mesh.nodes[n] - self.mesh.nodes[:n]) ** a
+        e = ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, :])
+        e *= da[:, None]
+        e[:-1] -= e[1:]
+        return e
+
+    def history_modes(self, cells: np.ndarray, hist: np.ndarray,
+                      gathered: np.ndarray) -> np.ndarray:
+        """Modes of sum_{j<n} W[j, lam] N_j for node n's cell-weight row.
+
+        `hist` holds N_j as real and imaginary planes, shape
+        (>= n, 2, nmodes); `gathered` is an (>= n, nmodes) buffer that
+        receives the row spread to the modes. One real einsum contracts
+        both planes, with no (n, nmodes) complex product.
+        """
+        n = cells.shape[0]
+        # mode="clip" skips the bounds-checked buffered copy that the
+        # default mode makes with `out`; `inv` is always in range.
+        np.take(cells, self.inv, axis=1, out=gathered[:n], mode="clip")
+        out = np.empty(self.nmodes, dtype=complex)
+        out.real, out.imag = np.einsum("jk,jck->ck", gathered[:n], hist[:n])
+        return out
+
+    def to_planes(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Write the modes of real-space samples into `out` (2, nmodes)
+        as real and imaginary planes."""
+        modes = self.to_modes(values)
+        out[0], out[1] = modes.real, modes.imag
 
     def exact_forcing(self, t: float) -> np.ndarray:
         """S[lam] = int_0^t tau^sigma Y(t - tau; lam) dtau in closed form.
@@ -319,12 +352,11 @@ def integrate(
 
     u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
     if nonlinearity:
-        nl_hist = np.zeros((m + 1, nmodes), dtype=complex)
-        nl_hist[0] = plan.to_modes(np.abs(u_prev) ** p)
-        # History-contraction buffers, sized for the last step and reused by
-        # every step instead of allocating two growing temporaries per step.
-        w_full = np.empty((m, nmodes))
-        prod = np.empty((m, nmodes), dtype=complex)
+        nl_hist = np.empty((m + 1, 2, nmodes))
+        plan.to_planes(np.abs(u_prev) ** p, nl_hist[0])
+        # Weight-gather buffer, sized for the last step and reused by every
+        # step instead of allocating a growing temporary per step.
+        gathered = np.empty((m, nmodes))
 
     lq = [lq_norm(Field(grid, u_prev), q_report)]
     linf = [float(np.max(np.abs(u_prev)))]
@@ -339,11 +371,7 @@ def integrate(
         cells = plan.cell_weights(n) if nonlinearity else None
         modes_n = plan.linear_modes(n, u0_modes, w_modes, cells)
         if nonlinearity:
-            # mode="clip" skips the bounds-checked buffered copy that the
-            # default mode makes with `out`; `inv` is always in range.
-            np.take(cells, plan.inv, axis=1, out=w_full[:n], mode="clip")
-            np.multiply(w_full[:n], nl_hist[:n], out=prod[:n])
-            modes_n += prod[:n].sum(axis=0)
+            modes_n += plan.history_modes(cells, nl_hist, gathered)
 
         values = plan.to_values(modes_n)
         n_reached = n
@@ -371,7 +399,7 @@ def integrate(
             notes.append(f"per-step growth ratio exceeded at t={t_n:.6g}")
             break
         if nonlinearity:
-            nl_hist[n] = plan.to_modes(np.abs(values) ** p)
+            plan.to_planes(np.abs(values) ** p, nl_hist[n])
 
     if tail_max > TAIL_THRESHOLD:
         notes.append(
@@ -500,17 +528,18 @@ def picard_solve(
         lin_modes[n] = plan.linear_modes(n, u0_modes, w_modes, w_tables[n])
 
     hist = np.array([plan.to_values(lin_modes[n]) for n in range(m + 1)])
+    nl = np.empty((m + 1, 2, plan.nmodes))
+    gathered = np.empty((m, plan.nmodes))
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0
     for it in range(1, max_iter + 1):
-        nl = np.stack(
-            [plan.to_modes(np.abs(hist[j]) ** p) for j in range(m + 1)]
-        )
+        for j in range(m + 1):
+            plan.to_planes(np.abs(hist[j]) ** p, nl[j])
+        trap = 0.5 * (nl[:-1] + nl[1:])
         new_hist = hist.copy()
         for n in range(1, m + 1):
-            wf = w_tables[n][:, plan.inv]
-            contrib = np.sum(wf * 0.5 * (nl[:n] + nl[1 : n + 1]), axis=0)
+            contrib = plan.history_modes(w_tables[n], trap, gathered)
             new_hist[n] = plan.to_values(lin_modes[n] + contrib)
         diff = float(np.max(np.abs(new_hist - hist)))
         hist = new_hist

@@ -10,9 +10,7 @@ conjugate twin. Wavenumbers along each axis are xi_k = pi k / L.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "spectral_tail_fraction",
     "gaussian_field",
     "indicator_field",
-    "save_field",
-    "load_field",
 ]
 
 
@@ -225,19 +221,3 @@ def indicator_field(grid: GridSpec, amplitude: float, radius: float) -> Field:
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     return Field(grid, amplitude * (grid.radius_squared() <= radius**2))
-
-
-def save_field(f: Field, path: str | Path) -> None:
-    """Raw little-endian float64 row-major dump plus a JSON sidecar."""
-    path = Path(path)
-    path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    sidecar = json.dumps(asdict(f.grid))  # dim, points, half_width
-    path.with_suffix(path.suffix + ".json").write_text(sidecar)
-
-
-def load_field(path: str | Path) -> Field:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    grid = GridSpec(meta["dim"], meta["points"], meta["half_width"])
-    values = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(grid.shape)
-    return Field(grid, values.copy())

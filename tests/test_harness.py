@@ -103,6 +103,21 @@ class TestSweepConfig:
         cfg = config_from_dict(cfg_dict)
         assert cfg == small_config(p_values=(2.0, 3.0))
 
+    def test_default_thresholds_classify_at_t_end(self):
+        cfg = SweepConfig(
+            alpha=0.5, s=0.4, sigma=-0.25, dim=1, p_values=(3.0,),
+            u0=DataSpec(kind="zero"),
+            w=DataSpec(kind="gaussian", amplitude=0.05, width=1.0),
+            grid=GridSpec(dim=1, points=64, half_width=10.0),
+            t_end=10.0, steps=20,
+        )
+        assert cfg.thresholds == ClassifyThresholds(t_end=10.0)
+        (row,) = run_sweep(cfg)
+        assert row.classification == "Global"
+        with pytest.raises(DomainError, match="exceeds time.t_end"):
+            small_config(t_end=10.0, steps=20,
+                         thresholds=ClassifyThresholds(t_end=10.5))
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(DomainError):
             config_from_dict({"schema": 2, "model": {}})

@@ -1,5 +1,6 @@
 """Time stepper: weight tables, exactness checks, classification, Picard."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,82 @@ class TestWeightTable:
             t_n = mesh.nodes[n]
             total = t_n**a * ml_e_neg(a, a + 1.0, lam * t_n**a)
             assert np.sum(w, axis=0) == pytest.approx(total, rel=1e-10)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_row_equals_the_closed_telescoped_row(self, n):
+        # The old (n+1)-point formula, which also evaluates the d = 0 end,
+        # on the criterion-09 bracket mesh; the row must match it bit for bit.
+        params = ModelParams(0.5, 0.4, -0.25, 3.0)
+        mesh = TimeMesh.make(50.0, 100, grading=2.0)
+        plan = LinearPlan(params, GridSpec(dim=1, points=1024, half_width=50.0),
+                          mesh)
+        a = params.alpha
+        d = (mesh.nodes[n] - mesh.nodes[: n + 1])[:, None] ** a
+        e = d * solver.ml_neg_fast(a, a + 1.0, d * plan.lam_u[None, :])
+        assert np.array_equal(plan.cell_weights(n), e[:-1] - e[1:])
+
+
+class TestHistoryContraction:
+    """`LinearPlan.history_modes` against the complex product-and-sum."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_the_complex_oracle(self, dim):
+        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim)
+        plan = LinearPlan(params, GridSpec(dim=dim, points=64, half_width=8.0))
+        rng = np.random.default_rng(dim)
+        m = 6
+        hist = (rng.standard_normal((m + 1, plan.nmodes))
+                + 1j * rng.standard_normal((m + 1, plan.nmodes)))
+        planes = np.stack([hist.real, hist.imag], axis=1)
+        trap = 0.5 * (planes[:-1] + planes[1:])
+        gathered = np.empty((m, plan.nmodes))
+        for n in (1, 2, m):
+            cells = rng.random((n, plan.lam_u.size))
+            wf = np.take(cells, plan.inv, axis=1)
+            left = np.multiply(wf, hist[:n]).sum(axis=0)
+            assert np.array_equal(plan.history_modes(cells, planes, gathered), left)
+            # picard_solve's cell-trapezoid sample (N_j + N_{j+1}) / 2
+            mid = np.sum(wf * 0.5 * (hist[:n] + hist[1 : n + 1]), axis=0)
+            assert np.array_equal(plan.history_modes(cells, trap, gathered), mid)
+
+    def test_planes_hold_the_modes(self):
+        plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0, dim=2),
+                          GridSpec(dim=2, points=64, half_width=8.0))
+        v = np.random.default_rng(5).standard_normal(plan.grid.shape)
+        out = np.empty((2, plan.nmodes))
+        plan.to_planes(v, out)
+        modes = plan.to_modes(v)
+        assert np.array_equal(out[0], modes.real)
+        assert np.array_equal(out[1], modes.imag)
+
+
+class TestMarchMemory:
+    def test_traced_peak_of_a_warm_2d_march(self):
+        # The march holds the real-plane history, the weight-gather buffer
+        # and one cell-weight row; an (M, nmodes) complex temporary (1.35 MB
+        # here) must not come back.  Slack: 1.2 MB for the Mittag-Leffler
+        # temporaries of one row (0.68 MB for cell_weights(M) alone) and
+        # the step's mode vectors.  Measured peak: 3.05 MB of a 3.42 MB bound.
+        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=2)
+        grid = GridSpec(dim=2, points=64, half_width=8.0)
+        mesh = TimeMesh.make(10.0, 40)
+        w = gaussian_field(grid, 0.4, 1.0)
+        integrate(params, grid, None, w, mesh)  # warm the Mittag-Leffler tables
+        plan = LinearPlan(params, grid, mesh)
+        m = mesh.steps
+        history = (m + 1) * plan.nmodes * 16
+        gather = m * plan.nmodes * 8
+        row = m * plan.lam_u.size * 8
+        slack = 1.2e6
+        tracemalloc.start()
+        try:
+            res = integrate(params, grid, None, w, mesh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.t_nodes.size == m + 1
+        assert peak < history + gather + row + slack
 
 
 class TestLinearExactness:

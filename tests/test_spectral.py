@@ -16,9 +16,7 @@ from fracsim import (
     fractional_laplacian,
     gaussian_field,
     indicator_field,
-    load_field,
     lq_norm,
-    save_field,
     spectral_tail_fraction,
     to_real,
     to_spectral,
@@ -260,11 +258,3 @@ class TestDataAndIO:
         f = indicator_field(GRID, 2.0, 1.0)
         assert set(np.unique(f.values)) <= {0.0, 2.0}
         assert np.all(f.values[GRID.radius_squared() > 1.0] == 0.0)
-
-    def test_save_load_round_trip(self, tmp_path):
-        f = gaussian_field(GRID, 1.5, 0.7)
-        path = tmp_path / "field.raw"
-        save_field(f, path)
-        back = load_field(path)
-        assert back.grid == f.grid
-        assert np.array_equal(back.values, f.values)
