@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, UnsupportedRangeError
 from .kernels import KernelProfile, profile, profile_lq_norm, q_critical
 from .solver import LinearPlan, ModelParams
-from .special import beta_fn, gamma as gamma_fn, ml_neg_fast
+from .special import beta_fn, gamma as gamma_fn
 from .spectral import Field, lq_norm, restricted_lq_norm
 
 __all__ = [
@@ -223,9 +223,9 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
 
     For each sampled t this computes t^beta (||Z(t)u0||_q + ||S_w(t)||_q)
     on one `LinearPlan` and one transform each of u0 and w shared by all
-    sample times: Z(t)u0 is E_{a,1}(-lam t^a) per mode, and the forcing-only
-    solution S_w(t) is evaluated exactly per mode by
-    `LinearPlan.exact_forcing`. The comparison constant is left to the
+    sample times: Z(t)u0 is `LinearPlan.propagator`, E_{a,1}(-lam t^a) per
+    mode, and the forcing-only solution S_w(t) is evaluated exactly per mode
+    by `LinearPlan.exact_forcing`. The comparison constant is left to the
     caller (the theory does not fix it).
     """
     window = admissible_q_window(params)
@@ -247,8 +247,8 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
     for i, t in enumerate(t_samples):
         term = 0.0
         if u0_modes is not None:
-            z = ml_neg_fast(params.alpha, 1.0, plan.lam_u * t**params.alpha)
-            term += lq_norm(Field(w.grid, plan.to_values(z[plan.inv] * u0_modes)), q)
+            z_u0 = plan.propagator(t)[plan.inv] * u0_modes
+            term += lq_norm(Field(w.grid, plan.to_values(z_u0)), q)
         if w_modes is not None:
             s_w = plan.to_values(plan.exact_forcing(t)[plan.inv] * w_modes)
             term += lq_norm(Field(w.grid, s_w), q)

@@ -13,8 +13,6 @@ repr-exact floats, so identical inputs give bit-identical files.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +33,6 @@ from .solver import (
     UNDETERMINED,
     ClassifyThresholds,
     ModelParams,
-    SimResult,
     TimeMesh,
     integrate,
 )
@@ -156,7 +153,7 @@ class SweepRow:
     note: str = ""
 
 
-def _classify_p(config: SweepConfig, p: float) -> tuple[SweepRow, SimResult | None]:
+def _classify_p(config: SweepConfig, p: float) -> SweepRow:
     params = config.model(p)
     notes: list[str] = []
     w_field = config.w.build(config.grid)
@@ -187,8 +184,8 @@ def _classify_p(config: SweepConfig, p: float) -> tuple[SweepRow, SimResult | No
         # programming error and propagates.
         note = "; ".join(notes + [f"{type(exc).__name__}: {exc}"])
         return SweepRow(**tags, classification="Failed", blowup_time_est=None,
-                        decay_exponent=None, r_squared=None, note=note), None
-    row = SweepRow(
+                        decay_exponent=None, r_squared=None, note=note)
+    return SweepRow(
         **tags,
         classification=result.classification,
         blowup_time_est=result.blowup_time_est,
@@ -196,35 +193,11 @@ def _classify_p(config: SweepConfig, p: float) -> tuple[SweepRow, SimResult | No
         r_squared=result.decay_r_squared,
         note="; ".join(notes + result.notes),
     )
-    return row, result
-
-
-def _sweep_threads() -> int:
-    """Worker count from FRACSIM_THREADS (unset means 1)."""
-    raw = os.environ.get("FRACSIM_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise DomainError(f"FRACSIM_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """One classified simulation per p, in p order, deterministically.
-
-    FRACSIM_THREADS > 1 runs rows concurrently; collection order is still
-    the p order.
-    """
-    ps = config.p_values
-    if not ps:
-        return []
-    threads = _sweep_threads()
-    if threads == 1 or len(ps) == 1:
-        return [_classify_p(config, p)[0] for p in ps]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [row for row, _ in pool.map(lambda p: _classify_p(config, p), ps)]
+    """One classified simulation per p, serially in p order."""
+    return [_classify_p(config, p) for p in config.p_values]
 
 
 @dataclass(frozen=True)
@@ -254,7 +227,7 @@ def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
     undetermined: list[float] = []
 
     def classify_at(p: float) -> str:
-        row, _ = _classify_p(config, p)
+        row = _classify_p(config, p)
         rows.append(row)
         if row.classification == UNDETERMINED:
             undetermined.append(p)

@@ -194,7 +194,7 @@ class LinearPlan:
     k = points/2 stands for itself and its conjugate twin. Every per-mode
     factor is evaluated once per unique eigenvalue lam = |xi|^(2s) (`lam_u`)
     and spread to the modes by `inv`. A plan without a mesh serves the mode
-    map and `exact_forcing` only.
+    map, `propagator` and `exact_forcing` only.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec,
@@ -272,21 +272,25 @@ class LinearPlan:
         scale = _sp.gamma(sig + 1.0) * t ** (sig + a)
         return scale * ml_neg_fast(a, a + sig + 1.0, self.lam_u * t**a)
 
+    def propagator(self, t: float) -> np.ndarray:
+        """Z[lam] = E_{a,1}(-lam t^a), the free propagator Z(t) per eigenvalue."""
+        a = self.params.alpha
+        return ml_neg_fast(a, 1.0, self.lam_u * t**a)
+
     def forcing_weights(self, n: int, cells: np.ndarray | None = None) -> np.ndarray:
         """S[lam] = int_0^{t_n} tau^sigma Y(t_n - tau; lam) dtau under the scheme.
 
         "accurate" is `exact_forcing(t_n)`; "fast" integrates on the mesh
-        cells.  `cells` is node n's cell-weight row if the caller already
-        holds it; the row is computed here only when the rule reads it.
+        cells.  At sigma = 0 both rules are the closed form `exact_forcing`,
+        which the telescoped cell row sums to.  `cells` is node n's
+        cell-weight row if the caller already holds it; the row is computed
+        here only when the rule reads it.
         """
-        if self.forcing_scheme == "accurate":
-            return self.exact_forcing(self.mesh.nodes[n])
         a, sig = self.params.alpha, self.params.sigma
+        if self.forcing_scheme == "accurate" or sig == 0.0:
+            return self.exact_forcing(self.mesh.nodes[n])
         lam_u, t_hist = self.lam_u, self.mesh.nodes[: n + 1]
-        t_now = t_hist[n]
-        if sig == 0.0:
-            return np.sum(self.cell_weights(n) if cells is None else cells, axis=0)
-        t1 = t_hist[1]
+        t_now, t1 = t_hist[n], t_hist[1]
         if n == 1:
             # Single cell with both endpoint singularities: Gauss-Jacobi with
             # weight (1-x)^(a-1) (1+x)^sigma after mapping tau = t1 (x+1)/2.
@@ -315,9 +319,7 @@ class LinearPlan:
         """Modes of Z(t_n) u0 + S_w(t_n) at node n; None drops a term."""
         out = np.zeros(self.nmodes, dtype=complex)
         if u0_modes is not None:
-            a = self.params.alpha
-            z = ml_neg_fast(a, 1.0, self.lam_u * self.mesh.nodes[n] ** a)
-            out += z[self.inv] * u0_modes
+            out += self.propagator(self.mesh.nodes[n])[self.inv] * u0_modes
         if w_modes is not None:
             out += self.forcing_weights(n, cells)[self.inv] * w_modes
         return out

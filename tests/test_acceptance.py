@@ -4,6 +4,7 @@ Each test prints the measured quantities it asserts on, so a verbose run
 doubles as a verification report.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fracsim import (
     GridSpec,
     LinearPlan,
     ModelParams,
+    ResolutionWarning,
     SweepConfig,
     TimeMesh,
     fractional_laplacian,
@@ -164,8 +166,8 @@ def test_criterion_05_exponent_algebra():
     assert rep.p_fujita == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
 
 
-def test_criterion_06_picard_oracle_equivalence():
-    grid = GridSpec(dim=1, points=256, half_width=50.0)
+def _picard_oracle_case(points):
+    grid = GridSpec(dim=1, points=points, half_width=50.0)
     u0 = gaussian_field(grid, 0.01, 1.0)
     w = gaussian_field(grid, 0.01, 1.0)
     mesh = TimeMesh.make(0.5, 64, grading=2.0)
@@ -174,10 +176,20 @@ def test_criterion_06_picard_oracle_equivalence():
     diff = float(
         np.max(np.abs(direct.final_field.values - fixed_point.final_field.values))
     )
-    print(f"\n  L-infinity disagreement at T=0.5: {diff:.3e}")
+    print(f"\n  {points} points: L-infinity disagreement at T=0.5: {diff:.3e}")
+    print(f"  top-octave fraction: {direct.tail_fraction_max:.3e}")
     print(f"  observed contraction factor: {fixed_point.contraction_factor:.3e}")
     assert diff <= 1e-4
     assert fixed_point.contraction_factor < 1.0
+
+
+def test_criterion_06_picard_oracle_equivalence():
+    # The tail monitor calls 256 points under-resolved; 1024 points resolve
+    # the same run and must not warn.
+    _picard_oracle_case(256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        _picard_oracle_case(1024)
 
 
 def test_criterion_07_forcing_only_closed_forms():

@@ -266,7 +266,7 @@ class TestLinearExactness:
         assert val == pytest.approx(frozen, rel=1e-12)
 
     def test_forcing_sigma_zero_is_exact(self):
-        # sigma = 0 reduces to the telescoped weight sum, exact per mode:
+        # sigma = 0 uses the closed form under either scheme, exact per mode:
         # the mean evolves as c t^a E_{a,a+1}(0) = c t^a / Gamma(a+1).
         params = ModelParams(0.5, 0.4, 0.0, 3.0)
         grid = GridSpec(dim=1, points=64, half_width=10.0)
