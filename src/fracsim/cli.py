@@ -24,7 +24,7 @@ from .errors import BracketingError, DomainError, NumericalError, PreconditionEr
 from .harness import (bracket_pstar, config_from_dict, config_from_json,
                       hypotheses_options, read_config, rows_to_csv, run_sweep)
 from .kernels import apply_propagator, profile
-from .solver import ModelParams, integrate
+from .solver import ModelParams
 from .spectral import Field, GridSpec, gaussian_field, lq_norm
 
 USAGE_ERROR = 1
@@ -79,6 +79,11 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    if args.points < 2:
+        raise DomainError(f"kernel --points must be >= 2, got {args.points}")
+    if not 0.0 < args.r_min < args.r_max < math.inf:
+        raise DomainError(f"kernel needs 0 < --r-min < --r-max < inf, "
+                          f"got {args.r_min!r} and {args.r_max!r}")
     if args.mode == "profile":
         radii = np.geomspace(args.r_min, args.r_max, args.points)
         prof = profile(args.kind, args.alpha, args.s, args.dim, radii)
@@ -118,17 +123,7 @@ def _cmd_simulate(args) -> int:
     config = config_from_json(args.config)
     if len(config.p_values) != 1:
         raise DomainError("simulate needs a config with a single p (or 'p' field)")
-    params = config.model(config.p_values[0])
-    result = integrate(
-        params,
-        config.grid,
-        config.u0.build(config.grid),
-        config.w.build(config.grid),
-        config.mesh(),
-        q_report=config.q_report,
-        thresholds=config.thresholds,
-        forcing_scheme=config.forcing_scheme,
-    )
+    result = config.simulate(config.p_values[0])
     beta = config.thresholds.beta
     lines = ["t,Lq_norm,Linf_norm,tbeta_Lq"]
     for t, lq, li in zip(result.t_nodes, result.lq_history, result.linf_history):
@@ -173,8 +168,8 @@ def _cmd_hypotheses(args) -> int:
     params = config.model(config.p_values[0])
     options = hypotheses_options(cfg, config.q_report)
     zero = gaussian_field(config.grid, 0.0, 1.0)
-    u0 = config.u0.build(config.grid) or zero
-    w = config.w.build(config.grid) or zero
+    u0 = config.u0_field or zero
+    w = config.w_field or zero
     _emit_json(local_average_hypotheses(params, u0, w, **options), args.out)
     return 0
 

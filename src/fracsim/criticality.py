@@ -288,7 +288,6 @@ class HypothesisReport:
     holds_avg_u0: bool
     holds_avg_w: bool
     flags: tuple[str, ...] = ()
-    smallness_sup: float | None = None
 
 
 def _ball_average_sup(field: Field, R_grid: np.ndarray, radius_exp: float,

@@ -33,6 +33,7 @@ from .solver import (
     UNDETERMINED,
     ClassifyThresholds,
     ModelParams,
+    SimResult,
     TimeMesh,
     integrate,
 )
@@ -69,7 +70,7 @@ CSV_COLUMNS = (
 class DataSpec:
     """Recipe for an initial-data or forcing profile on a grid."""
 
-    kind: str  # "gaussian", "indicator", or "zero"
+    kind: str = "zero"  # "gaussian", "indicator", or "zero"
     amplitude: float = 0.0
     width: float = 1.0
 
@@ -91,6 +92,9 @@ class DataSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One run per p; the mesh and `u0_field`/`w_field` (None when zero)
+    are built once, when the config is made."""
+
     alpha: float
     s: float
     sigma: float
@@ -118,17 +122,14 @@ class SweepConfig:
         if self.thresholds is None:
             object.__setattr__(self, "thresholds",
                                ClassifyThresholds(t_end=self.t_end))
-        if self.thresholds.t_end > self.t_end:
-            # classify could never reach it: every row would be Undetermined
-            raise DomainError(
-                f"classify.t_end {self.thresholds.t_end!r} exceeds "
-                f"time.t_end {self.t_end!r}"
-            )
+        self.thresholds.check_reachable(self.t_end)
         if self.forcing_scheme not in FORCING_SCHEMES:
             raise DomainError(
                 f"unknown forcing scheme {self.forcing_scheme!r}; "
                 f"expected one of {FORCING_SCHEMES}"
             )
+        object.__setattr__(self, "u0_field", self.u0.build(self.grid))
+        object.__setattr__(self, "w_field", self.w.build(self.grid))
 
     def model(self, p: float) -> ModelParams:
         return ModelParams(
@@ -138,6 +139,13 @@ class SweepConfig:
     def mesh(self) -> TimeMesh:
         """The time mesh, built and checked once when the config is made."""
         return self._mesh
+
+    def simulate(self, p: float) -> SimResult:
+        """The classified march of this config at power p."""
+        return integrate(self.model(p), self.grid, self.u0_field, self.w_field,
+                         self.mesh(), q_report=self.q_report,
+                         thresholds=self.thresholds,
+                         forcing_scheme=self.forcing_scheme)
 
 
 @dataclass(frozen=True)
@@ -154,11 +162,14 @@ class SweepRow:
 
 
 def _classify_p(config: SweepConfig, p: float) -> SweepRow:
+    """`config.simulate(p)` as a row tagged with the closed-form exponents.
+
+    Numerical, domain, range and precondition errors become a Failed row
+    that names them; any other exception is a bug and propagates."""
     params = config.model(p)
     notes: list[str] = []
-    w_field = config.w.build(config.grid)
-    if w_field is not None:
-        mass = float(np.sum(w_field.values)) * config.grid.cell_volume
+    if config.w_field is not None:
+        mass = float(np.sum(config.w_field.values)) * config.grid.cell_volume
         if mass <= 0.0:
             notes.append("forcing-mass-nonpositive")
     tags = dict(
@@ -168,20 +179,9 @@ def _classify_p(config: SweepConfig, p: float) -> SweepRow:
         beta=beta_exponent(params, config.q_report).value,
     )
     try:
-        result = integrate(
-            params,
-            config.grid,
-            config.u0.build(config.grid),
-            w_field,
-            config.mesh(),
-            q_report=config.q_report,
-            thresholds=config.thresholds,
-            forcing_scheme=config.forcing_scheme,
-        )
+        result = config.simulate(p)
     except (NumericalError, DomainError, UnsupportedRangeError,
             PreconditionError) as exc:
-        # Recorded, never aborting the sweep; any other exception is a
-        # programming error and propagates.
         note = "; ".join(notes + [f"{type(exc).__name__}: {exc}"])
         return SweepRow(**tags, classification="Failed", blowup_time_est=None,
                         decay_exponent=None, r_squared=None, note=note)
@@ -196,7 +196,7 @@ def _classify_p(config: SweepConfig, p: float) -> SweepRow:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """One classified simulation per p, serially in p order."""
+    """One `_classify_p` row per p of the config, serially in p order."""
     return [_classify_p(config, p) for p in config.p_values]
 
 
@@ -295,6 +295,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 _REQUIRED = object()
+_ABSENT = object()
 
 
 def _value(cfg: dict, path: str, conv, default=_REQUIRED):
@@ -314,6 +315,13 @@ def _value(cfg: dict, path: str, conv, default=_REQUIRED):
         raise DomainError(f"config {path}: {exc}") from None
 
 
+def _given(cfg: dict, prefix: str, convs: dict) -> dict:
+    """{key: conv(value)} for each key of `convs` the config holds at prefix."""
+    found = {key: _value(cfg, prefix + key, conv, _ABSENT)
+             for key, conv in convs.items()}
+    return {key: value for key, value in found.items() if value is not _ABSENT}
+
+
 def _integer(value) -> int:
     """int(value); booleans and numbers with a fractional part are rejected."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -324,19 +332,20 @@ def _integer(value) -> int:
 def config_from_dict(cfg: dict) -> SweepConfig:
     """Build a SweepConfig from a schema-1 JSON dict.
 
-    Missing required keys and values of the wrong type raise DomainError
-    naming the key path (e.g. ``time.steps``).
+    Only the keys the dict holds are passed on, so every default of
+    `SweepConfig`, `DataSpec` and `ClassifyThresholds` is the dataclass's.
+    The reader owns the defaults with no dataclass home: `grid.points` 4096,
+    `grid.half_width` 50, `time.t_end` 50, `time.steps` 600, and
+    `classify.t_end` = `time.t_end`. Missing required keys and values of the
+    wrong type raise DomainError naming the key path (e.g. ``time.steps``).
     """
     if not isinstance(cfg, dict):
         raise DomainError("config must be a JSON object")
     if cfg.get("schema") != 1:
         raise DomainError(f"unsupported config schema {cfg.get('schema')!r}")
     dim = _value(cfg, "model.dim", _integer)
-    grid = GridSpec(
-        dim=dim,
-        points=_value(cfg, "grid.points", _integer, 4096),
-        half_width=_value(cfg, "grid.half_width", float, 50.0),
-    )
+    grid = GridSpec(dim=dim, **{"points": 4096, "half_width": 50.0} | _given(
+        cfg, "grid.", {"points": _integer, "half_width": float}))
     if cfg.get("p_values") is not None:
         p_values = _value(cfg, "p_values", lambda v: tuple(float(x) for x in v))
     else:
@@ -344,21 +353,15 @@ def config_from_dict(cfg: dict) -> SweepConfig:
 
     def data_spec(name: str) -> DataSpec:
         if cfg.get(name) is None:
-            return DataSpec(kind="zero")
-        return DataSpec(
-            kind=_value(cfg, f"{name}.kind", str, "zero"),
-            amplitude=_value(cfg, f"{name}.amplitude", float, 0.0),
-            width=_value(cfg, f"{name}.width", float, 1.0),
-        )
+            return DataSpec()
+        return DataSpec(**_given(cfg, f"{name}.", {
+            "kind": str, "amplitude": float, "width": float}))
 
-    t_end = _value(cfg, "time.t_end", float, 50.0)
-    thresholds = ClassifyThresholds(
-        u_max=_value(cfg, "classify.u_max", float, 1e8),
-        ratio_max=_value(cfg, "classify.ratio_max", float, 10.0),
-        t_end=_value(cfg, "classify.t_end", float, t_end),
-        beta=_value(cfg, "classify.beta", float, 0.0),
-        monotone_slack=_value(cfg, "classify.monotone_slack", float, 0.01),
-    )
+    time = {"t_end": 50.0, "steps": 600} | _given(
+        cfg, "time.", {"t_end": float, "steps": _integer, "grading": float})
+    classify = {"t_end": time["t_end"]} | _given(cfg, "classify.", {
+        "u_max": float, "ratio_max": float, "t_end": float, "beta": float,
+        "monotone_slack": float})
     return SweepConfig(
         alpha=_value(cfg, "model.alpha", float),
         s=_value(cfg, "model.s", float),
@@ -368,12 +371,9 @@ def config_from_dict(cfg: dict) -> SweepConfig:
         u0=data_spec("u0"),
         w=data_spec("w"),
         grid=grid,
-        t_end=t_end,
-        steps=_value(cfg, "time.steps", _integer, 600),
-        grading=_value(cfg, "time.grading", float, 2.0),
-        thresholds=thresholds,
-        q_report=_value(cfg, "q_report", float, 4.0),
-        forcing_scheme=_value(cfg, "forcing_scheme", str, "fast"),
+        thresholds=ClassifyThresholds(**classify),
+        **time,
+        **_given(cfg, "", {"q_report": float, "forcing_scheme": str}),
     )
 
 

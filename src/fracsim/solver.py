@@ -151,6 +151,14 @@ class ClassifyThresholds:
             if not ok:
                 raise DomainError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
+    def check_reachable(self, t_end: float) -> None:
+        """DomainError unless a run that ends at t_end reaches self.t_end;
+        classify could never call a shorter run Global."""
+        if self.t_end > t_end:
+            raise DomainError(
+                f"classify.t_end {self.t_end!r} exceeds time.t_end {t_end!r}"
+            )
+
 
 @dataclass
 class SimResult:
@@ -338,12 +346,15 @@ def integrate(
     mesh: TimeMesh,
     q_report: float = np.inf,
     thresholds: ClassifyThresholds | None = None,
-    nonlinearity: bool = True,
     forcing_scheme: str = "fast",
 ) -> SimResult:
-    """March the mild solution across the mesh; halt on blow-up triggers."""
+    """March the mild solution across the mesh; halt on blow-up triggers.
+
+    Classify at `thresholds.t_end` (default: the mesh end), which must not
+    lie past the mesh end."""
     plan = LinearPlan(params, grid, mesh, forcing_scheme)
     thr = thresholds or ClassifyThresholds(t_end=mesh.t_end)
+    thr.check_reachable(mesh.t_end)
     p = params.p
     t = mesh.nodes
     m = mesh.steps
@@ -353,12 +364,11 @@ def integrate(
     w_modes = plan.to_modes(w.values) if w is not None else None
 
     u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
-    if nonlinearity:
-        nl_hist = np.empty((m + 1, 2, nmodes))
-        plan.to_planes(np.abs(u_prev) ** p, nl_hist[0])
-        # Weight-gather buffer, sized for the last step and reused by every
-        # step instead of allocating a growing temporary per step.
-        gathered = np.empty((m, nmodes))
+    nl_hist = np.empty((m + 1, 2, nmodes))
+    plan.to_planes(np.abs(u_prev) ** p, nl_hist[0])
+    # Weight-gather buffer, sized for the last step and reused by every
+    # step instead of allocating a growing temporary per step.
+    gathered = np.empty((m, nmodes))
 
     lq = [lq_norm(Field(grid, u_prev), q_report)]
     linf = [float(np.max(np.abs(u_prev)))]
@@ -370,10 +380,9 @@ def integrate(
 
     for n in range(1, m + 1):
         t_n = t[n]
-        cells = plan.cell_weights(n) if nonlinearity else None
+        cells = plan.cell_weights(n)
         modes_n = plan.linear_modes(n, u0_modes, w_modes, cells)
-        if nonlinearity:
-            modes_n += plan.history_modes(cells, nl_hist, gathered)
+        modes_n += plan.history_modes(cells, nl_hist, gathered)
 
         values = plan.to_values(modes_n)
         n_reached = n
@@ -400,8 +409,7 @@ def integrate(
             trigger_time = t_n
             notes.append(f"per-step growth ratio exceeded at t={t_n:.6g}")
             break
-        if nonlinearity:
-            plan.to_planes(np.abs(values) ** p, nl_hist[n])
+        plan.to_planes(np.abs(values) ** p, nl_hist[n])
 
     if tail_max > TAIL_THRESHOLD:
         notes.append(

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fracsim import GridSpec, ModelParams, profile
+from fracsim import GridSpec, LinearPlan, ModelParams, profile
 
 settings.register_profile(
     "default",
@@ -39,3 +39,18 @@ def f_profile_canonical():
     """
     radii = np.geomspace(1e-3, 1e3, 120)
     return profile("F", 0.5, 0.4, 1, radii)
+
+
+@pytest.fixture(scope="session")
+def linear_values():
+    """linear_values(plan, u0, w, n=None): the real-space linear solution
+    Z(t_n) u0 + S_w(t_n) at node n of the plan's mesh (default: the last),
+    from `LinearPlan.linear_modes`; a None field drops its term."""
+
+    def solve(plan: LinearPlan, u0, w, n: int | None = None) -> np.ndarray:
+        u0_modes = None if u0 is None else plan.to_modes(u0.values)
+        w_modes = None if w is None else plan.to_modes(w.values)
+        n = plan.mesh.steps if n is None else n
+        return plan.to_values(plan.linear_modes(n, u0_modes, w_modes))
+
+    return solve

@@ -192,20 +192,18 @@ def test_criterion_06_picard_oracle_equivalence():
         _picard_oracle_case(1024)
 
 
-def test_criterion_07_forcing_only_closed_forms():
+def test_criterion_07_forcing_only_closed_forms(linear_values):
     # lambda = 0: constant forcing, mean = c t^{sigma+alpha} B(sigma+1, alpha)
     # divided by Gamma(alpha).
     grid = GridSpec(dim=1, points=64, half_width=10.0)
     c = 0.3
     w_const = Field(grid, np.full(grid.shape, c))
     mesh = TimeMesh.make(2.0, 100, grading=2.0)
-    res = integrate(
-        CANONICAL, grid, None, w_const, mesh, nonlinearity=False,
-        forcing_scheme="accurate",
-    )
+    values = linear_values(LinearPlan(CANONICAL, grid, mesh, "accurate"),
+                           None, w_const)
     a, sig = CANONICAL.alpha, CANONICAL.sigma
     exact0 = c * 2.0 ** (sig + a) * beta_fn(sig + 1.0, a) / gamma_fn(a)
-    mean = float(np.mean(res.final_field.values))
+    mean = float(np.mean(values))
     rel0 = abs(mean - exact0) / exact0
     print(f"\n  lambda=0: mean {mean:.12f} vs {exact0:.12f}  rel err {rel0:.3e}")
     assert rel0 <= 1e-12
@@ -216,11 +214,9 @@ def test_criterion_07_forcing_only_closed_forms():
     grid = GridSpec(dim=1, points=256, half_width=50.0)
     xi = 8 * math.pi / grid.half_width
     w_mode = Field(grid, np.cos(xi * grid.axis()))
-    res = integrate(
-        CANONICAL, grid, None, w_mode, mesh, nonlinearity=False,
-        forcing_scheme="accurate",
-    )
-    val = float(res.final_field.values[grid.points // 2])
+    values = linear_values(LinearPlan(CANONICAL, grid, mesh, "accurate"),
+                           None, w_mode)
+    val = float(values[grid.points // 2])
     rel1 = abs(val - frozen) / frozen
     print(f"  lambda>0: amplitude {val:.12f} vs {frozen:.12f}  rel err {rel1:.3e}")
     assert rel1 <= 1e-12

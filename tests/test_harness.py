@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,20 @@ class TestSweepConfig:
         with pytest.raises(DomainError, match="exceeds time.t_end"):
             small_config(t_end=10.0, steps=20,
                          thresholds=ClassifyThresholds(t_end=10.5))
+
+    def test_reader_states_only_defaults_with_no_dataclass_home(self):
+        model = {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1}
+        minimal = config_from_dict({"schema": 1, "model": model, "p": 3.0})
+        assert minimal == SweepConfig(
+            alpha=0.5, s=0.4, sigma=-0.25, dim=1, p_values=(3.0,),
+            u0=DataSpec(kind="zero"), w=DataSpec(kind="zero"),
+            grid=GridSpec(dim=1, points=4096, half_width=50.0),
+            t_end=50.0, steps=600,
+        )
+        cfg = config_from_dict({"schema": 1, "model": model, "p": 3.0,
+                                "time": {"t_end": 2.0, "steps": 24},
+                                "classify": {"u_max": 1e6}})
+        assert cfg.thresholds == ClassifyThresholds(u_max=1e6, t_end=2.0)
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(DomainError):
@@ -334,6 +349,7 @@ class TestCli:
         )
         assert payload["M"] == 2.0
         assert payload["R_0"] == want.R_0 and payload["avg_rhs"] == want.avg_rhs
+        assert "smallness_sup" not in payload
 
     @pytest.mark.parametrize("section, names", [
         ({"q": "abc"}, "config hypotheses.q: "),
@@ -399,6 +415,26 @@ class TestCli:
         assert {q for q, _, _ in slopes} == {1.0, 2.0}
         for _, pred, fit in slopes:
             assert abs(fit - pred) / max(abs(pred), 0.01) <= 0.02
+
+    @pytest.mark.parametrize("flags, names", [
+        (["--mode", "norms", "--points", "1"], "--points must be >= 2"),
+        (["--points", "0"], "--points must be >= 2"),
+        (["--points", "-2"], "--points must be >= 2"),
+        (["--mode", "profile", "--r-min", "0"], "0 < --r-min < --r-max"),
+        (["--r-min", "-1"], "0 < --r-min < --r-max"),
+        (["--r-min", "10", "--r-max", "1"], "0 < --r-min < --r-max"),
+        (["--r-max", "inf"], "0 < --r-min < --r-max"),
+    ], ids=["norms-one-point", "zero-points", "negative-points", "r-min-zero",
+            "r-min-negative", "r-min-above-r-max", "r-max-infinite"])
+    def test_bad_kernel_flag_is_one_line_usage_error(self, capsys, flags, names):
+        args = ["kernel", "--alpha", "0.5", "--s", "0.4"] + flags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert names in captured.err
 
     def test_bracket_reports_p_star_and_blowup_times(self, tmp_path, monkeypatch,
                                                      capsys):

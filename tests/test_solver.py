@@ -21,6 +21,7 @@ from fracsim import (
     estimate_decay_exponent,
     gaussian_field,
     integrate,
+    lq_norm,
     ml_e_neg,
     picard_solve,
 )
@@ -215,22 +216,22 @@ class TestMarchMemory:
 
 
 class TestLinearExactness:
-    def test_pure_diffusion_is_per_mode_exact(self):
-        # without nonlinearity and forcing the marcher must reproduce the
-        # mode-wise decay factor exactly, independent of step count.
+    def test_pure_diffusion_is_per_mode_exact(self, linear_values):
+        # without nonlinearity and forcing the linear solution must reproduce
+        # the mode-wise decay factor exactly, independent of step count.
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         grid = GridSpec(dim=1, points=128, half_width=20.0)
         u0 = gaussian_field(grid, 1.0, 2.0)
         mesh = TimeMesh.make(2.0, 7, grading=2.0)
-        res = integrate(params, grid, u0, None, mesh, nonlinearity=False)
+        values = linear_values(LinearPlan(params, grid, mesh), u0, None)
         lam = full_lam(grid, params.s)
         u0_modes = np.fft.fft(u0.values)
         exact_modes = ml_e_neg(params.alpha, 1.0, lam * 2.0**params.alpha) * u0_modes
         exact = np.fft.ifft(exact_modes).real
-        err = np.max(np.abs(res.final_field.values - exact))
+        err = np.max(np.abs(values - exact))
         assert err <= 1e-12
 
-    def test_forcing_zero_mode_closed_form(self):
+    def test_forcing_zero_mode_closed_form(self, linear_values):
         # constant forcing, sigma < 0: the mean evolves as
         # c t^{sigma+alpha} B(sigma+1, alpha) / Gamma(alpha).
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
@@ -238,16 +239,13 @@ class TestLinearExactness:
         c = 0.3
         w = Field(grid, np.full(grid.shape, c))
         mesh = TimeMesh.make(2.0, 100, grading=2.0)
-        res = integrate(
-            params, grid, None, w, mesh, nonlinearity=False,
-            forcing_scheme="accurate",
-        )
+        values = linear_values(LinearPlan(params, grid, mesh, "accurate"), None, w)
         a, sig = params.alpha, params.sigma
         exact = c * 2.0 ** (sig + a) * beta_fn(sig + 1.0, a) / gamma_fn(a)
-        mean = float(np.mean(res.final_field.values))
+        mean = float(np.mean(values))
         assert mean == pytest.approx(exact, rel=1e-12)
 
-    def test_forcing_single_mode_oracle(self):
+    def test_forcing_single_mode_oracle(self, linear_values):
         # cos mode k = 8 on [-50, 50): lam = (8 pi / 50)^{0.8}. The mode
         # amplitude at T = 2 is int_0^T tau^sigma (T-tau)^{a-1}
         # E_{a,a}(-lam (T-tau)^a) dtau / Gamma-normalised, evaluated once with
@@ -257,15 +255,12 @@ class TestLinearExactness:
         grid = GridSpec(dim=1, points=256, half_width=50.0)
         w = cosine_field(grid, 8)
         mesh = TimeMesh.make(2.0, 100, grading=2.0)
-        res = integrate(
-            params, grid, None, w, mesh, nonlinearity=False,
-            forcing_scheme="accurate",
-        )
+        values = linear_values(LinearPlan(params, grid, mesh, "accurate"), None, w)
         # solution is frozen * cos(xi x); read it off at x = 0
-        val = float(res.final_field.values[grid.points // 2])
+        val = float(values[grid.points // 2])
         assert val == pytest.approx(frozen, rel=1e-12)
 
-    def test_forcing_sigma_zero_is_exact(self):
+    def test_forcing_sigma_zero_is_exact(self, linear_values):
         # sigma = 0 uses the closed form under either scheme, exact per mode:
         # the mean evolves as c t^a E_{a,a+1}(0) = c t^a / Gamma(a+1).
         params = ModelParams(0.5, 0.4, 0.0, 3.0)
@@ -273,12 +268,12 @@ class TestLinearExactness:
         c = 0.3
         w = Field(grid, np.full(grid.shape, c))
         mesh = TimeMesh.make(2.0, 5, grading=2.0)
-        res = integrate(params, grid, None, w, mesh, nonlinearity=False)
+        values = linear_values(LinearPlan(params, grid, mesh), None, w)
         exact = c * 2.0**0.5 / gamma_fn(1.5)
-        mean = float(np.mean(res.final_field.values))
+        mean = float(np.mean(values))
         assert mean == pytest.approx(exact, rel=1e-13)
 
-    def test_forcing_scheme_refinement(self):
+    def test_forcing_scheme_refinement(self, linear_values):
         # against the frozen oracle, the fast rule's error shrinks as the mesh
         # is refined, while the closed form is exact at every step count.
         frozen = 0.8491344240237772
@@ -289,11 +284,8 @@ class TestLinearExactness:
         for scheme, found in errs.items():
             for steps in (25, 50, 100):
                 mesh = TimeMesh.make(2.0, steps, grading=2.0)
-                res = integrate(
-                    params, grid, None, w, mesh, nonlinearity=False,
-                    forcing_scheme=scheme,
-                )
-                val = float(res.final_field.values[grid.points // 2])
+                plan = LinearPlan(params, grid, mesh, scheme)
+                val = float(linear_values(plan, None, w)[grid.points // 2])
                 found.append(abs(val - frozen) / frozen)
         fast = errs["fast"]
         assert fast[0] > fast[1] > fast[2]
@@ -346,7 +338,7 @@ class TestModeMap:
         assert np.max(np.abs(back - v)) <= 1e-14 * np.max(np.abs(v))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_linear_march_matches_full_spectrum(self, dim):
+    def test_linear_march_matches_full_spectrum(self, dim, linear_values):
         # Z(t)u0 + S_w(t) from the full complex spectrum, built here from
         # ml_e_neg and the closed-form forcing, at every node of the march.
         mesh = TimeMesh.make(2.0, 6, grading=2.0)
@@ -356,25 +348,23 @@ class TestModeMap:
         x0 = grid.axis()[(slice(None),) + (None,) * (dim - 1)]
         u0 = Field(grid, np.exp(-r_sq / 4.0) * (1.0 + 0.3 * x0))
         w = Field(grid, 0.5 * np.exp(-((x0 - 1.0) ** 2) - r_sq / 9.0))
-        res = integrate(params, grid, u0, w, mesh, q_report=2.0,
-                        nonlinearity=False, forcing_scheme="accurate")
         lam_full = full_lam(grid, params.s)
         _, inv_full = np.unique(lam_full, return_inverse=True)
         inv_full = inv_full.reshape(grid.shape)
         u0_hat = np.fft.fftn(u0.values) * grid.cell_volume
         w_hat = np.fft.fftn(w.values) * grid.cell_volume
-        assert res.t_nodes.size == mesh.steps + 1
         for n in range(1, mesh.steps + 1):
             t_n = mesh.nodes[n]
             z = ml_e_neg(params.alpha, 1.0, lam_full * t_n**params.alpha)
             modes = z * u0_hat + plan.exact_forcing(t_n)[inv_full] * w_hat
             want = np.fft.ifftn(modes / grid.cell_volume).real
+            got = linear_values(plan, u0, w, n)
             np.testing.assert_allclose(
-                res.linf_history[n], np.max(np.abs(want)), rtol=1e-12)
+                np.max(np.abs(got)), np.max(np.abs(want)), rtol=1e-12)
             np.testing.assert_allclose(
-                res.lq_history[n], np.sqrt(np.sum(want**2) * grid.cell_volume),
-                rtol=1e-12)
-        np.testing.assert_allclose(res.final_field.values, want, rtol=0,
+                lq_norm(Field(grid, got), 2.0),
+                np.sqrt(np.sum(want**2) * grid.cell_volume), rtol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -455,6 +445,19 @@ class TestIntegratorBehaviour:
         mesh = TimeMesh.make(1.0, 5)
         with pytest.raises(PreconditionError):
             integrate(params, grid, None, None, mesh)
+
+    def test_classify_t_end_past_the_mesh_end_rejected(self):
+        # Classification at t = 50 on a mesh that ends at 20 could only say
+        # Undetermined; the same run classified at its mesh end is Global.
+        params = ModelParams(0.5, 0.4, -0.25, 4.0)
+        grid = GridSpec(dim=1, points=512, half_width=50.0)
+        w = gaussian_field(grid, 0.01, 1.0)
+        mesh = TimeMesh.make(20.0, 100)
+        assert integrate(params, grid, None, w, mesh).classification == "Global"
+        with pytest.raises(DomainError, match="classify.t_end 50.0 exceeds "
+                                              "time.t_end 20.0"):
+            integrate(params, grid, None, w, mesh,
+                      thresholds=ClassifyThresholds(u_max=1e6))
 
     @pytest.mark.parametrize("sigma, with_w", [(0.0, True), (-0.25, False)])
     def test_unknown_forcing_scheme_rejected(self, sigma, with_w):
