@@ -37,6 +37,7 @@ from .spectral import (
 from .kernels import (
     KernelProfile,
     apply_propagator,
+    lq_norm_is_finite,
     profile,
     profile_lq_norm,
     q_critical,

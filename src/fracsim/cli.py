@@ -20,10 +20,11 @@ import numpy as np
 from . import __version__
 from .criticality import (critical_exponents, local_average_hypotheses,
                           p_star_exponent)
-from .errors import BracketingError, DomainError, NumericalError, PreconditionError
+from .errors import (BracketingError, DomainError, NumericalError,
+                     PreconditionError, UnsupportedRangeError)
 from .harness import (bracket_pstar, config_from_dict, config_from_json,
                       hypotheses_options, read_config, rows_to_csv, run_sweep)
-from .kernels import apply_propagator, profile
+from .kernels import apply_propagator, lq_norm_is_finite, profile, q_critical
 from .solver import ModelParams
 from .spectral import Field, GridSpec, gaussian_field, lq_norm
 
@@ -101,6 +102,18 @@ def _cmd_kernel(args) -> int:
             f"kernel --mode norms computes on a 1D grid; got --dim {args.dim}"
         )
     kind = "Z" if args.kind == "F" else "Y"
+    # For alpha < 1 the symbol of Z (Y) decays like |xi|^-2s (|xi|^-4s), so
+    # the kernel is unbounded at x = 0 when N >= 2s (4s), and then in L^q
+    # only for q < N/(N - 2s) (N/(N - 4s)): beyond, no slope is predicted.
+    half_decay = args.s if kind == "Z" else 2.0 * args.s
+    if args.alpha < 1.0 and args.dim >= 2.0 * half_decay:
+        infinite = [q for q in args.q
+                    if not lq_norm_is_finite(q, args.dim, half_decay)]
+        if infinite:
+            raise UnsupportedRangeError(
+                f"kernel --q {', '.join(map(repr, infinite))}: the L^q norm of "
+                f"{kind}(t) is infinite for dim={args.dim}, s={args.s!r} (requires "
+                f"q < {q_critical(args.dim, half_decay):.6g})")
     grid = GridSpec(dim=1, points=32768, half_width=100.0)
     values = np.zeros(grid.shape)
     values[grid.points // 2] = 1.0 / grid.cell_volume
@@ -248,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DomainError, PreconditionError) as exc:
+    except (DomainError, PreconditionError, UnsupportedRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NumericalError, BracketingError) as exc:

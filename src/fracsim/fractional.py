@@ -14,10 +14,10 @@ mesh starting at 0 and assume the data is piecewise linear between nodes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, PreconditionError
 
@@ -63,7 +63,7 @@ def rl_integral(u: TimeSeries, alpha: float) -> TimeSeries:
     n = t.size
     slopes = np.diff(v) / np.diff(t)
     out = np.zeros(n)
-    inv_g = float(_sp.rgamma(alpha))
+    inv_g = 1.0 / math.gamma(alpha)
     for i in range(1, n):
         # Cell [t_j, t_{j+1}] against the kernel (t_i - s)^(alpha-1); with
         # b = t_i - t_j, a = t_i - t_{j+1} the linear-interpolant moments are
@@ -83,7 +83,7 @@ def caputo_derivative(u: TimeSeries, alpha: float) -> TimeSeries:
     n = t.size
     slopes = np.diff(u.values) / np.diff(t)
     out = np.zeros(n)
-    inv_g = float(_sp.rgamma(2.0 - alpha))
+    inv_g = 1.0 / math.gamma(2.0 - alpha)
     e = 1.0 - alpha
     for i in range(1, n):
         b = t[i] - t[:i]
@@ -108,7 +108,7 @@ def rl_right_derivative(v: TimeSeries, alpha: float, t_end: float) -> TimeSeries
     n = t.size
     slopes = np.diff(v.values) / np.diff(t)
     out = np.zeros(n)
-    inv_g = float(_sp.rgamma(2.0 - alpha))
+    inv_g = 1.0 / math.gamma(2.0 - alpha)
     e = 1.0 - alpha
     for i in range(n - 1):
         b = t[i + 1 :] - t[i]

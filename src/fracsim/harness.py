@@ -381,14 +381,16 @@ def hypotheses_options(cfg: dict, q_default: float) -> dict:
     """Keyword arguments of `local_average_hypotheses` from `hypotheses`.
 
     Values of the wrong type raise DomainError naming the key path (e.g.
-    ``hypotheses.q``); absent keys take their defaults.
+    ``hypotheses.q``).  The reader owns the defaults of `q` (the config's
+    `q_report`), `M`, `delta` and `M_script`, which have no home elsewhere;
+    `tail_norm_exponent` is passed only when the config holds it.
     """
     return {
         "q": _value(cfg, "hypotheses.q", float, q_default),
         "M": _value(cfg, "hypotheses.M", float, 1.0),
         "delta": _value(cfg, "hypotheses.delta", float, 1.0),
         "M_script": _value(cfg, "hypotheses.M_script", float, 1.0),
-        "tail_norm_exponent": _value(cfg, "hypotheses.tail_norm_exponent", str, "q"),
+        **_given(cfg, "hypotheses.", {"tail_norm_exponent": str}),
     }
 
 

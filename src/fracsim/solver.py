@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (
     DomainError,
@@ -67,6 +66,30 @@ UNDETERMINED = "Undetermined"
 # A run whose top-octave spectral energy fraction exceeds this gets a note
 # and a ResolutionWarning: the grid no longer resolves the solution.
 TAIL_THRESHOLD = 1e-6
+
+
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1-x)^a (1+x)^b on [-1, 1], a, b > -1.
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal matrix of the Jacobi polynomials' three-term recurrence, and
+    each weight is mu_0 = int (1-x)^a (1+x)^b dx times the squared first
+    component of its unit eigenvector.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)  # (b + a) cancelled: finite at a + b = 0
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    # The factor (k + a + b) / (s - 1) is 1 at k = 1, also where a + b = -1.
+    ratio = np.ones(n - 1)
+    ratio[1:] = (k[1:] + a + b) / (s[1:] - 1.0)
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * ratio / (s * s * (s + 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = (2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+           / math.gamma(a + b + 2.0))
+    return nodes, mu0 * vecs[0] ** 2
 
 
 @dataclass(frozen=True)
@@ -277,7 +300,7 @@ class LinearPlan:
         Gamma(sigma+1) t^(sigma+a) E_{a,a+sigma+1}(-lam t^a) for t > 0.
         """
         a, sig = self.params.alpha, self.params.sigma
-        scale = _sp.gamma(sig + 1.0) * t ** (sig + a)
+        scale = math.gamma(sig + 1.0) * t ** (sig + a)
         return scale * ml_neg_fast(a, a + sig + 1.0, self.lam_u * t**a)
 
     def propagator(self, t: float) -> np.ndarray:
@@ -302,7 +325,7 @@ class LinearPlan:
         if n == 1:
             # Single cell with both endpoint singularities: Gauss-Jacobi with
             # weight (1-x)^(a-1) (1+x)^sigma after mapping tau = t1 (x+1)/2.
-            x, wq = _sp.roots_jacobi(12, a - 1.0, sig)
+            x, wq = _gauss_jacobi(12, a - 1.0, sig)
             psi = (t1 * (1.0 - x) / 2.0) ** a
             vals = ml_neg_fast(a, a, np.outer(psi, lam_u))
             return (t1 / 2.0) ** (sig + a) * (wq @ vals)

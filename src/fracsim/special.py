@@ -31,12 +31,17 @@ and extended on demand whenever a call reaches past the pieces built so
 far.  It is within 1e-14 of `ml_e_neg` on y in [0, 1e4] (worst 5.2e-15
 over a in {0.3, 0.5, 0.7, 0.9, 0.95}, b in {1, a, a + 1, a + 0.75, a + 0.5}).
 At a = 1 both use closed forms instead: exp(-y) for b = 1, (1 - exp(-y))/y
-for b = 2, and 1F1(1; b; -y)/Gamma(b) otherwise.
+for b = 2, and 1F1(1; b; -y)/Gamma(b) otherwise, summed elementwise by mpmath.
+
+Gamma values come from the standard library's `math.gamma` and
+`math.lgamma`; `_rgamma` is 1/Gamma with 0.0 at the poles and beyond the
+overflow point.
 
 The Wright function phi_a(t) = sum (-t)^n / (n! Gamma(-a n + 1 - a)) is an
 entire function whose truncated sum suffers severe cancellation for larger t,
 so it is summed in adaptive-precision arithmetic with the working precision
-chosen from a float-level scan of the term magnitudes.  Beyond the tail cut
+chosen from a float-level scan of the term magnitudes; the t-independent
+part of that scan is computed once per a and cached.  Beyond the tail cut
 it is continued from its value at the cut; that anchor depends only on a and
 is summed once per a and cached.
 """
@@ -48,7 +53,6 @@ import threading
 
 import mpmath
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, NumericalError
 
@@ -67,17 +71,39 @@ _MAX_SERIES_TERMS = 600
 
 
 def gamma(x: float) -> float:
-    """Euler Gamma restricted to positive real arguments."""
+    """Euler Gamma restricted to positive real arguments; inf past overflow."""
     if not np.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma requires x > 0, got {x!r}")
-    return float(_sp.gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def beta_fn(a: float, b: float) -> float:
     """Euler Beta B(a, b) for positive real arguments."""
     if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_fn requires a, b > 0, got {a!r}, {b!r}")
-    return float(_sp.beta(a, b))
+    if a + b < 170.0:
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) for real x > -170; 0.0 at the poles x = 0, -1, -2, ... and
+    where Gamma(x) overflows (x > 171.62)."""
+    x = float(x)
+    if x <= 0.0 and x.is_integer():
+        return 0.0
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
+
+
+def _lgamma_row(z: np.ndarray) -> np.ndarray:
+    """log|Gamma(z)| elementwise for z > 0, from `math.lgamma`."""
+    return np.array([math.lgamma(v) for v in z.tolist()])
 
 
 # --------------------------------------------------------------------------
@@ -87,12 +113,12 @@ def beta_fn(a: float, b: float) -> float:
 
 def _series_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:
     """Power series sum E_{a,b}(-y) with compensated (Kahan) accumulation."""
-    total = np.full_like(y, float(_sp.rgamma(beta)))
+    total = np.full_like(y, _rgamma(beta))
     comp = np.zeros_like(y)
     power = np.ones_like(y)
     for n in range(1, _MAX_SERIES_TERMS):
         power = power * (-y)
-        term = power * float(_sp.rgamma(alpha * n + beta))
+        term = power * _rgamma(alpha * n + beta)
         t = total + term
         # Kahan compensation: recover the rounding loss of the addition.
         comp += np.where(
@@ -115,7 +141,7 @@ def _asymptotic_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:
     power = np.ones_like(y)
     for k in range(1, _ASYMPTOTIC_TERMS + 1):
         power = power * inv
-        coeff = float(_sp.rgamma(beta - alpha * k))
+        coeff = _rgamma(beta - alpha * k)
         if coeff != 0.0:
             out += (-1.0) ** (k + 1) * coeff * power
     return out
@@ -130,7 +156,7 @@ def _series_edge(alpha: float, beta: float) -> float:
     it ~1e-15, and the branch-cut rule is as accurate on both sides.
     """
     n = np.arange(1, _MAX_SERIES_TERMS)
-    lg = _sp.gammaln(alpha * n + beta)
+    lg = _lgamma_row(alpha * n + beta)
     for x in (5.0, 4.0, 3.0, 2.5, 2.0, 1.6, 1.3, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3):
         if np.max(n * math.log(x) - lg) <= math.log(1e4):
             return 0.5 * x
@@ -236,8 +262,11 @@ def ml_e_neg(alpha: float, beta: float, y):
             ys = y_arr[~small]
             out[~small] = -np.expm1(-ys) / ys
         else:
-            # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), accurate on y in [0, 1e6].
-            out[:] = _sp.hyp1f1(1.0, beta, -y_arr) * _sp.rgamma(beta)
+            # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), summed by mpmath one
+            # argument at a time (no march takes this path): accurate on y in
+            # [0, 1e6].
+            rg = mpmath.rgamma(beta)
+            out[:] = [float(mpmath.hyp1f1(1, beta, -v) * rg) for v in y_arr.tolist()]
         return float(out[0]) if scalar else out
 
     x_lo = _series_edge(alpha, beta)
@@ -256,7 +285,7 @@ def ml_e_neg(alpha: float, beta: float, y):
         else:
             # Step the second order parameter down with the exact recursion
             # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z until b <= 1.
-            c = float(_sp.rgamma(beta - alpha))
+            c = _rgamma(beta - alpha)
             out[m_mid] = (c - ml_e_neg(alpha, beta - alpha, ym)) / ym
     return float(out[0]) if scalar else out
 
@@ -401,7 +430,7 @@ def ml_neg_fast(alpha: float, beta: float, y):
     _FAST_CACHE.setdefault(key, ev)
     if lo == 0.0:
         # The fit is only ~1e-15 off at y = 0; the zero mode must be exact.
-        out[flat == 0.0] = _sp.rgamma(beta)
+        out[flat == 0.0] = _rgamma(beta)
     return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
 
@@ -420,27 +449,37 @@ def _wright_log_rgamma_abs(z: np.ndarray) -> np.ndarray:
     """log |1/Gamma(z)| for real z, using reflection for z <= 0."""
     out = np.empty_like(z)
     pos = z > 0.0
-    out[pos] = -_sp.gammaln(z[pos])
+    out[pos] = -_lgamma_row(z[pos])
     zn = z[~pos]
     # |Gamma(z)| = pi / (|sin(pi z)| Gamma(1 - z)) for non-integer z < 0.
     s = np.abs(np.sin(np.pi * zn))
     with np.errstate(divide="ignore"):
         out[~pos] = np.where(
-            s == 0.0, -np.inf, np.log(s) + _sp.gammaln(1.0 - zn) - math.log(math.pi)
+            s == 0.0, -np.inf, np.log(s) + _lgamma_row(1.0 - zn) - math.log(math.pi)
         )
     return out
 
 
+_WRIGHT_TERMS = 2000  # terms scanned by the float-level magnitude pass
+
+
+@functools.lru_cache(maxsize=64)
+def _wright_log_row(alpha: float) -> np.ndarray:
+    """The theta-independent part of the Wright log-term row, once per alpha.
+
+    Entry n is log(1/n!) + log|1/Gamma(1 - alpha (n + 1))| for n < 2000,
+    -inf at the poles of 1/Gamma.
+    """
+    n = np.arange(_WRIGHT_TERMS, dtype=float)
+    row = -_lgamma_row(n + 1.0) + _wright_log_rgamma_abs(1.0 - alpha * (n + 1.0))
+    row.setflags(write=False)
+    return row
+
+
 def _wright_series_mp(alpha: float, theta: float) -> float:
     """Adaptive-precision Wright sum; term magnitudes scanned in floats first."""
-    n = np.arange(0, 2000)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logterm = (
-            np.where(n == 0, 0.0, n * math.log(max(theta, 1e-300)))
-            - _sp.gammaln(n + 1.0)
-            + _wright_log_rgamma_abs(1.0 - alpha * (n + 1.0))
-        )
-    logterm[~np.isfinite(logterm)] = -np.inf
+    logterm = np.arange(_WRIGHT_TERMS) * math.log(max(theta, 1e-300))
+    logterm += _wright_log_row(alpha)
     peak = float(np.max(logterm))
     # Truncate after the last term within ~1e-43 of the peak; isolated poles
     # of 1/Gamma give -inf entries that must not trigger early truncation.

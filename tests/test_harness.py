@@ -467,6 +467,64 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "1D grid" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--q", "5"], ["--q", "inf"], ["--q", "1", "5"],
+        ["--kind", "G", "--s", "0.2", "--q", "5"],
+    ], ids=["q-c", "inf", "mixed", "y-kernel"])
+    def test_kernel_norms_reject_q_at_or_above_q_c(self, capsys, flags):
+        # q_c = 1/(1 - 2s) = 5 for Z at s = 0.4, and 1/(1 - 4s) = 5 for Y at
+        # s = 0.2: the kernel is not in L^q there.
+        args = ["kernel", "--mode", "norms", "--alpha", "0.5", "--s", "0.4",
+                "--points", "3", *flags]
+        assert cli_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "requires q < 5)" in captured.err
+
+    @pytest.mark.parametrize("flags, predicted", [
+        (["--q", "1", "2"], {-0.0, -0.3125}),
+        (["--kind", "G", "--q", "5", "inf"], {-1.0, -1.125}),
+        (["--alpha", "1", "--q", "5"], {-1.0}),
+    ], ids=["z-below-q-c", "y-bounded", "alpha-one"])
+    def test_kernel_norms_in_l_q_are_unchanged(self, capsys, flags, predicted):
+        # Y is bounded at s = 0.4 (4s > 1), and neither kernel is singular
+        # at alpha = 1, so every q has a slope there.
+        args = ["kernel", "--mode", "norms", "--alpha", "0.5", "--s", "0.4",
+                "--points", "3", *flags]
+        assert cli_main(args) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1 + 3 * len(predicted)
+        assert {float(line.split(",")[3]) for line in lines[1:]} == predicted
+
+    @pytest.mark.parametrize("section, model, names", [
+        ({"q": 2.0}, {}, "violates the scaling condition for q=2.0"),
+        ({}, {"s": 0.6}, "criterion requires dim > 2s"),
+    ], ids=["q-below-window", "dim-not-above-2s"])
+    def test_unsupported_hypotheses_are_one_line_usage_errors(
+        self, tmp_path, capsys, section, model, names
+    ):
+        cfg = {
+            "schema": 1, "p": 3.0,
+            "model": {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1} | model,
+            "w": {"kind": "gaussian", "amplitude": 0.05, "width": 1.0},
+            "grid": {"points": 64, "half_width": 10.0},
+            "hypotheses": section,
+        }
+        cfg_path = tmp_path / "hyp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["hypotheses", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert names in captured.err
+
+    def test_hypotheses_leave_tail_norm_exponent_to_its_default(self):
+        cfg = {"hypotheses": {"q": 4.0}}
+        assert "tail_norm_exponent" not in harness.hypotheses_options(cfg, 2.0)
+        cfg["hypotheses"]["tail_norm_exponent"] = "r"
+        assert harness.hypotheses_options(cfg, 2.0)["tail_norm_exponent"] == "r"
+
     def test_python_dash_m_runs_the_cli(self):
         env = dict(os.environ, PYTHONPATH=str(Path(fracsim.__file__).parents[1]))
         run = subprocess.run(

@@ -1,12 +1,15 @@
 """Fundamental kernels: symbols, radial profiles, propagators and norms."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
 from scipy.integrate import quad
 from scipy.special import erfcx
 
 import fracsim.kernels as kernels
+from fracsim.special import ml_neg_fast
 from fracsim import (
     DomainError,
     Field,
@@ -16,6 +19,7 @@ from fracsim import (
     apply_propagator,
     gaussian_field,
     lq_norm,
+    lq_norm_is_finite,
     ml_e_neg,
     profile,
     profile_lq_norm,
@@ -77,6 +81,86 @@ class TestSymbols:
             symbol_Z(0.0, 1.0, 0.5, 0.4)
         with pytest.raises(DomainError):
             symbol_Y(-1.0, 1.0, 0.5, 0.4)
+
+
+class TestBesselJ0:
+    """The numpy J0 and its zeros, which build the dim-2 inversion rule."""
+
+    def test_j0_matches_scipy(self):
+        # The dim-2 rule evaluates J0 below the 73rd zero, 228.5.  Beyond ~240
+        # scipy's own j0 drifts to 1.3e-15 from mpmath, so mpmath is the
+        # oracle there (next test).
+        x = np.concatenate([np.linspace(0.0, 240.0, 480001),
+                            [1.0, np.nextafter(1.0, 2.0), np.nextafter(20.0, 0.0), 20.0]])
+        assert np.max(np.abs(kernels._j0(x) - sp.j0(x))) <= 1e-15
+
+    def test_j0_matches_mpmath_to_300(self):
+        x = np.concatenate([np.linspace(0.0, 300.0, 1201), np.linspace(240.0, 300.0, 601)])
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.besselj(0, mpmath.mpf(v))) for v in x])
+        assert np.max(np.abs(kernels._j0(x) - want)) <= 1e-15
+
+    def test_zeros_match_scipy(self):
+        zeros = kernels._j0_zeros()
+        want = sp.jn_zeros(0, kernels._N_SEGMENTS + 1)
+        np.testing.assert_allclose(zeros, want, rtol=1e-14, atol=0.0)
+
+
+def per_radius_inverse(sym_fn, r, dim):
+    """The inversion at one radius with its breaks built in xi: the rule
+    `_unit_rule` rescales, kept here as its reference."""
+    if dim == 1:
+        zeros = (np.arange(kernels._N_SEGMENTS + 1) + 0.5) * np.pi / r
+        weight = lambda xi: np.cos(xi * r) / np.pi
+    elif dim == 2:
+        zeros = sp.jn_zeros(0, kernels._N_SEGMENTS + 1) / r
+        weight = lambda xi: sp.j0(xi * r) * xi / (2.0 * np.pi)
+    else:
+        zeros = (np.arange(1, kernels._N_SEGMENTS + 2)) * np.pi / r
+        weight = lambda xi: np.sin(xi * r) * xi / (2.0 * np.pi**2 * r)
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    cut = zeros[kernels._N_DIRECT - 1]
+    breaks = np.concatenate(([0.0], np.geomspace(cut * 1e-8, cut, 48)))
+    breaks = np.unique(np.concatenate((breaks, zeros[: kernels._N_DIRECT - 1])))
+    breaks = kernels._split_panels(breaks, np.pi / r)
+    hh = 0.5 * np.diff(breaks)
+    mm = 0.5 * (breaks[:-1] + breaks[1:])
+    xx = mm[:, None] + hh[:, None] * gx
+    head = float(np.sum(hh[:, None] * gw * sym_fn(xx) * weight(xx)))
+    lo, hi = zeros[kernels._N_DIRECT - 1 : -1], zeros[kernels._N_DIRECT :]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    xi = mid[:, None] + half[:, None] * gx
+    partial = np.cumsum(np.sum(half[:, None] * gw * sym_fn(xi) * weight(xi), axis=1))
+    while partial.size > 1:
+        partial = 0.5 * (partial[:-1] + partial[1:])
+    return head + float(partial[0])
+
+
+class TestUnitRule:
+    @pytest.mark.parametrize("kind,dim", [("F", 1), ("F", 2), ("F", 3), ("G", 1)])
+    def test_matches_the_per_radius_rule(self, kind, dim):
+        # At large r the quadrature sum is up to ~7e5 times its value (dim 3),
+        # so reordering its rounding alone moves the value by ~1e-10
+        # relative.  The bound is relative to the sum of |terms| (observed
+        # at most 9e-16).
+        alpha, s = 0.5, 0.4
+        beta = 1.0 if kind == "F" else alpha
+        sym_fn = lambda xi: ml_neg_fast(alpha, beta, xi ** (2.0 * s))
+        radii = np.geomspace(1e-3, 1e3, 40)
+        x, w = kernels._unit_rule(dim)
+        got = profile(kind, alpha, s, dim, radii).values
+        for r, value in zip(radii, got):
+            want = per_radius_inverse(sym_fn, r, dim)
+            terms = np.sum(np.abs(w * sym_fn(x / r))) / r**dim
+            assert abs(value - want) <= 1e-13 * terms
+
+    def test_averaging_weights_reproduce_repeated_averaging(self):
+        terms = np.random.default_rng(3).standard_normal(61)
+        partial = np.cumsum(terms)
+        while partial.size > 1:
+            partial = 0.5 * (partial[:-1] + partial[1:])
+        got = float(kernels._averaging_weights(61) @ terms)
+        assert got == pytest.approx(float(partial[0]), rel=1e-14, abs=1e-15)
 
 
 class TestProfiles:
@@ -170,6 +254,11 @@ class TestProfileNorms:
         prof = profile("F", 0.5, 0.4, 1, radii)
         with pytest.raises(UnsupportedRangeError):
             profile_lq_norm(prof, 6.0)
+        # q = 5 is q_c itself, though rounding puts 1/(1 - 0.8) a little above it.
+        assert q_critical(1, 0.4) > 5.0
+        assert not lq_norm_is_finite(5.0, 1, 0.4) and lq_norm_is_finite(4.99, 1, 0.4)
+        with pytest.raises(UnsupportedRangeError):
+            profile_lq_norm(prof, 5.0)
         # Restricted away from the origin the norm is finite again.
         assert profile_lq_norm(prof, 6.0, r_min=1.0) > 0.0
 

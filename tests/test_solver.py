@@ -2,11 +2,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
+from scipy.special import roots_jacobi
 
 from fracsim import (
     ClassifyThresholds,
@@ -86,6 +88,55 @@ class TestConfigObjects:
             TimeMesh(np.array([0.1, 0.5, 1.0]), 1.0)
         with pytest.raises(PreconditionError):
             TimeMesh(np.array([0.0, 0.5, 0.4]), 1.0)
+
+
+JACOBI_CASES = [(a, sig) for a in (0.3, 0.5, 0.9) for sig in (-0.5, -0.25)]
+
+
+class TestGaussJacobi:
+    """The 12-point rule of the n = 1 forcing step, weight (1-x)^(a-1) (1+x)^sigma."""
+
+    @pytest.mark.parametrize("a,sig", JACOBI_CASES)
+    def test_nodes_match_scipy(self, a, sig):
+        x, _ = solver._gauss_jacobi(12, a - 1.0, sig)
+        want, _ = roots_jacobi(12, a - 1.0, sig)
+        np.testing.assert_allclose(x, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("a,sig", JACOBI_CASES)
+    def test_weights_match_a_40_digit_rule(self, a, sig):
+        # Golub-Welsch at 40 digits.  scipy's roots_jacobi weights are up to
+        # 1.9e-13 off this rule at (0.3, -0.5), so they are not the oracle.
+        with mpmath.workdps(40):
+            ja, jb = mpmath.mpf(a - 1.0), mpmath.mpf(sig)
+            jac = mpmath.zeros(12, 12)
+            for k in range(12):
+                t = 2 * k + ja + jb
+                jac[k, k] = ((jb - ja) / (ja + jb + 2) if k == 0
+                             else (jb * jb - ja * ja) / (t * (t + 2)))
+                if k:
+                    ratio = 1 if k == 1 else (k + ja + jb) / (t - 1)
+                    jac[k, k - 1] = jac[k - 1, k] = mpmath.sqrt(
+                        4 * k * (k + ja) * (k + jb) * ratio / (t * t * (t + 1)))
+            nodes, vecs = mpmath.eigsy(jac)
+            mu0 = (2 ** (ja + jb + 1) * mpmath.gamma(ja + 1) * mpmath.gamma(jb + 1)
+                   / mpmath.gamma(ja + jb + 2))
+            order = sorted(range(12), key=lambda i: nodes[i])
+            want = np.array([float(mu0 * vecs[0, i] ** 2) for i in order])
+        _, w = solver._gauss_jacobi(12, a - 1.0, sig)
+        np.testing.assert_allclose(w, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("a,sig", JACOBI_CASES)
+    def test_rule_is_exact_to_degree_23(self, a, sig):
+        # int x^k (1-x)^(a-1) (1+x)^sig dx from Beta functions, at 40 digits:
+        # with x = 2t - 1 it is 2^(a+sig) sum_j C(k,j) 2^j (-1)^(k-j) B(j+sig+1, a).
+        x, w = solver._gauss_jacobi(12, a - 1.0, sig)
+        with mpmath.workdps(40):
+            for k in range(24):
+                exact = 2 ** mpmath.mpf(a + sig) * mpmath.fsum(
+                    mpmath.binomial(k, j) * 2**j * (-1) ** (k - j)
+                    * mpmath.beta(j + sig + 1, a) for j in range(k + 1))
+                scale = float(np.sum(w * np.abs(x) ** k))
+                assert abs(float(np.sum(w * x**k)) - float(exact)) <= 1e-13 * scale
 
 
 class TestWeightTable:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import scipy.special as sp
 from scipy.integrate import quad
 from scipy.special import erfcx
 
@@ -61,6 +62,60 @@ class TestBeta:
             beta_fn(-1.0, 0.5)
         with pytest.raises(DomainError):
             beta_fn(0.5, 0.0)
+
+
+class TestGammaHelpers:
+    """The math-module Gamma helpers against scipy.special, the reference.
+
+    log Gamma vanishes at 1 and 2, so its rows are compared relative to
+    max(|value|, 1).
+    """
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -3.0, 0.5, 172.0, 600.0])
+    def test_rgamma_at_poles_overflow_and_a_half(self, x):
+        want = float(sp.rgamma(x))
+        got = special._rgamma(x)
+        assert got == want or abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(a, b) for a in (0.3, 0.5, 0.7, 0.9, 0.95)
+         for b in (a, 1.0, a + 1.0, a + 0.75, a + 0.5)],
+    )
+    def test_series_edge_row_and_edge(self, alpha, beta):
+        n = np.arange(1, special._MAX_SERIES_TERMS)
+        z = alpha * n + beta
+        want = sp.gammaln(z)
+        row = special._lgamma_row(z)
+        assert np.max(np.abs(row - want) / np.maximum(np.abs(want), 1.0)) <= 1e-15
+        # The edge the scipy row gives, by the rule of `_series_edge`.
+        edge = next((0.5 * x for x in (5.0, 4.0, 3.0, 2.5, 2.0, 1.6, 1.3, 1.0, 0.8,
+                                       0.6, 0.5, 0.4, 0.3)
+                     if np.max(n * math.log(x) - want) <= math.log(1e4)), 0.125)
+        assert special._series_edge(alpha, beta) == edge
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.95])
+    def test_wright_row_is_cached_and_matches_gammaln(self, alpha):
+        n = np.arange(special._WRIGHT_TERMS, dtype=float)
+        z = 1.0 - alpha * (n + 1.0)
+        s = np.abs(np.sin(np.pi * z))
+        log_factorial = sp.gammaln(n + 1.0)
+        with np.errstate(divide="ignore"):
+            log_rgamma = np.where(
+                z > 0.0, -sp.gammaln(np.where(z > 0.0, z, 1.0)),
+                np.where(s == 0.0, -np.inf,
+                         np.log(s) + sp.gammaln(1.0 - z) - math.log(math.pi)))
+        want = log_rgamma - log_factorial
+        row = special._wright_log_row(alpha)
+        assert row is special._wright_log_row(alpha)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(row), finite)
+        assert np.all(row[~finite] == -np.inf)
+        # The two parts nearly cancel as alpha -> 1, so the row is compared
+        # relative to the size of its parts.
+        scale = np.abs(log_factorial) + np.abs(log_rgamma) + 1.0
+        err = np.abs(row[finite] - want[finite]) / scale[finite]
+        assert np.max(err) <= 1e-15
 
 
 class TestMittagLeffler:
