@@ -43,6 +43,7 @@ from .kernels import (
     q_critical,
     symbol_Y,
     symbol_Z,
+    symbol_decay,
 )
 from .solver import (
     BLOWUP,
@@ -57,6 +58,7 @@ from .solver import (
     classify,
     estimate_decay_exponent,
     integrate,
+    integrate_many,
     picard_solve,
 )
 from .criticality import (

@@ -102,18 +102,17 @@ def _cmd_kernel(args) -> int:
             f"kernel --mode norms computes on a 1D grid; got --dim {args.dim}"
         )
     kind = "Z" if args.kind == "F" else "Y"
-    # For alpha < 1 the symbol of Z (Y) decays like |xi|^-2s (|xi|^-4s), so
-    # the kernel is unbounded at x = 0 when N >= 2s (4s), and then in L^q
-    # only for q < N/(N - 2s) (N/(N - 4s)): beyond, no slope is predicted.
-    half_decay = args.s if kind == "Z" else 2.0 * args.s
-    if args.alpha < 1.0 and args.dim >= 2.0 * half_decay:
-        infinite = [q for q in args.q
-                    if not lq_norm_is_finite(q, args.dim, half_decay)]
-        if infinite:
-            raise UnsupportedRangeError(
-                f"kernel --q {', '.join(map(repr, infinite))}: the L^q norm of "
-                f"{kind}(t) is infinite for dim={args.dim}, s={args.s!r} (requires "
-                f"q < {q_critical(args.dim, half_decay):.6g})")
+    # Beyond the kernel's q_critical its L^q norm is infinite (the symbol
+    # decays too slowly for an origin singularity to be integrable): no
+    # slope is predicted there.
+    bound = dict(kind=kind, alpha=args.alpha)
+    infinite = [q for q in args.q
+                if not lq_norm_is_finite(q, args.dim, args.s, **bound)]
+    if infinite:
+        raise UnsupportedRangeError(
+            f"kernel --q {', '.join(map(repr, infinite))}: the L^q norm of "
+            f"{kind}(t) is infinite for dim={args.dim}, s={args.s!r} (requires "
+            f"q < {q_critical(args.dim, args.s, **bound):.6g})")
     grid = GridSpec(dim=1, points=32768, half_width=100.0)
     values = np.zeros(grid.shape)
     values[grid.points // 2] = 1.0 / grid.cell_volume
@@ -136,14 +135,17 @@ def _cmd_simulate(args) -> int:
     config = config_from_json(args.config)
     if len(config.p_values) != 1:
         raise DomainError("simulate needs a config with a single p (or 'p' field)")
-    result = config.simulate(config.p_values[0])
+    (result,) = config.simulate(config.p_values)
     beta = config.thresholds.beta
     lines = ["t,Lq_norm,Linf_norm,tbeta_Lq"]
     for t, lq, li in zip(result.t_nodes, result.lq_history, result.linf_history):
         tb = t**beta * lq if t > 0.0 else 0.0
         lines.append(f"{float(t)!r},{float(lq)!r},{float(li)!r},{float(tb)!r}")
     _emit_text("\n".join(lines) + "\n", args.out)
-    print(f"classification: {result.classification}", file=sys.stderr)
+    summary = {key: getattr(result, key) for key in (
+        "classification", "blowup_time_est", "decay_exponent",
+        "decay_r_squared", "tail_fraction_max", "notes")}
+    print(json.dumps(_plain(summary), allow_nan=False), file=sys.stderr)
     return 0
 
 

@@ -4,7 +4,9 @@ A sweep runs one simulation per nonlinearity power p at fixed remaining
 parameters, classifies each run (Global / BlowUp / Undetermined), and tags
 every row with the closed-form exponents so the table can be read against
 the predicted threshold p*.  `bracket_pstar` bisects on p between the
-largest observed BlowUp and the smallest observed Global.
+largest observed BlowUp and the smallest observed Global.  Both march up to
+`MARCH_MEMBERS` powers in lockstep (`integrate_many`), which share one
+cell-weight row per step; every row equals the row of its own march.
 
 Configs are plain JSON (schema 1); CSV output uses a fixed column order and
 repr-exact floats, so identical inputs give bit-identical files.
@@ -13,6 +15,7 @@ repr-exact floats, so identical inputs give bit-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from .solver import (
     ModelParams,
     SimResult,
     TimeMesh,
-    integrate,
+    integrate_many,
 )
 from .spectral import Field, GridSpec, gaussian_field, indicator_field
 
@@ -64,6 +67,10 @@ CSV_COLUMNS = (
     "r_squared",
     "note",
 )
+
+# The most powers one march holds: each live member keeps its own
+# (steps + 1, 2, modes) history.
+MARCH_MEMBERS = 3
 
 
 @dataclass(frozen=True)
@@ -140,12 +147,14 @@ class SweepConfig:
         """The time mesh, built and checked once when the config is made."""
         return self._mesh
 
-    def simulate(self, p: float) -> SimResult:
-        """The classified march of this config at power p."""
-        return integrate(self.model(p), self.grid, self.u0_field, self.w_field,
-                         self.mesh(), q_report=self.q_report,
-                         thresholds=self.thresholds,
-                         forcing_scheme=self.forcing_scheme)
+    def simulate(self, ps: Sequence[float]) -> list[SimResult]:
+        """The classified marches of this config at the powers `ps`, marched
+        in lockstep."""
+        return integrate_many([self.model(p) for p in ps], self.grid,
+                              self.u0_field, self.w_field, self.mesh(),
+                              q_report=self.q_report,
+                              thresholds=self.thresholds,
+                              forcing_scheme=self.forcing_scheme)
 
 
 @dataclass(frozen=True)
@@ -161,43 +170,54 @@ class SweepRow:
     note: str = ""
 
 
-def _classify_p(config: SweepConfig, p: float) -> SweepRow:
-    """`config.simulate(p)` as a row tagged with the closed-form exponents.
+def _classify(config: SweepConfig, ps: Sequence[float]) -> list[SweepRow]:
+    """`config.simulate(ps)` as rows tagged with the closed-form exponents.
 
-    Numerical, domain, range and precondition errors become a Failed row
-    that names them; any other exception is a bug and propagates."""
-    params = config.model(p)
+    Numerical, domain, range and precondition errors of the march become a
+    Failed row for each of its powers that names them; any other exception
+    is a bug and propagates."""
     notes: list[str] = []
     if config.w_field is not None:
         mass = float(np.sum(config.w_field.values)) * config.grid.cell_volume
         if mass <= 0.0:
             notes.append("forcing-mass-nonpositive")
-    tags = dict(
-        p=p,
-        p_c=params.dim * (p - 1.0) / (2.0 * params.s),
-        p_star=p_star_exponent(params.alpha, params.s, params.sigma, params.dim),
-        beta=beta_exponent(params, config.q_report).value,
-    )
+    tags = []
+    for p in ps:
+        params = config.model(p)
+        tags.append(dict(
+            p=p,
+            p_c=params.dim * (p - 1.0) / (2.0 * params.s),
+            p_star=p_star_exponent(params.alpha, params.s, params.sigma,
+                                   params.dim),
+            beta=beta_exponent(params, config.q_report).value,
+        ))
     try:
-        result = config.simulate(p)
+        results = config.simulate(ps)
     except (NumericalError, DomainError, UnsupportedRangeError,
             PreconditionError) as exc:
         note = "; ".join(notes + [f"{type(exc).__name__}: {exc}"])
-        return SweepRow(**tags, classification="Failed", blowup_time_est=None,
-                        decay_exponent=None, r_squared=None, note=note)
-    return SweepRow(
-        **tags,
-        classification=result.classification,
-        blowup_time_est=result.blowup_time_est,
-        decay_exponent=result.decay_exponent,
-        r_squared=result.decay_r_squared,
-        note="; ".join(notes + result.notes),
-    )
+        return [SweepRow(**tag, classification="Failed", blowup_time_est=None,
+                         decay_exponent=None, r_squared=None, note=note)
+                for tag in tags]
+    return [
+        SweepRow(
+            **tag,
+            classification=result.classification,
+            blowup_time_est=result.blowup_time_est,
+            decay_exponent=result.decay_exponent,
+            r_squared=result.decay_r_squared,
+            note="; ".join(notes + result.notes),
+        )
+        for tag, result in zip(tags, results)
+    ]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """One `_classify_p` row per p of the config, serially in p order."""
-    return [_classify_p(config, p) for p in config.p_values]
+    """One `_classify` row per p of the config, in p order; consecutive
+    groups of at most `MARCH_MEMBERS` powers share a march."""
+    ps = config.p_values
+    return [row for i in range(0, len(ps), MARCH_MEMBERS)
+            for row in _classify(config, ps[i : i + MARCH_MEMBERS])]
 
 
 @dataclass(frozen=True)
@@ -220,22 +240,40 @@ def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
     the bisection then probes the quarter points instead, and gives up with
     the widened bracket (and the undetermined p list as diagnostics) if
     those are undetermined too.
+
+    Probes are asked for one at a time and their rows kept by p.  A probe
+    not marched yet is marched in lockstep with the probes that may be
+    asked next: the following p_values (and, for exactly two p_values more
+    than tol_p apart, their midpoint); for a bisection probe, the next
+    round's midpoint after a BlowUp and after a Global, each when that half
+    is still wider than tol_p.  Rows of look-ahead probes never asked for
+    are dropped, so the result is the one-probe-at-a-time bisection's.
     """
     if tol_p <= 0.0:
         raise DomainError("tol_p must be positive")
     rows: list[SweepRow] = []
     undetermined: list[float] = []
+    marched: dict[float, SweepRow] = {}
 
-    def classify_at(p: float) -> str:
-        row = _classify_p(config, p)
+    def classify_at(p: float, look_ahead: list[float]) -> str:
+        if p not in marched:
+            ahead = [q for q in dict.fromkeys(look_ahead)
+                     if q != p and q not in marched]
+            group = [p] + ahead[: MARCH_MEMBERS - 1]
+            marched.update(zip(group, _classify(config, group)))
+        row = marched[p]
         rows.append(row)
         if row.classification == UNDETERMINED:
             undetermined.append(p)
         return row.classification
 
+    p_values = config.p_values
+    first_mid = []
+    if len(p_values) == 2 and p_values[1] - p_values[0] > tol_p:
+        first_mid = [p_values[0] + 0.5 * (p_values[1] - p_values[0])]
     p_lo = p_hi = None
-    for p in config.p_values:
-        c = classify_at(p)
+    for i, p in enumerate(p_values):
+        c = classify_at(p, list(p_values[i + 1 :]) + first_mid)
         if c == BLOWUP:
             if p_hi is not None and p > p_hi:
                 raise BracketingError(
@@ -255,7 +293,11 @@ def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
         moved = False
         for frac in (0.5, 0.25, 0.75):
             p_mid = p_lo + frac * (p_hi - p_lo)
-            c = classify_at(p_mid)
+            # The next round's midpoint after a Global, then after a BlowUp.
+            nxt = [p_lo + 0.5 * (p_mid - p_lo)] if p_mid - p_lo > tol_p else []
+            if p_hi - p_mid > tol_p:
+                nxt.append(p_mid + 0.5 * (p_hi - p_mid))
+            c = classify_at(p_mid, nxt)
             if c == BLOWUP:
                 p_lo = p_mid
                 moved = True

@@ -41,6 +41,7 @@ __all__ = [
     "profile",
     "apply_propagator",
     "profile_lq_norm",
+    "symbol_decay",
     "q_critical",
     "lq_norm_is_finite",
 ]
@@ -49,6 +50,21 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Fourier symbols
 # --------------------------------------------------------------------------
+
+
+def symbol_decay(kind: str, alpha: float, s: float) -> float:
+    """Power d of the large-|xi| decay |xi|^{-d} of a kernel's symbol.
+
+    F and Z (E_{alpha,1}) decay like |xi|^{-2s}, G and Y (E_{alpha,alpha})
+    like |xi|^{-4s} when alpha < 1; at alpha = 1 both decay exponentially
+    and d is inf.  In R^dim the kernel is therefore bounded at the origin
+    when dim < d, and lies in L^q for q < dim/(dim - d) (`q_critical`).
+    """
+    if kind not in ("F", "G", "Z", "Y"):
+        raise DomainError(f"kind must be 'F', 'G', 'Z' or 'Y', got {kind!r}")
+    if alpha == 1.0:
+        return np.inf
+    return 2.0 * s if kind in ("F", "Z") else 4.0 * s
 
 
 def _check_alpha_s(alpha: float, s: float) -> None:
@@ -310,15 +326,14 @@ def _unit_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _value_at_origin(alpha: float, beta: float, s: float, kind: str, dim: int) -> float:
     """Profile value at r = 0, where the transform is non-oscillatory.
 
-    The symbol decays like |xi|^{-2s} (F) or |xi|^{-4s} (G) when alpha < 1,
-    so the origin value is finite only when that decay beats the xi^{dim-1}
-    volume factor; otherwise the profile diverges at the origin.  With
+    The origin value is finite only when the symbol's decay (`symbol_decay`)
+    beats the xi^{dim-1} volume factor; otherwise the profile diverges at
+    the origin.  With
     y = xi^{2s} and mu = dim/(2s) the value is c_dim/(2s) times the Mellin
     transform int_0^inf y^{mu-1} E_{a,b}(-y) dy = Gamma(mu) Gamma(1-mu) /
     Gamma(b - a mu); its limits are Gamma(mu) at a = 1 and a at mu = 1 (G).
     """
-    decay = np.inf if alpha == 1.0 else (2.0 * s if kind == "F" else 4.0 * s)
-    if dim >= decay:
+    if dim >= symbol_decay(kind, alpha, s):
         raise UnsupportedRangeError(
             f"profile {kind} is unbounded at r=0 for dim={dim}, s={s}, "
             f"alpha={alpha}; request strictly positive radii"
@@ -386,22 +401,30 @@ def profile(kind: str, alpha: float, s: float, dim: int, radii) -> KernelProfile
 # --------------------------------------------------------------------------
 
 
-def q_critical(dim: int, s: float) -> float:
-    """Upper Lebesgue exponent q_c = dim/(dim - 2s) below which kernel norms are finite."""
-    if dim <= 2.0 * s:
-        return np.inf
-    return dim / (dim - 2.0 * s)
+def q_critical(dim: int, s: float, *, kind: str = "F", alpha: float = 0.5) -> float:
+    """Upper Lebesgue exponent below which the kernel `kind` lies in L^q(R^dim).
 
-
-def lq_norm_is_finite(q: float, dim: int, s: float) -> bool:
-    """True when q < q_c = dim/(dim - 2s), where a kernel whose symbol
-    decays like |xi|^-2s (Z(t) and F for alpha < 1) lies in L^q.
-
-    A q within 1e-12 (relative) of q_c counts as q_c: decimal inputs such as
-    dim = 1, s = 0.4, q = 5 sit exactly on the threshold, and rounding in
-    q_c could put them on either side.
+    With d = `symbol_decay(kind, alpha, s)` it is dim/(dim - d), and inf
+    when dim <= d.  The defaults give the paper's q_c = dim/(dim - 2s) of F
+    and Z, the same for every alpha < 1.
     """
-    return q < q_critical(dim, s) * (1.0 - 1e-12)
+    decay = symbol_decay(kind, alpha, s)
+    if dim <= decay:
+        return np.inf
+    return dim / (dim - decay)
+
+
+def lq_norm_is_finite(q: float, dim: int, s: float, *, kind: str = "F",
+                      alpha: float = 0.5) -> bool:
+    """True when the kernel `kind` lies in L^q(R^dim): always when it is
+    bounded (dim < `symbol_decay`), else for q < `q_critical`.
+
+    A q within 1e-12 (relative) of the bound counts as the bound: decimal
+    inputs such as dim = 1, s = 0.4, q = 5 sit exactly on q_c, and rounding
+    in q_c could put them on either side.
+    """
+    return (dim < symbol_decay(kind, alpha, s)
+            or q < q_critical(dim, s, kind=kind, alpha=alpha) * (1.0 - 1e-12))
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -430,19 +453,23 @@ def profile_lq_norm(
     power law fitted on the last decade (the profiles decay like
     r^{-dim-2s}).  The tail fit must explain the data (R^2 > 0.99) and the
     extrapolated integrals must converge, otherwise a numerical error is
-    raised.  Full-space norms with exponent q >= q_c = dim/(dim-2s) are
-    rejected: the origin singularity makes them infinite.
+    raised.  Full-space norms with q at or above the profile's
+    `q_critical` (dim/(dim - 2s) for F, dim/(dim - 4s) for G when alpha < 1,
+    none at alpha = 1) are rejected: the origin singularity makes them
+    infinite.
     """
-    if q < 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
+    if not 1.0 <= q < np.inf:
+        raise DomainError(f"q must be finite and >= 1, got {q}")
     if not (0.0 <= r_min < r_max):
         raise DomainError(f"need 0 <= r_min < r_max, got {r_min}, {r_max}")
     full_space = r_min == 0.0 and np.isinf(r_max)
     if full_space:
-        if not lq_norm_is_finite(q, prof.dim, prof.s):
+        bound = dict(kind=prof.kind, alpha=prof.alpha)
+        if not lq_norm_is_finite(q, prof.dim, prof.s, **bound):
             raise UnsupportedRangeError(
-                f"L^{q} norm is infinite for dim={prof.dim}, s={prof.s} "
-                f"(requires q < q_c = {q_critical(prof.dim, prof.s):.6g})"
+                f"L^{q} norm of {prof.kind} is infinite for dim={prof.dim}, "
+                f"s={prof.s}, alpha={prof.alpha} (requires q < "
+                f"{q_critical(prof.dim, prof.s, **bound):.6g})"
             )
     r = prof.radii
     v = prof.values

@@ -12,16 +12,20 @@ kernel frozen at the sigma-weighted centroid, midpoint samples of t^sigma
 against the cell weights elsewhere).
 
 `LinearPlan` owns this p-independent linear part (the eigenvalue map, the
-cell weights, the forcing rules and Z(t)u0); `integrate`, `picard_solve` and
-the smallness check each build one. Its modes are the flattened real-FFT
-half spectrum of `spectral`, the package's one mode convention.
+cell weights, the forcing rules and Z(t)u0); `integrate_many`,
+`picard_solve` and the smallness check each build one. Its modes are the
+flattened real-FFT half spectrum of `spectral`, the package's one mode
+convention.
 
-The nonlinear history N_j is stored as real and imaginary planes, shape
-(M+1, 2, modes) float64, and `LinearPlan.history_modes` contracts it with
-node n's weight row, gathered to the modes, in one real einsum. That one
-contraction serves `integrate` (left-endpoint history) and `picard_solve`
-(its trapezoid history). A march holds the history, (M+1)*modes*16 B, and
-the gather buffer, M*modes*8 B; no product buffer.
+`integrate_many` marches several powers p in lockstep on one plan: each
+step computes one cell-weight row, one linear-mode vector and one gather of
+the row to the modes (`LinearPlan.gather`), and each live member contracts
+its own nonlinear history with it (`LinearPlan.contract`). `integrate` is
+its march of one member. The history N_j is stored as real and imaginary
+planes, shape (M+1, 2, modes) float64, contracted in one real einsum. The
+same contraction serves `picard_solve` (its trapezoid history, through
+`LinearPlan.history_modes`). A march holds one history, (M+1)*modes*16 B,
+per live member and one gather buffer, M*modes*8 B; no product buffer.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +59,7 @@ __all__ = [
     "LinearPlan",
     "FORCING_SCHEMES",
     "integrate",
+    "integrate_many",
     "picard_solve",
     "classify",
     "estimate_decay_exponent",
@@ -270,22 +276,30 @@ class LinearPlan:
         e[:-1] -= e[1:]
         return e
 
-    def history_modes(self, cells: np.ndarray, hist: np.ndarray,
-                      gathered: np.ndarray) -> np.ndarray:
-        """Modes of sum_{j<n} W[j, lam] N_j for node n's cell-weight row.
-
-        `hist` holds N_j as real and imaginary planes, shape
-        (>= n, 2, nmodes); `gathered` is an (>= n, nmodes) buffer that
-        receives the row spread to the modes. One real einsum contracts
-        both planes, with no (n, nmodes) complex product.
-        """
+    def gather(self, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Node n's cell-weight row spread to the modes, written into the
+        first n rows of the (>= n, nmodes) buffer `out` and returned."""
         n = cells.shape[0]
         # mode="clip" skips the bounds-checked buffered copy that the
         # default mode makes with `out`; `inv` is always in range.
-        np.take(cells, self.inv, axis=1, out=gathered[:n], mode="clip")
+        return np.take(cells, self.inv, axis=1, out=out[:n], mode="clip")
+
+    def contract(self, gathered: np.ndarray, hist: np.ndarray) -> np.ndarray:
+        """Modes of sum_{j<n} W[j, mode] N_j for a gathered (n, nmodes) row.
+
+        `hist` holds N_j as real and imaginary planes, shape
+        (>= n, 2, nmodes). One real einsum contracts both planes, with no
+        (n, nmodes) complex product.
+        """
         out = np.empty(self.nmodes, dtype=complex)
-        out.real, out.imag = np.einsum("jk,jck->ck", gathered[:n], hist[:n])
+        out.real, out.imag = np.einsum("jk,jck->ck", gathered,
+                                       hist[: gathered.shape[0]])
         return out
+
+    def history_modes(self, cells: np.ndarray, hist: np.ndarray,
+                      gathered: np.ndarray) -> np.ndarray:
+        """`contract` of node n's row, gathered into the buffer `gathered`."""
+        return self.contract(self.gather(cells, gathered), hist)
 
     def to_planes(self, values: np.ndarray, out: np.ndarray) -> None:
         """Write the modes of real-space samples into `out` (2, nmodes)
@@ -374,105 +388,162 @@ def integrate(
     """March the mild solution across the mesh; halt on blow-up triggers.
 
     Classify at `thresholds.t_end` (default: the mesh end), which must not
-    lie past the mesh end."""
-    plan = LinearPlan(params, grid, mesh, forcing_scheme)
+    lie past the mesh end. The march of `integrate_many` with one member."""
+    return integrate_many([params], grid, u0, w, mesh, q_report, thresholds,
+                          forcing_scheme)[0]
+
+
+class _Member:
+    """One power p of a lockstep march: its history, norms and triggers."""
+
+    def __init__(self, params: ModelParams, plan: LinearPlan,
+                 thr: ClassifyThresholds, q_report: float,
+                 u_prev: np.ndarray, lq0: float) -> None:
+        self.params, self.plan, self.thr, self.q_report = params, plan, thr, q_report
+        self.hist: np.ndarray | None = np.empty(
+            (plan.mesh.steps + 1, 2, plan.nmodes))
+        plan.to_planes(np.abs(u_prev) ** params.p, self.hist[0])
+        self.lq = [lq0]
+        self.linf = [float(np.max(np.abs(u_prev)))]
+        self.tail_max = 0.0
+        self.trigger_time: float | None = None
+        self.notes: list[str] = []
+        self.last_values = u_prev
+        self.n_reached = 0
+
+    def step(self, n: int, row: np.ndarray, linear: np.ndarray) -> bool:
+        """Advance to node n from its gathered weight row and linear modes;
+        False once a trigger stops the march."""
+        plan, thr = self.plan, self.thr
+        grid, t_n = plan.grid, plan.mesh.nodes[n]
+        modes_n = plan.contract(row, self.hist)
+        modes_n += linear
+        values = plan.to_values(modes_n)
+        self.n_reached = n
+        self.last_values = values
+
+        if not np.all(np.isfinite(values)):
+            self.lq.append(np.inf)
+            self.linf.append(np.inf)
+            return self._stop(f"non-finite values at t={t_n:.6g}", t_n)
+        cur_linf = float(np.max(np.abs(values)))
+        self.lq.append(lq_norm(Field(grid, values), self.q_report))
+        self.linf.append(cur_linf)
+        tail = spectral_tail_fraction(
+            SpectralField(grid, modes_n.reshape(grid.mode_shape)))
+        self.tail_max = max(self.tail_max, tail)
+        if cur_linf > thr.u_max:
+            return self._stop(f"amplitude threshold exceeded at t={t_n:.6g}", t_n)
+        prev_linf = self.linf[-2]
+        if prev_linf > 1e-6 and cur_linf > thr.ratio_max * prev_linf:
+            return self._stop(f"per-step growth ratio exceeded at t={t_n:.6g}", t_n)
+        plan.to_planes(np.abs(values) ** self.params.p, self.hist[n])
+        return True
+
+    def _stop(self, note: str, t_n: float) -> bool:
+        """Record the trigger and drop the history."""
+        self.trigger_time = t_n
+        self.notes.append(note)
+        self.hist = None
+        return False
+
+    def result(self) -> SimResult:
+        """The classified run."""
+        plan, thr = self.plan, self.thr
+        if self.tail_max > TAIL_THRESHOLD:
+            self.notes.append(
+                f"top-octave spectral energy fraction reached {self.tail_max:.2e}"
+            )
+        t_hist = plan.mesh.nodes[: self.n_reached + 1]
+        lq_arr = np.asarray(self.lq)
+        linf_arr = np.asarray(self.linf)
+        classification, blowup_est = classify(
+            t_hist, lq_arr, linf_arr, thr, triggered_at=self.trigger_time,
+            reached_end=(self.trigger_time is None
+                         and self.n_reached == plan.mesh.steps),
+        )
+        decay_exp = decay_r2 = None
+        if classification == GLOBAL:
+            sel = t_hist >= 0.75 * t_hist[-1]
+            if np.count_nonzero(sel & (lq_arr > 0.0)) >= 10:
+                decay_exp, decay_r2 = estimate_decay_exponent(
+                    t_hist[sel], lq_arr[sel]
+                )
+        last = self.last_values
+        final = Field(plan.grid, last) if np.all(np.isfinite(last)) else None
+        return SimResult(
+            params=self.params,
+            q_report=self.q_report,
+            t_nodes=t_hist,
+            lq_history=lq_arr,
+            linf_history=linf_arr,
+            classification=classification,
+            blowup_time_est=blowup_est,
+            decay_exponent=decay_exp,
+            decay_r_squared=decay_r2,
+            tail_fraction_max=self.tail_max,
+            final_field=final,
+            notes=self.notes,
+        )
+
+
+def integrate_many(
+    params_seq: Sequence[ModelParams],
+    grid: GridSpec,
+    u0: Field | None,
+    w: Field | None,
+    mesh: TimeMesh,
+    q_report: float = np.inf,
+    thresholds: ClassifyThresholds | None = None,
+    forcing_scheme: str = "fast",
+) -> list[SimResult]:
+    """March several powers p in lockstep on one LinearPlan.
+
+    The members share alpha, s, sigma and dim and differ only in p, so each
+    step computes one cell-weight row, one linear-mode vector and one gather
+    of the row to the modes; each live member then contracts its own
+    history. A member that triggers stops and drops its history. Every
+    result equals the member's own `integrate` bit for bit.
+    """
+    params_seq = list(params_seq)
+    if not params_seq:
+        raise PreconditionError("a march needs at least one member")
+    if len({(p.alpha, p.s, p.sigma, p.dim) for p in params_seq}) > 1:
+        raise PreconditionError(
+            "the members of one march must share alpha, s, sigma and dim")
+    plan = LinearPlan(params_seq[0], grid, mesh, forcing_scheme)
     thr = thresholds or ClassifyThresholds(t_end=mesh.t_end)
     thr.check_reachable(mesh.t_end)
-    p = params.p
-    t = mesh.nodes
-    m = mesh.steps
-    nmodes = plan.nmodes
 
     u0_modes = plan.to_modes(u0.values) if u0 is not None else None
     w_modes = plan.to_modes(w.values) if w is not None else None
-
     u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
-    nl_hist = np.empty((m + 1, 2, nmodes))
-    plan.to_planes(np.abs(u_prev) ** p, nl_hist[0])
+    lq0 = lq_norm(Field(grid, u_prev), q_report)
+    members = [_Member(params, plan, thr, q_report, u_prev, lq0)
+               for params in params_seq]
     # Weight-gather buffer, sized for the last step and reused by every
     # step instead of allocating a growing temporary per step.
-    gathered = np.empty((m, nmodes))
+    gathered = np.empty((mesh.steps, plan.nmodes))
 
-    lq = [lq_norm(Field(grid, u_prev), q_report)]
-    linf = [float(np.max(np.abs(u_prev)))]
-    tail_max = 0.0
-    trigger_time: float | None = None
-    notes: list[str] = []
-    last_values = u_prev
-    n_reached = 0
-
-    for n in range(1, m + 1):
-        t_n = t[n]
+    live = members
+    for n in range(1, mesh.steps + 1):
+        if not live:
+            break
         cells = plan.cell_weights(n)
-        modes_n = plan.linear_modes(n, u0_modes, w_modes, cells)
-        modes_n += plan.history_modes(cells, nl_hist, gathered)
+        linear = plan.linear_modes(n, u0_modes, w_modes, cells)
+        row = plan.gather(cells, gathered)
+        live = [m for m in live if m.step(n, row, linear)]
 
-        values = plan.to_values(modes_n)
-        n_reached = n
-        last_values = values
-
-        if not np.all(np.isfinite(values)):
-            trigger_time = t_n
-            notes.append(f"non-finite values at t={t_n:.6g}")
-            lq.append(np.inf)
-            linf.append(np.inf)
-            break
-        cur_linf = float(np.max(np.abs(values)))
-        lq.append(lq_norm(Field(grid, values), q_report))
-        linf.append(cur_linf)
-        tail = spectral_tail_fraction(
-            SpectralField(grid, modes_n.reshape(grid.mode_shape)))
-        tail_max = max(tail_max, tail)
-        if cur_linf > thr.u_max:
-            trigger_time = t_n
-            notes.append(f"amplitude threshold exceeded at t={t_n:.6g}")
-            break
-        prev_linf = linf[-2]
-        if prev_linf > 1e-6 and cur_linf > thr.ratio_max * prev_linf:
-            trigger_time = t_n
-            notes.append(f"per-step growth ratio exceeded at t={t_n:.6g}")
-            break
-        plan.to_planes(np.abs(values) ** p, nl_hist[n])
-
-    if tail_max > TAIL_THRESHOLD:
-        notes.append(
-            f"top-octave spectral energy fraction reached {tail_max:.2e}"
-        )
-        warnings.warn(
-            f"spectral tail monitor: top-octave fraction {tail_max:.2e}",
-            ResolutionWarning,
-            stacklevel=2,
-        )
-
-    t_hist = t[: n_reached + 1]
-    lq_arr = np.asarray(lq)
-    linf_arr = np.asarray(linf)
-    classification, blowup_est = classify(
-        t_hist, lq_arr, linf_arr, thr, triggered_at=trigger_time,
-        reached_end=(trigger_time is None and n_reached == m),
-    )
-    decay_exp = decay_r2 = None
-    if classification == GLOBAL:
-        sel = t_hist >= 0.75 * t_hist[-1]
-        if np.count_nonzero(sel & (lq_arr > 0.0)) >= 10:
-            decay_exp, decay_r2 = estimate_decay_exponent(
-                t_hist[sel], lq_arr[sel]
+    results = [m.result() for m in members]
+    for res in results:
+        if res.tail_fraction_max > TAIL_THRESHOLD:
+            warnings.warn(
+                f"spectral tail monitor: top-octave fraction "
+                f"{res.tail_fraction_max:.2e}",
+                ResolutionWarning,
+                stacklevel=2,
             )
-    final = Field(grid, last_values) if np.all(np.isfinite(last_values)) else None
-    return SimResult(
-        params=params,
-        q_report=q_report,
-        t_nodes=t_hist,
-        lq_history=lq_arr,
-        linf_history=linf_arr,
-        classification=classification,
-        blowup_time_est=blowup_est,
-        decay_exponent=decay_exp,
-        decay_r_squared=decay_r2,
-        tail_fraction_max=tail_max,
-        final_field=final,
-        notes=notes,
-    )
+    return results
 
 
 def classify(

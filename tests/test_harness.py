@@ -156,13 +156,37 @@ class TestRunSweep:
                 raise exc
             return fake
 
-        monkeypatch.setattr(harness, "integrate", raise_(NumericalError("stalled")))
+        monkeypatch.setattr(harness, "integrate_many",
+                            raise_(NumericalError("stalled")))
         (row,) = run_sweep(small_config())
         assert row.classification == "Failed"
         assert row.note == "NumericalError: stalled"
-        monkeypatch.setattr(harness, "integrate", raise_(TypeError("a bug")))
+        # every power of a failed march gets the row the serial path gives
+        cfg = small_config(p_values=(2.0, 3.0),
+                           w=DataSpec(kind="gaussian", amplitude=-0.05, width=1.0))
+        rows = run_sweep(cfg)
+        assert [r.p for r in rows] == [2.0, 3.0]
+        assert {r.classification for r in rows} == {"Failed"}
+        assert {r.note for r in rows} == {
+            "forcing-mass-nonpositive; NumericalError: stalled"}
+        monkeypatch.setattr(harness, "integrate_many", raise_(TypeError("a bug")))
         with pytest.raises(TypeError, match="a bug"):
             run_sweep(small_config())
+
+    def test_sweep_marches_consecutive_groups(self, monkeypatch):
+        marches = []
+        monkeypatch.setattr(harness, "_classify",
+                            fake_rows(lambda p: "Global", marches))
+        p_values = (1.2, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+        rows = run_sweep(small_config(p_values=p_values))
+        assert [r.p for r in rows] == list(p_values)
+        assert marches == [[1.2, 1.5, 2.0], [2.5, 3.0, 3.5], [4.0]]
+
+    def test_rows_equal_the_rows_of_single_marches(self):
+        cfg = small_config(p_values=(1.5, 2.0, 3.0, 4.0))
+        serial = [row for p in cfg.p_values
+                  for row in harness._classify(cfg, [p])]
+        assert run_sweep(cfg) == serial
 
     def test_nonpositive_forcing_mass_noted(self):
         rows = run_sweep(
@@ -181,26 +205,41 @@ class TestRunSweep:
         assert lines[1].startswith("2.0,1.25,")
 
 
-def fake_rows(label_of):
-    def fake(config, p):
-        label = label_of(p)
-        return SweepRow(
-            p=p,
-            p_c=0.0,
-            p_star=None,
-            beta=0.0,
-            classification=label,
-            blowup_time_est=1.0 / p if label == "BlowUp" else None,
-            decay_exponent=None,
-            r_squared=None,
-        )
+def fake_rows(label_of, marches=None):
+    """A stand-in for `harness._classify` that labels each p by `label_of`
+    and appends the p list of every march to `marches`."""
+    def fake(config, ps):
+        if marches is not None:
+            marches.append(list(ps))
+        rows = []
+        for p in ps:
+            label = label_of(p)
+            rows.append(SweepRow(
+                p=p,
+                p_c=0.0,
+                p_star=None,
+                beta=0.0,
+                classification=label,
+                blowup_time_est=1.0 / p if label == "BlowUp" else None,
+                decay_exponent=None,
+                r_squared=None,
+            ))
+        return rows
     return fake
+
+
+def plateau_label(p):
+    if p <= 1.6:
+        return "BlowUp"
+    if p >= 2.8:
+        return "Global"
+    return "Undetermined"
 
 
 class TestBracket:
     def test_sharp_step_is_bracketed(self, monkeypatch):
         monkeypatch.setattr(
-            harness, "_classify_p",
+            harness, "_classify",
             fake_rows(lambda p: "BlowUp" if p < 2.0 else "Global"),
         )
         cfg = small_config(p_values=(1.5, 3.0))
@@ -212,24 +251,64 @@ class TestBracket:
         assert res.undetermined == ()
 
     def test_no_straddle_raises(self, monkeypatch):
-        monkeypatch.setattr(harness, "_classify_p", fake_rows(lambda p: "Global"))
+        monkeypatch.setattr(harness, "_classify", fake_rows(lambda p: "Global"))
         with pytest.raises(BracketingError):
             bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.1)
 
     def test_undetermined_plateau_reported(self, monkeypatch):
-        def label(p):
-            if p <= 1.6:
-                return "BlowUp"
-            if p >= 2.8:
-                return "Global"
-            return "Undetermined"
-
-        monkeypatch.setattr(harness, "_classify_p", fake_rows(label))
+        monkeypatch.setattr(harness, "_classify", fake_rows(plateau_label))
         res = bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.1)
         # the plateau blocks refinement: the bracket stays wide but the
         # undetermined probes are reported for diagnosis
         assert res.p_hi - res.p_lo > 0.1
         assert len(res.undetermined) > 0
+
+    # Probe sequences of the one-probe-at-a-time bisection; marching look-
+    # ahead probes in lockstep must not change them.
+    @pytest.mark.parametrize("p_values, tol_p, label, probes, undetermined", [
+        ((1.5, 3.0), 0.05, lambda p: "BlowUp" if p < 2.0 else "Global",
+         [1.5, 3.0, 2.25, 1.875, 2.0625, 1.96875, 2.015625], ()),
+        ((1.5, 3.0), 0.1, plateau_label,
+         [1.5, 3.0, 2.25, 1.875, 2.625], (2.25, 1.875, 2.625)),
+        ((1.5, 2.2, 3.5), 0.1,
+         lambda p: ("BlowUp" if p < 2.33
+                    else "Undetermined" if p < 2.4 else "Global"),
+         [1.5, 2.2, 3.5, 2.85, 2.5250000000000004, 2.3625000000000003,
+          2.28125, 2.403125, 2.3421875, 2.31171875],
+         (2.3625000000000003, 2.3421875)),
+    ], ids=["sharp-step", "plateau", "three-p-values"])
+    def test_probe_sequence_is_the_serial_one(self, monkeypatch, p_values, tol_p,
+                                              label, probes, undetermined):
+        marches = []
+        monkeypatch.setattr(harness, "_classify", fake_rows(label, marches))
+        res = bracket_pstar(small_config(p_values=p_values), tol_p=tol_p)
+        # exactly the serial probes: no row for a look-ahead never asked for
+        assert [row.p for row in res.rows] == probes
+        assert res.undetermined == undetermined
+        assert all(1 <= len(m) <= harness.MARCH_MEMBERS for m in marches)
+        marched = [p for m in marches for p in m]
+        assert len(marched) == len(set(marched))  # no p is marched twice
+        assert len(marches) < len(probes)
+
+    def test_marches_hold_the_next_midpoints(self, monkeypatch):
+        marches = []
+        monkeypatch.setattr(
+            harness, "_classify",
+            fake_rows(lambda p: "BlowUp" if p < 2.0 else "Global", marches))
+        bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.05)
+        # The initial pass holds the first midpoint; each later march holds
+        # the next round's midpoint after a Global and after a BlowUp.
+        # 7 probes in 3 marches.
+        assert marches == [[1.5, 3.0, 2.25], [1.875, 1.6875, 2.0625],
+                           [1.96875, 1.921875, 2.015625]]
+
+    def test_no_straddle_marches_only_the_initial_pass(self, monkeypatch):
+        marches = []
+        monkeypatch.setattr(harness, "_classify",
+                            fake_rows(lambda p: "Global", marches))
+        with pytest.raises(BracketingError, match="do not straddle"):
+            bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.1)
+        assert marches == [[1.5, 3.0, 2.25]]
 
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
@@ -267,6 +346,51 @@ class TestCli:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0].startswith("p,p_c,p_star,")
         assert len(lines) == 2
+
+    @staticmethod
+    def simulate_config(tmp_path) -> tuple[dict, str]:
+        """A one-p config (p = 3, Global) and the path it is written to."""
+        cfg = json.loads(config_with("classify.t_end", 2.0))
+        del cfg["p_values"]
+        cfg["p"] = 3.0
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return cfg, str(cfg_path)
+
+    def test_simulate_explains_its_run_in_one_json_line(self, tmp_path, capsys):
+        cfg, cfg_path = self.simulate_config(tmp_path)
+        assert cli_main(["simulate", "--config", cfg_path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("t,Lq_norm,Linf_norm,tbeta_Lq\n")
+        assert captured.err.count("\n") == 1
+        summary = json.loads(captured.err)
+        result, = harness.config_from_dict(cfg).simulate([3.0])
+        assert summary == {
+            "classification": result.classification,
+            "blowup_time_est": None,
+            "decay_exponent": result.decay_exponent,
+            "decay_r_squared": result.decay_r_squared,
+            "tail_fraction_max": result.tail_fraction_max,
+            "notes": result.notes,
+        }
+        assert summary["classification"] == "Global"
+
+    def test_simulate_writes_non_finite_values_as_strings(self, tmp_path, capsys,
+                                                          monkeypatch):
+        _, cfg_path = self.simulate_config(tmp_path)
+        real = SweepConfig.simulate
+
+        def blown_up(self, ps):
+            results = real(self, ps)
+            results[0].tail_fraction_max = float("nan")
+            results[0].blowup_time_est = float("inf")
+            return results
+
+        monkeypatch.setattr(SweepConfig, "simulate", blown_up)
+        assert cli_main(["simulate", "--config", cfg_path]) == 0
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["tail_fraction_max"] == "nan"
+        assert summary["blowup_time_est"] == "inf"
 
     def test_sweep_ignores_a_stale_thread_variable(self, tmp_path, monkeypatch):
         # A stale FRACSIM_THREADS must neither fail nor change the sweep.
@@ -439,7 +563,7 @@ class TestCli:
     def test_bracket_reports_p_star_and_blowup_times(self, tmp_path, monkeypatch,
                                                      capsys):
         monkeypatch.setattr(
-            harness, "_classify_p",
+            harness, "_classify",
             fake_rows(lambda p: "BlowUp" if p < 2.0 else "Global"),
         )
         cfg_path = tmp_path / "bracket.json"

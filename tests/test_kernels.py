@@ -27,6 +27,7 @@ from fracsim import (
     restricted_lq_norm,
     symbol_Y,
     symbol_Z,
+    symbol_decay,
 )
 
 GRID = GridSpec(dim=1, points=1024, half_width=50.0)
@@ -261,6 +262,36 @@ class TestProfileNorms:
             profile_lq_norm(prof, 5.0)
         # Restricted away from the origin the norm is finite again.
         assert profile_lq_norm(prof, 6.0, r_min=1.0) > 0.0
+
+    @pytest.mark.parametrize("q", [6.0, 10.0])
+    def test_bounded_g_profile_is_in_every_l_q(self, q):
+        # For alpha < 1 the G symbol decays like |xi|^-4s and 1 < 4s at
+        # s = 0.4, so G is bounded and in L^q for q above F's q_c = 5.
+        norms = [profile_lq_norm(profile("G", 0.5, 0.4, 1,
+                                         np.geomspace(1e-3, 1e3, n)), q)
+                 for n in (60, 240)]
+        assert all(math.isfinite(v) and v > 0.0 for v in norms)
+        assert norms[0] == pytest.approx(norms[1], rel=0.01)
+        # L^inf of a profile is its value at the origin, not a quadrature
+        with pytest.raises(DomainError, match="finite"):
+            profile_lq_norm(profile("G", 0.5, 0.4, 1, np.geomspace(1e-3, 1e3, 60)),
+                            np.inf)
+        f_prof = profile("F", 0.5, 0.4, 1, np.geomspace(1e-3, 1e3, 60))
+        with pytest.raises(UnsupportedRangeError):
+            profile_lq_norm(f_prof, 5.0)
+
+    def test_symbol_decay_takes_kind_and_alpha(self):
+        assert symbol_decay("F", 0.5, 0.4) == symbol_decay("Z", 0.5, 0.4) == 0.8
+        assert symbol_decay("G", 0.5, 0.4) == symbol_decay("Y", 0.5, 0.4) == 1.6
+        assert symbol_decay("F", 1.0, 0.4) == symbol_decay("G", 1.0, 0.4) == np.inf
+        with pytest.raises(DomainError):
+            symbol_decay("X", 0.5, 0.4)
+        # the paper's q_c by default; 1/(1 - 4s) for G at s = 0.2
+        assert q_critical(1, 0.4) == q_critical(1, 0.4, kind="Z", alpha=0.9)
+        assert q_critical(1, 0.2, kind="G", alpha=0.5) == pytest.approx(5.0)
+        assert lq_norm_is_finite(np.inf, 1, 0.4, kind="G", alpha=0.5)
+        assert lq_norm_is_finite(50.0, 1, 0.4, alpha=1.0)
+        assert not lq_norm_is_finite(5.0, 1, 0.2, kind="G", alpha=0.5)
 
     def test_cauchy_l2_closed_form(self):
         # ||(pi (1+r^2))^{-1}||_{L^2(R)} = 1/sqrt(2 pi).

@@ -23,6 +23,7 @@ from fracsim import (
     estimate_decay_exponent,
     gaussian_field,
     integrate,
+    integrate_many,
     lq_norm,
     ml_e_neg,
     picard_solve,
@@ -522,6 +523,55 @@ class TestIntegratorBehaviour:
             integrate(params, grid, None, w, mesh, forcing_scheme="bogus")
         with pytest.raises(DomainError, match="forcing scheme"):
             picard_solve(params, grid, None, w, mesh, forcing_scheme="bogus")
+
+
+class TestIntegrateMany:
+    """A lockstep march of several p against each member's own march."""
+
+    @staticmethod
+    def assert_same_run(a, b):
+        for name in ("t_nodes", "lq_history", "linf_history"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("params", "classification", "blowup_time_est",
+                     "decay_exponent", "decay_r_squared", "tail_fraction_max",
+                     "notes"):
+            assert getattr(a, name) == getattr(b, name)
+        assert np.array_equal(a.final_field.values, b.final_field.values)
+
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    def test_1d_members_with_an_early_exit_equal_their_own_marches(self):
+        grid = GridSpec(dim=1, points=256, half_width=50.0)
+        u0 = gaussian_field(grid, 0.05, 1.0)
+        w = gaussian_field(grid, 0.4, 1.0)
+        mesh = TimeMesh.make(50.0, 60)
+        params = [ModelParams(0.5, 0.4, -0.25, p) for p in (3.0, 1.5, 4.0)]
+        many = integrate_many(params, grid, u0, w, mesh, q_report=4.0)
+        assert [r.classification for r in many] == ["Global", "BlowUp", "Global"]
+        # p = 1.5 stops mid-march while the others march on without it
+        assert 1 < many[1].t_nodes.size - 1 < mesh.steps
+        for par, res in zip(params, many):
+            self.assert_same_run(res, integrate(par, grid, u0, w, mesh, q_report=4.0))
+
+    def test_2d_members_equal_their_own_marches(self):
+        grid = GridSpec(dim=2, points=64, half_width=8.0)
+        w = gaussian_field(grid, 0.4, 1.0)
+        mesh = TimeMesh.make(10.0, 40)
+        params = [ModelParams(0.5, 0.4, -0.25, p, dim=2) for p in (2.0, 3.0)]
+        many = integrate_many(params, grid, None, w, mesh, q_report=4.0)
+        for par, res in zip(params, many):
+            self.assert_same_run(res, integrate(par, grid, None, w, mesh, q_report=4.0))
+
+    def test_members_must_differ_only_in_p(self):
+        grid = GridSpec(dim=1, points=64, half_width=10.0)
+        mesh = TimeMesh.make(1.0, 5)
+        base = ModelParams(0.5, 0.4, -0.25, 3.0)
+        for other in (ModelParams(0.6, 0.4, -0.25, 2.0),
+                      ModelParams(0.5, 0.3, -0.25, 2.0),
+                      ModelParams(0.5, 0.4, -0.2, 2.0)):
+            with pytest.raises(PreconditionError, match="share"):
+                integrate_many([base, other], grid, None, None, mesh)
+        with pytest.raises(PreconditionError, match="at least one"):
+            integrate_many([], grid, None, None, mesh)
 
 
 class TestPicard:
