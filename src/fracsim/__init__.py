@@ -55,6 +55,7 @@ from .solver import (
     PicardResult,
     SimResult,
     TimeMesh,
+    Trigger,
     classify,
     estimate_decay_exponent,
     integrate,

@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
     _emit_text("\n".join(lines) + "\n", args.out)
     summary = {key: getattr(result, key) for key in (
         "classification", "blowup_time_est", "decay_exponent",
-        "decay_r_squared", "tail_fraction_max", "notes")}
+        "decay_r_squared", "tail_fraction_max", "notes", "trigger")}
     print(json.dumps(_plain(summary), allow_nan=False), file=sys.stderr)
     return 0
 

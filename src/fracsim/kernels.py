@@ -312,7 +312,9 @@ def _unit_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
     cut = zeros[_N_DIRECT - 1]
     breaks = np.concatenate(([0.0], np.geomspace(cut * 1e-8, cut, 48)))
-    breaks = np.unique(np.concatenate((breaks, zeros[: _N_DIRECT - 1])))
+    # Sort and drop repeats; np.unique would import numpy.ma.
+    breaks = np.sort(np.concatenate((breaks, zeros[: _N_DIRECT - 1])))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     x_head, w_head = _gauss_panels(_split_panels(breaks, np.pi))
     x_tail, w_tail = _gauss_panels(zeros[_N_DIRECT - 1 :])
     w_tail *= _averaging_weights(x_tail.shape[0])[:, None]

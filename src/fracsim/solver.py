@@ -20,12 +20,18 @@ convention.
 `integrate_many` marches several powers p in lockstep on one plan: each
 step computes one cell-weight row, one linear-mode vector and one gather of
 the row to the modes (`LinearPlan.gather`), and each live member contracts
-its own nonlinear history with it (`LinearPlan.contract`). `integrate` is
-its march of one member. The history N_j is stored as real and imaginary
-planes, shape (M+1, 2, modes) float64, contracted in one real einsum. The
-same contraction serves `picard_solve` (its trapezoid history, through
+its own nonlinear history with it (`LinearPlan.contract`) into its row of
+one (live, modes) stack. The rest of the step runs once over the stack: one
+inverse transform, one finite check, the norms and tail fractions per row
+(`spectral.lq_norms`, `spectral.tail_fractions`), the triggers, and one
+forward transform of |u|^p with each row's own p. `integrate` is its march
+of one member. The history N_j is stored as real and imaginary planes,
+shape (M+1, 2, modes) float64, contracted in one real einsum. The same
+contraction serves `picard_solve` (its trapezoid history, through
 `LinearPlan.history_modes`). A march holds one history, (M+1)*modes*16 B,
-per live member and one gather buffer, M*modes*8 B; no product buffer.
+per live member; no product buffer. In 1D every mode has its own
+eigenvalue, so the mode map is the identity and the row is its own gather;
+otherwise the march holds one gather buffer, M*modes*8 B.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -46,8 +52,7 @@ from .errors import (
     PreconditionError,
     ResolutionWarning,
 )
-from .spectral import (Field, GridSpec, SpectralField, lq_norm,
-                       spectral_tail_fraction)
+from .spectral import Field, GridSpec, lq_norm, lq_norms, tail_fractions
 from .special import ml_neg_fast
 
 __all__ = [
@@ -55,6 +60,7 @@ __all__ = [
     "TimeMesh",
     "ClassifyThresholds",
     "SimResult",
+    "Trigger",
     "PicardResult",
     "LinearPlan",
     "FORCING_SCHEMES",
@@ -189,6 +195,32 @@ class ClassifyThresholds:
             )
 
 
+_TRIGGER_NOTES = {
+    "non_finite": "non-finite values at t={:.6g}",
+    "amplitude": "amplitude threshold exceeded at t={:.6g}",
+    "growth_ratio": "per-step growth ratio exceeded at t={:.6g}",
+}
+
+
+@dataclass(frozen=True)
+class Trigger:
+    """Why a march stopped early: `kind` at node time `t`, with `value`.
+
+    `value` is the L^inf norm that crossed `u_max` ("amplitude"), the ratio
+    of successive L^inf norms that crossed `ratio_max` ("growth_ratio"), or
+    the recorded L^inf norm inf ("non_finite").
+    """
+
+    kind: str
+    t: float
+    value: float
+
+    @property
+    def note(self) -> str:
+        """The run note that reports this trigger."""
+        return _TRIGGER_NOTES[self.kind].format(self.t)
+
+
 @dataclass
 class SimResult:
     params: ModelParams
@@ -203,6 +235,7 @@ class SimResult:
     tail_fraction_max: float
     final_field: Field | None
     notes: list[str] = field(default_factory=list)
+    trigger: Trigger | None = None
 
 
 @dataclass
@@ -229,9 +262,11 @@ class LinearPlan:
     Modes are the flattened half spectrum of `GridSpec.to_modes` (shape
     `grid.mode_shape`), so a kept mode off the last-axis planes k = 0 and
     k = points/2 stands for itself and its conjugate twin. Every per-mode
-    factor is evaluated once per unique eigenvalue lam = |xi|^(2s) (`lam_u`)
-    and spread to the modes by `inv`. A plan without a mesh serves the mode
-    map, `propagator` and `exact_forcing` only.
+    factor is evaluated once per unique eigenvalue lam = |xi|^(2s) (`lam_u`,
+    ascending, so lam_u[0] = 0 is the zero mode's) and spread to the modes
+    by `inv`. In 1D lam rises with k, so `inv` is the identity
+    (`identity_map`) and the spread is skipped. A plan without a mesh serves
+    the mode map, `propagator` and `exact_forcing` only.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec,
@@ -248,18 +283,27 @@ class LinearPlan:
         self.forcing_scheme = forcing_scheme
         self.lam_u, self.inv = np.unique(grid.xi_squared().ravel() ** params.s,
                                          return_inverse=True)
+        self.identity_map = bool(np.array_equal(self.inv, np.arange(self.inv.size)))
 
     @property
     def nmodes(self) -> int:
         return self.inv.size
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Flat half-spectrum modes of real-space samples."""
-        return self.grid.to_modes(values).ravel()
+        """Flat half-spectrum modes of real-space samples; leading axes
+        beyond the grid's are a stack."""
+        modes = self.grid.to_modes(values)
+        return modes.reshape(modes.shape[: modes.ndim - self.grid.dim] + (-1,))
 
     def to_values(self, modes: np.ndarray) -> np.ndarray:
-        """Real-space samples of flat half-spectrum modes."""
-        return self.grid.to_values(modes.reshape(self.grid.mode_shape))
+        """Real-space samples of flat half-spectrum modes (a stack along
+        the leading axes)."""
+        return self.grid.to_values(
+            modes.reshape(modes.shape[:-1] + self.grid.mode_shape))
+
+    def _spread(self, per_lam: np.ndarray) -> np.ndarray:
+        """A per-eigenvalue array on the modes."""
+        return per_lam if self.identity_map else per_lam[self.inv]
 
     def cell_weights(self, n: int) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
@@ -267,45 +311,65 @@ class LinearPlan:
         Differences of e(d) = d^a E_{a,a+1}(-lam d^a) at the left ends
         d = t_n - t_j, j < n; e(0) = 0 closes the last cell, so the d = 0
         point is never evaluated. The telescoped sum over all cells is
-        exactly t_n^a E_{a,a+1}(-lam t_n^a).
+        exactly t_n^a E_{a,a+1}(-lam t_n^a). On the zero mode lam_u[0] = 0,
+        e(d) = d^a / Gamma(a+1) exactly, so only the lam > 0 columns reach
+        the table.
         """
         a = self.params.alpha
         da = (self.mesh.nodes[n] - self.mesh.nodes[:n]) ** a
-        e = ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, :])
+        e_zero = (1.0 / math.gamma(a + 1.0)) * da
+        e = ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, 1:])
         e *= da[:, None]
-        e[:-1] -= e[1:]
-        return e
+        cells = np.empty((n, self.lam_u.size))
+        cells[:-1, 0] = e_zero[:-1] - e_zero[1:]
+        np.subtract(e[:-1], e[1:], out=cells[:-1, 1:])
+        cells[-1, 0], cells[-1, 1:] = e_zero[-1], e[-1]
+        return cells
 
-    def gather(self, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Node n's cell-weight row spread to the modes, written into the
-        first n rows of the (>= n, nmodes) buffer `out` and returned."""
+    def gather_buffer(self) -> np.ndarray | None:
+        """The (M, nmodes) buffer `gather` writes into; None under the
+        identity mode map, which needs none."""
+        if self.identity_map:
+            return None
+        return np.empty((self.mesh.steps, self.nmodes))
+
+    def gather(self, cells: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """Node n's cell-weight row spread to the modes: `cells` itself under
+        the identity mode map, else written into the first n rows of the
+        (>= n, nmodes) buffer `out` and returned."""
+        if self.identity_map:
+            return cells
         n = cells.shape[0]
         # mode="clip" skips the bounds-checked buffered copy that the
         # default mode makes with `out`; `inv` is always in range.
         return np.take(cells, self.inv, axis=1, out=out[:n], mode="clip")
 
-    def contract(self, gathered: np.ndarray, hist: np.ndarray) -> np.ndarray:
-        """Modes of sum_{j<n} W[j, mode] N_j for a gathered (n, nmodes) row.
+    def contract(self, gathered: np.ndarray, hist: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Modes of sum_{j<n} W[j, mode] N_j for a gathered (n, nmodes) row,
+        written into the complex (nmodes,) `out` (new when None).
 
         `hist` holds N_j as real and imaginary planes, shape
         (>= n, 2, nmodes). One real einsum contracts both planes, with no
         (n, nmodes) complex product.
         """
-        out = np.empty(self.nmodes, dtype=complex)
+        if out is None:
+            out = np.empty(self.nmodes, dtype=complex)
         out.real, out.imag = np.einsum("jk,jck->ck", gathered,
                                        hist[: gathered.shape[0]])
         return out
 
     def history_modes(self, cells: np.ndarray, hist: np.ndarray,
-                      gathered: np.ndarray) -> np.ndarray:
-        """`contract` of node n's row, gathered into the buffer `gathered`."""
+                      gathered: np.ndarray | None) -> np.ndarray:
+        """`contract` of node n's row, gathered into the buffer `gathered`
+        (`gather_buffer`)."""
         return self.contract(self.gather(cells, gathered), hist)
 
     def to_planes(self, values: np.ndarray, out: np.ndarray) -> None:
-        """Write the modes of real-space samples into `out` (2, nmodes)
+        """Write the modes of real-space samples into `out` (..., 2, nmodes)
         as real and imaginary planes."""
         modes = self.to_modes(values)
-        out[0], out[1] = modes.real, modes.imag
+        out[..., 0, :], out[..., 1, :] = modes.real, modes.imag
 
     def exact_forcing(self, t: float) -> np.ndarray:
         """S[lam] = int_0^t tau^sigma Y(t - tau; lam) dtau in closed form.
@@ -364,9 +428,9 @@ class LinearPlan:
         """Modes of Z(t_n) u0 + S_w(t_n) at node n; None drops a term."""
         out = np.zeros(self.nmodes, dtype=complex)
         if u0_modes is not None:
-            out += self.propagator(self.mesh.nodes[n])[self.inv] * u0_modes
+            out += self._spread(self.propagator(self.mesh.nodes[n])) * u0_modes
         if w_modes is not None:
-            out += self.forcing_weights(n, cells)[self.inv] * w_modes
+            out += self._spread(self.forcing_weights(n, cells)) * w_modes
         return out
 
 
@@ -394,72 +458,40 @@ def integrate(
 
 
 class _Member:
-    """One power p of a lockstep march: its history, norms and triggers."""
+    """One power p of a lockstep march: its history, norms and trigger."""
 
-    def __init__(self, params: ModelParams, plan: LinearPlan,
-                 thr: ClassifyThresholds, q_report: float,
-                 u_prev: np.ndarray, lq0: float) -> None:
-        self.params, self.plan, self.thr, self.q_report = params, plan, thr, q_report
+    def __init__(self, params: ModelParams, plan: LinearPlan, lq0: float,
+                 linf0: float, u_prev: np.ndarray) -> None:
+        self.params = params
         self.hist: np.ndarray | None = np.empty(
             (plan.mesh.steps + 1, 2, plan.nmodes))
-        plan.to_planes(np.abs(u_prev) ** params.p, self.hist[0])
         self.lq = [lq0]
-        self.linf = [float(np.max(np.abs(u_prev)))]
+        self.linf = [linf0]
         self.tail_max = 0.0
-        self.trigger_time: float | None = None
-        self.notes: list[str] = []
+        self.trigger: Trigger | None = None
         self.last_values = u_prev
         self.n_reached = 0
 
-    def step(self, n: int, row: np.ndarray, linear: np.ndarray) -> bool:
-        """Advance to node n from its gathered weight row and linear modes;
-        False once a trigger stops the march."""
-        plan, thr = self.plan, self.thr
-        grid, t_n = plan.grid, plan.mesh.nodes[n]
-        modes_n = plan.contract(row, self.hist)
-        modes_n += linear
-        values = plan.to_values(modes_n)
-        self.n_reached = n
-        self.last_values = values
-
-        if not np.all(np.isfinite(values)):
-            self.lq.append(np.inf)
-            self.linf.append(np.inf)
-            return self._stop(f"non-finite values at t={t_n:.6g}", t_n)
-        cur_linf = float(np.max(np.abs(values)))
-        self.lq.append(lq_norm(Field(grid, values), self.q_report))
-        self.linf.append(cur_linf)
-        tail = spectral_tail_fraction(
-            SpectralField(grid, modes_n.reshape(grid.mode_shape)))
-        self.tail_max = max(self.tail_max, tail)
-        if cur_linf > thr.u_max:
-            return self._stop(f"amplitude threshold exceeded at t={t_n:.6g}", t_n)
-        prev_linf = self.linf[-2]
-        if prev_linf > 1e-6 and cur_linf > thr.ratio_max * prev_linf:
-            return self._stop(f"per-step growth ratio exceeded at t={t_n:.6g}", t_n)
-        plan.to_planes(np.abs(values) ** self.params.p, self.hist[n])
-        return True
-
-    def _stop(self, note: str, t_n: float) -> bool:
+    def stop(self, kind: str, t_n: float, value: float) -> None:
         """Record the trigger and drop the history."""
-        self.trigger_time = t_n
-        self.notes.append(note)
+        self.trigger = Trigger(kind, float(t_n), float(value))
         self.hist = None
-        return False
 
-    def result(self) -> SimResult:
+    def result(self, plan: LinearPlan, thr: ClassifyThresholds,
+               q_report: float) -> SimResult:
         """The classified run."""
-        plan, thr = self.plan, self.thr
+        notes = [self.trigger.note] if self.trigger is not None else []
         if self.tail_max > TAIL_THRESHOLD:
-            self.notes.append(
+            notes.append(
                 f"top-octave spectral energy fraction reached {self.tail_max:.2e}"
             )
         t_hist = plan.mesh.nodes[: self.n_reached + 1]
         lq_arr = np.asarray(self.lq)
         linf_arr = np.asarray(self.linf)
         classification, blowup_est = classify(
-            t_hist, lq_arr, linf_arr, thr, triggered_at=self.trigger_time,
-            reached_end=(self.trigger_time is None
+            t_hist, lq_arr, linf_arr, thr,
+            triggered_at=None if self.trigger is None else self.trigger.t,
+            reached_end=(self.trigger is None
                          and self.n_reached == plan.mesh.steps),
         )
         decay_exp = decay_r2 = None
@@ -473,7 +505,7 @@ class _Member:
         final = Field(plan.grid, last) if np.all(np.isfinite(last)) else None
         return SimResult(
             params=self.params,
-            q_report=self.q_report,
+            q_report=q_report,
             t_nodes=t_hist,
             lq_history=lq_arr,
             linf_history=linf_arr,
@@ -483,8 +515,69 @@ class _Member:
             decay_r_squared=decay_r2,
             tail_fraction_max=self.tail_max,
             final_field=final,
-            notes=self.notes,
+            notes=notes,
+            trigger=self.trigger,
         )
+
+
+def _store(plan: LinearPlan, members: list[_Member], n: int,
+           values: np.ndarray) -> None:
+    """Write |u|^p at node n into each member's history, from the stack
+    `values` (one row per member) and one forward transform."""
+    powered = np.abs(values)
+    for row, m in zip(powered, members):
+        row **= m.params.p
+    for modes, m in zip(plan.to_modes(powered), members):
+        m.hist[n, 0], m.hist[n, 1] = modes.real, modes.imag
+
+
+def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
+             live: list[_Member], n: int, row: np.ndarray, linear: np.ndarray,
+             modes: np.ndarray) -> list[_Member]:
+    """Advance the live members to node n in one batched step; returns the
+    members that go on.
+
+    Each member contracts its own history with the gathered weight row into
+    its row of the (live, nmodes) buffer `modes`. One inverse transform,
+    finite check, norm and tail pass and forward transform of |u|^p then
+    serve the whole stack. Norms and tails read only the finite rows.
+    """
+    grid, t_n = plan.grid, plan.mesh.nodes[n]
+    for m, out in zip(live, modes):
+        plan.contract(row, m.hist, out)
+    modes += linear
+    values = plan.to_values(modes)
+    finite = np.isfinite(values).reshape(len(live), -1).all(axis=1)
+    if not finite.all():
+        values_ok, modes_ok = values[finite], modes[finite]
+    else:
+        values_ok, modes_ok = values, modes
+    stats = zip(lq_norms(grid, values_ok, np.inf).tolist(),
+                lq_norms(grid, values_ok, q_report).tolist(),
+                tail_fractions(grid, modes_ok).tolist())
+    going, kept = [], []
+    for i, m in enumerate(live):
+        m.n_reached, m.last_values = n, values[i]
+        if not finite[i]:
+            m.lq.append(np.inf)
+            m.linf.append(np.inf)
+            m.stop("non_finite", t_n, np.inf)
+            continue
+        cur_linf, cur_lq, tail = next(stats)
+        m.lq.append(cur_lq)
+        m.linf.append(cur_linf)
+        m.tail_max = max(m.tail_max, tail)
+        prev_linf = m.linf[-2]
+        if cur_linf > thr.u_max:
+            m.stop("amplitude", t_n, cur_linf)
+        elif prev_linf > 1e-6 and cur_linf > thr.ratio_max * prev_linf:
+            m.stop("growth_ratio", t_n, cur_linf / prev_linf)
+        else:
+            going.append(m)
+            kept.append(i)
+    if going:
+        _store(plan, going, n, values if len(kept) == len(live) else values[kept])
+    return going
 
 
 def integrate_many(
@@ -502,8 +595,9 @@ def integrate_many(
     The members share alpha, s, sigma and dim and differ only in p, so each
     step computes one cell-weight row, one linear-mode vector and one gather
     of the row to the modes; each live member then contracts its own
-    history. A member that triggers stops and drops its history. Every
-    result equals the member's own `integrate` bit for bit.
+    history, and the rest of the step is one batched pass over the live
+    members (`_advance`). A member that triggers stops and drops its
+    history. Every result equals the member's own `integrate` bit for bit.
     """
     params_seq = list(params_seq)
     if not params_seq:
@@ -519,11 +613,13 @@ def integrate_many(
     w_modes = plan.to_modes(w.values) if w is not None else None
     u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
     lq0 = lq_norm(Field(grid, u_prev), q_report)
-    members = [_Member(params, plan, thr, q_report, u_prev, lq0)
-               for params in params_seq]
-    # Weight-gather buffer, sized for the last step and reused by every
-    # step instead of allocating a growing temporary per step.
-    gathered = np.empty((mesh.steps, plan.nmodes))
+    linf0 = float(np.max(np.abs(u_prev)))
+    members = [_Member(params, plan, lq0, linf0, u_prev) for params in params_seq]
+    _store(plan, members, 0, np.broadcast_to(u_prev, (len(members),) + grid.shape))
+    # Sized for the last step and reused by every step instead of a growing
+    # temporary per step; None under the identity mode map.
+    gathered = plan.gather_buffer()
+    modes = np.empty((len(members), plan.nmodes), dtype=complex)
 
     live = members
     for n in range(1, mesh.steps + 1):
@@ -532,9 +628,12 @@ def integrate_many(
         cells = plan.cell_weights(n)
         linear = plan.linear_modes(n, u0_modes, w_modes, cells)
         row = plan.gather(cells, gathered)
-        live = [m for m in live if m.step(n, row, linear)]
+        live = _advance(plan, thr, q_report, live, n, row, linear,
+                        modes[: len(live)])
+        # Free this row before the next one is built: a march holds one.
+        del cells, row
 
-    results = [m.result() for m in members]
+    results = [m.result(plan, thr, q_report) for m in members]
     for res in results:
         if res.tail_fraction_max > TAIL_THRESHOLD:
             warnings.warn(
@@ -631,15 +730,14 @@ def picard_solve(
     for n in range(1, m + 1):
         lin_modes[n] = plan.linear_modes(n, u0_modes, w_modes, w_tables[n])
 
-    hist = np.array([plan.to_values(lin_modes[n]) for n in range(m + 1)])
+    hist = plan.to_values(lin_modes)
     nl = np.empty((m + 1, 2, plan.nmodes))
-    gathered = np.empty((m, plan.nmodes))
+    gathered = plan.gather_buffer()
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0
     for it in range(1, max_iter + 1):
-        for j in range(m + 1):
-            plan.to_planes(np.abs(hist[j]) ** p, nl[j])
+        plan.to_planes(np.abs(hist) ** p, nl)
         trap = 0.5 * (nl[:-1] + nl[1:])
         new_hist = hist.copy()
         for n in range(1, m + 1):
@@ -663,8 +761,8 @@ def picard_solve(
     else:
         raise NonContractionError(f"no convergence within {max_iter} iterations")
 
-    lq_hist = np.array([lq_norm(Field(grid, hist[n]), q_report) for n in range(m + 1)])
-    linf_hist = np.array([float(np.max(np.abs(hist[n]))) for n in range(m + 1)])
+    lq_hist = lq_norms(grid, hist, q_report)
+    linf_hist = lq_norms(grid, hist, np.inf)
     contraction = float(np.median(factors)) if factors else 0.0
     return PicardResult(
         t_nodes=mesh.nodes.copy(),

@@ -25,8 +25,9 @@ through `ml_neg_fast` instead: the time stepper's `LinearPlan` (cell
 weights, forcing weights, the Z(t)u0 propagator) and the kernels (the Z and
 Y symbols, propagator application, profile inversion).  It keeps one cached
 table per (a, b): degree-7 polynomial pieces of width 1/16 in log1p(y),
-stored as monomial coefficient rows and evaluated by Horner on one gathered
-row per point, fitted from the three regimes in aligned blocks of 16 pieces
+stored coefficient-major (one row per monomial power, one column per piece)
+and evaluated by Horner on the contiguous rows of one gather per chunk,
+fitted from the three regimes in aligned blocks of 16 pieces
 and extended on demand whenever a call reaches past the pieces built so
 far.  It is within 1e-14 of `ml_e_neg` on y in [0, 1e4] (worst 5.2e-15
 over a in {0.3, 0.5, 0.7, 0.9, 0.95}, b in {1, a, a + 1, a + 0.75, a + 0.5}).
@@ -310,19 +311,20 @@ class _FastMLNeg:
     """Piecewise polynomial fit of y -> E_{a,b}(-y) in v = log1p(y).
 
     Piece i covers v in [i * PIECE, (i + 1) * PIECE].  Its degree-DEG
-    interpolant on that piece's own Chebyshev nodes is stored as row i of
-    the C-contiguous `coeffs`, monomial coefficients in the local variable
-    t = v / PIECE - i - 1/2 in [-1/2, 1/2), so that a value is one gathered
-    row and a Horner loop.  Pieces are fitted in aligned blocks of BLOCK,
-    each from one vectorised `ml_e_neg` call on the block's nodes, so every
-    value comes from the series, branch-cut or asymptotic regime that owns
-    it and every piece depends only on its block.  The table starts empty
-    and appends blocks whenever a call reaches past the last one; existing
-    pieces are never refitted, so a value does not depend on what was
-    evaluated before and is never extrapolated.  Appending is serialised by
-    a lock, so threads sharing a table each see whole, correctly ordered
-    pieces.  The fit is within ~1e-14 of `ml_e_neg` on y in [0, 1e4]
-    (validated in tests).
+    interpolant on that piece's own Chebyshev nodes is stored as column i
+    of the C-contiguous, coefficient-major `coeffs` (DEG+1, pieces):
+    monomial coefficients in the local variable t = v / PIECE - i - 1/2 in
+    [-1/2, 1/2).  A chunk of points gathers its pieces' columns into DEG+1
+    contiguous rows and runs Horner along them.  Pieces are fitted in
+    aligned blocks of BLOCK, each from one vectorised `ml_e_neg` call on the
+    block's nodes, so every value comes from the series, branch-cut or
+    asymptotic regime that owns it and every piece depends only on its
+    block.  The table starts empty and appends blocks whenever a call
+    reaches past the last one; existing pieces are never refitted, so a
+    value does not depend on what was evaluated before and is never
+    extrapolated.  Appending is serialised by a lock, so threads sharing a
+    table each see whole, correctly ordered pieces.  The fit is within
+    ~1e-14 of `ml_e_neg` on y in [0, 1e4] (validated in tests).
     """
 
     DEG = 7
@@ -343,37 +345,39 @@ class _FastMLNeg:
 
     def __init__(self, alpha: float, beta: float) -> None:
         self.alpha, self.beta = alpha, beta
-        self.coeffs = np.empty((0, self.DEG + 1))
+        self.coeffs = np.empty((self.DEG + 1, 0))
         self._lock = threading.Lock()
 
     def _fit_block(self, block: int) -> np.ndarray:
-        """Coefficient rows of the BLOCK pieces of one aligned block."""
+        """Coefficient columns (DEG+1, BLOCK) of the pieces of one aligned
+        block."""
         v = (block * self.BLOCK + self._BLOCK_NODES) * self.PIECE
         values = ml_e_neg(self.alpha, self.beta, np.expm1(v))
-        return (values @ self._PROJ.T) @ self._MONO.T
+        return ((values @ self._PROJ.T) @ self._MONO.T).T
 
     def _extend(self, n_pieces: int) -> np.ndarray:
         """Append fitted blocks until the table holds `n_pieces`; return it."""
         with self._lock:
             c = self.coeffs
-            have = c.shape[0] // self.BLOCK
+            have = c.shape[1] // self.BLOCK
             need = -(-n_pieces // self.BLOCK)
             if have < need:
-                c = np.concatenate([c] + [self._fit_block(b) for b in range(have, need)])
+                blocks = [self._fit_block(b) for b in range(have, need)]
+                c = np.concatenate([c] + blocks, axis=1)
                 self.coeffs = c
         return c
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Values at a 1-D array y >= 0, in chunks of at most CHUNK points.
 
-        Chunking caps the gathered rows at CHUNK points, so their memory does
-        not grow with the size of the call.
+        Chunking caps the gathered coefficients at CHUNK points, so their
+        memory does not grow with the size of the call.
         """
         out = np.empty_like(y)
         m = min(y.size, self.CHUNK)
         t_buf = np.empty(m)
         idx_buf = np.empty(m, dtype=np.intp)
-        rows_buf = np.empty((m, self.DEG + 1))
+        rows_buf = np.empty((self.DEG + 1) * m)
         for lo in range(0, y.size, m):
             n = min(m, y.size - lo)
             t = t_buf[:n]
@@ -385,18 +389,19 @@ class _FastMLNeg:
             # so "clip" below never clamps.
             top = int(idx.max()) + 1
             c = self.coeffs
-            if top > c.shape[0]:
+            if top > c.shape[1]:
                 c = self._extend(top)
-            rows = np.take(c, idx, axis=0, out=rows_buf[:n], mode="clip")
+            rows = rows_buf[: (self.DEG + 1) * n].reshape(self.DEG + 1, n)
+            np.take(c, idx, axis=1, out=rows, mode="clip")
             # Local variable frac(v / PIECE) - 1/2 in [-1/2, 1/2).
             t -= idx
             t -= 0.5
             o = out[lo : lo + n]
-            np.multiply(rows[:, self.DEG], t, out=o)
+            np.multiply(rows[self.DEG], t, out=o)
             for k in range(self.DEG - 1, 0, -1):
-                o += rows[:, k]
+                o += rows[k]
                 o *= t
-            o += rows[:, 0]
+            o += rows[0]
         return out
 
 

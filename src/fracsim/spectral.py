@@ -6,6 +6,12 @@ rfftn(values) (shape `mode_shape`: the last axis keeps k = 0 .. points/2), in
 the continuum normalization: the zero mode of a constant c is c * (2L)^d. A
 mode off the last-axis planes k = 0 and k = points/2 stands for itself and its
 conjugate twin. Wavenumbers along each axis are xi_k = pi k / L.
+
+`to_modes` and `to_values` transform the trailing `dim` axes, so a stack of
+fields transforms in one call; `lq_norms` and `tail_fractions` are the
+row-wise cores of `lq_norm` and `spectral_tail_fraction`.  Each row is
+reduced exactly as its own field would be, so a stacked row's norm equals
+the single field's bit for bit.
 """
 from __future__ import annotations
 
@@ -24,8 +30,10 @@ __all__ = [
     "to_real",
     "fractional_laplacian",
     "lq_norm",
+    "lq_norms",
     "restricted_lq_norm",
     "spectral_tail_fraction",
+    "tail_fractions",
     "gaussian_field",
     "indicator_field",
 ]
@@ -65,14 +73,21 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
+    @property
+    def _axes(self) -> tuple[int, ...]:
+        """The trailing `dim` axes, which the transforms act on."""
+        return tuple(range(-self.dim, 0))
+
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum modes cell_volume * rfftn(values) of real samples."""
-        return np.fft.rfftn(values) * self.cell_volume
+        """Half-spectrum modes cell_volume * rfftn(values) of real samples,
+        over the trailing `dim` axes."""
+        return np.fft.rfftn(values, s=self.shape, axes=self._axes) * self.cell_volume
 
     def to_values(self, modes: np.ndarray) -> np.ndarray:
-        """Real samples of half-spectrum modes; inverse of `to_modes`."""
+        """Real samples of half-spectrum modes, over the trailing `dim`
+        axes; inverse of `to_modes`."""
         return np.fft.irfftn(modes / self.cell_volume, s=self.shape,
-                             axes=tuple(range(self.dim)))
+                             axes=self._axes)
 
     def axis(self) -> np.ndarray:
         """Sample coordinates along one axis: x_i = -L + i*spacing."""
@@ -167,22 +182,34 @@ def fractional_laplacian(f: Field, s: float) -> Field:
     return to_real(SpectralField(f.grid, modes))
 
 
-def _lq(values: np.ndarray, cell_volume: float, q: float) -> float:
+def _lq_rows(rows: np.ndarray, cell_volume: float, q: float) -> np.ndarray:
+    """L^q norm of each row of the 2-D array `rows`; q = inf gives the max."""
     if not (q == np.inf or (q >= 1.0 and np.isfinite(q))):
         raise DomainError(f"q must satisfy q >= 1 or be inf, got {q!r}")
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0])
     if q == np.inf:
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    return float((np.sum(np.abs(values) ** q) * cell_volume) ** (1.0 / q))
+        return np.abs(rows).max(axis=1)
+    sums = (np.abs(rows) ** q).sum(axis=1) * cell_volume
+    # The root per element, as a scalar: an array power may take another
+    # path (sqrt at q = 2) and round differently.
+    return np.array([s ** (1.0 / q) for s in sums])
+
+
+def lq_norms(grid: GridSpec, values: np.ndarray, q: float) -> np.ndarray:
+    """L^q norm of each field in a stack of samples, shape (..., *grid.shape)."""
+    return _lq_rows(values.reshape(-1, grid.points**grid.dim), grid.cell_volume, q)
 
 
 def lq_norm(f: Field, q: float) -> float:
     """L^q norm on the box; q = inf gives the max norm."""
-    return _lq(f.values, f.grid.cell_volume, q)
+    return float(lq_norms(f.grid, f.values, q)[0])
 
 
 def restricted_lq_norm(f: Field, q: float, r_min: float) -> float:
     """L^q norm of a field restricted to the exterior region |x| > r_min."""
-    return _lq(f.values[f.grid.radius_squared() > r_min**2], f.grid.cell_volume, q)
+    outside = f.values[f.grid.radius_squared() > r_min**2]
+    return float(_lq_rows(outside[None], f.grid.cell_volume, q)[0])
 
 
 @functools.lru_cache(maxsize=16)
@@ -201,12 +228,21 @@ def _tail_weights(grid: GridSpec) -> np.ndarray:
     return rows
 
 
+def tail_fractions(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
+    """Top-octave fraction of the spectral energy of each field in a stack
+    of half spectra, shape (..., *grid.mode_shape) or (..., modes)."""
+    weights = _tail_weights(grid)
+    energy = np.abs(modes).reshape(-1, weights.shape[1]) ** 2
+    # One matrix-vector product per row: a matrix product sums in another
+    # order.
+    sums = np.array([weights @ row for row in energy]).reshape(-1, 2)
+    tail, total = sums[:, 0], sums[:, 1]
+    return np.divide(tail, total, out=np.zeros_like(tail), where=total != 0.0)
+
+
 def spectral_tail_fraction(sf: SpectralField) -> float:
     """Fraction of spectral energy carried by the top octave of wavenumbers."""
-    tail, total = _tail_weights(sf.grid) @ (np.abs(sf.modes).ravel() ** 2)
-    if total == 0.0:
-        return 0.0
-    return float(tail / total)
+    return float(tail_fractions(sf.grid, sf.modes)[0])
 
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> Field:

@@ -1,7 +1,8 @@
 """The package runs on numpy, mpmath and the standard library alone.
 
 SciPy is a test dependency only: the suite uses it as an oracle, so the
-check runs in a fresh interpreter.
+check runs in a fresh interpreter. A march and a profile inversion do not
+import numpy.ma either.
 """
 import os
 import subprocess
@@ -23,6 +24,7 @@ grid = fs.GridSpec(dim=1, points=64, half_width=10.0)
 w = fs.gaussian_field(grid, 0.05, 1.0)
 fs.integrate(params, grid, None, w, fs.TimeMesh.make(2.0, 20, grading=2.0))
 fs.profile("F", 0.5, 0.4, 2, np.geomspace(1e-2, 1e2, 8))
+assert "numpy.ma" not in sys.modules  # its import costs ~15 ms
 fs.wright_phi(0.7, 1.0)
 fs.ml_e_neg(1.0, 1.5, np.array([0.0, 0.5, 40.0]))
 assert run_selftest(verbose=False)

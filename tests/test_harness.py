@@ -372,8 +372,24 @@ class TestCli:
             "decay_r_squared": result.decay_r_squared,
             "tail_fraction_max": result.tail_fraction_max,
             "notes": result.notes,
+            "trigger": None,
         }
         assert summary["classification"] == "Global"
+
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    def test_simulate_reports_its_trigger(self, tmp_path, capsys):
+        cfg, _ = self.simulate_config(tmp_path)
+        cfg["u0"] = {"kind": "gaussian", "amplitude": 5.0, "width": 1.0}
+        cfg_path = tmp_path / "blowup.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["simulate", "--config", str(cfg_path)]) == 0
+        summary = json.loads(capsys.readouterr().err)
+        result, = harness.config_from_dict(cfg).simulate([3.0])
+        trigger = result.trigger
+        assert summary["classification"] == "BlowUp"
+        assert summary["trigger"] == {"kind": trigger.kind, "t": trigger.t,
+                                      "value": trigger.value}
+        assert summary["notes"][0] == trigger.note
 
     def test_simulate_writes_non_finite_values_as_strings(self, tmp_path, capsys,
                                                           monkeypatch):

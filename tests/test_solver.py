@@ -1,4 +1,6 @@
 """Time stepper: weight tables, exactness checks, classification, Picard."""
+import collections
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,7 +20,9 @@ from fracsim import (
     ModelParams,
     NonContractionError,
     PreconditionError,
+    SimResult,
     TimeMesh,
+    Trigger,
     classify,
     estimate_decay_exponent,
     gaussian_field,
@@ -30,6 +34,7 @@ from fracsim import (
 )
 from fracsim.spectral import Field
 import fracsim.solver as solver
+import fracsim.spectral as spectral
 
 
 def full_lam(grid: GridSpec, s: float) -> np.ndarray:
@@ -382,6 +387,19 @@ class TestModeMap:
             assert plan.lam_u.size == plan.nmodes
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gather_is_the_row_itself_only_under_the_identity_map(self, dim):
+        plan = self.plan(dim, TimeMesh.make(2.0, 6))
+        cells = plan.cell_weights(4)
+        buffer = plan.gather_buffer()
+        row = plan.gather(cells, buffer)
+        assert np.array_equal(row, np.take(cells, plan.inv, axis=1))
+        assert plan.identity_map == (dim == 1)
+        if dim == 1:
+            assert row is cells and buffer is None
+        else:
+            assert row is not cells and np.shares_memory(row, buffer)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_round_trip(self, dim):
         plan = self.plan(dim)
         v = np.random.default_rng(dim).standard_normal(plan.grid.shape)
@@ -561,6 +579,82 @@ class TestIntegrateMany:
         for par, res in zip(params, many):
             self.assert_same_run(res, integrate(par, grid, None, w, mesh, q_report=4.0))
 
+    @staticmethod
+    def assert_identical(a, b):
+        """Every field of two results equal bit for bit; a run stopped by
+        non-finite values has no final field."""
+        for f in dataclasses.fields(SimResult):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, Field):
+                x, y = x.values, y.values
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y), f.name
+            else:
+                assert x == y, f.name
+
+    # p = 2000 overflows |u|^p at once (non-finite values at the first step),
+    # p = 20 crosses u_max at that step and p = 3 runs on until its growth
+    # ratio trips.
+    TRIGGER_POWERS = {"non_finite": 2000.0, "amplitude": 20.0, "growth_ratio": 3.0}
+
+    @staticmethod
+    def trigger_setup():
+        grid = GridSpec(dim=1, points=128, half_width=20.0)
+        u0 = gaussian_field(grid, 2.0, 1.0)
+        thr = ClassifyThresholds(u_max=1e3, ratio_max=1.5, t_end=1.0)
+        return grid, u0, TimeMesh.make(1.0, 40), thr
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    def test_three_trigger_kinds_in_one_march_equal_their_own_marches(self):
+        grid, u0, mesh, thr = self.trigger_setup()
+        params = [ModelParams(0.5, 0.4, -0.25, p, dim=1)
+                  for p in self.TRIGGER_POWERS.values()]
+        many = integrate_many(params, grid, u0, None, mesh, q_report=4.0,
+                              thresholds=thr)
+        assert [r.trigger.kind for r in many] == list(self.TRIGGER_POWERS)
+        first, second, third = (r.trigger.t for r in many)
+        assert first == second == mesh.nodes[1] < third
+        for par, res in zip(params, many):
+            self.assert_identical(res, integrate(par, grid, u0, None, mesh,
+                                                 q_report=4.0, thresholds=thr))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    def test_3d_members_equal_their_own_marches(self):
+        # The smallest grid is 64 points per axis.
+        grid = GridSpec(dim=3, points=64, half_width=6.0)
+        u0 = gaussian_field(grid, 2.0, 1.0)
+        w = gaussian_field(grid, 0.2, 1.0)
+        mesh = TimeMesh.make(0.5, 4)
+        params = [ModelParams(0.5, 0.4, -0.25, p, dim=3) for p in (2000.0, 3.0, 2.0)]
+        many = integrate_many(params, grid, u0, w, mesh, q_report=4.0)
+        assert many[0].trigger.kind == "non_finite"
+        assert [r.t_nodes.size - 1 for r in many] == [1, mesh.steps, mesh.steps]
+        for par, res in zip(params, many):
+            self.assert_identical(res, integrate(par, grid, u0, w, mesh, q_report=4.0))
+
+    def test_one_transform_each_way_per_step(self, monkeypatch):
+        # The live members share one inverse and one forward transform per
+        # step; per-member transforms would multiply these counts.
+        calls = collections.Counter()
+        for name in ("rfftn", "irfftn"):
+            def counted(*args, _real=getattr(spectral.np.fft, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(spectral.np.fft, name, counted)
+        grid = GridSpec(dim=1, points=64, half_width=10.0)
+        u0 = gaussian_field(grid, 0.05, 1.0)
+        w = gaussian_field(grid, 0.05, 1.0)
+        mesh = TimeMesh.make(2.0, 12)
+        params = [ModelParams(0.5, 0.4, -0.25, p) for p in (2.0, 3.0, 4.0)]
+        many = integrate_many(params, grid, u0, w, mesh)
+        assert all(r.t_nodes.size - 1 == mesh.steps for r in many)
+        assert calls["irfftn"] == mesh.steps
+        # u0, w and the first history entry, then one per step
+        assert calls["rfftn"] <= mesh.steps + 3
+
     def test_members_must_differ_only_in_p(self):
         grid = GridSpec(dim=1, points=64, half_width=10.0)
         mesh = TimeMesh.make(1.0, 5)
@@ -572,6 +666,46 @@ class TestIntegrateMany:
                 integrate_many([base, other], grid, None, None, mesh)
         with pytest.raises(PreconditionError, match="at least one"):
             integrate_many([], grid, None, None, mesh)
+
+
+class TestTrigger:
+    """`SimResult.trigger`: kind, node time and value of an early stop."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    @pytest.mark.parametrize("kind", list(TestIntegrateMany.TRIGGER_POWERS))
+    def test_each_kind(self, kind):
+        grid, u0, mesh, thr = TestIntegrateMany.trigger_setup()
+        params = ModelParams(0.5, 0.4, -0.25, TestIntegrateMany.TRIGGER_POWERS[kind])
+        res = integrate(params, grid, u0, None, mesh, q_report=4.0, thresholds=thr)
+        trig = res.trigger
+        assert trig.kind == kind
+        assert trig.t == res.t_nodes[-1] == res.blowup_time_est
+        assert res.classification == "BlowUp"
+        assert res.notes[0] == trig.note
+        linf = res.linf_history
+        if kind == "non_finite":
+            assert trig.value == math.inf == linf[-1]
+            assert res.final_field is None
+            assert trig.note == f"non-finite values at t={trig.t:.6g}"
+        elif kind == "amplitude":
+            assert trig.value == linf[-1] > thr.u_max
+            assert trig.note == f"amplitude threshold exceeded at t={trig.t:.6g}"
+        else:
+            assert trig.value == linf[-1] / linf[-2] > thr.ratio_max
+            assert linf[-1] <= thr.u_max
+            assert trig.note == f"per-step growth ratio exceeded at t={trig.t:.6g}"
+
+    def test_a_run_to_the_end_has_none(self):
+        grid = GridSpec(dim=1, points=64, half_width=10.0)
+        res = integrate(ModelParams(0.5, 0.4, -0.25, 3.0), grid, None,
+                        gaussian_field(grid, 0.05, 1.0), TimeMesh.make(2.0, 12))
+        assert res.trigger is None and res.notes == []
+
+    def test_is_frozen(self):
+        trig = Trigger("amplitude", 1.0, 2e8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trig.value = 0.0
 
 
 class TestPicard:

@@ -253,6 +253,36 @@ class TestTailMonitor:
         assert spectral_tail_fraction(zero) == 0.0
 
 
+class TestStacks:
+    """Transforms, norms and tail fractions over a stack of fields."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_equal_their_own_fields(self, dim):
+        grid = GridSpec(dim=dim, points=64, half_width=5.0)
+        stack = np.random.default_rng(dim).standard_normal((3,) + grid.shape)
+        modes = grid.to_modes(stack)
+        values = grid.to_values(modes)
+        tails = spectral.tail_fractions(grid, modes)
+        qs = (1.0, 2.0, 4.0, 4.5, np.inf)
+        norms = {q: spectral.lq_norms(grid, stack, q) for q in qs}
+        weights = spectral._tail_weights(grid)
+        for i, v in enumerate(stack):
+            assert np.array_equal(modes[i], np.fft.rfftn(v) * grid.cell_volume)
+            assert np.array_equal(values[i], grid.to_values(modes[i]))
+            # Each row reduces exactly as the whole single field does.
+            for q in qs:
+                want = (np.max(np.abs(v)) if q == np.inf else
+                        (np.sum(np.abs(v) ** q) * grid.cell_volume) ** (1.0 / q))
+                assert norms[q][i] == want
+            tail, total = weights @ (np.abs(modes[i]).ravel() ** 2)
+            assert tails[i] == tail / total
+
+    def test_zero_rows_have_no_tail(self):
+        modes = np.zeros((2, GRID.points // 2 + 1), dtype=complex)
+        modes[1, -1] = 1.0
+        assert spectral.tail_fractions(GRID, modes).tolist() == [0.0, 1.0]
+
+
 class TestDataAndIO:
     def test_indicator(self):
         f = indicator_field(GRID, 2.0, 1.0)
