@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at /dev/null so the flush at interpreter exit cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a config or --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (DomainError, PreconditionError, UnsupportedRangeError) as exc:

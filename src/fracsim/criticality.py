@@ -28,7 +28,7 @@ from .errors import DomainError, PreconditionError, UnsupportedRangeError
 from .kernels import KernelProfile, profile, profile_lq_norm, q_critical
 from .solver import LinearPlan, ModelParams
 from .special import beta_fn, gamma as gamma_fn
-from .spectral import Field, lq_norm, restricted_lq_norm
+from .spectral import Field, lq_norm, lq_norms, restricted_lq_norm
 
 __all__ = [
     "ExponentReport",
@@ -98,7 +98,7 @@ def p_star_exponent(alpha: float, s: float, sigma: float, dim: int) -> float | N
 
 def beta_exponent(params: ModelParams, q: float) -> BetaCheck:
     """Decay exponent beta for the norm weight t^beta ||u(t)||_q."""
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
     a, s, N, p = params.alpha, params.s, params.dim, params.p
     value = a / (p - 1.0) - N * a / (2.0 * s * q)
@@ -247,11 +247,11 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
     for i, t in enumerate(t_samples):
         term = 0.0
         if u0_modes is not None:
-            z_u0 = plan.propagator(t)[plan.inv] * u0_modes
-            term += lq_norm(Field(w.grid, plan.to_values(z_u0)), q)
+            z_u0 = plan.to_values(plan.spread(plan.propagator(t)) * u0_modes)
+            term += lq_norms(w.grid, z_u0, q)[0]
         if w_modes is not None:
-            s_w = plan.to_values(plan.exact_forcing(t)[plan.inv] * w_modes)
-            term += lq_norm(Field(w.grid, s_w), q)
+            s_w = plan.to_values(plan.spread(plan.exact_forcing(t)) * w_modes)
+            term += lq_norms(w.grid, s_w, q)[0]
         vals[i] = t**beta * term
     return SmallnessReport(
         sup_value=float(np.max(vals)),
@@ -338,18 +338,17 @@ def local_average_hypotheses(
         raise DomainError("tail_norm_exponent must be 'q' or 'r'")
     if N <= 2.0 * s:
         raise UnsupportedRangeError("criterion requires dim > 2s")
-    beta = beta_exponent(params, q).value
-    if not (0.0 <= beta < 1.0 / p) or not (-(sig + a) < beta):
+    report = critical_exponents(params, q)
+    beta = report.beta.value
+    if not (report.beta.in_unit_range and report.beta.above_forcing_floor):
         raise UnsupportedRangeError(
             f"beta={beta:.6g} violates the scaling condition for q={q}"
         )
     flags: list[str] = []
 
-    p_c = N * (p - 1.0) / (2.0 * s)
-    inv_r = 1.0 - (1.0 / p_c - 1.0 / q)
-    if inv_r <= 0.0:
+    p_c, r_exp = report.p_c, report.aux_r
+    if r_exp is None:
         raise UnsupportedRangeError("companion exponent r is not defined here")
-    r_exp = 1.0 / inv_r
 
     # R_0 from its defining minimum; zero data push a branch to infinity.
     C_forcing = beta_fn(sig + 1.0, a) / gamma_fn(a)

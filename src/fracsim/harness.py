@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criticality import beta_exponent, p_star_exponent
+from .criticality import critical_exponents
 from .errors import (
     BracketingError,
     DomainError,
@@ -123,6 +123,8 @@ class SweepConfig:
             raise DomainError("all p values must exceed 1")
         if list(p) != sorted(p):
             raise DomainError("p_values must be sorted ascending")
+        if not self.q_report >= 1.0:
+            raise DomainError(f"q_report must be >= 1 or inf, got {self.q_report!r}")
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "_mesh",
                            TimeMesh.make(self.t_end, self.steps, self.grading))
@@ -183,14 +185,9 @@ def _classify(config: SweepConfig, ps: Sequence[float]) -> list[SweepRow]:
             notes.append("forcing-mass-nonpositive")
     tags = []
     for p in ps:
-        params = config.model(p)
-        tags.append(dict(
-            p=p,
-            p_c=params.dim * (p - 1.0) / (2.0 * params.s),
-            p_star=p_star_exponent(params.alpha, params.s, params.sigma,
-                                   params.dim),
-            beta=beta_exponent(params, config.q_report).value,
-        ))
+        report = critical_exponents(config.model(p), config.q_report)
+        tags.append(dict(p=p, p_c=report.p_c, p_star=report.p_star,
+                         beta=report.beta.value))
     try:
         results = config.simulate(ps)
     except (NumericalError, DomainError, UnsupportedRangeError,

@@ -119,6 +119,21 @@ def apply_propagator(kind: str, t: float, f: Field, alpha: float, s: float) -> F
 # --------------------------------------------------------------------------
 
 
+def _check_profile_args(kind: str, alpha: float, s: float, dim: int,
+                        radii) -> np.ndarray:
+    """The radii of a profile as a float array, after checking its kind,
+    alpha, s, dim and radii."""
+    if kind not in ("F", "G"):
+        raise DomainError(f"kind must be 'F' or 'G', got {kind!r}")
+    _check_alpha_s(alpha, s)
+    if dim not in (1, 2, 3):
+        raise DomainError(f"dim must be 1, 2 or 3, got {dim}")
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] < 0.0:
+        raise DomainError("radii must be a 1-d increasing nonnegative array")
+    return r
+
+
 @dataclass(frozen=True)
 class KernelProfile:
     """Radial profile of a kernel at t = 1 (F for Z, G for Y)."""
@@ -131,17 +146,10 @@ class KernelProfile:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("F", "G"):
-            raise DomainError(f"kind must be 'F' or 'G', got {self.kind!r}")
-        _check_alpha_s(self.alpha, self.s)
-        if self.dim not in (1, 2, 3):
-            raise DomainError(f"dim must be 1, 2 or 3, got {self.dim}")
-        r = np.asarray(self.radii, dtype=float)
+        r = _check_profile_args(self.kind, self.alpha, self.s, self.dim, self.radii)
         v = np.asarray(self.values, dtype=float)
-        if r.ndim != 1 or v.shape != r.shape:
+        if v.shape != r.shape:
             raise DomainError("radii and values must be 1-d arrays of equal length")
-        if r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] < 0.0:
-            raise DomainError("radii must be increasing and nonnegative")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise DomainError("radii and values must be finite")
         object.__setattr__(self, "radii", r)
@@ -358,15 +366,7 @@ def profile(kind: str, alpha: float, s: float, dim: int, radii) -> KernelProfile
     Raises NumericalError if the quadrature produces values that violate
     positivity or radial monotonicity beyond rounding slack.
     """
-    if kind not in ("F", "G"):
-        raise DomainError(f"kind must be 'F' or 'G', got {kind!r}")
-    _check_alpha_s(alpha, s)
-    if dim not in (1, 2, 3):
-        raise DomainError(f"dim must be 1, 2 or 3, got {dim}")
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0.0) or r[0] < 0.0:
-        raise DomainError("radii must be a 1-d increasing nonnegative array")
-
+    r = _check_profile_args(kind, alpha, s, dim, radii)
     beta = 1.0 if kind == "F" else alpha
     values = np.empty_like(r)
     start = 0

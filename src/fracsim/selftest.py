@@ -87,7 +87,7 @@ def _checks():
 
     def beta_vanishes_at_critical_q():
         params = ModelParams(alpha=0.7, s=0.3, sigma=-0.2, p=2.5, dim=2)
-        p_c = params.dim * (params.p - 1.0) / (2.0 * params.s)
+        p_c = critical_exponents(params).p_c
         return abs(beta_exponent(params, p_c).value), 1e-12
 
     def caputo_power_rule():

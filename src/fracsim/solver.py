@@ -18,8 +18,8 @@ flattened real-FFT half spectrum of `spectral`, the package's one mode
 convention.
 
 `integrate_many` marches several powers p in lockstep on one plan: each
-step computes one cell-weight row, one linear-mode vector and one gather of
-the row to the modes (`LinearPlan.gather`), and each live member contracts
+step computes one cell-weight row, one linear-mode vector and one spread of
+the row to the modes (`LinearPlan.spread`), and each live member contracts
 its own nonlinear history with it (`LinearPlan.contract`) into its row of
 one (live, modes) stack. The rest of the step runs once over the stack: one
 inverse transform, one finite check, the norms and tail fractions per row
@@ -27,11 +27,11 @@ inverse transform, one finite check, the norms and tail fractions per row
 forward transform of |u|^p with each row's own p. `integrate` is its march
 of one member. The history N_j is stored as real and imaginary planes,
 shape (M+1, 2, modes) float64, contracted in one real einsum. The same
-contraction serves `picard_solve` (its trapezoid history, through
-`LinearPlan.history_modes`). A march holds one history, (M+1)*modes*16 B,
-per live member; no product buffer. In 1D every mode has its own
-eigenvalue, so the mode map is the identity and the row is its own gather;
-otherwise the march holds one gather buffer, M*modes*8 B.
+contraction serves `picard_solve` on its trapezoid history. A march holds
+one history, (M+1)*modes*16 B, per live member; no product buffer. In 1D
+every mode has its own eigenvalue, so the mode map is the identity and the
+row is its own spread; otherwise the march holds one gather buffer,
+M*modes*8 B.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -301,9 +301,22 @@ class LinearPlan:
         return self.grid.to_values(
             modes.reshape(modes.shape[:-1] + self.grid.mode_shape))
 
-    def _spread(self, per_lam: np.ndarray) -> np.ndarray:
-        """A per-eigenvalue array on the modes."""
-        return per_lam if self.identity_map else per_lam[self.inv]
+    def spread(self, per_lam: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """A per-eigenvalue array (last axis lam_u) on the modes.
+
+        Under the identity mode map this is `per_lam` itself. Otherwise the
+        result is written into the leading rows of `out` (a buffer with at
+        least as many rows as `per_lam`, from `gather_buffer`), or into a new
+        array when `out` is None, and returned.
+        """
+        if self.identity_map:
+            return per_lam
+        if out is not None:
+            out = out[: per_lam.shape[0]]
+        # mode="clip" skips the bounds-checked buffered copy that the
+        # default mode makes with `out`; `inv` is always in range.
+        return np.take(per_lam, self.inv, axis=-1, out=out, mode="clip")
 
     def cell_weights(self, n: int) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
@@ -327,26 +340,15 @@ class LinearPlan:
         return cells
 
     def gather_buffer(self) -> np.ndarray | None:
-        """The (M, nmodes) buffer `gather` writes into; None under the
-        identity mode map, which needs none."""
+        """The (M, nmodes) buffer `spread` writes cell-weight rows into; None
+        under the identity mode map, which needs none."""
         if self.identity_map:
             return None
         return np.empty((self.mesh.steps, self.nmodes))
 
-    def gather(self, cells: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """Node n's cell-weight row spread to the modes: `cells` itself under
-        the identity mode map, else written into the first n rows of the
-        (>= n, nmodes) buffer `out` and returned."""
-        if self.identity_map:
-            return cells
-        n = cells.shape[0]
-        # mode="clip" skips the bounds-checked buffered copy that the
-        # default mode makes with `out`; `inv` is always in range.
-        return np.take(cells, self.inv, axis=1, out=out[:n], mode="clip")
-
-    def contract(self, gathered: np.ndarray, hist: np.ndarray,
+    def contract(self, row: np.ndarray, hist: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """Modes of sum_{j<n} W[j, mode] N_j for a gathered (n, nmodes) row,
+        """Modes of sum_{j<n} W[j, mode] N_j for a spread (n, nmodes) row,
         written into the complex (nmodes,) `out` (new when None).
 
         `hist` holds N_j as real and imaginary planes, shape
@@ -355,21 +357,8 @@ class LinearPlan:
         """
         if out is None:
             out = np.empty(self.nmodes, dtype=complex)
-        out.real, out.imag = np.einsum("jk,jck->ck", gathered,
-                                       hist[: gathered.shape[0]])
+        out.real, out.imag = np.einsum("jk,jck->ck", row, hist[: row.shape[0]])
         return out
-
-    def history_modes(self, cells: np.ndarray, hist: np.ndarray,
-                      gathered: np.ndarray | None) -> np.ndarray:
-        """`contract` of node n's row, gathered into the buffer `gathered`
-        (`gather_buffer`)."""
-        return self.contract(self.gather(cells, gathered), hist)
-
-    def to_planes(self, values: np.ndarray, out: np.ndarray) -> None:
-        """Write the modes of real-space samples into `out` (..., 2, nmodes)
-        as real and imaginary planes."""
-        modes = self.to_modes(values)
-        out[..., 0, :], out[..., 1, :] = modes.real, modes.imag
 
     def exact_forcing(self, t: float) -> np.ndarray:
         """S[lam] = int_0^t tau^sigma Y(t - tau; lam) dtau in closed form.
@@ -428,9 +417,9 @@ class LinearPlan:
         """Modes of Z(t_n) u0 + S_w(t_n) at node n; None drops a term."""
         out = np.zeros(self.nmodes, dtype=complex)
         if u0_modes is not None:
-            out += self._spread(self.propagator(self.mesh.nodes[n])) * u0_modes
+            out += self.spread(self.propagator(self.mesh.nodes[n])) * u0_modes
         if w_modes is not None:
-            out += self._spread(self.forcing_weights(n, cells)) * w_modes
+            out += self.spread(self.forcing_weights(n, cells)) * w_modes
         return out
 
 
@@ -537,7 +526,7 @@ def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
     """Advance the live members to node n in one batched step; returns the
     members that go on.
 
-    Each member contracts its own history with the gathered weight row into
+    Each member contracts its own history with the spread weight row into
     its row of the (live, nmodes) buffer `modes`. One inverse transform,
     finite check, norm and tail pass and forward transform of |u|^p then
     serve the whole stack. Norms and tails read only the finite rows.
@@ -593,7 +582,7 @@ def integrate_many(
     """March several powers p in lockstep on one LinearPlan.
 
     The members share alpha, s, sigma and dim and differ only in p, so each
-    step computes one cell-weight row, one linear-mode vector and one gather
+    step computes one cell-weight row, one linear-mode vector and one spread
     of the row to the modes; each live member then contracts its own
     history, and the rest of the step is one batched pass over the live
     members (`_advance`). A member that triggers stops and drops its
@@ -609,31 +598,36 @@ def integrate_many(
     thr = thresholds or ClassifyThresholds(t_end=mesh.t_end)
     thr.check_reachable(mesh.t_end)
 
-    u0_modes = plan.to_modes(u0.values) if u0 is not None else None
-    w_modes = plan.to_modes(w.values) if w is not None else None
-    u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
-    lq0 = lq_norm(Field(grid, u_prev), q_report)
-    linf0 = float(np.max(np.abs(u_prev)))
-    members = [_Member(params, plan, lq0, linf0, u_prev) for params in params_seq]
-    _store(plan, members, 0, np.broadcast_to(u_prev, (len(members),) + grid.shape))
-    # Sized for the last step and reused by every step instead of a growing
-    # temporary per step; None under the identity mode map.
-    gathered = plan.gather_buffer()
-    modes = np.empty((len(members), plan.nmodes), dtype=complex)
+    # Overflow to inf or nan is what the march reports as its "non_finite"
+    # trigger; NumPy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0_modes = plan.to_modes(u0.values) if u0 is not None else None
+        w_modes = plan.to_modes(w.values) if w is not None else None
+        u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
+        lq0 = lq_norm(Field(grid, u_prev), q_report)
+        linf0 = float(np.max(np.abs(u_prev)))
+        members = [_Member(params, plan, lq0, linf0, u_prev)
+                   for params in params_seq]
+        _store(plan, members, 0,
+               np.broadcast_to(u_prev, (len(members),) + grid.shape))
+        # Sized for the last step and reused by every step instead of a
+        # growing temporary per step; None under the identity mode map.
+        spread_buf = plan.gather_buffer()
+        modes = np.empty((len(members), plan.nmodes), dtype=complex)
 
-    live = members
-    for n in range(1, mesh.steps + 1):
-        if not live:
-            break
-        cells = plan.cell_weights(n)
-        linear = plan.linear_modes(n, u0_modes, w_modes, cells)
-        row = plan.gather(cells, gathered)
-        live = _advance(plan, thr, q_report, live, n, row, linear,
-                        modes[: len(live)])
-        # Free this row before the next one is built: a march holds one.
-        del cells, row
+        live = members
+        for n in range(1, mesh.steps + 1):
+            if not live:
+                break
+            cells = plan.cell_weights(n)
+            linear = plan.linear_modes(n, u0_modes, w_modes, cells)
+            row = plan.spread(cells, spread_buf)
+            live = _advance(plan, thr, q_report, live, n, row, linear,
+                            modes[: len(live)])
+            # Free this row before the next one is built: a march holds one.
+            del cells, row
 
-    results = [m.result(plan, thr, q_report) for m in members]
+        results = [m.result(plan, thr, q_report) for m in members]
     for res in results:
         if res.tail_fraction_max > TAIL_THRESHOLD:
             warnings.warn(
@@ -732,16 +726,17 @@ def picard_solve(
 
     hist = plan.to_values(lin_modes)
     nl = np.empty((m + 1, 2, plan.nmodes))
-    gathered = plan.gather_buffer()
+    spread_buf = plan.gather_buffer()
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0
     for it in range(1, max_iter + 1):
-        plan.to_planes(np.abs(hist) ** p, nl)
+        nl_modes = plan.to_modes(np.abs(hist) ** p)
+        nl[:, 0], nl[:, 1] = nl_modes.real, nl_modes.imag
         trap = 0.5 * (nl[:-1] + nl[1:])
         new_hist = hist.copy()
         for n in range(1, m + 1):
-            contrib = plan.history_modes(w_tables[n], trap, gathered)
+            contrib = plan.contract(plan.spread(w_tables[n], spread_buf), trap)
             new_hist[n] = plan.to_values(lin_modes[n] + contrib)
         diff = float(np.max(np.abs(new_hist - hist)))
         hist = new_hist

@@ -75,6 +75,12 @@ class TestExponentAlgebra:
         with pytest.raises(DomainError):
             beta_exponent(canonical_params, 0.5)
 
+    def test_beta_rejects_nan_q_and_accepts_inf(self, canonical_params):
+        with pytest.raises(DomainError, match="q must be >= 1, got nan"):
+            beta_exponent(canonical_params, float("nan"))
+        # q = inf is the max norm: beta = a/(p-1)
+        assert beta_exponent(canonical_params, np.inf).value == 0.25
+
     def test_r_c_identity(self, canonical_params):
         # beta(q) + alpha - (N alpha / 2s)(1/r_c - 1/q) + sigma = 0 for all q.
         rep = critical_exponents(canonical_params)

@@ -30,7 +30,8 @@ from fracsim.harness import SweepRow
 
 
 def config_with(key_path: str, value) -> str:
-    """A runnable sweep/bracket config with one key set, as JSON text."""
+    """A runnable sweep/bracket config with one key set, as JSON text; a
+    path without a dot names a top-level key."""
     cfg = {
         "schema": 1, "p_values": [1.8, 3.0],
         "model": {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1},
@@ -38,8 +39,8 @@ def config_with(key_path: str, value) -> str:
         "grid": {"points": 64, "half_width": 10.0},
         "time": {"t_end": 2.0, "steps": 24},
     }
-    section, key = key_path.split(".")
-    cfg.setdefault(section, {})[key] = value
+    *section, key = key_path.split(".")
+    (cfg.setdefault(section[0], {}) if section else cfg)[key] = value
     return json.dumps(cfg)
 
 
@@ -452,12 +453,17 @@ class TestCli:
          "sweep"),
         (config_with("classify.t_end", 5.0), "exceeds time.t_end", "sweep"),
         (config_with("classify.t_end", 5.0), "exceeds time.t_end", "bracket"),
+        (config_with("q_report", float("nan")), "q_report must be >= 1 or inf, got nan",
+         "sweep"),
+        (config_with("q_report", 0.5), "q_report must be >= 1 or inf, got 0.5",
+         "sweep"),
     ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
             "grading-below-one", "bracket-grading-below-one", "grading-nan",
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
             "points-fractional", "u-max-negative", "bracket-u-max-negative",
             "ratio-max-one", "slack-negative", "classify-t-end-past-horizon",
-            "bracket-classify-t-end-past-horizon"])
+            "bracket-classify-t-end-past-horizon", "q-report-nan",
+            "q-report-below-one"])
     def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
                                                 command):
         cfg_path = tmp_path / "bad.json"
@@ -529,6 +535,18 @@ class TestCli:
 
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_main(["simulate", "--config", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_directory_path_is_one_line_usage_error(self, tmp_path, capsys, flag):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(config_with("classify.t_end", 2.0))
+        paths = {"--config": str(cfg_path), "--out": str(tmp_path / "rows.csv")}
+        paths[flag] = str(tmp_path)
+        argv = ["sweep"] + [arg for item in paths.items() for arg in item]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli_main(["frobnicate"]) == 1
@@ -674,6 +692,25 @@ class TestCli:
         )
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout)["p_star"] == pytest.approx(7.0 / 3.0)
+
+    def test_simulate_on_overflowing_data_writes_one_json_line(self, tmp_path):
+        # u0 of amplitude 1e308 overflows in the first transforms; the march
+        # reports it as its non_finite trigger, and NumPy stays silent.
+        cfg, _ = self.simulate_config(tmp_path)
+        cfg["u0"] = {"kind": "gaussian", "amplitude": 1e308, "width": 1.0}
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=str(Path(fracsim.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "fracsim", "simulate", "--config", str(cfg_path),
+             "--out", str(tmp_path / "run.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stderr.count("\n") == 1
+        summary = json.loads(run.stderr)
+        assert summary["classification"] == "BlowUp"
+        assert summary["trigger"]["kind"] == "non_finite"
 
     def test_closed_stdout_exits_quietly(self):
         env = dict(os.environ, PYTHONPATH=str(Path(fracsim.__file__).parents[1]))

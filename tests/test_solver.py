@@ -211,7 +211,8 @@ class TestWeightTable:
 
 
 class TestHistoryContraction:
-    """`LinearPlan.history_modes` against the complex product-and-sum."""
+    """`LinearPlan.contract` of a `spread` row against the complex
+    product-and-sum."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equals_the_complex_oracle(self, dim):
@@ -228,20 +229,24 @@ class TestHistoryContraction:
             cells = rng.random((n, plan.lam_u.size))
             wf = np.take(cells, plan.inv, axis=1)
             left = np.multiply(wf, hist[:n]).sum(axis=0)
-            assert np.array_equal(plan.history_modes(cells, planes, gathered), left)
+            row = plan.spread(cells, gathered)
+            assert np.array_equal(plan.contract(row, planes), left)
             # picard_solve's cell-trapezoid sample (N_j + N_{j+1}) / 2
             mid = np.sum(wf * 0.5 * (hist[:n] + hist[1 : n + 1]), axis=0)
-            assert np.array_equal(plan.history_modes(cells, trap, gathered), mid)
+            assert np.array_equal(plan.contract(row, trap), mid)
 
     def test_planes_hold_the_modes(self):
+        # Plane 0 is the real part and plane 1 the imaginary part: one cell
+        # of unit weight contracts a history of one node back to its modes.
         plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0, dim=2),
                           GridSpec(dim=2, points=64, half_width=8.0))
         v = np.random.default_rng(5).standard_normal(plan.grid.shape)
-        out = np.empty((2, plan.nmodes))
-        plan.to_planes(v, out)
         modes = plan.to_modes(v)
-        assert np.array_equal(out[0], modes.real)
-        assert np.array_equal(out[1], modes.imag)
+        planes = np.stack([modes.real, modes.imag])[None]
+        unit = plan.spread(np.ones((1, plan.lam_u.size)))
+        out = plan.contract(unit, planes)
+        assert np.array_equal(out.real, modes.real)
+        assert np.array_equal(out.imag, modes.imag)
 
 
 class TestMarchMemory:
@@ -391,11 +396,14 @@ class TestModeMap:
         plan = self.plan(dim, TimeMesh.make(2.0, 6))
         cells = plan.cell_weights(4)
         buffer = plan.gather_buffer()
-        row = plan.gather(cells, buffer)
+        row = plan.spread(cells, buffer)
         assert np.array_equal(row, np.take(cells, plan.inv, axis=1))
+        per_lam = plan.propagator(1.0)
+        on_modes = plan.spread(per_lam)
+        assert np.array_equal(on_modes, per_lam[plan.inv])
         assert plan.identity_map == (dim == 1)
         if dim == 1:
-            assert row is cells and buffer is None
+            assert row is cells and buffer is None and on_modes is per_lam
         else:
             assert row is not cells and np.shares_memory(row, buffer)
 
