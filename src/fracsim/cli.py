@@ -54,6 +54,19 @@ def _plain(obj):
     return obj
 
 
+def _check_out(out_path: str | None) -> None:
+    """Raise the OSError that writing `out_path` would, before any work.
+
+    Opening for append leaves an existing file as it is; a file the check
+    creates is removed again, so a run that then fails leaves nothing.
+    """
+    if out_path:
+        existed = os.path.exists(out_path)
+        open(out_path, "a").close()
+        if not existed:
+            os.remove(out_path)
+
+
 def _emit_json(payload, out_path: str | None) -> None:
     text = json.dumps(_plain(payload), indent=2, allow_nan=False)
     if out_path:
@@ -252,6 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(getattr(args, "out", None))
         code = args.fn(args)
         sys.stdout.flush()
         return code

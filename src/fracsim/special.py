@@ -38,13 +38,12 @@ Gamma values come from the standard library's `math.gamma` and
 `math.lgamma`; `_rgamma` is 1/Gamma with 0.0 at the poles and beyond the
 overflow point.
 
-The Wright function phi_a(t) = sum (-t)^n / (n! Gamma(-a n + 1 - a)) is an
-entire function whose truncated sum suffers severe cancellation for larger t,
-so it is summed in adaptive-precision arithmetic with the working precision
-chosen from a float-level scan of the term magnitudes; the t-independent
-part of that scan is computed once per a and cached.  Beyond the tail cut
-it is continued from its value at the cut; that anchor depends only on a and
-is summed once per a and cached.
+The Wright function phi_a(t) = sum (-t)^n / (n! Gamma(1 - a (n + 1))) is that
+float series for t <= 0.3, where its terms do not cancel, and beyond it
+Kanter's positive integral for the one-sided stable density (Kanter 1975;
+Mainardi, Mura & Pagnini 2010) on one fixed Gauss-Legendre rule per a.
+Against an uncapped mpmath series it is within 3e-15 absolute for a in
+[0.1, 0.95] (1.1e-14 at a = 0.99), and it is never negative.
 """
 from __future__ import annotations
 
@@ -52,7 +51,6 @@ import functools
 import math
 import threading
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, NumericalError
@@ -168,6 +166,12 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _BRANCH_CUT_BLOCK = 1 << 16  # (argument, node) pairs per evaluation block
 
 
+def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (panels, 20) of composite Gauss-Legendre on `edges`."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X, half * _GL_W
+
+
 @functools.lru_cache(maxsize=64)
 def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     """Nodes r^a and weights of the fixed branch-cut rule for (a, b).
@@ -192,9 +196,8 @@ def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
         np.linspace(u_mid - 4.0 * n_coarse, u_mid, n_coarse + 1)[:-1],
         np.linspace(u_mid, u_hi, n_fine + 1),
     ])
-    half = 0.5 * np.diff(edges)[:, None]
-    u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X
-    w = half * _GL_W * np.exp(-np.exp(u) + (alpha - beta + 1.0) * u) / math.pi
+    u, w = _gauss_panels(edges)
+    w = w * np.exp(-np.exp(u) + (alpha - beta + 1.0) * u) / math.pi
     rho = np.exp(alpha * u)
     rule = (
         rho.ravel(),
@@ -265,7 +268,9 @@ def ml_e_neg(alpha: float, beta: float, y):
         else:
             # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), summed by mpmath one
             # argument at a time (no march takes this path): accurate on y in
-            # [0, 1e6].
+            # [0, 1e6].  Imported here, so no other path loads mpmath.
+            import mpmath
+
             rg = mpmath.rgamma(beta)
             out[:] = [float(mpmath.hyp1f1(1, beta, -v) * rg) for v in y_arr.tolist()]
         return float(out[0]) if scalar else out
@@ -443,88 +448,82 @@ def ml_neg_fast(alpha: float, beta: float, y):
 # Wright function phi_alpha on the nonnegative axis
 # --------------------------------------------------------------------------
 
+_WRIGHT_SERIES_EDGE = 0.3  # theta <= this: the power series, 40 terms
+
+
+def _check_wright_order(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+
 
 def wright_tail_cut(alpha: float) -> float:
     """Argument beyond which phi_alpha is below ~1e-14 (stretched-exponential tail)."""
+    _check_wright_order(alpha)
     b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     return (34.0 / b) ** (1.0 - alpha)
 
 
-def _wright_log_rgamma_abs(z: np.ndarray) -> np.ndarray:
-    """log |1/Gamma(z)| for real z, using reflection for z <= 0."""
-    out = np.empty_like(z)
-    pos = z > 0.0
-    out[pos] = -_lgamma_row(z[pos])
-    zn = z[~pos]
-    # |Gamma(z)| = pi / (|sin(pi z)| Gamma(1 - z)) for non-integer z < 0.
-    s = np.abs(np.sin(np.pi * zn))
-    with np.errstate(divide="ignore"):
-        out[~pos] = np.where(
-            s == 0.0, -np.inf, np.log(s) + _lgamma_row(1.0 - zn) - math.log(math.pi)
-        )
-    return out
-
-
-_WRIGHT_TERMS = 2000  # terms scanned by the float-level magnitude pass
-
-
 @functools.lru_cache(maxsize=64)
-def _wright_log_row(alpha: float) -> np.ndarray:
-    """The theta-independent part of the Wright log-term row, once per alpha.
+def _wright_rule(alpha: float) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """Series coefficients, log A and log(w A / (pi (1 - alpha))) for alpha.
 
-    Entry n is log(1/n!) + log|1/Gamma(1 - alpha (n + 1))| for n < 2000,
-    -inf at the poles of 1/Gamma.
+    Composite 20-point Gauss-Legendre on two panels of phi in [0, pi/2] and
+    on panels of width min(1, 2 (1 - alpha)) in log g, g = pi - phi, from
+    pi/2 down to g_min, where A theta^e >= 60 for every theta above the
+    series edge (A ~ C g^-e near g = 0, C = sin(alpha pi)^(alpha e)
+    sin((1 - alpha) pi)).  Each sine is taken of the smaller of k phi and
+    pi - k phi, so none loses digits near pi.
     """
-    n = np.arange(_WRIGHT_TERMS, dtype=float)
-    row = -_lgamma_row(n + 1.0) + _wright_log_rgamma_abs(1.0 - alpha * (n + 1.0))
-    row.setflags(write=False)
-    return row
+    coeffs = tuple(_rgamma(1.0 - alpha * (n + 1.0)) / math.factorial(n)
+                   for n in range(40))
+    e = 1.0 / (1.0 - alpha)
+    # log g_min from C (edge / g_min)^e = 60
+    u_lo = (math.log(_WRIGHT_SERIES_EDGE) + alpha * math.log(math.sin(alpha * math.pi))
+            + (1.0 - alpha) * math.log(math.sin((1.0 - alpha) * math.pi) / 60.0))
+    h = min(1.0, 2.0 * (1.0 - alpha))
+    u_hi = math.log(0.5 * math.pi)
+    n = math.ceil((u_hi - u_lo) / h)
+    phi_p, w_p = _gauss_panels(np.linspace(0.0, 0.5 * math.pi, 3))
+    u, w_u = _gauss_panels(np.linspace(u_hi - n * h, u_hi, n + 1))
+    g_u = np.exp(u.ravel())
+    phi = np.concatenate([phi_p.ravel(), math.pi - g_u])
+    g = np.concatenate([math.pi - phi_p.ravel(), g_u])
+    w = np.concatenate([w_p.ravel(), w_u.ravel() * g_u])
 
+    def log_sin(k: float, rest: float) -> np.ndarray:  # log sin(k phi), rest = 1 - k
+        return np.log(np.sin(np.minimum(k * phi, rest * math.pi + k * g)))
 
-def _wright_series_mp(alpha: float, theta: float) -> float:
-    """Adaptive-precision Wright sum; term magnitudes scanned in floats first."""
-    logterm = np.arange(_WRIGHT_TERMS) * math.log(max(theta, 1e-300))
-    logterm += _wright_log_row(alpha)
-    peak = float(np.max(logterm))
-    # Truncate after the last term within ~1e-43 of the peak; isolated poles
-    # of 1/Gamma give -inf entries that must not trigger early truncation.
-    keep = np.where(logterm >= peak - 100.0)[0]
-    n_stop = int(keep[-1]) + 1
-    dps = max(30, int(peak / math.log(10.0)) + 30)
-    with mpmath.workdps(dps):
-        t = mpmath.mpf(theta)
-        a = mpmath.mpf(alpha)
-        total = mpmath.mpf(0)
-        for k in range(n_stop):
-            # The Gamma argument must be formed in working precision: rounding
-            # it in doubles can snap onto a Gamma pole and silently zero a
-            # term that the consistently-rounded sum relies on.
-            term = (-t) ** k / mpmath.factorial(k) * mpmath.rgamma(1 - a * (k + 1))
-            total += term
-        return float(total)
+    log_a = (alpha * e * log_sin(alpha, 1.0 - alpha) + log_sin(1.0 - alpha, alpha)
+             - e * log_sin(1.0, 0.0))
+    log_wa = np.log(w / (math.pi * (1.0 - alpha))) + log_a
+    for arr in (log_a, log_wa):
+        arr.setflags(write=False)
+    return coeffs, log_a, log_wa
 
 
 def wright_phi(alpha: float, theta: float) -> float:
     """Wright function phi_alpha(theta) for alpha in (0,1), theta >= 0.
 
-    Beyond the stretched-exponential cutoff (value < ~1e-14) the tail is
-    continued by the leading exponential factor matched at the cutoff, which
-    keeps the result positive and far below every tolerance used here.  The
-    value at the cutoff is summed once per alpha and cached.
+    The power series up to theta = 0.3 (exactly 1/Gamma(1 - alpha) at 0),
+    beyond it Kanter's integral on the rule of `_wright_rule`, e = 1/(1 - alpha):
+
+        phi_alpha(theta) = theta^(alpha e) / (pi (1 - alpha))
+                           int_0^pi A(phi) exp(-A(phi) theta^e) dphi,
+        A(phi) = sin(alpha phi)^(alpha e) sin((1 - alpha) phi) / sin(phi)^e.
+
+    Each term is one exponential, so none overflows; the far tail is 0.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_wright_order(alpha)
     if not np.isfinite(theta) or theta < 0.0:
         raise DomainError(f"theta must be >= 0, got {theta!r}")
-    cut = wright_tail_cut(alpha)
-    if theta <= cut:
-        return _wright_series_mp(alpha, theta)
-    b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+    coeffs, log_a, log_wa = _wright_rule(alpha)
+    if theta <= _WRIGHT_SERIES_EDGE:
+        total, x = 0.0, -float(theta)
+        for coeff in reversed(coeffs):
+            total = total * x + coeff
+        return total
     e = 1.0 / (1.0 - alpha)
-    return _wright_tail_anchor(alpha) * math.exp(b * cut**e - b * theta**e)
-
-
-@functools.lru_cache(maxsize=64)
-def _wright_tail_anchor(alpha: float) -> float:
-    """phi_alpha at the tail cut: one adaptive-precision sum per alpha."""
-    return _wright_series_mp(alpha, wright_tail_cut(alpha))
+    lt = math.log(theta)
+    with np.errstate(over="ignore"):  # A theta^e = inf: a term of exactly 0
+        a_t = np.exp(log_a + e * lt)
+    return float(np.exp(log_wa + alpha * e * lt - a_t).sum())

@@ -2,7 +2,7 @@
 
 SciPy is a test dependency only: the suite uses it as an oracle, so the
 check runs in a fresh interpreter. A march and a profile inversion do not
-import numpy.ma either.
+import numpy.ma either, and only E_{1,b} with b not in {1, 2} imports mpmath.
 """
 import os
 import subprocess
@@ -26,8 +26,9 @@ fs.integrate(params, grid, None, w, fs.TimeMesh.make(2.0, 20, grading=2.0))
 fs.profile("F", 0.5, 0.4, 2, np.geomspace(1e-2, 1e2, 8))
 assert "numpy.ma" not in sys.modules  # its import costs ~15 ms
 fs.wright_phi(0.7, 1.0)
-fs.ml_e_neg(1.0, 1.5, np.array([0.0, 0.5, 40.0]))
 assert run_selftest(verbose=False)
+assert "mpmath" not in sys.modules  # its import costs ~40 ms
+fs.ml_e_neg(1.0, 1.5, np.array([0.0, 0.5, 40.0]))  # may load mpmath
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

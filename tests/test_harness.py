@@ -548,6 +548,39 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Is a directory" in captured.err
 
+    @pytest.mark.parametrize("command", ["sweep", "bracket", "simulate"])
+    @pytest.mark.parametrize("out", ["a-directory", "missing/run.out"])
+    def test_unwritable_out_fails_before_the_march(self, tmp_path, capsys, monkeypatch,
+                                                   command, out):
+        def no_march(config, ps):
+            raise AssertionError("marched before checking --out")
+
+        monkeypatch.setattr(harness.SweepConfig, "simulate", no_march)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_with("p_values", [3.0]) if command == "simulate"
+                            else config_with("classify.t_end", 2.0))
+        (tmp_path / "a-directory").mkdir()
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / out)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(tmp_path / out) in captured.err
+
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, monkeypatch):
+        def failing_march(config, ps):
+            raise NumericalError("march failed")
+
+        monkeypatch.setattr(harness.SweepConfig, "simulate", failing_march)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_with("p_values", [3.0]))
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("kept\n")
+        for out_path in (kept, new):
+            assert cli_main(["simulate", "--config", str(cfg_path),
+                             "--out", str(out_path)]) == 2
+        assert kept.read_text() == "kept\n"
+        assert not new.exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli_main(["frobnicate"]) == 1
 

@@ -94,29 +94,6 @@ class TestGammaHelpers:
                      if np.max(n * math.log(x) - want) <= math.log(1e4)), 0.125)
         assert special._series_edge(alpha, beta) == edge
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.95])
-    def test_wright_row_is_cached_and_matches_gammaln(self, alpha):
-        n = np.arange(special._WRIGHT_TERMS, dtype=float)
-        z = 1.0 - alpha * (n + 1.0)
-        s = np.abs(np.sin(np.pi * z))
-        log_factorial = sp.gammaln(n + 1.0)
-        with np.errstate(divide="ignore"):
-            log_rgamma = np.where(
-                z > 0.0, -sp.gammaln(np.where(z > 0.0, z, 1.0)),
-                np.where(s == 0.0, -np.inf,
-                         np.log(s) + sp.gammaln(1.0 - z) - math.log(math.pi)))
-        want = log_rgamma - log_factorial
-        row = special._wright_log_row(alpha)
-        assert row is special._wright_log_row(alpha)
-        finite = np.isfinite(want)
-        assert np.array_equal(np.isfinite(row), finite)
-        assert np.all(row[~finite] == -np.inf)
-        # The two parts nearly cancel as alpha -> 1, so the row is compared
-        # relative to the size of its parts.
-        scale = np.abs(log_factorial) + np.abs(log_rgamma) + 1.0
-        err = np.abs(row[finite] - want[finite]) / scale[finite]
-        assert np.max(err) <= 1e-15
-
 
 class TestMittagLeffler:
     def test_exponential_limit(self):
@@ -341,7 +318,72 @@ class TestFastTable:
             ml_neg_fast(1.5, 0.5, np.array([1.0]))
 
 
+def wright_series_oracle(alpha, theta):
+    """phi_alpha(theta) from its power series in mpmath, with no term cap.
+
+    Summed until the terms fall 1e-40 below their peak and below 1e-40; the
+    precision covers the peak twice over, since the sum is about as far
+    below 1 as the peak is above it.
+    """
+    log_t = math.log(theta) if theta > 0.0 else -math.inf
+
+    def log_term(n):  # log of a bound on |term n|
+        z = 1.0 - alpha * (n + 1)
+        log_rgamma = (-math.lgamma(z) if z > 0.0
+                      else math.lgamma(1.0 - z) - math.log(math.pi))
+        return (n * log_t if n else 0.0) - math.lgamma(n + 1.0) + log_rgamma
+
+    peak, n = log_term(0), 1
+    while not (log_term(n) < min(peak, 0.0) - 40.0 * math.log(10.0)
+               and log_term(n) < log_term(n - 1)):
+        peak = max(peak, log_term(n))
+        n += 1
+    with mpmath.workdps(30 + int(2.0 * max(peak, 0.0) / math.log(10.0))):
+        a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+        total, power = mpmath.mpf(0), mpmath.mpf(1)  # power = (-t)^k / k!
+        for k in range(n + 1):
+            total += power * mpmath.rgamma(1 - a * (k + 1))
+            power *= -t / (k + 1)
+        return float(total)
+
+
 class TestWright:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_matches_the_uncapped_series_and_is_nonnegative(self, alpha):
+        cut = wright_tail_cut(alpha)
+        b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+        for theta in np.linspace(0.0, 1.5 * cut, 16):  # node 10 is the cut
+            got = wright_phi(alpha, theta)
+            assert got >= 0.0
+            if b * theta ** (1.0 / (1.0 - alpha)) <= 45.0:
+                assert abs(got - wright_series_oracle(alpha, theta)) <= 1e-13
+            else:
+                # phi < 1e-16 here by its saddle-point asymptote; at 1.5 cut the
+                # series would need ~1e6 terms at ~1e5 digits for alpha = 0.95.
+                assert got <= 1e-13
+        for theta in (2.0 * cut, 10.0 * cut, 1e300):
+            assert wright_phi(alpha, theta) >= 0.0
+
+    def test_half_order_gaussian_to_the_far_tail(self):
+        for theta in np.linspace(0.0, 20.0, 81):
+            exact = math.exp(-(theta**2) / 4.0) / SQRT_PI
+            assert wright_phi(0.5, theta) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_rule_is_built_once_per_alpha(self):
+        special._wright_rule.cache_clear()
+        for theta in (0.0, 0.2, 2.0, 40.0):
+            wright_phi(0.7, theta)
+        info = special._wright_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert special._wright_rule(0.7) is special._wright_rule(0.7)
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.5, 1.0, 0.0, math.nan])
+    def test_orders_outside_the_unit_interval_are_rejected(self, alpha):
+        with pytest.raises(DomainError):
+            wright_tail_cut(alpha)
+        with pytest.raises(DomainError):
+            wright_phi(alpha, 1.0)
+
     def test_at_zero(self):
         assert wright_phi(0.5, 0.0) == pytest.approx(1.0 / SQRT_PI, abs=1e-10)
 
@@ -372,27 +414,6 @@ class TestWright:
             limit=200,
         )
         assert val == pytest.approx(float(ml_e_neg(alpha, 1.0, lam)), abs=1e-6)
-
-    def test_tail_anchor_is_summed_once_per_alpha(self, monkeypatch):
-        alpha = 0.7
-        cut = wright_tail_cut(alpha)
-        b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-        e = 1.0 / (1.0 - alpha)
-        real = special._wright_series_mp
-        anchor = real(alpha, cut)
-        sums = []
-
-        def counting(a, theta):
-            sums.append((a, theta))
-            return real(a, theta)
-
-        special._wright_tail_anchor.cache_clear()
-        monkeypatch.setattr(special, "_wright_series_mp", counting)
-        for theta in (1.01 * cut, 2.0 * cut, 34.0, 34.0):
-            want = anchor * math.exp(b * cut**e - b * theta**e)
-            assert wright_phi(alpha, theta) == want
-        assert sums == [(alpha, cut)]
-        special._wright_tail_anchor.cache_clear()
 
     def test_domain(self):
         with pytest.raises(DomainError):
