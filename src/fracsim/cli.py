@@ -183,6 +183,7 @@ def _cmd_bracket(args) -> int:
              "blowup_time_est": r.blowup_time_est, "note": r.note}
             for r in result.rows
         ],
+        "marches": [list(m) for m in result.marches],
     }
     _emit_json(payload, args.out)
     return 0

@@ -4,9 +4,11 @@ A sweep runs one simulation per nonlinearity power p at fixed remaining
 parameters, classifies each run (Global / BlowUp / Undetermined), and tags
 every row with the closed-form exponents so the table can be read against
 the predicted threshold p*.  `bracket_pstar` bisects on p between the
-largest observed BlowUp and the smallest observed Global.  Both march up to
-`MARCH_MEMBERS` powers in lockstep (`integrate_many`), which share one
-cell-weight row per step; every row equals the row of its own march.
+largest observed BlowUp and the smallest observed Global.  Both march
+several powers in lockstep (`integrate_many`), which share one cell-weight
+row per step; every row equals the row of its own march.  A march holds as
+many powers as `march_members` allows, and the bracket fills it with the
+probes the bisection asks for next if the closed-form p* is right.
 
 Configs are plain JSON (schema 1); CSV output uses a fixed column order and
 repr-exact floats, so identical inputs give bit-identical files.
@@ -15,13 +17,14 @@ repr-exact floats, so identical inputs give bit-identical files.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .criticality import critical_exponents
+from .criticality import critical_exponents, p_star_exponent
 from .errors import (
     BracketingError,
     DomainError,
@@ -68,9 +71,11 @@ CSV_COLUMNS = (
     "note",
 )
 
-# The most powers one march holds: each live member keeps its own
-# (steps + 1, 2, modes) history.
-MARCH_MEMBERS = 3
+# A march holds as many powers as fit in MARCH_HISTORY_BYTES of histories,
+# and never fewer than MIN_MARCH_MEMBERS: each live member keeps its own
+# (steps + 1, 2, modes) float64 history.
+MARCH_HISTORY_BYTES = 32 * 2**20
+MIN_MARCH_MEMBERS = 3
 
 
 @dataclass(frozen=True)
@@ -209,12 +214,18 @@ def _classify(config: SweepConfig, ps: Sequence[float]) -> list[SweepRow]:
     ]
 
 
+def march_members(config: SweepConfig) -> int:
+    """The most powers one march of `config` holds."""
+    history = (config.steps + 1) * 2 * math.prod(config.grid.mode_shape) * 8
+    return max(MIN_MARCH_MEMBERS, MARCH_HISTORY_BYTES // history)
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One `_classify` row per p of the config, in p order; consecutive
-    groups of at most `MARCH_MEMBERS` powers share a march."""
-    ps = config.p_values
-    return [row for i in range(0, len(ps), MARCH_MEMBERS)
-            for row in _classify(config, ps[i : i + MARCH_MEMBERS])]
+    groups of at most `march_members(config)` powers share a march."""
+    ps, members = config.p_values, march_members(config)
+    return [row for i in range(0, len(ps), members)
+            for row in _classify(config, ps[i : i + members])]
 
 
 @dataclass(frozen=True)
@@ -223,10 +234,18 @@ class BracketResult:
     p_hi: float  # smallest p classified Global
     undetermined: tuple[float, ...]
     rows: tuple[SweepRow, ...]
+    marches: tuple[tuple[float, ...], ...]  # the powers of each march, in order
 
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.p_lo + self.p_hi)
+
+
+def _midpoint(lo: float, hi: float, frac: float = 0.5) -> float:
+    """The probe `frac` of the way across [lo, hi].  The bisection and its
+    look-ahead both take their probes from here, so a predicted probe is
+    the one later asked for, bit for bit."""
+    return lo + frac * (hi - lo)
 
 
 def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
@@ -240,37 +259,65 @@ def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
 
     Probes are asked for one at a time and their rows kept by p.  A probe
     not marched yet is marched in lockstep with the probes that may be
-    asked next: the following p_values (and, for exactly two p_values more
-    than tol_p apart, their midpoint); for a bisection probe, the next
-    round's midpoint after a BlowUp and after a Global, each when that half
-    is still wider than tol_p.  Rows of look-ahead probes never asked for
-    are dropped, so the result is the one-probe-at-a-time bisection's.
+    asked next, up to `march_members(config)` powers in all.  With a
+    closed-form p* (`p_star_exponent`) these are the probes the bisection
+    asks for if every p below p* blows up and every other p is Global: in
+    the initial pass, the following p_values and the path from the
+    predicted initial bracket; for a bisection probe, the path after its
+    predicted outcome.  Without p*: the following p_values (and, for
+    exactly two p_values more than tol_p apart, their midpoint); for a
+    bisection probe, the next round's midpoint after a BlowUp and after a
+    Global, each when that half is still wider than tol_p.  A wrong
+    prediction costs one more march, which looks ahead from the real
+    bracket.  Rows of look-ahead probes never asked for are dropped, so the
+    result is the one-probe-at-a-time bisection's.
     """
-    if tol_p <= 0.0:
-        raise DomainError("tol_p must be positive")
+    if not tol_p > 0.0:
+        raise DomainError(f"tol_p must be positive, got {tol_p!r}")
+    members = march_members(config)
+    p_star = p_star_exponent(config.alpha, config.s, config.sigma, config.dim)
     rows: list[SweepRow] = []
     undetermined: list[float] = []
     marched: dict[float, SweepRow] = {}
+    marches: list[tuple[float, ...]] = []
 
     def classify_at(p: float, look_ahead: list[float]) -> str:
         if p not in marched:
             ahead = [q for q in dict.fromkeys(look_ahead)
                      if q != p and q not in marched]
-            group = [p] + ahead[: MARCH_MEMBERS - 1]
+            group = [p] + ahead[: members - 1]
             marched.update(zip(group, _classify(config, group)))
+            marches.append(tuple(group))
         row = marched[p]
         rows.append(row)
         if row.classification == UNDETERMINED:
             undetermined.append(p)
         return row.classification
 
+    def path(lo: float, hi: float) -> list[float]:
+        """The midpoints a bisection of [lo, hi] probes while every p below
+        p* blows up and every other p is Global; without p*, the first."""
+        mids = []
+        while hi - lo > tol_p:
+            mid = _midpoint(lo, hi)
+            if not lo < mid < hi:
+                break  # no float lies between lo and hi
+            mids.append(mid)
+            if p_star is None:
+                break
+            lo, hi = (mid, hi) if mid < p_star else (lo, mid)
+        return mids
+
     p_values = config.p_values
-    first_mid = []
-    if len(p_values) == 2 and p_values[1] - p_values[0] > tol_p:
-        first_mid = [p_values[0] + 0.5 * (p_values[1] - p_values[0])]
+    if p_star is None:
+        lo, hi = p_values if len(p_values) == 2 else (None, None)
+    else:
+        lo = max((p for p in p_values if p < p_star), default=None)
+        hi = min((p for p in p_values if p >= p_star), default=None)
+    first_path = [] if lo is None or hi is None else path(lo, hi)
     p_lo = p_hi = None
     for i, p in enumerate(p_values):
-        c = classify_at(p, list(p_values[i + 1 :]) + first_mid)
+        c = classify_at(p, list(p_values[i + 1 :]) + first_path)
         if c == BLOWUP:
             if p_hi is not None and p > p_hi:
                 raise BracketingError(
@@ -289,12 +336,14 @@ def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
     while p_hi - p_lo > tol_p:
         moved = False
         for frac in (0.5, 0.25, 0.75):
-            p_mid = p_lo + frac * (p_hi - p_lo)
-            # The next round's midpoint after a Global, then after a BlowUp.
-            nxt = [p_lo + 0.5 * (p_mid - p_lo)] if p_mid - p_lo > tol_p else []
-            if p_hi - p_mid > tol_p:
-                nxt.append(p_mid + 0.5 * (p_hi - p_mid))
-            c = classify_at(p_mid, nxt)
+            p_mid = _midpoint(p_lo, p_hi, frac)
+            if p_star is None:  # the next midpoint after a Global, then a BlowUp
+                ahead = path(p_lo, p_mid) + path(p_mid, p_hi)
+            elif p_mid < p_star:
+                ahead = path(p_mid, p_hi)
+            else:
+                ahead = path(p_lo, p_mid)
+            c = classify_at(p_mid, ahead)
             if c == BLOWUP:
                 p_lo = p_mid
                 moved = True
@@ -310,6 +359,7 @@ def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
         p_hi=p_hi,
         undetermined=tuple(undetermined),
         rows=tuple(rows),
+        marches=tuple(marches),
     )
 
 

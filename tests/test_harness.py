@@ -179,9 +179,28 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "_classify",
                             fake_rows(lambda p: "Global", marches))
         p_values = (1.2, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-        rows = run_sweep(small_config(p_values=p_values))
+        # a march_2d-sized 2D mesh holds 3 powers per march
+        cfg = small_config(p_values=p_values, dim=2, steps=70,
+                           grid=GridSpec(dim=2, points=128, half_width=16.0))
+        rows = run_sweep(cfg)
         assert [r.p for r in rows] == list(p_values)
         assert marches == [[1.2, 1.5, 2.0], [2.5, 3.0, 3.5], [4.0]]
+        # the small 1D mesh holds them all
+        marches.clear()
+        run_sweep(small_config(p_values=p_values))
+        assert marches == [list(p_values)]
+
+    def test_members_fill_the_history_budget_down_to_a_floor_of_3(self):
+        def members(dim, points, steps):
+            grid = GridSpec(dim=dim, points=points, half_width=50.0)
+            return harness.march_members(
+                small_config(dim=dim, grid=grid, steps=steps))
+
+        assert members(1, 1024, 100) == 40  # the bracket benchmark's mesh
+        assert members(1, 1024, 600) == 6  # criterion 09
+        assert members(2, 128, 70) == 3
+        assert members(2, 256, 600) == 3  # one history alone exceeds 32 MiB
+        assert members(1, 64, 24) > 40
 
     def test_rows_equal_the_rows_of_single_marches(self):
         cfg = small_config(p_values=(1.5, 2.0, 3.0, 4.0))
@@ -286,17 +305,48 @@ class TestBracket:
         # exactly the serial probes: no row for a look-ahead never asked for
         assert [row.p for row in res.rows] == probes
         assert res.undetermined == undetermined
-        assert all(1 <= len(m) <= harness.MARCH_MEMBERS for m in marches)
+        assert all(1 <= len(m) <= harness.march_members(small_config())
+                   for m in marches)
         marched = [p for m in marches for p in m]
         assert len(marched) == len(set(marched))  # no p is marched twice
         assert len(marches) < len(probes)
+
+    def test_closed_form_labels_take_one_march(self, monkeypatch):
+        marches = []
+        p_star = 7.0 / 3.0  # closed form at small_config's alpha, s, sigma, dim
+        monkeypatch.setattr(
+            harness, "_classify",
+            fake_rows(lambda p: "BlowUp" if p < p_star else "Global", marches))
+        res = bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.05)
+        probes = [1.5, 3.0, 2.25, 2.625, 2.4375, 2.34375, 2.296875]
+        assert [row.p for row in res.rows] == probes
+        assert marches == [probes]
+        assert res.marches == (tuple(probes),)
+        assert (res.p_lo, res.p_hi) == (2.296875, 2.34375)
+
+    def test_a_wrong_prediction_costs_one_more_march(self, monkeypatch):
+        marches = []
+        monkeypatch.setattr(
+            harness, "_classify",
+            fake_rows(lambda p: "BlowUp" if p < 2.0 else "Global", marches))
+        res = bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.05)
+        # 2.25 and 2.0625 are Global though below p* = 7/3: each wrong
+        # outcome ends a march, and the next looks ahead from the real bracket
+        assert marches == [[1.5, 3.0, 2.25, 2.625, 2.4375, 2.34375, 2.296875],
+                           [1.875, 2.0625, 2.15625, 2.203125],
+                           [1.96875, 2.015625]]
+        assert res.marches == tuple(tuple(m) for m in marches)
+        assert [row.p for row in res.rows] == [1.5, 3.0, 2.25, 1.875, 2.0625,
+                                               1.96875, 2.015625]
 
     def test_marches_hold_the_next_midpoints(self, monkeypatch):
         marches = []
         monkeypatch.setattr(
             harness, "_classify",
             fake_rows(lambda p: "BlowUp" if p < 2.0 else "Global", marches))
-        bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.05)
+        # N alpha <= 2 s (alpha + sigma): no closed-form p* to predict from
+        cfg = small_config(p_values=(1.5, 3.0), s=0.9, sigma=-0.1)
+        bracket_pstar(cfg, tol_p=0.05)
         # The initial pass holds the first midpoint; each later march holds
         # the next round's midpoint after a Global and after a BlowUp.
         # 7 probes in 3 marches.
@@ -309,11 +359,29 @@ class TestBracket:
                             fake_rows(lambda p: "Global", marches))
         with pytest.raises(BracketingError, match="do not straddle"):
             bracket_pstar(small_config(p_values=(1.5, 3.0)), tol_p=0.1)
-        assert marches == [[1.5, 3.0, 2.25]]
+        # the initial pass holds the whole path predicted from p* = 7/3
+        assert marches == [[1.5, 3.0, 2.25, 2.625, 2.4375, 2.34375]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_real_bisection_takes_one_march_of_identical_rows(self):
+        # criterion 09 at 100 steps: the inputs of the `bracket` benchmark
+        cfg = small_config(
+            p_values=(1.8, 3.0), t_end=50.0, steps=100,
+            w=DataSpec(kind="gaussian", amplitude=0.4, width=1.0),
+            grid=GridSpec(dim=1, points=1024, half_width=50.0),
+            thresholds=ClassifyThresholds(u_max=1e8, ratio_max=10.0, t_end=50.0,
+                                          beta=0.09375))
+        res = bracket_pstar(cfg, tol_p=0.2)
+        assert res.marches == ((1.8, 3.0, 2.4, 2.1, 2.25),)
+        assert (res.p_lo, res.p_hi) == (2.25, 2.4)
+        serial = [row for p in (1.8, 3.0, 2.4, 2.1, 2.25)
+                  for row in harness._classify(cfg, [p])]
+        assert list(res.rows) == serial
 
     def test_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            bracket_pstar(small_config(), tol_p=0.0)
+        for tol_p in (0.0, -0.1, float("nan")):
+            with pytest.raises(DomainError, match="tol_p must be positive"):
+                bracket_pstar(small_config(), tol_p=tol_p)
 
 
 class TestCli:
@@ -533,6 +601,20 @@ class TestCli:
         assert payload["local_F_rhs"] == "inf"
         assert "zero-data" in payload["flags"]
 
+    def test_nan_tolerance_is_one_line_usage_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_march(config, ps):
+            raise AssertionError("marched with a NaN tolerance")
+
+        monkeypatch.setattr(harness, "_classify", no_march)
+        cfg_path = tmp_path / "bracket.json"
+        cfg_path.write_text(config_with("classify.t_end", 2.0))
+        assert cli_main(["bracket", "--config", str(cfg_path),
+                         "--tol-p", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol_p must be positive, got nan\n"
+
     def test_missing_config_is_usage_error(self, capsys):
         assert cli_main(["simulate", "--config", "/nonexistent.json"]) == 1
 
@@ -638,7 +720,10 @@ class TestCli:
         assert cli_main(["bracket", "--config", str(cfg_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"p_lo", "p_hi", "midpoint", "p_star",
-                                "undetermined", "evaluations"}
+                                "undetermined", "evaluations", "marches"}
+        marched = [p for march in payload["marches"] for p in march]
+        assert len(marched) == len(set(marched))
+        assert {e["p"] for e in payload["evaluations"]} <= set(marched)
         assert payload["p_star"] == pytest.approx(7.0 / 3.0)
         assert payload["p_lo"] < 2.0 <= payload["p_hi"]
         assert payload["evaluations"]
