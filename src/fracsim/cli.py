@@ -114,6 +114,9 @@ def _cmd_kernel(args) -> int:
         raise DomainError(
             f"kernel --mode norms computes on a 1D grid; got --dim {args.dim}"
         )
+    below_one = [q for q in args.q if not q >= 1.0]
+    if below_one:
+        raise DomainError(f"kernel --q must be >= 1, got {', '.join(map(repr, below_one))}")
     kind = "Z" if args.kind == "F" else "Y"
     # Beyond the kernel's q_critical its L^q norm is infinite (the symbol
     # decays too slowly for an origin singularity to be integrable): no

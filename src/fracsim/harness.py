@@ -4,11 +4,13 @@ A sweep runs one simulation per nonlinearity power p at fixed remaining
 parameters, classifies each run (Global / BlowUp / Undetermined), and tags
 every row with the closed-form exponents so the table can be read against
 the predicted threshold p*.  `bracket_pstar` bisects on p between the
-largest observed BlowUp and the smallest observed Global.  Both march
-several powers in lockstep (`integrate_many`), which share one cell-weight
-row per step; every row equals the row of its own march.  A march holds as
-many powers as `march_members` allows, and the bracket fills it with the
-probes the bisection asks for next if the closed-form p* is right.
+largest observed BlowUp and the smallest observed Global; the bisection
+is written once, in `_bisect`.  Both march several powers in lockstep
+(`integrate_many`), which share one cell-weight row per step; every row
+equals the row of its own march.  A march holds as many powers as
+`march_members` allows, and the bracket fills it by replaying `_bisect`
+on the closed-form labels (BlowUp below p*, Global at or above it, with
+p* = inf where it has no closed form).
 
 Configs are plain JSON (schema 1); CSV output uses a fixed column order and
 repr-exact floats, so identical inputs give bit-identical files.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -242,82 +244,25 @@ class BracketResult:
 
 
 def _midpoint(lo: float, hi: float, frac: float = 0.5) -> float:
-    """The probe `frac` of the way across [lo, hi].  The bisection and its
-    look-ahead both take their probes from here, so a predicted probe is
-    the one later asked for, bit for bit."""
+    """The probe `frac` of the way across [lo, hi]."""
     return lo + frac * (hi - lo)
 
 
-def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
-    """Bisect on p between BlowUp and Global classifications.
+def _bisect(p_values: Sequence[float], tol_p: float,
+            label: Callable[[float], str]) -> tuple[float, float]:
+    """The serial bisection: (p_lo, p_hi) from the classifications
+    `label(p)` of its probes, asked for one at a time.
 
-    The initial p_values must straddle the threshold (at least one BlowUp
-    below one Global).  Undetermined midpoints cannot shrink the bracket;
-    the bisection then probes the quarter points instead, and gives up with
-    the widened bracket (and the undetermined p list as diagnostics) if
-    those are undetermined too.
-
-    Probes are asked for one at a time and their rows kept by p.  A probe
-    not marched yet is marched in lockstep with the probes that may be
-    asked next, up to `march_members(config)` powers in all.  With a
-    closed-form p* (`p_star_exponent`) these are the probes the bisection
-    asks for if every p below p* blows up and every other p is Global: in
-    the initial pass, the following p_values and the path from the
-    predicted initial bracket; for a bisection probe, the path after its
-    predicted outcome.  Without p*: the following p_values (and, for
-    exactly two p_values more than tol_p apart, their midpoint); for a
-    bisection probe, the next round's midpoint after a BlowUp and after a
-    Global, each when that half is still wider than tol_p.  A wrong
-    prediction costs one more march, which looks ahead from the real
-    bracket.  Rows of look-ahead probes never asked for are dropped, so the
-    result is the one-probe-at-a-time bisection's.
+    The initial pass labels every p_value; they must straddle the threshold
+    (at least one BlowUp below one Global).  Each round then probes the
+    midpoint of [p_lo, p_hi] and, when that is Undetermined, the quarter
+    points.  It stops once the bracket is no wider than tol_p, when a round
+    finds only Undetermined probes, or when the next probe is not strictly
+    inside the bracket.
     """
-    if not tol_p > 0.0:
-        raise DomainError(f"tol_p must be positive, got {tol_p!r}")
-    members = march_members(config)
-    p_star = p_star_exponent(config.alpha, config.s, config.sigma, config.dim)
-    rows: list[SweepRow] = []
-    undetermined: list[float] = []
-    marched: dict[float, SweepRow] = {}
-    marches: list[tuple[float, ...]] = []
-
-    def classify_at(p: float, look_ahead: list[float]) -> str:
-        if p not in marched:
-            ahead = [q for q in dict.fromkeys(look_ahead)
-                     if q != p and q not in marched]
-            group = [p] + ahead[: members - 1]
-            marched.update(zip(group, _classify(config, group)))
-            marches.append(tuple(group))
-        row = marched[p]
-        rows.append(row)
-        if row.classification == UNDETERMINED:
-            undetermined.append(p)
-        return row.classification
-
-    def path(lo: float, hi: float) -> list[float]:
-        """The midpoints a bisection of [lo, hi] probes while every p below
-        p* blows up and every other p is Global; without p*, the first."""
-        mids = []
-        while hi - lo > tol_p:
-            mid = _midpoint(lo, hi)
-            if not lo < mid < hi:
-                break  # no float lies between lo and hi
-            mids.append(mid)
-            if p_star is None:
-                break
-            lo, hi = (mid, hi) if mid < p_star else (lo, mid)
-        return mids
-
-    p_values = config.p_values
-    if p_star is None:
-        lo, hi = p_values if len(p_values) == 2 else (None, None)
-    else:
-        lo = max((p for p in p_values if p < p_star), default=None)
-        hi = min((p for p in p_values if p >= p_star), default=None)
-    first_path = [] if lo is None or hi is None else path(lo, hi)
     p_lo = p_hi = None
-    for i, p in enumerate(p_values):
-        c = classify_at(p, list(p_values[i + 1 :]) + first_path)
+    for p in p_values:
+        c = label(p)
         if c == BLOWUP:
             if p_hi is not None and p > p_hi:
                 raise BracketingError(
@@ -332,35 +277,73 @@ def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
             "initial p_values do not straddle the threshold "
             f"(BlowUp up to {p_lo}, Global from {p_hi})"
         )
-
     while p_hi - p_lo > tol_p:
-        moved = False
         for frac in (0.5, 0.25, 0.75):
             p_mid = _midpoint(p_lo, p_hi, frac)
-            if p_star is None:  # the next midpoint after a Global, then a BlowUp
-                ahead = path(p_lo, p_mid) + path(p_mid, p_hi)
-            elif p_mid < p_star:
-                ahead = path(p_mid, p_hi)
-            else:
-                ahead = path(p_lo, p_mid)
-            c = classify_at(p_mid, ahead)
+            if not p_lo < p_mid < p_hi:
+                return p_lo, p_hi  # no float lies between p_lo and p_hi
+            c = label(p_mid)
             if c == BLOWUP:
                 p_lo = p_mid
-                moved = True
                 break
             if c == GLOBAL:
                 p_hi = p_mid
-                moved = True
                 break
-        if not moved:
-            break  # undetermined plateau: report the widened bracket honestly
-    return BracketResult(
-        p_lo=p_lo,
-        p_hi=p_hi,
-        undetermined=tuple(undetermined),
-        rows=tuple(rows),
-        marches=tuple(marches),
-    )
+        else:
+            break  # an Undetermined plateau: report the widened bracket
+    return p_lo, p_hi
+
+
+def bracket_pstar(config: SweepConfig, tol_p: float) -> BracketResult:
+    """`_bisect` of the config's p_values, each probe labelled by its
+    `_classify` row.  Undetermined probes are listed as diagnostics.
+
+    A probe not marched yet is marched in lockstep with the probes the
+    bisection asks for next if the closed form is right, up to
+    `march_members(config)` powers in all: `_bisect` is replayed with each
+    marched p labelled by its row and every other p BlowUp below the
+    closed-form p* (`p_star_exponent`) and Global at or above it, and the
+    march holds the probes it asks for that are not marched yet, in order.
+    Without a closed form (denominator <= 0) p* is taken as inf, the limit
+    of p_F as its denominator falls to 0+: every p is predicted to blow up.
+    A wrong prediction costs one more march.  Rows of probes never asked
+    for are dropped, so the result is the one-probe-at-a-time bisection's.
+    """
+    if not tol_p > 0.0:
+        raise DomainError(f"tol_p must be positive, got {tol_p!r}")
+    members = march_members(config)
+    p_star = p_star_exponent(config.alpha, config.s, config.sigma, config.dim)
+    if p_star is None:
+        p_star = math.inf
+    rows: list[SweepRow] = []
+    marched: dict[float, SweepRow] = {}
+    marches: list[tuple[float, ...]] = []
+
+    def label(p: float) -> str:
+        if p not in marched:
+            group: list[float] = []
+
+            def predict(q: float) -> str:
+                if q in marched:
+                    return marched[q].classification
+                if q not in group:
+                    group.append(q)
+                return BLOWUP if q < p_star else GLOBAL
+
+            try:
+                _bisect(config.p_values, tol_p, predict)
+            except BracketingError:
+                pass  # a predicted pass that does not straddle asks no more
+            del group[members:]
+            marched.update(zip(group, _classify(config, group)))
+            marches.append(tuple(group))
+        rows.append(marched[p])
+        return marched[p].classification
+
+    p_lo, p_hi = _bisect(config.p_values, tol_p, label)
+    undetermined = tuple(row.p for row in rows if row.classification == UNDETERMINED)
+    return BracketResult(p_lo=p_lo, p_hi=p_hi, undetermined=undetermined,
+                         rows=tuple(rows), marches=tuple(marches))
 
 
 # --------------------------------------------------------------------------

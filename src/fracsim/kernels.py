@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRangeError
-from .special import gamma, ml_neg_fast
+from .special import gamma, gauss_panels, ml_neg_fast
 from .spectral import Field, SpectralField, to_real, to_spectral
 
 __all__ = [
@@ -156,7 +156,6 @@ class KernelProfile:
         object.__setattr__(self, "values", v)
 
 
-_GLQ_X, _GLQ_W = np.polynomial.legendre.leggauss(12)
 _N_SEGMENTS = 72
 _N_DIRECT = 12  # segments summed directly before acceleration kicks in
 
@@ -282,13 +281,6 @@ def _split_panels(breaks: np.ndarray, width: float) -> np.ndarray:
     return np.concatenate((breaks[:1], pts))
 
 
-def _gauss_panels(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """12-point Gauss-Legendre nodes and weights, one row per panel."""
-    half = 0.5 * np.diff(breaks)[:, None]
-    mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
-    return mid + half * _GLQ_X, half * _GLQ_W
-
-
 @functools.lru_cache(maxsize=3)
 def _unit_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w of the radial inverse transform in x = xi r.
@@ -323,8 +315,8 @@ def _unit_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     # Sort and drop repeats; np.unique would import numpy.ma.
     breaks = np.sort(np.concatenate((breaks, zeros[: _N_DIRECT - 1])))
     breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
-    x_head, w_head = _gauss_panels(_split_panels(breaks, np.pi))
-    x_tail, w_tail = _gauss_panels(zeros[_N_DIRECT - 1 :])
+    x_head, w_head = gauss_panels(_split_panels(breaks, np.pi), 12)
+    x_tail, w_tail = gauss_panels(zeros[_N_DIRECT - 1 :], 12)
     w_tail *= _averaging_weights(x_tail.shape[0])[:, None]
     x = np.concatenate((x_head.ravel(), x_tail.ravel()))
     w = np.concatenate((w_head.ravel(), w_tail.ravel())) * factor(x)

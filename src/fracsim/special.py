@@ -52,6 +52,7 @@ import math
 import threading
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NumericalError
 
@@ -162,14 +163,23 @@ def _series_edge(alpha: float, beta: float) -> float:
     return 0.125
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _BRANCH_CUT_BLOCK = 1 << 16  # (argument, node) pairs per evaluation block
 
 
-def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (panels, 20) of composite Gauss-Legendre on `edges`."""
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of `order`-point Gauss-Legendre on [-1, 1]."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (panels, order) of composite `order`-point
+    Gauss-Legendre on `edges`."""
+    x, w = _gauss_legendre(order)
     half = 0.5 * np.diff(edges)[:, None]
-    return (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X, half * _GL_W
+    return (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x, half * w
 
 
 @functools.lru_cache(maxsize=64)
@@ -196,7 +206,7 @@ def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
         np.linspace(u_mid - 4.0 * n_coarse, u_mid, n_coarse + 1)[:-1],
         np.linspace(u_mid, u_hi, n_fine + 1),
     ])
-    u, w = _gauss_panels(edges)
+    u, w = gauss_panels(edges, 20)
     w = w * np.exp(-np.exp(u) + (alpha - beta + 1.0) * u) / math.pi
     rho = np.exp(alpha * u)
     rule = (
@@ -483,8 +493,8 @@ def _wright_rule(alpha: float) -> tuple[tuple[float, ...], np.ndarray, np.ndarra
     h = min(1.0, 2.0 * (1.0 - alpha))
     u_hi = math.log(0.5 * math.pi)
     n = math.ceil((u_hi - u_lo) / h)
-    phi_p, w_p = _gauss_panels(np.linspace(0.0, 0.5 * math.pi, 3))
-    u, w_u = _gauss_panels(np.linspace(u_hi - n * h, u_hi, n + 1))
+    phi_p, w_p = gauss_panels(np.linspace(0.0, 0.5 * math.pi, 3), 20)
+    u, w_u = gauss_panels(np.linspace(u_hi - n * h, u_hi, n + 1), 20)
     g_u = np.exp(u.ravel())
     phi = np.concatenate([phi_p.ravel(), math.pi - g_u])
     g = np.concatenate([math.pi - phi_p.ravel(), g_u])

@@ -3,7 +3,9 @@
 SciPy is a test dependency only: the suite uses it as an oracle, so the
 check runs in a fresh interpreter. A march and a profile inversion do not
 import numpy.ma either, and only E_{1,b} with b not in {1, 2} imports mpmath.
+No module of the package imports another's private names.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +41,35 @@ def test_no_scipy_at_run_time():
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == ""
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_private_names_of_another():
+    # `from .x import _y`, `from . import _y` and `x._y` with x a module of
+    # the package bound by `from . import x` or `import fracsim.x as x`
+    found = []
+    for path in sorted(Path(fracsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {"fracsim"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "fracsim"):
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                    elif node.module in (None, "fracsim"):
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.name.startswith("fracsim.") and alias.asname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    found.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    assert found == []

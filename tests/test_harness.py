@@ -1,6 +1,8 @@
 """Sweep driver, threshold bracketing, config/CSV plumbing and the CLI."""
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -344,14 +346,16 @@ class TestBracket:
         monkeypatch.setattr(
             harness, "_classify",
             fake_rows(lambda p: "BlowUp" if p < 2.0 else "Global", marches))
-        # N alpha <= 2 s (alpha + sigma): no closed-form p* to predict from
+        # N alpha <= 2 s (alpha + sigma): no closed-form p*, so p* = inf and
+        # every p not marched yet is predicted to blow up
         cfg = small_config(p_values=(1.5, 3.0), s=0.9, sigma=-0.1)
         bracket_pstar(cfg, tol_p=0.05)
-        # The initial pass holds the first midpoint; each later march holds
-        # the next round's midpoint after a Global and after a BlowUp.
-        # 7 probes in 3 marches.
-        assert marches == [[1.5, 3.0, 2.25], [1.875, 1.6875, 2.0625],
-                           [1.96875, 1.921875, 2.015625]]
+        # The initial pass predicts no Global, so it marches alone; each
+        # later march holds the path that follows if every new probe blows
+        # up, and each Global outcome ends a march.  7 probes in 4 marches.
+        assert marches == [[1.5, 3.0], [2.25, 2.625, 2.8125, 2.90625, 2.953125],
+                           [1.875, 2.0625, 2.15625, 2.203125],
+                           [1.96875, 2.015625]]
 
     def test_no_straddle_marches_only_the_initial_pass(self, monkeypatch):
         marches = []
@@ -382,6 +386,66 @@ class TestBracket:
         for tol_p in (0.0, -0.1, float("nan")):
             with pytest.raises(DomainError, match="tol_p must be positive"):
                 bracket_pstar(small_config(), tol_p=tol_p)
+
+    def test_a_tolerance_below_the_float_spacing_returns(self):
+        # Once p_lo and p_hi are adjacent floats no probe lies between them.
+        # Run in a child process, so that a bisection that never stops
+        # fails on the timeout instead of hanging the suite.
+        script = (
+            "from test_harness import fake_rows, small_config\n"
+            "import fracsim.harness as harness\n"
+            "harness._classify = fake_rows("
+            "lambda p: 'BlowUp' if p < 2.0 else 'Global')\n"
+            "res = harness.bracket_pstar(small_config(p_values=(1.5, 3.0)), "
+            "tol_p=1e-300)\n"
+            "print(repr((res.p_lo, res.p_hi)))\n"
+        )
+        paths = (Path(fracsim.__file__).parents[1], Path(__file__).parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, timeout=30)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == repr((math.nextafter(2.0, 0.0), 2.0))
+
+    @pytest.mark.parametrize("overrides", [{}, dict(s=0.9, sigma=-0.1)],
+                             ids=["p-star", "no-p-star"])
+    def test_marches_keep_the_serial_bisection(self, monkeypatch, overrides):
+        # Seeded random brackets: sharp steps and Undetermined plateaus,
+        # 2-4 p_values, tol_p from 0.3 to 1e-4, march caps of 3 and of the
+        # config.  Each must give the rows, undetermined list and bracket
+        # (or the error) of the serial bisection, a march of one per probe.
+        rng = random.Random(20)
+        cap_of_config = harness.march_members
+
+        def bracket(config, tol_p, label, members):
+            marches = []
+            monkeypatch.setattr(harness, "_classify", fake_rows(label, marches))
+            monkeypatch.setattr(harness, "march_members", lambda config: members)
+            try:
+                res = bracket_pstar(config, tol_p)
+            except BracketingError as exc:
+                return str(exc), marches
+            return (res.rows, res.undetermined, res.p_lo, res.p_hi), marches
+
+        for _ in range(200):
+            t = rng.uniform(1.3, 4.0)
+            if rng.random() < 0.5:
+                label = lambda p, t=t: "BlowUp" if p < t else "Global"
+            else:
+                lo, hi = t - rng.uniform(0.0, 0.5), t + rng.uniform(0.0, 0.5)
+                label = lambda p, lo=lo, hi=hi: (
+                    "BlowUp" if p <= lo else "Global" if p >= hi else "Undetermined")
+            p_values = sorted(max(1.01, t + rng.uniform(-1.5, 1.5))
+                              for _ in range(rng.randint(2, 4)))
+            config = small_config(p_values=tuple(p_values), **overrides)
+            tol_p = 10.0 ** rng.uniform(-4.0, math.log10(0.3))
+            members = rng.choice([3, cap_of_config(config)])
+            serial, _ = bracket(config, tol_p, label, 1)
+            result, marches = bracket(config, tol_p, label, members)
+            assert result == serial
+            assert all(1 <= len(m) <= members for m in marches)
+            marched = [p for m in marches for p in m]
+            assert len(marched) == len(set(marched))  # no p is marched twice
 
 
 class TestCli:
@@ -697,8 +761,11 @@ class TestCli:
         (["--r-min", "-1"], "0 < --r-min < --r-max"),
         (["--r-min", "10", "--r-max", "1"], "0 < --r-min < --r-max"),
         (["--r-max", "inf"], "0 < --r-min < --r-max"),
+        (["--mode", "norms", "--q", "nan"], "--q must be >= 1, got nan"),
+        (["--mode", "norms", "--q", "2", "0.5"], "--q must be >= 1, got 0.5\n"),
     ], ids=["norms-one-point", "zero-points", "negative-points", "r-min-zero",
-            "r-min-negative", "r-min-above-r-max", "r-max-infinite"])
+            "r-min-negative", "r-min-above-r-max", "r-max-infinite", "q-nan",
+            "q-below-one"])
     def test_bad_kernel_flag_is_one_line_usage_error(self, capsys, flags, names):
         args = ["kernel", "--alpha", "0.5", "--s", "0.4"] + flags
         with warnings.catch_warnings():
