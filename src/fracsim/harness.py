@@ -126,8 +126,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         p = tuple(float(x) for x in self.p_values)
-        if any(x <= 1.0 for x in p):
-            raise DomainError("all p values must exceed 1")
+        if not all(1.0 < x < math.inf for x in p):
+            raise DomainError(f"all p values must be finite and exceed 1, got {p!r}")
         if list(p) != sorted(p):
             raise DomainError("p_values must be sorted ascending")
         if not self.q_report >= 1.0:

@@ -17,7 +17,7 @@ def _checks():
     from .fractional import TimeSeries, caputo_derivative
     from .kernels import symbol_Y, symbol_Z
     from .solver import LinearPlan, ModelParams, TimeMesh
-    from .special import beta_fn, gamma, ml_e_neg, wright_phi
+    from .special import beta_fn, gamma, gauss_panels, ml_e_neg, wright_phi
     from .spectral import Field, GridSpec, fractional_laplacian
 
     def relaxation_is_exponential():
@@ -37,11 +37,9 @@ def _checks():
     def subordination_identity():
         # integral of phi_alpha(theta) e^{-theta} equals the relaxation value;
         # composite 20-point Gauss-Legendre, 6 panels on [0, 34]
-        x, w = np.polynomial.legendre.leggauss(20)
-        half = 34.0 / 12.0
-        theta = (half * (2.0 * np.arange(6)[:, None] + 1.0 + x)).ravel()
+        theta, w = (a.ravel() for a in gauss_panels(np.linspace(0.0, 34.0, 7), 20))
         phi = np.array([wright_phi(0.7, t) for t in theta])
-        got = float(np.sum(np.tile(half * w, 6) * phi * np.exp(-theta)))
+        got = float(np.sum(w * phi * np.exp(-theta)))
         want = float(ml_e_neg(0.7, 1.0, 1.0))
         return abs(got - want), 1e-10
 

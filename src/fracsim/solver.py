@@ -121,8 +121,8 @@ class ModelParams:
             raise DomainError(f"s must lie in (0, 1], got {self.s!r}")
         if not (-1.0 < self.sigma <= 0.0):
             raise DomainError(f"sigma must lie in (-1, 0], got {self.sigma!r}")
-        if not (self.p > 1.0):
-            raise DomainError(f"p must exceed 1, got {self.p!r}")
+        if not (1.0 < self.p < np.inf):
+            raise DomainError(f"p must be finite and exceed 1, got {self.p!r}")
         if self.dim not in (1, 2, 3):
             raise DomainError(f"dim must be 1, 2 or 3, got {self.dim!r}")
 
@@ -149,11 +149,13 @@ class TimeMesh:
 
     @classmethod
     def make(cls, t_end: float, steps: int, grading: float = 2.0) -> "TimeMesh":
-        if not (0.0 < t_end < np.inf) or steps < 2:
-            raise DomainError("need finite t_end > 0 and steps >= 2")
-        if not grading >= 1.0:
-            raise DomainError("grading must be >= 1")
-        j = np.arange(steps + 1, dtype=float)
+        if not (0.0 < t_end < np.inf):
+            raise DomainError(f"need finite t_end > 0, got {t_end!r}")
+        if not (steps >= 2 and float(steps).is_integer()):
+            raise DomainError(f"steps must be an integer >= 2, got {steps!r}")
+        if not (1.0 <= grading < np.inf):
+            raise DomainError(f"grading must be >= 1 and finite, got {grading!r}")
+        j = np.arange(int(steps) + 1, dtype=float)
         return cls(t_end * (j / steps) ** grading, grading)
 
     @property

@@ -24,15 +24,19 @@ is the scalar API and is the oracle in tests.  Every bulk caller goes
 through `ml_neg_fast` instead: the time stepper's `LinearPlan` (cell
 weights, forcing weights, the Z(t)u0 propagator) and the kernels (the Z and
 Y symbols, propagator application, profile inversion).  It keeps one cached
-table per (a, b): degree-7 polynomial pieces of width 1/16 in log1p(y),
-stored coefficient-major (one row per monomial power, one column per piece)
-and evaluated by Horner on the contiguous rows of one gather per chunk,
-fitted from the three regimes in aligned blocks of 16 pieces
-and extended on demand whenever a call reaches past the pieces built so
-far.  It is within 1e-14 of `ml_e_neg` on y in [0, 1e4] (worst 5.2e-15
-over a in {0.3, 0.5, 0.7, 0.9, 0.95}, b in {1, a, a + 1, a + 0.75, a + 0.5}).
-At a = 1 both use closed forms instead: exp(-y) for b = 1, (1 - exp(-y))/y
-for b = 2, and 1F1(1; b; -y)/Gamma(b) otherwise, summed elementwise by mpmath.
+table per (a, b), fitted from the three regimes in aligned blocks of 16
+degree-7 interpolants on pieces of width 1/16 in log1p(y), and extended on
+demand whenever a call reaches past the pieces built so far.  Each fitted
+piece is stored economized, as 8 degree-4 sub-pieces of width 1/128: the
+interpolant re-expanded exactly in each sub-piece's Chebyshev basis and
+truncated there.  The sub-pieces are stored coefficient-major (one row per
+monomial power, one column per sub-piece) and evaluated by Horner on the 5
+contiguous rows of one gather per chunk of 8192 points.  The table is
+within 1e-14 of `ml_e_neg` on y in [0, 1e4] (worst 3.8e-15 over a in
+{0.3, 0.5, 0.7, 0.9, 0.95}, b in {1, a, a + 1, a + 0.75, a + 0.5}).  At
+a = 1 both use closed forms instead: exp(-y) for b = 1, (1 - exp(-y))/y for
+b = 2, and 1F1(1; b; -y)/Gamma(b) otherwise, summed elementwise by mpmath
+(the accurate forcing of an a = 1 march with sigma != 0 takes that path).
 
 Gamma values come from the standard library's `math.gamma` and
 `math.lgamma`; `_rgamma` is 1/Gamma with 0.0 at the poles and beyond the
@@ -277,8 +281,11 @@ def ml_e_neg(alpha: float, beta: float, y):
             out[~small] = -np.expm1(-ys) / ys
         else:
             # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), summed by mpmath one
-            # argument at a time (no march takes this path): accurate on y in
-            # [0, 1e6].  Imported here, so no other path loads mpmath.
+            # argument at a time: accurate on y in [0, 1e6].  Imported here,
+            # so no other path loads mpmath.  An alpha = 1 march with
+            # sigma != 0 and forcing_scheme="accurate" takes this path
+            # (`exact_forcing` needs E_{1,2+sigma}) and runs about 100x
+            # slower than with "fast"; ROADMAP item 13 replaces it.
             import mpmath
 
             rg = mpmath.rgamma(beta)
@@ -322,40 +329,86 @@ def _chebyshev_to_monomial(deg: int) -> np.ndarray:
     return m
 
 
+def _monomial_to_chebyshev(deg: int) -> np.ndarray:
+    """Inverse of `_chebyshev_to_monomial`: x^n = 2^(1-n) sum_k C(n, k)
+    T_{n-2k}(x), the k = n/2 term halved."""
+    m = np.zeros((deg + 1, deg + 1))
+    m[0, 0] = 1.0
+    for n in range(1, deg + 1):
+        for k in range(n // 2 + 1):
+            m[n - 2 * k, n] += math.comb(n, k) * 2.0 ** (1 - n) * (0.5 if 2 * k == n else 1.0)
+    return m
+
+
+@functools.cache
+def _economization(deg: int, sub: int, sub_deg: int) -> np.ndarray:
+    """Read-only (sub, sub_deg + 1, deg + 1) map from the Chebyshev
+    coefficients of a degree-`deg` polynomial on [-1, 1] to, on each of `sub`
+    equal sub-intervals, the monomial coefficients in s in [-1/2, 1/2) of its
+    Chebyshev truncation to degree `sub_deg` there.
+
+    On sub-interval j, with center x_j, x = x_j + 2 s / sub: the polynomial
+    is taken to monomials in x, shifted and scaled exactly to monomials in
+    2 s, re-expanded in Chebyshev polynomials T_m(2 s), truncated to
+    m <= sub_deg and taken back to monomials in s.  For (7, 8, 4) every
+    entry and every partial sum is a dyadic rational that float64 holds, so
+    the map is exact (tested against rational arithmetic).
+    """
+    scale = _chebyshev_to_monomial(sub_deg) * 2.0 ** np.arange(sub_deg + 1)[:, None]
+    to_mono = _chebyshev_to_monomial(deg)
+    to_cheb = _monomial_to_chebyshev(deg)
+    out = np.empty((sub, sub_deg + 1, deg + 1))
+    for j in range(sub):
+        x_j = -1.0 + (2.0 * j + 1.0) / sub
+        # x^b = sum_a C(b, a) x_j^(b - a) sub^-a (2 s)^a
+        shift = np.array([[math.comb(b, a) * x_j ** (b - a) * float(sub) ** -a
+                           for b in range(deg + 1)] for a in range(deg + 1)])
+        out[j] = scale @ (to_cheb @ shift @ to_mono)[: sub_deg + 1]
+    out.setflags(write=False)
+    return out
+
+
 class _FastMLNeg:
     """Piecewise polynomial fit of y -> E_{a,b}(-y) in v = log1p(y).
 
-    Piece i covers v in [i * PIECE, (i + 1) * PIECE].  Its degree-DEG
-    interpolant on that piece's own Chebyshev nodes is stored as column i
-    of the C-contiguous, coefficient-major `coeffs` (DEG+1, pieces):
-    monomial coefficients in the local variable t = v / PIECE - i - 1/2 in
-    [-1/2, 1/2).  A chunk of points gathers its pieces' columns into DEG+1
-    contiguous rows and runs Horner along them.  Pieces are fitted in
+    Fitted piece i covers v in [i * FIT_PIECE, (i + 1) * FIT_PIECE]: the
+    degree-FIT_DEG interpolant on that piece's own Chebyshev nodes.  It is
+    stored economized (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 4) as SUB sub-pieces of width PIECE = FIT_PIECE / SUB:
+    on each, the interpolant is re-expanded exactly in that sub-piece's
+    Chebyshev basis and truncated to degree DEG (`_economization`).
+    Sub-piece k covers v in [k * PIECE, (k + 1) * PIECE] and is column k of
+    the C-contiguous, coefficient-major `coeffs` (DEG+1, sub-pieces):
+    monomial coefficients in the local variable t = v / PIECE - k - 1/2 in
+    [-1/2, 1/2).  A chunk of points gathers its sub-pieces' columns into
+    DEG+1 contiguous rows and runs Horner along them.  Pieces are fitted in
     aligned blocks of BLOCK, each from one vectorised `ml_e_neg` call on the
     block's nodes, so every value comes from the series, branch-cut or
-    asymptotic regime that owns it and every piece depends only on its
+    asymptotic regime that owns it and every sub-piece depends only on its
     block.  The table starts empty and appends blocks whenever a call
     reaches past the last one; existing pieces are never refitted, so a
     value does not depend on what was evaluated before and is never
     extrapolated.  Appending is serialised by a lock, so threads sharing a
-    table each see whole, correctly ordered pieces.  The fit is within
-    ~1e-14 of `ml_e_neg` on y in [0, 1e4] (validated in tests).
+    table each see whole, correctly ordered pieces.  The table is within
+    ~1e-14 of `ml_e_neg` on y in [0, 1e4], and each sub-piece within 1e-14
+    of its interpolant, relative to the largest value (validated in tests).
     """
 
-    DEG = 7
-    PIECE = 1.0 / 16.0  # piece width in log1p(y)
-    BLOCK = 16  # pieces per fitting block
-    CHUNK = 4096  # points per evaluation chunk
-    _NODES = np.cos(np.pi * (np.arange(DEG + 1) + 0.5) / (DEG + 1.0))
+    FIT_DEG = 7
+    FIT_PIECE = 1.0 / 16.0  # fitted piece width in log1p(y)
+    SUB = 8  # stored sub-pieces per fitted piece
+    DEG = 4
+    PIECE = FIT_PIECE / SUB  # stored sub-piece width in log1p(y)
+    BLOCK = 16  # fitted pieces per fitting block
+    CHUNK = 8192  # points per evaluation chunk
+    _NODES = np.cos(np.pi * (np.arange(FIT_DEG + 1) + 0.5) / (FIT_DEG + 1.0))
     # First-kind Chebyshev coefficients by discrete cosine projection.
-    _PROJ = (2.0 / (DEG + 1.0)) * np.cos(
-        np.pi * np.outer(np.arange(DEG + 1), np.arange(DEG + 1) + 0.5) / (DEG + 1.0)
+    _PROJ = (2.0 / (FIT_DEG + 1.0)) * np.cos(
+        np.pi * np.outer(np.arange(FIT_DEG + 1), np.arange(FIT_DEG + 1) + 0.5)
+        / (FIT_DEG + 1.0)
     )
     _PROJ[0] *= 0.5
-    # Chebyshev coefficients in x = 2 t -> monomial coefficients in t.  Going
-    # through the Chebyshev coefficients keeps the fit well conditioned.
-    _MONO = _chebyshev_to_monomial(DEG) * 2.0 ** np.arange(DEG + 1)[:, None]
-    # Nodes of one block in units of PIECE, relative to its first piece.
+    # Nodes of one block in units of FIT_PIECE, relative to its first piece.
     _BLOCK_NODES = np.arange(BLOCK)[:, None] + 0.5 + 0.5 * _NODES
 
     def __init__(self, alpha: float, beta: float) -> None:
@@ -364,18 +417,24 @@ class _FastMLNeg:
         self._lock = threading.Lock()
 
     def _fit_block(self, block: int) -> np.ndarray:
-        """Coefficient columns (DEG+1, BLOCK) of the pieces of one aligned
-        block."""
-        v = (block * self.BLOCK + self._BLOCK_NODES) * self.PIECE
+        """Coefficient columns (DEG+1, BLOCK * SUB) of the sub-pieces of one
+        aligned block."""
+        v = (block * self.BLOCK + self._BLOCK_NODES) * self.FIT_PIECE
         values = ml_e_neg(self.alpha, self.beta, np.expm1(v))
-        return ((values @ self._PROJ.T) @ self._MONO.T).T
+        econ = _economization(self.FIT_DEG, self.SUB, self.DEG)
+        # (BLOCK, SUB, DEG+1); sub-piece j of piece i is column i * SUB + j.
+        sub = (values @ self._PROJ.T) @ econ.reshape(-1, self.FIT_DEG + 1).T
+        return sub.reshape(self.BLOCK, self.SUB, self.DEG + 1).transpose(
+            2, 0, 1).reshape(self.DEG + 1, -1)
 
     def _extend(self, n_pieces: int) -> np.ndarray:
-        """Append fitted blocks until the table holds `n_pieces`; return it."""
+        """Append fitted blocks until the table holds `n_pieces` sub-pieces;
+        return it."""
         with self._lock:
             c = self.coeffs
-            have = c.shape[1] // self.BLOCK
-            need = -(-n_pieces // self.BLOCK)
+            per_block = self.BLOCK * self.SUB
+            have = c.shape[1] // per_block
+            need = -(-n_pieces // per_block)
             if have < need:
                 blocks = [self._fit_block(b) for b in range(have, need)]
                 c = np.concatenate([c] + blocks, axis=1)
@@ -400,8 +459,8 @@ class _FastMLNeg:
             np.log1p(y[lo : lo + n], out=t)
             t *= 1.0 / self.PIECE
             idx[...] = t  # truncation is floor for t >= 0
-            # One snapshot of the table per chunk, at least `top` pieces long,
-            # so "clip" below never clamps.
+            # One snapshot of the table per chunk, at least `top` sub-pieces
+            # long, so "clip" below never clamps.
             top = int(idx.max()) + 1
             c = self.coeffs
             if top > c.shape[1]:

@@ -16,6 +16,7 @@ the single field's bit for bit.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ class GridSpec:
         if self.dim not in (1, 2, 3):
             raise DomainError(f"dim must be 1, 2 or 3, got {self.dim!r}")
         p = self.points
-        if p < 64 or (p & (p - 1)) != 0:
+        if not isinstance(p, numbers.Integral) or p < 64 or (p & (p - 1)) != 0:
             raise DomainError(f"points must be a power of two >= 64, got {p!r}")
         if not (self.half_width > 0.0 and np.isfinite(self.half_width)):
             raise DomainError(f"half_width must be positive, got {self.half_width!r}")
@@ -93,13 +94,13 @@ class GridSpec:
         """Sample coordinates along one axis: x_i = -L + i*spacing."""
         return -self.half_width + self.spacing * np.arange(self.points)
 
-    def xi_axis(self) -> np.ndarray:
-        """FFT-ordered wavenumbers along one axis, xi_k = pi k / L."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
-
     def xi_squared(self) -> np.ndarray:
-        """|xi|^2 on the half-spectrum mode grid (`mode_shape`)."""
-        return self._on_modes(self.xi_axis() ** 2)
+        """|xi|^2 = (pi/L)^2 |k|^2 on the half-spectrum mode grid
+        (`mode_shape`), xi_k = pi k / L.  |k|^2 is summed in integers, so
+        modes with equal |k|^2 get the same |xi|^2."""
+        k = np.arange(self.points)
+        k = np.minimum(k, self.points - k)  # |k| in FFT order
+        return (np.pi / self.half_width) ** 2 * self._on_modes(k * k)
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the sample grid."""

@@ -91,6 +91,10 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             small_config(p_values=(1.0, 2.0))
 
+    def test_fractional_steps_rejected(self):
+        with pytest.raises(DomainError, match="steps must be an integer >= 2, got 20.5"):
+            small_config(steps=20.5)
+
     def test_round_trip_from_dict(self):
         cfg_dict = {
             "schema": 1,
@@ -589,13 +593,15 @@ class TestCli:
          "sweep"),
         (config_with("q_report", 0.5), "q_report must be >= 1 or inf, got 0.5",
          "sweep"),
+        (config_with("p_values", [2.0, math.inf]),
+         "all p values must be finite and exceed 1", "sweep"),
     ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
             "grading-below-one", "bracket-grading-below-one", "grading-nan",
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
             "points-fractional", "u-max-negative", "bracket-u-max-negative",
             "ratio-max-one", "slack-negative", "classify-t-end-past-horizon",
             "bracket-classify-t-end-past-horizon", "q-report-nan",
-            "q-report-below-one"])
+            "q-report-below-one", "p-infinite"])
     def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
                                                 command):
         cfg_path = tmp_path / "bad.json"

@@ -38,9 +38,11 @@ import fracsim.spectral as spectral
 
 
 def full_lam(grid: GridSpec, s: float) -> np.ndarray:
-    """|xi|^(2s) on the full FFT-ordered mode grid."""
-    ax = (2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)) ** 2
-    return sum(np.meshgrid(*([ax] * grid.dim), indexing="ij")) ** s
+    """|xi|^(2s) on the full FFT-ordered mode grid, xi = pi k / L from
+    integer wave numbers k."""
+    k = np.fft.fftfreq(grid.points, 1.0 / grid.points)
+    k2 = sum(np.meshgrid(*([k * k] * grid.dim), indexing="ij"))
+    return ((np.pi / grid.half_width) ** 2 * k2) ** s
 
 
 def cosine_field(grid: GridSpec, k: int) -> Field:
@@ -67,6 +69,10 @@ class TestConfigObjects:
         with pytest.raises(DomainError):
             ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=4)
 
+    def test_infinite_p_rejected(self):
+        with pytest.raises(DomainError, match="p must be finite"):
+            ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=math.inf)
+
     def test_outside_theorem_range_flag(self):
         assert not ModelParams(0.5, 0.4, -0.25, 3.0).outside_theorem_range
         assert ModelParams(0.5, 0.4, -0.5, 3.0).outside_theorem_range
@@ -80,6 +86,15 @@ class TestConfigObjects:
         assert np.allclose(mesh.nodes, 2.0 * (j / 10.0) ** 2)
         uniform = TimeMesh.make(1.0, 4, grading=1.0)
         assert np.allclose(uniform.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("steps", [100.5, True])
+    def test_time_mesh_steps_must_be_an_integer(self, steps):
+        with pytest.raises(DomainError, match=f"steps must be an integer >= 2, got {steps}"):
+            TimeMesh.make(50.0, steps)
+
+    def test_time_mesh_grading_must_be_finite(self):
+        with pytest.raises(DomainError, match="grading must be >= 1 and finite, got inf"):
+            TimeMesh.make(50.0, 100, grading=math.inf)
 
     def test_time_mesh_validation(self):
         with pytest.raises(DomainError):
@@ -390,6 +405,19 @@ class TestModeMap:
         assert np.array_equal(plan.lam_u, np.unique(lam_full))
         if dim == 1:  # every half-spectrum mode has its own eigenvalue
             assert plan.lam_u.size == plan.nmodes
+
+    @pytest.mark.parametrize("dim, points, distinct", [(1, 1024, 513), (2, 128, 1621),
+                                                       (3, 64, 1914)])
+    def test_one_eigenvalue_per_integer_wave_number_norm(self, dim, points, distinct):
+        grid = GridSpec(dim=dim, points=points, half_width=50.0)
+        plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim), grid)
+        k = np.fft.fftfreq(points, 1.0 / points).astype(int)
+        axes = [k * k] * (dim - 1) + [np.arange(points // 2 + 1) ** 2]
+        k2 = sum(np.meshgrid(*axes, indexing="ij")).ravel()
+        assert plan.lam_u.size == np.unique(k2).size == distinct
+        # each |k|^2 maps to one eigenvalue, and each eigenvalue to one |k|^2
+        assert np.unique(np.stack([k2, plan.inv]), axis=1).shape[1] == distinct
+        assert plan.identity_map == (dim == 1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gather_is_the_row_itself_only_under_the_identity_map(self, dim):

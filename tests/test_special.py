@@ -3,6 +3,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -275,6 +276,66 @@ class TestFastTable:
         for beta in (1.0, alpha, alpha + 1.0, alpha + 0.75, alpha + 0.5):
             err = np.max(np.abs(ml_neg_fast(alpha, beta, y) - ml_e_neg(alpha, beta, y)))
             assert err <= 1e-13, (beta, err)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_sub_pieces_match_the_interpolants_they_came_from(self, alpha):
+        # Each fitted piece's degree-7 interpolant, rebuilt from the table's
+        # own block calls of the regime evaluator, against its stored
+        # degree-4 sub-pieces at 33 points each.  The bound is the
+        # truncation itself: near y = 0 at a = b = 0.3 the dropped T_5
+        # coefficient is 2.8e-15 of a largest value of 0.33.
+        table = special._FastMLNeg
+        nodes = np.cos(np.pi * (np.arange(table.FIT_DEG + 1) + 0.5) / (table.FIT_DEG + 1))
+        s = np.linspace(-0.5, 0.5, 33)
+        x = 2.0 * (np.arange(table.SUB)[:, None] + 0.5 + s) / table.SUB - 1.0
+        for beta in (1.0, alpha, alpha + 1.0, alpha + 0.75, alpha + 0.5):
+            fast = table(alpha, beta)
+            fast(np.array([1e4]))
+            blocks = fast.coeffs.shape[1] // (table.BLOCK * table.SUB)
+            values = np.concatenate([
+                ml_e_neg(alpha, beta, np.expm1(
+                    (b * table.BLOCK + table._BLOCK_NODES) * table.FIT_PIECE))
+                for b in range(blocks)])
+            fit = np.polynomial.chebyshev.chebfit(nodes, values.T, table.FIT_DEG)
+            want = np.polynomial.chebyshev.chebval(x, fit)
+            got = np.polynomial.polynomial.polyval(
+                s, fast.coeffs.reshape(table.DEG + 1, -1, table.SUB))
+            err = np.max(np.abs(got - want)) / np.max(np.abs(values))
+            assert err <= 1e-14, (beta, err)
+
+    def test_economization_is_exact(self):
+        # Rational arithmetic: T_k(x_j + s/4) as a polynomial in s, peeled
+        # into T_m(2 s) from the top degree down, truncated to m <= 4.
+        def combine(p, q, c=1):
+            n = max(len(p), len(q))
+            p, q = p + [0] * (n - len(p)), q + [0] * (n - len(q))
+            return [a + c * b for a, b in zip(p, q)]
+
+        def times(p, q):
+            out = [Fraction(0)] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    out[i + j] += a * b
+            return out
+
+        def chebyshev(x):  # T_0 .. T_7 of the linear polynomial x
+            ts = [[Fraction(1)], x]
+            while len(ts) < 8:
+                ts.append(combine(times([2 * a for a in x], ts[-1]), ts[-2], -1))
+            return ts
+
+        basis = chebyshev([Fraction(0), Fraction(2)])
+        econ = special._economization(7, 8, 4)
+        for j in range(8):
+            x_j = Fraction(2 * j + 1, 8) - 1
+            for k, p in enumerate(chebyshev([x_j, Fraction(1, 4)])):
+                kept = [Fraction(0)] * 5
+                for m in range(k, -1, -1):
+                    d = p[m] / basis[m][m]
+                    p = combine(p, basis[m], -d)
+                    if m <= 4:
+                        kept = combine(kept, basis[m], d)
+                assert [float(c) for c in kept] == econ[j, :, k].tolist(), (j, k)
 
     def test_one_wide_call_builds_the_same_table_as_many_narrow_ones(self):
         wide = special._FastMLNeg(0.7, 1.45)

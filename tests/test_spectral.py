@@ -27,9 +27,11 @@ GRID = GridSpec(dim=1, points=128, half_width=10.0)
 
 
 def full_xi_squared(grid: GridSpec) -> np.ndarray:
-    """|xi|^2 on the full FFT-ordered mode grid."""
-    ax = (2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)) ** 2
-    return sum(np.meshgrid(*([ax] * grid.dim), indexing="ij"))
+    """|xi|^2 on the full FFT-ordered mode grid, xi = pi k / L from
+    integer wave numbers k."""
+    k = np.fft.fftfreq(grid.points, 1.0 / grid.points)
+    k2 = sum(np.meshgrid(*([k * k] * grid.dim), indexing="ij"))
+    return (np.pi / grid.half_width) ** 2 * k2
 
 
 def full_top_octave(grid: GridSpec) -> np.ndarray:
@@ -48,6 +50,11 @@ class TestGridSpec:
             GridSpec(dim=1, points=32, half_width=1.0)  # too few
         with pytest.raises(DomainError):
             GridSpec(dim=1, points=128, half_width=-1.0)
+
+    @pytest.mark.parametrize("points", [64.0, True])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(DomainError, match="points must be a power of two >= 64"):
+            GridSpec(dim=1, points=points, half_width=1.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_half_spectrum_grid(self, dim):
