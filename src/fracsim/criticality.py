@@ -294,13 +294,13 @@ def _ball_average_sup(field: Field, R_grid: np.ndarray, radius_exp: float,
                       weight_exp: float) -> tuple[float, bool]:
     """sup over R in R_grid of R^weight_exp * integral_{|y| < R^radius_exp}."""
     grid = field.grid
-    r_sq = grid.radius_squared()
-    vals = []
-    for R in R_grid:
-        mask = r_sq < R ** (2.0 * radius_exp)
-        integral = float(np.sum(field.values[mask])) * grid.cell_volume
-        vals.append(R**weight_exp * integral)
-    vals = np.asarray(vals)
+    r_sq = grid.radius_squared().ravel()
+    order = np.argsort(r_sq, kind="stable")
+    # cum[k] sums the k samples nearest the origin; a ball of squared radius
+    # b holds the samples with r_sq < b, the first searchsorted(..., "left").
+    cum = np.concatenate(([0.0], np.cumsum(field.values.ravel()[order])))
+    inside = np.searchsorted(r_sq[order], R_grid ** (2.0 * radius_exp), side="left")
+    vals = R_grid**weight_exp * (cum[inside] * grid.cell_volume)
     idx = int(np.argmax(vals))
     return float(vals[idx]), idx == vals.size - 1
 

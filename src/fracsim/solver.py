@@ -123,7 +123,7 @@ class ModelParams:
             raise DomainError(f"sigma must lie in (-1, 0], got {self.sigma!r}")
         if not (1.0 < self.p < np.inf):
             raise DomainError(f"p must be finite and exceed 1, got {self.p!r}")
-        if self.dim not in (1, 2, 3):
+        if isinstance(self.dim, bool) or self.dim not in (1, 2, 3):
             raise DomainError(f"dim must be 1, 2 or 3, got {self.dim!r}")
 
     @property

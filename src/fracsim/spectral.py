@@ -49,7 +49,7 @@ class GridSpec:
     half_width: float
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2, 3):
+        if isinstance(self.dim, bool) or self.dim not in (1, 2, 3):
             raise DomainError(f"dim must be 1, 2 or 3, got {self.dim!r}")
         p = self.points
         if not isinstance(p, numbers.Integral) or p < 64 or (p & (p - 1)) != 0:

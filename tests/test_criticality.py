@@ -23,6 +23,7 @@ from fracsim import (
     p_star_exponent,
     smallness_condition,
 )
+from fracsim import criticality
 from fracsim.special import beta_fn, gamma as gamma_fn
 from fracsim.spectral import Field
 
@@ -219,6 +220,47 @@ class TestSmallness:
             smallness_condition(canonical_params, u0, u0, 4.0, [])
         with pytest.raises(DomainError):
             smallness_condition(canonical_params, u0, u0, 4.0, [0.0, 1.0])
+
+
+class TestBallAverageSup:
+    """`_ball_average_sup` against a masked sum per radius."""
+
+    @staticmethod
+    def masked(field, R_grid, radius_exp, weight_exp):
+        r_sq = field.grid.radius_squared()
+        return np.array([
+            R**weight_exp * float(np.sum(field.values[r_sq < R ** (2.0 * radius_exp)]))
+            * field.grid.cell_volume
+            for R in R_grid
+        ])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_masked_sums(self, dim):
+        grid = GridSpec(dim=dim, points=64, half_width=4.0)
+        rng = np.random.default_rng(5)
+        field = Field(grid, rng.uniform(0.0, 1.0, grid.shape))
+        # radius_exp = 1/2 makes the ball's squared radius R itself: R = 0 is
+        # an empty ball, R = 1 lies exactly on grid radius 1 (x = 1 is a
+        # sample), and R = 100 > dim * 16 is past the box corner.
+        on_grid = 1.0
+        assert np.any(grid.radius_squared() == on_grid)
+        R_grid = np.array([0.0, 0.3, on_grid, 2.5, 9.0, 100.0])
+        for weight_exp in (0.75, -0.75):
+            R = R_grid if weight_exp > 0 else R_grid[1:]
+            want = self.masked(field, R, 0.5, weight_exp)
+            sup, at_edge = criticality._ball_average_sup(field, R, 0.5, weight_exp)
+            assert sup == pytest.approx(np.max(want), rel=1e-13)
+            assert at_edge == (int(np.argmax(want)) == R.size - 1)
+        # Each ball of the grid above, one at a time, as the sole radius.
+        for R in R_grid:
+            want = self.masked(field, [R], 0.5, 0.75)[0]
+            got, _ = criticality._ball_average_sup(field, np.array([R]), 0.5, 0.75)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        # The strict < leaves the samples at exactly R = 1 out.
+        r_sq = grid.radius_squared()
+        closed = float(np.sum(field.values[r_sq <= on_grid])) * grid.cell_volume
+        got, _ = criticality._ball_average_sup(field, np.array([on_grid]), 0.5, 0.0)
+        assert got < closed
 
 
 class TestLocalAverageHypotheses:

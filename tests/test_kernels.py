@@ -155,6 +155,46 @@ class TestUnitRule:
             terms = np.sum(np.abs(w * sym_fn(x / r))) / r**dim
             assert abs(value - want) <= 1e-13 * terms
 
+    @pytest.mark.parametrize("kind,alpha,s,dim", [
+        ("F", 0.5, 0.4, 1), ("G", 0.5, 0.4, 1), ("F", 0.5, 0.4, 2),
+        ("G", 0.5, 0.4, 2), ("F", 0.5, 0.4, 3), ("G", 0.5, 0.4, 3),
+        ("F", 0.7, 0.9, 1), ("F", 1.0, 0.5, 2), ("G", 0.7, 0.9, 3),
+    ])
+    def test_blocks_match_the_per_radius_oracle(self, kind, alpha, s, dim):
+        # r^-dim sum_i w_i E(-(x_i/r)^2s), one radius at a time.  As above,
+        # the bound is relative to the sum of |terms|: the value itself is
+        # up to ~1e8 times smaller at r = 1e3 (s = 0.9, dim 3), where a
+        # matrix-vector product and a dot product round differently.
+        beta = 1.0 if kind == "F" else alpha
+        x, w = kernels._unit_rule(dim)
+        per_block = kernels._BLOCK_POINTS // x.size
+        radii = np.geomspace(1e-3, 1e3, 2 * per_block + 7)
+        origin = dim < symbol_decay(kind, alpha, s)  # finite at r = 0
+        if origin:
+            radii = np.concatenate(([0.0], radii))
+        got = profile(kind, alpha, s, dim, radii).values
+        if origin:
+            assert got[0] == kernels._value_at_origin(alpha, beta, s, kind, dim)
+        for r, value in zip(radii[origin:], got[origin:]):
+            sym = ml_neg_fast(alpha, beta, (x / r) ** (2.0 * s))
+            want = float(w @ sym) / r**dim
+            terms = float(np.abs(w) @ np.abs(sym)) / r**dim
+            assert abs(value - want) <= 1e-13 * terms
+
+    def test_no_table_call_exceeds_the_block_cap(self, monkeypatch):
+        sizes = []
+
+        def counted(a, b, y):
+            sizes.append(np.size(y))
+            return ml_neg_fast(a, b, y)
+
+        monkeypatch.setattr(kernels, "ml_neg_fast", counted)
+        profile("F", 0.5, 0.4, 1, np.geomspace(1e-3, 1e3, 2000))
+        n = kernels._unit_rule(1)[0].size
+        assert max(sizes) <= kernels._BLOCK_POINTS
+        assert sum(sizes) == 2000 * n
+        assert len(sizes) == math.ceil(2000 / (kernels._BLOCK_POINTS // n))
+
     def test_averaging_weights_reproduce_repeated_averaging(self):
         terms = np.random.default_rng(3).standard_normal(61)
         partial = np.cumsum(terms)
@@ -242,6 +282,12 @@ class TestProfiles:
             profile("X", 0.5, 0.4, 1, np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             profile("F", 0.5, 0.4, 1, np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_radii_rejected(self, bad):
+        for radii in ([0.5, 1.0, bad], [bad, 1.0, 2.0]):
+            with pytest.raises(DomainError, match="^radii must be finite$"):
+                profile("F", 0.5, 0.4, 1, np.array(radii))
 
 
 class TestProfileNorms:

@@ -69,6 +69,10 @@ class TestConfigObjects:
         with pytest.raises(DomainError):
             ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=4)
 
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(DomainError, match="dim must be 1, 2 or 3, got True"):
+            ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=True)
+
     def test_infinite_p_rejected(self):
         with pytest.raises(DomainError, match="p must be finite"):
             ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=math.inf)

@@ -51,6 +51,10 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(dim=1, points=128, half_width=-1.0)
 
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(DomainError, match="dim must be 1, 2 or 3, got True"):
+            GridSpec(dim=True, points=128, half_width=1.0)
+
     @pytest.mark.parametrize("points", [64.0, True])
     def test_points_must_be_an_integer(self, points):
         with pytest.raises(DomainError, match="points must be a power of two >= 64"):
