@@ -126,8 +126,8 @@ def _check_profile_args(kind: str, alpha: float, s: float, dim: int,
     if kind not in ("F", "G"):
         raise DomainError(f"kind must be 'F' or 'G', got {kind!r}")
     _check_alpha_s(alpha, s)
-    if dim not in (1, 2, 3):
-        raise DomainError(f"dim must be 1, 2 or 3, got {dim}")
+    if isinstance(dim, bool) or dim not in (1, 2, 3):
+        raise DomainError(f"dim must be 1, 2 or 3, got {dim!r}")
     r = np.asarray(radii, dtype=float)
     if not np.all(np.isfinite(r)):
         raise DomainError("radii must be finite")

@@ -28,10 +28,15 @@ forward transform of |u|^p with each row's own p. `integrate` is its march
 of one member. The history N_j is stored as real and imaginary planes,
 shape (M+1, 2, modes) float64, contracted in one real einsum. The same
 contraction serves `picard_solve` on its trapezoid history. A march holds
-one history, (M+1)*modes*16 B, per live member; no product buffer. In 1D
-every mode has its own eigenvalue, so the mode map is the identity and the
-row is its own spread; otherwise the march holds one gather buffer,
-M*modes*8 B.
+one history, (M+1)*modes*16 B, per live member; no product buffer. It also
+holds one cell-weight scratch, 2*M*L*8 B for L unique eigenvalues: the
+table's arguments, which the table overwrites in place with its values, and
+the row. In 1D every mode has its own eigenvalue, so the mode map is the
+identity and the row is its own spread; otherwise the march holds one
+gather buffer, M*modes*8 B. Both are sized for the last step and allocated
+once per march: arrays allocated per step, one row larger each step, come
+back from the allocator as fresh pages, and a one-shot march would take
+minor page faults in proportion to M^2 * L.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -320,7 +325,7 @@ class LinearPlan:
         # default mode makes with `out`; `inv` is always in range.
         return np.take(per_lam, self.inv, axis=-1, out=out, mode="clip")
 
-    def cell_weights(self, n: int) -> np.ndarray:
+    def cell_weights(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
 
         Differences of e(d) = d^a E_{a,a+1}(-lam d^a) at the left ends
@@ -329,17 +334,34 @@ class LinearPlan:
         exactly t_n^a E_{a,a+1}(-lam t_n^a). On the zero mode lam_u[0] = 0,
         e(d) = d^a / Gamma(a+1) exactly, so only the lam > 0 columns reach
         the table.
+
+        With `out` from `cell_buffer`, plane 0 holds the table's arguments,
+        which the table overwrites with its values, and the returned row is
+        a view of plane 1; without it every array is new. Both give the
+        same values.
         """
-        a = self.params.alpha
+        a, k = self.params.alpha, self.lam_u.size
         da = (self.mesh.nodes[n] - self.mesh.nodes[:n]) ** a
         e_zero = (1.0 / math.gamma(a + 1.0)) * da
-        e = ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, 1:])
+        if out is None:
+            e = ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, 1:])
+            cells = np.empty((n, k))
+        else:
+            e = out[0, : n * (k - 1)].reshape(n, k - 1)
+            np.multiply(da[:, None], self.lam_u[None, 1:], out=e)
+            ml_neg_fast(a, a + 1.0, e, out=e)
+            cells = out[1, : n * k].reshape(n, k)
         e *= da[:, None]
-        cells = np.empty((n, self.lam_u.size))
         cells[:-1, 0] = e_zero[:-1] - e_zero[1:]
         np.subtract(e[:-1], e[1:], out=cells[:-1, 1:])
         cells[-1, 0], cells[-1, 1:] = e_zero[-1], e[-1]
         return cells
+
+    def cell_buffer(self) -> np.ndarray:
+        """The (2, M * len(lam_u)) scratch of `cell_weights(n, out=...)`,
+        sized for the last step: the table's arguments and values, and the
+        row."""
+        return np.empty((2, self.mesh.steps * self.lam_u.size))
 
     def gather_buffer(self) -> np.ndarray | None:
         """The (M, nmodes) buffer `spread` writes cell-weight rows into; None
@@ -612,8 +634,11 @@ def integrate_many(
                    for params in params_seq]
         _store(plan, members, 0,
                np.broadcast_to(u_prev, (len(members),) + grid.shape))
-        # Sized for the last step and reused by every step instead of a
-        # growing temporary per step; None under the identity mode map.
+        # Sized for the last step and reused by every step instead of
+        # growing temporaries per step, each of which would come back from
+        # the allocator as fresh pages; no gather buffer under the identity
+        # mode map.
+        cell_buf = plan.cell_buffer()
         spread_buf = plan.gather_buffer()
         modes = np.empty((len(members), plan.nmodes), dtype=complex)
 
@@ -621,13 +646,11 @@ def integrate_many(
         for n in range(1, mesh.steps + 1):
             if not live:
                 break
-            cells = plan.cell_weights(n)
+            cells = plan.cell_weights(n, cell_buf)
             linear = plan.linear_modes(n, u0_modes, w_modes, cells)
             row = plan.spread(cells, spread_buf)
             live = _advance(plan, thr, q_report, live, n, row, linear,
                             modes[: len(live)])
-            # Free this row before the next one is built: a march holds one.
-            del cells, row
 
         results = [m.result(plan, thr, q_report) for m in members]
     for res in results:

@@ -196,8 +196,9 @@ def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     denominator vanishes, at Re u = log(x)/a, Im u = +-pi (1-a)/a.  Above
     u_mid = min(log(x_lo)/a - 2, 0) panels of width min(0.5, 2 pi (1-a)/a)
     resolve those poles and the bend of e^-r; below it the integrand is a
-    smooth power of r and panels of width 4 suffice.  The nodes depend on
-    (a, b) only, never on the arguments.
+    smooth power of r times a factor that flattens as r falls, so the panels
+    there double in width leftwards from 4 (4, 8, 16, ... below u_mid).  The
+    nodes depend on (a, b) only, never on the arguments.
     """
     x_lo = _series_edge(alpha, beta)
     u_hi = math.log(45.0)
@@ -205,9 +206,10 @@ def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     u_lo = math.log(1e-18 * x_lo) / (alpha - beta + 1.0)
     h = min(0.5, 2.0 * math.pi * (1.0 - alpha) / alpha)
     n_fine = math.ceil((u_hi - u_mid) / h)
-    n_coarse = math.ceil((u_mid - u_lo) / 4.0)
+    # Widths 4 * 2^k, k < n_coarse, cover u_mid - u_lo <= 4 (2^n_coarse - 1).
+    n_coarse = math.ceil(math.log2(max(u_mid - u_lo, 0.0) / 4.0 + 1.0))
     edges = np.concatenate([
-        np.linspace(u_mid - 4.0 * n_coarse, u_mid, n_coarse + 1)[:-1],
+        u_mid - 4.0 * (2.0 ** np.arange(n_coarse, 0, -1) - 1.0),
         np.linspace(u_mid, u_hi, n_fine + 1),
     ])
     u, w = gauss_panels(edges, 20)
@@ -441,13 +443,17 @@ class _FastMLNeg:
                 self.coeffs = c
         return c
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Values at a 1-D array y >= 0, in chunks of at most CHUNK points.
+    def __call__(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Values at a 1-D array y >= 0, in chunks of at most CHUNK points,
+        written into `out` (new when None; it may be y itself).
 
         Chunking caps the gathered coefficients at CHUNK points, so their
-        memory does not grow with the size of the call.
+        memory does not grow with the size of the call.  Each chunk of y is
+        read before the same chunk of `out` is written, so `out=y` evaluates
+        in place.
         """
-        out = np.empty_like(y)
+        if out is None:
+            out = np.empty_like(y)
         m = min(y.size, self.CHUNK)
         t_buf = np.empty(m)
         idx_buf = np.empty(m, dtype=np.intp)
@@ -482,35 +488,49 @@ class _FastMLNeg:
 _FAST_CACHE: dict[tuple[float, float], _FastMLNeg] = {}
 
 
-def ml_neg_fast(alpha: float, beta: float, y):
+def ml_neg_fast(alpha: float, beta: float, y, *, out: np.ndarray | None = None):
     """E_{alpha,beta}(-y) for y >= 0 from the cached, self-extending table.
 
     Same orders, domain and return type as `ml_e_neg` (a float for scalar
     y), which builds the table for (alpha, beta) and extends it on demand.
     At alpha = 1 the closed forms of `ml_e_neg` are used directly, and
-    y == 0 gives exactly 1/Gamma(beta).
+    y == 0 gives exactly 1/Gamma(beta).  With `out`, a C-contiguous float64
+    array of y's shape, the values are written into it and it is returned;
+    `out=y` evaluates in place, with the same values as a new array.
     """
     y_arr = np.asarray(y, dtype=float)
+    if out is None:
+        values = np.empty(y_arr.shape)
+    elif (isinstance(out, np.ndarray) and out.dtype == np.float64
+          and out.shape == y_arr.shape and out.flags.c_contiguous
+          and out.flags.writeable):
+        values = out
+    else:
+        raise DomainError(
+            "out must be a writeable C-contiguous float64 array of y's shape")
     if y_arr.size == 0:
-        return np.empty_like(y_arr)
+        return values
     lo, hi = y_arr.min(), y_arr.max()
     # NaN fails the first test and +inf the second.
     if not (lo >= 0.0 and hi < math.inf):
         raise DomainError("ml_neg_fast requires finite y >= 0")
     if alpha == 1.0:
-        return ml_e_neg(alpha, beta, y_arr)
-    key = (alpha, beta)
-    ev = _FAST_CACHE.get(key)
-    if ev is None:
-        ev = _FastMLNeg(alpha, beta)
-    # Cached only once a first fit succeeded: ml_e_neg validates the orders.
-    flat = y_arr.ravel()
-    out = ev(flat)
-    _FAST_CACHE.setdefault(key, ev)
-    if lo == 0.0:
-        # The fit is only ~1e-15 off at y = 0; the zero mode must be exact.
-        out[flat == 0.0] = _rgamma(beta)
-    return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
+        values[...] = ml_e_neg(alpha, beta, y_arr)
+    else:
+        key = (alpha, beta)
+        ev = _FAST_CACHE.get(key)
+        if ev is None:
+            ev = _FastMLNeg(alpha, beta)
+        flat, flat_values = y_arr.ravel(), values.reshape(-1)
+        # Taken before the table runs: with out=y it overwrites the arguments.
+        zeros = flat == 0.0 if lo == 0.0 else None
+        ev(flat, flat_values)
+        # Cached only once a first fit succeeded: ml_e_neg validates the orders.
+        _FAST_CACHE.setdefault(key, ev)
+        if zeros is not None:
+            # The fit is only ~1e-15 off at y = 0; the zero mode must be exact.
+            flat_values[zeros] = _rgamma(beta)
+    return float(values) if out is None and y_arr.ndim == 0 else values
 
 
 # --------------------------------------------------------------------------

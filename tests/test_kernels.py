@@ -283,6 +283,14 @@ class TestProfiles:
         with pytest.raises(DomainError):
             profile("F", 0.5, 0.4, 1, np.array([2.0, 1.0]))
 
+    def test_boolean_dim_rejected(self):
+        # True == 1, so only the isinstance test tells it from dim 1.
+        radii = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(DomainError, match="dim must be 1, 2 or 3, got True"):
+            profile("F", 0.5, 0.4, True, radii)
+        with pytest.raises(DomainError, match="dim must be 1, 2 or 3, got False"):
+            kernels.KernelProfile("G", 0.5, 0.4, False, radii, np.ones(3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_radii_rejected(self, bad):
         for radii in ([0.5, 1.0, bad], [bad, 1.0, 2.0]):

@@ -2,6 +2,10 @@
 import collections
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -228,6 +232,22 @@ class TestWeightTable:
         e = d * solver.ml_neg_fast(a, a + 1.0, d * plan.lam_u[None, :])
         assert np.array_equal(plan.cell_weights(n), e[:-1] - e[1:])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_row_in_the_march_scratch_equals_the_new_row(self, dim):
+        # Every node's row, written into one scratch in rising and then in
+        # falling order, is a view of it and equals the allocating call bit
+        # for bit; nothing is read from an earlier step's contents.
+        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim)
+        mesh = TimeMesh.make(10.0, 30, grading=2.0)
+        plan = LinearPlan(params, GridSpec(dim=dim, points=64, half_width=10.0),
+                          mesh)
+        buf = plan.cell_buffer()
+        for n in [*range(1, mesh.steps + 1), *range(mesh.steps, 0, -1)]:
+            row = plan.cell_weights(n, buf)
+            assert row.shape == (n, plan.lam_u.size)
+            assert np.shares_memory(row, buf)
+            assert np.array_equal(row, plan.cell_weights(n))
+
 
 class TestHistoryContraction:
     """`LinearPlan.contract` of a `spread` row against the complex
@@ -271,10 +291,11 @@ class TestHistoryContraction:
 class TestMarchMemory:
     def test_traced_peak_of_a_warm_2d_march(self):
         # The march holds the real-plane history, the weight-gather buffer
-        # and one cell-weight row; an (M, nmodes) complex temporary (1.35 MB
-        # here) must not come back.  Slack: 1.2 MB for the Mittag-Leffler
-        # temporaries of one row (0.68 MB for cell_weights(M) alone) and
-        # the step's mode vectors.  Measured peak: 3.05 MB of a 3.42 MB bound.
+        # and the cell-weight scratch (two planes of M rows); an
+        # (M, nmodes) complex temporary (1.35 MB here) must not come back.
+        # Slack: 1.2 MB for the scratch's second plane, the table's chunk
+        # buffers and the step's mode vectors.  Measured peak: 3.07 MB of a
+        # 3.41 MB bound.
         params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=2)
         grid = GridSpec(dim=2, points=64, half_width=8.0)
         mesh = TimeMesh.make(10.0, 40)
@@ -294,6 +315,36 @@ class TestMarchMemory:
             tracemalloc.stop()
         assert res.t_nodes.size == m + 1
         assert peak < history + gather + row + slack
+
+    FAULTS = """
+import resource
+import fracsim as fs
+grid = fs.GridSpec(dim=1, points=1024, half_width=50.0)
+params = fs.ModelParams(0.5, 0.4, -0.25, 3.0)
+w = fs.gaussian_field(grid, 0.4, 1.0)
+mesh = fs.TimeMesh.make(50.0, 200)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fs.integrate(params, grid, None, w, mesh)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    def test_one_shot_march_reuses_its_scratch(self):
+        # A fresh process marches the canonical 1D run once, Mittag-Leffler
+        # tables included.  Per-step cell-weight arrays, one row larger each
+        # step, come back from the allocator as fresh pages: ~28000 minor
+        # page faults at M = 200, growing like M^2 L for L eigenvalues.  With
+        # the march's scratch allocated once it takes ~2600.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
+            pytest.skip("getrusage reports no minor page faults here")
+        src = str(pathlib.Path(solver.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-c", self.FAULTS], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert int(out.stdout.split()[-1]) < 8000
 
 
 class TestLinearExactness:
@@ -708,6 +759,101 @@ class TestIntegrateMany:
             integrate_many([], grid, None, None, mesh)
 
 
+class TestAlphaOneRecursion:
+    """The march at alpha = 1 against an exact recursion.
+
+    There the kernel is e^{-lam (t - tau)}, so every cell weight obeys
+    W[j, n] = e^{-lam h_n} W[j, n-1], h_n = t_n - t_{n-1}, and the history
+    sum H_n = sum_{j<n} W[j, n] N_j obeys
+
+        H_n = e^{-lam h_n} H_{n-1} + W[n-1, n] N_{n-1},
+        W[n-1, n] = (1 - e^{-lam h_n}) / lam  (h_n at lam = 0).
+
+    The recursion runs per half-spectrum mode of the grid, with no mode
+    map, and shares no contraction, spread, history or scratch code with
+    `integrate_many`.
+    """
+
+    @staticmethod
+    def recursion(params, grid, u0, w, mesh, q, linear=None):
+        """Final field and (L^q, L^inf) norm histories.  The linear part is
+        Z(t) u0 + S_w(t) in closed form (sigma = 0), or from `linear(n)`,
+        flat modes, when given."""
+        lam = grid.xi_squared() ** params.s
+        zero = lam == 0.0
+        lam_or_one = np.where(zero, 1.0, lam)
+
+        def cell(h):  # int_0^h e^{-lam tau} dtau
+            return np.where(zero, h, -np.expm1(-lam * h) / lam_or_one)
+
+        t = mesh.nodes
+        u0_modes, w_modes = grid.to_modes(u0.values), grid.to_modes(w.values)
+        hist = np.zeros(grid.mode_shape, dtype=complex)
+        u = u0.values
+        lq, linf = [lq_norm(u0, q)], [float(np.max(np.abs(u)))]
+        for n in range(1, mesh.steps + 1):
+            h = t[n] - t[n - 1]
+            hist = (np.exp(-lam * h) * hist
+                    + cell(h) * grid.to_modes(np.abs(u) ** params.p))
+            if linear is None:
+                lin = np.exp(-lam * t[n]) * u0_modes + cell(t[n]) * w_modes
+            else:
+                lin = linear(n).reshape(grid.mode_shape)
+            u = grid.to_values(lin + hist)
+            lq.append(lq_norm(Field(grid, u), q))
+            linf.append(float(np.max(np.abs(u))))
+        return u, np.array(lq), np.array(linf)
+
+    @staticmethod
+    def assert_agree(res, oracle):
+        u, lq, linf = oracle
+        assert res.t_nodes.size == lq.size  # no trigger: the whole mesh
+        field = res.final_field.values
+        assert np.max(np.abs(field - u)) <= 1e-13 * np.max(np.abs(u))
+        np.testing.assert_allclose(res.lq_history, lq, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(res.linf_history, linf, rtol=1e-13, atol=0.0)
+
+    MESH = TimeMesh.make(5.0, 60)
+
+    @staticmethod
+    def data(grid):
+        return gaussian_field(grid, 0.2, 1.0), gaussian_field(grid, 0.15, 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.25])
+    def test_integrate_1d(self, sigma):
+        # p = 2: the nonlinear part is ~37% of u at t = 5.  At sigma < 0
+        # the linear part is the plan's own "fast" rule, computed afresh;
+        # the march reads that rule's cell row from its scratch.
+        grid = GridSpec(dim=1, points=256, half_width=20.0)
+        params = ModelParams(1.0, 0.4, sigma, 2.0)
+        u0, w = self.data(grid)
+        linear = None
+        if sigma != 0.0:
+            plan = LinearPlan(params, grid, self.MESH)
+            u0_m, w_m = plan.to_modes(u0.values), plan.to_modes(w.values)
+            linear = lambda n: plan.linear_modes(n, u0_m, w_m)
+        res = integrate(params, grid, u0, w, self.MESH, q_report=4.0)
+        self.assert_agree(res, self.recursion(params, grid, u0, w, self.MESH,
+                                              4.0, linear))
+
+    def test_integrate_2d(self):
+        # 2112 half-spectrum modes on 457 unique eigenvalues: the march's mode
+        # map against a recursion on every mode.  The nonlinear part is ~11%.
+        grid = GridSpec(dim=2, points=64, half_width=8.0)
+        params = ModelParams(1.0, 0.4, 0.0, 2.0, dim=2)
+        u0, w = self.data(grid)
+        res = integrate(params, grid, u0, w, self.MESH, q_report=4.0)
+        self.assert_agree(res, self.recursion(params, grid, u0, w, self.MESH, 4.0))
+
+    def test_lockstep_members(self):
+        grid = GridSpec(dim=1, points=256, half_width=20.0)
+        params = [ModelParams(1.0, 0.4, 0.0, p) for p in (2.0, 3.0, 4.0)]
+        u0, w = self.data(grid)
+        many = integrate_many(params, grid, u0, w, self.MESH, q_report=4.0)
+        for par, res in zip(params, many):
+            self.assert_agree(res, self.recursion(par, grid, u0, w, self.MESH, 4.0))
+
+
 class TestTrigger:
     """`SimResult.trigger`: kind, node time and value of an early stop."""
 
@@ -780,7 +926,14 @@ class TestRegimeOracle:
 
     @staticmethod
     def on_regimes(monkeypatch):
-        monkeypatch.setattr(solver, "ml_neg_fast", lambda a, b, y: ml_e_neg(a, b, y))
+        def regimes(a, b, y, out=None):
+            values = ml_e_neg(a, b, y)
+            if out is None:
+                return values
+            out[...] = values
+            return out
+
+        monkeypatch.setattr(solver, "ml_neg_fast", regimes)
 
     @staticmethod
     def assert_close(a, b):

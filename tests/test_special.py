@@ -370,6 +370,43 @@ class TestFastTable:
         assert ml_neg_fast(1.0, beta, 29.0) == ml_e_neg(1.0, beta, 29.0)
         assert special._FAST_CACHE == {}
 
+    @pytest.mark.parametrize("ab", [(0.5, 1.5), (0.3, 1.0), (0.9, 0.9)])
+    def test_in_place_equals_the_new_array(self, ab):
+        # More points than one evaluation chunk, so a later chunk of y is
+        # read after earlier chunks of the same buffer were overwritten.
+        y = np.geomspace(1e-6, 3e4, 5 * (special._FastMLNeg.CHUNK // 2 + 1)).reshape(5, -1)
+        want = ml_neg_fast(*ab, y)
+        buf = y.copy()
+        assert ml_neg_fast(*ab, buf, out=buf) is buf
+        assert np.array_equal(buf, want)
+        other = np.empty_like(y)
+        assert ml_neg_fast(*ab, y, out=other) is other
+        assert np.array_equal(other, want)
+
+    @pytest.mark.parametrize("ab", [(0.5, 1.0), (0.7, 1.7)])
+    def test_in_place_zeros_are_exact(self, ab):
+        # The y == 0 mask must be taken before the table overwrites y.
+        y = np.array([[0.0, 2.0, 0.0], [5.0, 0.0, 1e3]])
+        zero = y == 0.0
+        buf = y.copy()
+        ml_neg_fast(*ab, buf, out=buf)
+        assert np.all(buf[zero] == 1.0 / math.gamma(ab[1]))
+        assert np.array_equal(buf, ml_neg_fast(*ab, y))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_alpha_one_fills_out(self, beta):
+        y = np.linspace(0.0, 30.0, 31)
+        buf = y.copy()
+        assert ml_neg_fast(1.0, beta, buf, out=buf) is buf
+        assert np.array_equal(buf, ml_e_neg(1.0, beta, y))
+
+    def test_out_must_be_a_contiguous_float_array_of_y_shape(self):
+        y = np.linspace(0.0, 10.0, 24).reshape(4, 6)
+        for out in (np.empty((6, 4)).T, np.empty((4, 12))[:, ::2],
+                    np.empty((4, 6), dtype=np.float32), np.empty(24)):
+            with pytest.raises(DomainError, match="out must be"):
+                ml_neg_fast(0.5, 0.5, y, out=out)
+
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
