@@ -332,8 +332,8 @@ def local_average_hypotheses(
         raise PreconditionError("u0 and w must be nonnegative")
     if u0.grid != w.grid:
         raise PreconditionError("u0 and w must share a grid")
-    if M < 0.0 or delta <= 0.0 or M_script <= 0.0:
-        raise DomainError("need M >= 0, delta > 0, M_script > 0")
+    if not (0.0 <= M < np.inf and 0.0 < delta < np.inf and 0.0 < M_script < np.inf):
+        raise DomainError("need finite M >= 0, delta > 0, M_script > 0")
     if tail_norm_exponent not in ("q", "r"):
         raise DomainError("tail_norm_exponent must be 'q' or 'r'")
     if N <= 2.0 * s:

@@ -149,6 +149,8 @@ class TimeMesh:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
             raise PreconditionError("mesh needs at least three nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise PreconditionError("mesh nodes must be finite")
         if nodes[0] != 0.0 or not np.all(np.diff(nodes) > 0.0):
             raise PreconditionError("mesh must increase strictly from 0")
 

@@ -12,12 +12,17 @@ Evaluation uses three regimes, writing x = -z >= 0:
   Loutchko & Luchko (2002) for x_lo < x < 150 and b <= 1, summed for all
   arguments of a call at once by one fixed composite Gauss-Legendre rule in
   log r whose nodes depend only on (a, b); b > 1 steps down to b <= 1 with
-  the exact recursion,
+  the exact recursion.  At a = 1 that integrand has a pole on the real
+  axis, and Kummer's transformation of E_{1,b}(-x) = 1F1(1; b; -x)/Gamma(b)
+  takes its place for every b (`_kummer_neg`),
 * the algebraic asymptotic expansion (8 terms) for x >= 150.
 
 Against a 25-digit mpmath quadrature the three regimes are within 1e-14
 absolute on both sides of both edges (worst 9.7e-15, at a = b = 0.7 just
-below x_lo) for a in {0.3, 0.5, 0.7, 0.9, 0.95} and b in {a, 1}.
+below x_lo) for a in {0.3, 0.5, 0.7, 0.9, 0.95} and b in {a, 1}; at a = 1
+they are within 1e-14 absolute of 40-digit mpmath 1F1 for b in [0.01, 10]
+on [0, 1e6].  Only b = 1 and b = 2 at a = 1 skip the regimes, for the
+closed forms exp(-x) and (1 - exp(-x))/x.
 
 `ml_e_neg` evaluates these regimes directly.  It builds the table below,
 is the scalar API and is the oracle in tests.  Every bulk caller goes
@@ -34,9 +39,7 @@ monomial power, one column per sub-piece) and evaluated by Horner on the 5
 contiguous rows of one gather per chunk of 8192 points.  The table is
 within 1e-14 of `ml_e_neg` on y in [0, 1e4] (worst 3.8e-15 over a in
 {0.3, 0.5, 0.7, 0.9, 0.95}, b in {1, a, a + 1, a + 0.75, a + 0.5}).  At
-a = 1 both use closed forms instead: exp(-y) for b = 1, (1 - exp(-y))/y for
-b = 2, and 1F1(1; b; -y)/Gamma(b) otherwise, summed elementwise by mpmath
-(the accurate forcing of an a = 1 march with sigma != 0 takes that path).
+a = 1 there is no table: `ml_neg_fast` hands off to `ml_e_neg`.
 
 Gamma values come from the standard library's `math.gamma` and
 `math.lgamma`; `_rgamma` is 1/Gamma with 0.0 at the poles and beyond the
@@ -255,43 +258,74 @@ def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Kummer sum terms k = 0 .. 150 + 12 sqrt(150) + 40 and their log k!; past
+# them the Poisson weights e^-x x^k / k! of every mid-range x are below e^-80
+# of their sum.
+_KUMMER_K = np.arange(
+    math.ceil(_ASYMPTOTIC_EDGE + 12.0 * math.sqrt(_ASYMPTOTIC_EDGE) + 40.0) + 1.0)
+_KUMMER_LOG_FACT = _lgamma_row(_KUMMER_K + 1.0)
+
+
+def _kummer_neg(beta: float, x: np.ndarray) -> np.ndarray:
+    """E_{1,b}(-x) for b > 0, b != 1 and x in (x_lo, 150).
+
+    Kummer's transformation M(a, b, z) = e^z M(b - a, b, -z) (DLMF 13.2.39)
+    takes E_{1,b}(-x) = M(1, b, -x) / Gamma(b) to
+
+        E_{1,b}(-x) = 1/Gamma(b-1) sum_k e^-x x^k / (k! (k + b - 1)),
+
+    Poisson weights over k + b - 1: past k = 0 every term has one sign, so
+    the sum does not cancel.  Every x sums the same terms, _KUMMER_K, in
+    blocks of at most _BRANCH_CUT_BLOCK (argument, term) pairs, so each
+    value does not depend on the other arguments.
+    """
+    k = _KUMMER_K
+    inv = 1.0 / (k + (beta - 1.0))
+    out = np.empty_like(x)
+    m = max(1, _BRANCH_CUT_BLOCK // k.size)
+    for lo in range(0, x.size, m):
+        xb = x[lo : lo + m, None]
+        t = np.log(xb) * k
+        t -= xb
+        t -= _KUMMER_LOG_FACT
+        # Far-tail weights round to 0 against the sum either way; clamped,
+        # exp stays off its slow subnormal and underflow paths.
+        np.maximum(t, -700.0, out=t)
+        np.exp(t, out=t)
+        t *= inv
+        out[lo : lo + m] = t.sum(axis=1)
+    return out * _rgamma(beta - 1.0)
+
+
 def ml_e_neg(alpha: float, beta: float, y):
     """E_{alpha,beta}(-y) for y >= 0, elementwise over arrays.
 
-    alpha in (0, 1], beta > 0.  On the mid range x_lo < y < 150 (the fixed
-    branch-cut rule) each value depends only on its own argument.  Against
-    an mpmath quadrature the absolute error is below 1e-14 for alpha in
-    {0.3, 0.5, 0.7, 0.9, 0.95} and beta in {alpha, 1}, on both sides of the
-    series edge x_lo and of the asymptotic edge y = 150 as well.
+    alpha in (0, 1], beta > 0 finite.  On the mid range x_lo < y < 150 (the
+    fixed branch-cut rule, or Kummer's sum at alpha = 1) each value depends
+    only on its own argument.  Against mpmath the absolute error is below
+    1e-14 for alpha in {0.3, 0.5, 0.7, 0.9, 0.95} and beta in {alpha, 1},
+    and at alpha = 1 for beta from 0.01 to 10, on both sides of the series
+    edge x_lo and of the asymptotic edge y = 150 as well.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     if np.any(~np.isfinite(y_arr)) or np.any(y_arr < 0.0):
         raise DomainError("ml_e_neg requires finite y >= 0")
-    if not (0.0 < alpha <= 1.0) or beta <= 0.0:
+    if not (0.0 < alpha <= 1.0 and 0.0 < beta < math.inf):
         raise DomainError(f"bad Mittag-Leffler orders alpha={alpha!r} beta={beta!r}")
 
     out = np.empty_like(y_arr)
-    if alpha == 1.0:
+    if alpha == 1.0 and beta in (1.0, 2.0):
+        # Closed forms: e^-y, and the (1 - e^-y)/y of every cell weight of an
+        # alpha = 1 march.  Other beta take the three regimes below.
         if beta == 1.0:
             out[:] = np.exp(-y_arr)
-        elif beta == 2.0:
+        else:
             small = y_arr < 1e-8
             out[small] = 1.0 - y_arr[small] / 2.0
             ys = y_arr[~small]
             out[~small] = -np.expm1(-ys) / ys
-        else:
-            # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), summed by mpmath one
-            # argument at a time: accurate on y in [0, 1e6].  Imported here,
-            # so no other path loads mpmath.  An alpha = 1 march with
-            # sigma != 0 and forcing_scheme="accurate" takes this path
-            # (`exact_forcing` needs E_{1,2+sigma}) and runs about 100x
-            # slower than with "fast"; ROADMAP item 13 replaces it.
-            import mpmath
-
-            rg = mpmath.rgamma(beta)
-            out[:] = [float(mpmath.hyp1f1(1, beta, -v) * rg) for v in y_arr.tolist()]
         return float(out[0]) if scalar else out
 
     x_lo = _series_edge(alpha, beta)
@@ -305,7 +339,9 @@ def ml_e_neg(alpha: float, beta: float, y):
         out[m_asym] = _asymptotic_neg(alpha, beta, y_arr[m_asym])
     if np.any(m_mid):
         ym = y_arr[m_mid]
-        if beta <= 1.0:
+        if alpha == 1.0:
+            out[m_mid] = _kummer_neg(beta, ym)
+        elif beta <= 1.0:
             out[m_mid] = _branch_cut(alpha, beta, ym)
         else:
             # Step the second order parameter down with the exact recursion
@@ -493,8 +529,8 @@ def ml_neg_fast(alpha: float, beta: float, y, *, out: np.ndarray | None = None):
 
     Same orders, domain and return type as `ml_e_neg` (a float for scalar
     y), which builds the table for (alpha, beta) and extends it on demand.
-    At alpha = 1 the closed forms of `ml_e_neg` are used directly, and
-    y == 0 gives exactly 1/Gamma(beta).  With `out`, a C-contiguous float64
+    At alpha = 1 it hands off to `ml_e_neg`, and y == 0 gives exactly
+    1/Gamma(beta).  With `out`, a C-contiguous float64
     array of y's shape, the values are written into it and it is returned;
     `out=y` evaluates in place, with the same values as a new array.
     """

@@ -335,6 +335,10 @@ class TestLocalAverageHypotheses:
                 canonical_params, u0, u0, 4.0, -1.0, 1.0, 1.0,
                 F_profile=f_profile_canonical,
             )
+        for bad in ((np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.nan)):
+            with pytest.raises(DomainError, match="finite"):
+                local_average_hypotheses(canonical_params, u0, u0, 4.0, *bad,
+                                         F_profile=f_profile_canonical)
 
     def test_dimension_too_small_rejected(self):
         params = ModelParams(0.5, 0.6, -0.25, 3.0, dim=1)  # dim = 1 < 2s

@@ -1,15 +1,19 @@
-"""The package runs on numpy, mpmath and the standard library alone.
+"""The package runs on numpy and the standard library alone.
 
-SciPy is a test dependency only: the suite uses it as an oracle, so the
-check runs in a fresh interpreter. A march and a profile inversion do not
-import numpy.ma either, and only E_{1,b} with b not in {1, 2} imports mpmath.
-No module of the package imports another's private names.
+SciPy and mpmath are test dependencies only: the suite uses them as
+oracles, so the check runs in a fresh interpreter, and `pyproject.toml`
+names numpy as the one run-time dependency.  A march and a profile
+inversion do not import numpy.ma either.  No module of the package imports
+another's private names.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fracsim
 
@@ -29,8 +33,11 @@ fs.profile("F", 0.5, 0.4, 2, np.geomspace(1e-2, 1e2, 8))
 assert "numpy.ma" not in sys.modules  # its import costs ~15 ms
 fs.wright_phi(0.7, 1.0)
 assert run_selftest(verbose=False)
-assert "mpmath" not in sys.modules  # its import costs ~40 ms
-fs.ml_e_neg(1.0, 1.5, np.array([0.0, 0.5, 40.0]))  # may load mpmath
+one = fs.ModelParams(alpha=1.0, s=0.4, sigma=-0.25, p=3.0, dim=1)
+fs.integrate(one, grid, None, w, fs.TimeMesh.make(2.0, 20, grading=2.0),
+             forcing_scheme="accurate")
+fs.ml_e_neg(1.0, 1.5, np.array([0.0, 0.5, 40.0, 200.0]))
+assert "mpmath" not in sys.modules
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
@@ -41,6 +48,13 @@ def test_no_scipy_at_run_time():
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == ""
+
+
+def test_numpy_is_the_only_run_time_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in deps] == ["numpy"]
 
 
 def _private(name: str) -> bool:

@@ -639,7 +639,8 @@ class TestCli:
         ({"q": "abc"}, "config hypotheses.q: "),
         ({"M": [1.0]}, "config hypotheses.M: "),
         ("abc", "config hypotheses.q: parent is not an object"),
-    ], ids=["q-not-float", "M-is-list", "not-an-object"])
+        ({"M": math.nan}, "need finite M >= 0"),
+    ], ids=["q-not-float", "M-is-list", "not-an-object", "M-nan"])
     def test_bad_hypotheses_section_is_one_line_usage_error(
         self, tmp_path, capsys, section, names
     ):

@@ -117,6 +117,8 @@ class TestConfigObjects:
             TimeMesh(np.array([0.1, 0.5, 1.0]), 1.0)
         with pytest.raises(PreconditionError):
             TimeMesh(np.array([0.0, 0.5, 0.4]), 1.0)
+        with pytest.raises(PreconditionError, match="finite"):
+            TimeMesh(np.array([0.0, 1.0, np.inf]), 2.0)
 
 
 JACOBI_CASES = [(a, sig) for a in (0.3, 0.5, 0.9) for sig in (-0.5, -0.25)]
@@ -425,21 +427,21 @@ class TestLinearExactness:
 
     def test_exact_forcing_at_alpha_one(self):
         # alpha = 1: S(t; lam) = int_0^t tau^sigma e^{-lam (t - tau)} dtau.
-        # E_{1,1.75} comes from 1F1; lam t reaches ~50, where its power
-        # series cancels badly.
-        params = ModelParams(1.0, 0.5, -0.25, 3.0)
+        # E_{1,2+sigma} comes from Kummer's sum; lam t reaches ~50, where its
+        # power series cancels badly.
         grid = GridSpec(dim=1, points=64, half_width=10.0)
         mesh = TimeMesh.make(5.0, 4, grading=2.0)
-        plan = LinearPlan(params, grid, mesh, "accurate")
-        assert plan.lam_u.max() * mesh.t_end > 30.0
-        for n in (1, 4):
-            t = mesh.nodes[n]
-            want = [
-                quad(lambda tau: math.exp(-lam * (t - tau)), 0.0, t,
-                     weight="alg", wvar=(-0.25, 0.0), epsabs=0.0, epsrel=1e-13)[0]
-                for lam in plan.lam_u
-            ]
-            np.testing.assert_allclose(plan.forcing_weights(n), want, rtol=1e-12)
+        for sigma in (-0.75, -0.25, -0.1):
+            plan = LinearPlan(ModelParams(1.0, 0.5, sigma, 3.0), grid, mesh, "accurate")
+            assert plan.lam_u.max() * mesh.t_end > 30.0
+            for n in (1, 4):
+                t = mesh.nodes[n]
+                want = [
+                    quad(lambda tau: math.exp(-lam * (t - tau)), 0.0, t, weight="alg",
+                         wvar=(sigma, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+                    for lam in plan.lam_u
+                ]
+                np.testing.assert_allclose(plan.forcing_weights(n), want, rtol=1e-12)
 
 
 class TestModeMap:

@@ -127,20 +127,33 @@ class TestMittagLeffler:
         oracle = 1.0 / SQRT_PI - y * erfcx(y)
         assert np.max(np.abs(vals - oracle)) <= 1e-9
 
-    @pytest.mark.parametrize("beta", [0.5, 1.25, 1.75])
+    @pytest.mark.parametrize(
+        "beta", [0.01, 0.5, 0.999999, 1.000001, 1.25, 1.75, 1.95, 2.000001, 3.2, 10.0])
     def test_alpha_one_hypergeometric(self, beta):
-        # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), oracle at 40 digits.
-        y = np.concatenate([[0.0, 29.0, 31.0], np.geomspace(1e-3, 1e6, 60)])
+        # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), oracle at 40 digits, on all
+        # three regimes and both sides of the series edge and of y = 150.
+        edges = np.array([special._series_edge(1.0, beta), special._ASYMPTOTIC_EDGE])
+        near = edges[:, None] * np.array([0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1])
+        y = np.concatenate([[0.0, 29.0, 31.0], np.geomspace(1e-3, 1e6, 60), near.ravel()])
         with mpmath.workdps(40):
             want = np.array([
                 float(mpmath.hyp1f1(1, beta, -mpmath.mpf(v)) / mpmath.gamma(beta))
                 for v in y
             ])
-        np.testing.assert_allclose(ml_e_neg(1.0, beta, y), want, rtol=1e-12, atol=0.0)
+        got = ml_e_neg(1.0, beta, y)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        # Relative too, except for small b: at y = 150 the asymptotic
+        # expansion's truncation (1e-16 absolute) is 1.5e-12 of E_{1,0.01}.
+        if beta >= 0.5:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_wrapper_and_domain(self):
         with pytest.raises(DomainError):
             ml_e_neg(1.5, 1.0, 1.0)
+        for alpha in (0.5, 1.0):
+            for beta in (np.nan, np.inf):
+                with pytest.raises(DomainError, match="orders"):
+                    ml_e_neg(alpha, beta, np.array([0.0, 5.0, 200.0]))
         with pytest.raises(DomainError):
             ml_e_neg(0.5, -1.0, 1.0)
         with pytest.raises(DomainError):
@@ -197,7 +210,8 @@ def branch_cut_oracle(alpha, beta, x):
 
 
 class TestMidRegime:
-    """`ml_e_neg` on x_lo < y < 150, where the fixed branch-cut rule owns it."""
+    """`ml_e_neg` on x_lo < y < 150, where the fixed branch-cut rule owns it
+    (Kummer's sum at alpha = 1)."""
 
     @staticmethod
     def mid_points(alpha, beta, n):
@@ -218,7 +232,8 @@ class TestMidRegime:
         want = np.array([float(branch_cut_oracle(alpha, beta, v)) for v in y])
         np.testing.assert_allclose(ml_e_neg(alpha, beta, y), want, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.95, 0.95), (0.5, 1.5)])
+    @pytest.mark.parametrize("alpha,beta",
+                             [(0.3, 1.0), (0.95, 0.95), (0.5, 1.5), (1.0, 1.75)])
     def test_values_do_not_depend_on_the_other_arguments(self, alpha, beta):
         # Enough points to span several evaluation blocks.
         y = self.mid_points(alpha, beta, 400)
@@ -414,6 +429,10 @@ class TestFastTable:
         assert special._FAST_CACHE == {}
         with pytest.raises(DomainError):
             ml_neg_fast(1.5, 0.5, np.array([1.0]))
+        for alpha in (0.5, 1.0):
+            with pytest.raises(DomainError, match="orders"):
+                ml_neg_fast(alpha, bad, np.array([0.0, 5.0, 200.0]))
+        assert special._FAST_CACHE == {}
 
 
 def wright_series_oracle(alpha, theta):
