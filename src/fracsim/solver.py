@@ -18,25 +18,31 @@ flattened real-FFT half spectrum of `spectral`, the package's one mode
 convention.
 
 `integrate_many` marches several powers p in lockstep on one plan: each
-step computes one cell-weight row, one linear-mode vector and one spread of
-the row to the modes (`LinearPlan.spread`), and each live member contracts
-its own nonlinear history with it (`LinearPlan.contract`) into its row of
-one (live, modes) stack. The rest of the step runs once over the stack: one
+step computes one cell-weight row of L unique-eigenvalue columns and one
+linear-mode vector, and each live member contracts its own nonlinear
+history with the row (`LinearPlan.contract`) into its row of one
+(live, modes) stack. The rest of the step runs once over the stack: one
 inverse transform, one finite check, the norms and tail fractions per row
 (`spectral.lq_norms`, `spectral.tail_fractions`), the triggers, and one
-forward transform of |u|^p with each row's own p. `integrate` is its march
-of one member. The history N_j is stored as real and imaginary planes,
-shape (M+1, 2, modes) float64, contracted in one real einsum. The same
-contraction serves `picard_solve` on its trapezoid history. A march holds
-one history, (M+1)*modes*16 B, per live member; no product buffer. It also
-holds one cell-weight scratch, 2*M*L*8 B for L unique eigenvalues: the
-table's arguments, which the table overwrites in place with its values, and
-the row. In 1D every mode has its own eigenvalue, so the mode map is the
-identity and the row is its own spread; otherwise the march holds one
-gather buffer, M*modes*8 B. Both are sized for the last step and allocated
-once per march: arrays allocated per step, one row larger each step, come
-back from the allocator as fresh pages, and a one-shot march would take
-minor page faults in proportion to M^2 * L.
+forward transform of |u|^p with each row's own p, taken into each history
+in slot order. `integrate` is its march of one member. The history N_j is
+stored as real and imaginary planes, shape (M+1, 2, modes) float64, with
+the modes in slot order: slot r holds the r-th mode of every eigenvalue
+with more than r modes, so its weights are a suffix of the row's columns,
+which are ordered by (multiplicity, lam). One real einsum per run of slots
+of one width contracts both planes against that suffix, and one take puts
+the sums back in natural order; no weight row is spread to the modes. In
+1D every mode has its own eigenvalue, so there is one slot and the order
+is natural. The same contraction serves `picard_solve` on its trapezoid
+history. A march holds one history, (M+1)*modes*16 B, per live member; no
+product buffer and no (M, modes) weight gather. It also holds one
+cell-weight scratch, 2*M*L*8 B: the table's arguments, which the table
+overwrites in place with its values, and the row. It is sized for the last
+step and allocated once per march: arrays allocated per step, one row
+larger each step, come back from the allocator as fresh pages, and a
+one-shot march would take minor page faults in proportion to M^2 * L. The
+plan adds modes*56 B for the slot layout: `perm`, the two flat gathers and
+the contraction's sums.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -44,6 +50,7 @@ which makes the map implicit and genuinely distinct from `integrate`.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -271,11 +278,16 @@ class LinearPlan:
     Modes are the flattened half spectrum of `GridSpec.to_modes` (shape
     `grid.mode_shape`), so a kept mode off the last-axis planes k = 0 and
     k = points/2 stands for itself and its conjugate twin. Every per-mode
-    factor is evaluated once per unique eigenvalue lam = |xi|^(2s) (`lam_u`,
-    ascending, so lam_u[0] = 0 is the zero mode's) and spread to the modes
-    by `inv`. In 1D lam rises with k, so `inv` is the identity
-    (`identity_map`) and the spread is skipped. A plan without a mesh serves
-    the mode map, `propagator` and `exact_forcing` only.
+    factor is evaluated once per unique eigenvalue lam = |xi|^(2s) (`lam_u`)
+    and spread to the modes by `inv` (`spread`). The columns of `lam_u` are
+    ordered by (multiplicity, lam), so lam_u[0] = 0 is the zero mode's and,
+    in 1D, where every multiplicity is 1, lam_u ascends with k. The march's
+    history keeps the modes in slot order (`perm`, `slots`, `to_slots`):
+    slot r holds the r-th mode of every column with more than r modes, and
+    its weights are the last columns of the cell row, so `contract` reads
+    the compact row directly. A plan without a mesh serves the mode map,
+    `propagator` and `exact_forcing` only. `contract` sums into the plan's
+    own scratch, so one plan serves one thread at a time.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec,
@@ -290,9 +302,61 @@ class LinearPlan:
             )
         self.params, self.grid, self.mesh = params, grid, mesh
         self.forcing_scheme = forcing_scheme
-        self.lam_u, self.inv = np.unique(grid.xi_squared().ravel() ** params.s,
-                                         return_inverse=True)
-        self.identity_map = bool(np.array_equal(self.inv, np.arange(self.inv.size)))
+        lam, inv = np.unique(grid.xi_squared().ravel() ** params.s,
+                             return_inverse=True)
+        # Columns by (multiplicity, lam): a stable sort of the ascending lam.
+        order = np.argsort(np.bincount(inv), kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        self.lam_u, self.inv = lam[order], column[inv]
+
+    @functools.cached_property
+    def _slot_layout(self) -> tuple:
+        """The history's slot order of the modes, built on first use: a
+        plan without a march (the smallness check) never needs it.
+
+        Slot r holds the r-th mode (in natural order) of every column with
+        more than r modes. Those columns are the last cnt_r, so slot r's
+        weights are the row's last cnt_r columns, in order. Returns `perm`,
+        `slots`, the flat gathers between complex natural-order modes and
+        the (2, nmodes) real slot planes (row 0 takes the modes into the
+        planes, row 1 takes the planes back) and `contract`'s sums scratch.
+        """
+        n_cols, n_modes = self.lam_u.size, self.inv.size
+        mult = np.bincount(self.inv, minlength=n_cols)  # ascending
+        first = np.cumsum(mult) - mult
+        # On 16-bit keys NumPy's stable sort is a radix sort.
+        by_column = np.argsort(self.inv.astype(np.min_scalar_type(n_cols)),
+                               kind="stable")
+        rank = np.empty_like(self.inv)
+        rank[by_column] = np.arange(n_modes) - np.repeat(first, mult)
+        cnt = n_cols - np.searchsorted(mult, np.arange(mult[-1]), side="right")
+        stop = np.cumsum(cnt)
+        start = stop - cnt
+        pos = start[rank] + self.inv - (n_cols - cnt[rank])
+        perm = np.empty_like(pos)
+        perm[pos] = np.arange(n_modes)
+        runs = np.flatnonzero(np.diff(cnt, prepend=0))
+        ends = np.append(runs[1:], cnt.size) - 1
+        slots = tuple(zip(start[runs].tolist(), stop[ends].tolist(),
+                          cnt[runs].tolist()))
+        gathers = np.empty((2, 2 * n_modes), dtype=np.intp)
+        # plane c of slot position i <- float c of natural mode perm[i]
+        gathers[0] = (2 * perm + np.arange(2)[:, None]).ravel()
+        # float c of natural mode k <- plane c of slot position pos[k]
+        gathers[1] = (pos[:, None] + n_modes * np.arange(2)).ravel()
+        return perm, slots, gathers, np.empty((2, n_modes))
+
+    @property
+    def perm(self) -> np.ndarray:
+        """perm[i] is the natural mode at slot position i of the history."""
+        return self._slot_layout[0]
+
+    @property
+    def slots(self) -> tuple[tuple[int, int, int], ...]:
+        """(start, stop, width) of each run of consecutive slots of one
+        width, in slot positions; `contract` merges each run."""
+        return self._slot_layout[1]
 
     @property
     def nmodes(self) -> int:
@@ -310,22 +374,10 @@ class LinearPlan:
         return self.grid.to_values(
             modes.reshape(modes.shape[:-1] + self.grid.mode_shape))
 
-    def spread(self, per_lam: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """A per-eigenvalue array (last axis lam_u) on the modes.
-
-        Under the identity mode map this is `per_lam` itself. Otherwise the
-        result is written into the leading rows of `out` (a buffer with at
-        least as many rows as `per_lam`, from `gather_buffer`), or into a new
-        array when `out` is None, and returned.
-        """
-        if self.identity_map:
-            return per_lam
-        if out is not None:
-            out = out[: per_lam.shape[0]]
-        # mode="clip" skips the bounds-checked buffered copy that the
-        # default mode makes with `out`; `inv` is always in range.
-        return np.take(per_lam, self.inv, axis=-1, out=out, mode="clip")
+    def spread(self, per_lam: np.ndarray) -> np.ndarray:
+        """A per-eigenvalue array (last axis lam_u) on the modes, in natural
+        order: a new array."""
+        return np.take(per_lam, self.inv, axis=-1)
 
     def cell_weights(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
@@ -365,25 +417,38 @@ class LinearPlan:
         row."""
         return np.empty((2, self.mesh.steps * self.lam_u.size))
 
-    def gather_buffer(self) -> np.ndarray | None:
-        """The (M, nmodes) buffer `spread` writes cell-weight rows into; None
-        under the identity mode map, which needs none."""
-        if self.identity_map:
-            return None
-        return np.empty((self.mesh.steps, self.nmodes))
+    def to_slots(self, modes: np.ndarray, out: np.ndarray) -> None:
+        """Write complex natural-order modes, shape (..., nmodes), into the
+        C-contiguous real and imaginary slot-order planes `out`, shape
+        (..., 2, nmodes), with one take."""
+        if not out.flags.c_contiguous:
+            raise PreconditionError("slot planes must be C-contiguous")
+        np.take(modes.view(np.float64), self._slot_layout[2][0], axis=-1,
+                out=out.reshape(out.shape[:-2] + (-1,)), mode="clip")
 
     def contract(self, row: np.ndarray, hist: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-        """Modes of sum_{j<n} W[j, mode] N_j for a spread (n, nmodes) row,
-        written into the complex (nmodes,) `out` (new when None).
+        """Modes of sum_{j<n} W[j, lam] N_j for the (n, len(lam_u)) cell
+        row, written in natural order into the contiguous complex (nmodes,)
+        `out` (new when None).
 
-        `hist` holds N_j as real and imaginary planes, shape
-        (>= n, 2, nmodes). One real einsum contracts both planes, with no
-        (n, nmodes) complex product.
+        `hist` holds N_j as slot-order real and imaginary planes
+        (`to_slots`), shape (>= n, 2, nmodes). Each run of slots of one
+        width w is contracted against the row's last w columns in one real
+        einsum, with no (n, nmodes) weight or complex product array; one
+        take puts the sums back in natural order.
         """
+        n, n_cols = row.shape
+        _, slots, gathers, sums = self._slot_layout
+        hist = hist[:n]
+        for start, stop, width in slots:
+            np.einsum("jl,jcsl->csl", row[:, n_cols - width:],
+                      hist[:, :, start:stop].reshape(n, 2, -1, width),
+                      out=sums[:, start:stop].reshape(2, -1, width))
         if out is None:
             out = np.empty(self.nmodes, dtype=complex)
-        out.real, out.imag = np.einsum("jk,jck->ck", row, hist[: row.shape[0]])
+        np.take(sums.reshape(-1), gathers[1], out=out.view(np.float64),
+                mode="clip")
         return out
 
     def exact_forcing(self, t: float) -> np.ndarray:
@@ -538,12 +603,13 @@ class _Member:
 def _store(plan: LinearPlan, members: list[_Member], n: int,
            values: np.ndarray) -> None:
     """Write |u|^p at node n into each member's history, from the stack
-    `values` (one row per member) and one forward transform."""
+    `values` (one row per member), one forward transform and one take per
+    member into slot order."""
     powered = np.abs(values)
     for row, m in zip(powered, members):
         row **= m.params.p
     for modes, m in zip(plan.to_modes(powered), members):
-        m.hist[n, 0], m.hist[n, 1] = modes.real, modes.imag
+        plan.to_slots(modes, m.hist[n])
 
 
 def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
@@ -552,8 +618,8 @@ def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
     """Advance the live members to node n in one batched step; returns the
     members that go on.
 
-    Each member contracts its own history with the spread weight row into
-    its row of the (live, nmodes) buffer `modes`. One inverse transform,
+    Each member contracts its own history with node n's cell-weight row
+    into its row of the (live, nmodes) buffer `modes`. One inverse transform,
     finite check, norm and tail pass and forward transform of |u|^p then
     serve the whole stack. Norms and tails read only the finite rows.
     """
@@ -608,11 +674,11 @@ def integrate_many(
     """March several powers p in lockstep on one LinearPlan.
 
     The members share alpha, s, sigma and dim and differ only in p, so each
-    step computes one cell-weight row, one linear-mode vector and one spread
-    of the row to the modes; each live member then contracts its own
-    history, and the rest of the step is one batched pass over the live
-    members (`_advance`). A member that triggers stops and drops its
-    history. Every result equals the member's own `integrate` bit for bit.
+    step computes one cell-weight row and one linear-mode vector; each live
+    member then contracts its own history with the row, and the rest of the
+    step is one batched pass over the live members (`_advance`). A member
+    that triggers stops and drops its history. Every result equals the
+    member's own `integrate` bit for bit.
     """
     params_seq = list(params_seq)
     if not params_seq:
@@ -638,10 +704,8 @@ def integrate_many(
                np.broadcast_to(u_prev, (len(members),) + grid.shape))
         # Sized for the last step and reused by every step instead of
         # growing temporaries per step, each of which would come back from
-        # the allocator as fresh pages; no gather buffer under the identity
-        # mode map.
+        # the allocator as fresh pages.
         cell_buf = plan.cell_buffer()
-        spread_buf = plan.gather_buffer()
         modes = np.empty((len(members), plan.nmodes), dtype=complex)
 
         live = members
@@ -650,8 +714,7 @@ def integrate_many(
                 break
             cells = plan.cell_weights(n, cell_buf)
             linear = plan.linear_modes(n, u0_modes, w_modes, cells)
-            row = plan.spread(cells, spread_buf)
-            live = _advance(plan, thr, q_report, live, n, row, linear,
+            live = _advance(plan, thr, q_report, live, n, cells, linear,
                             modes[: len(live)])
 
         results = [m.result(plan, thr, q_report) for m in members]
@@ -753,17 +816,15 @@ def picard_solve(
 
     hist = plan.to_values(lin_modes)
     nl = np.empty((m + 1, 2, plan.nmodes))
-    spread_buf = plan.gather_buffer()
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0
     for it in range(1, max_iter + 1):
-        nl_modes = plan.to_modes(np.abs(hist) ** p)
-        nl[:, 0], nl[:, 1] = nl_modes.real, nl_modes.imag
+        plan.to_slots(plan.to_modes(np.abs(hist) ** p), nl)
         trap = 0.5 * (nl[:-1] + nl[1:])
         new_hist = hist.copy()
         for n in range(1, m + 1):
-            contrib = plan.contract(plan.spread(w_tables[n], spread_buf), trap)
+            contrib = plan.contract(w_tables[n], trap)
             new_hist[n] = plan.to_values(lin_modes[n] + contrib)
         diff = float(np.max(np.abs(new_hist - hist)))
         hist = new_hist

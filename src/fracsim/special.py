@@ -75,6 +75,7 @@ _SERIES_STOP = 1e-18
 _ASYMPTOTIC_EDGE = 150.0
 _ASYMPTOTIC_TERMS = 8
 _MAX_SERIES_TERMS = 600
+_SERIES_BLOCK = 1 << 12  # (argument, term) pairs per block of series terms
 
 
 def gamma(x: float) -> float:
@@ -119,26 +120,43 @@ def _lgamma_row(z: np.ndarray) -> np.ndarray:
 
 
 def _series_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:
-    """Power series sum E_{a,b}(-y) with compensated (Kahan) accumulation."""
-    total = np.full_like(y, _rgamma(beta))
-    comp = np.zeros_like(y)
-    power = np.ones_like(y)
-    for n in range(1, _MAX_SERIES_TERMS):
-        power = power * (-y)
-        term = power * _rgamma(alpha * n + beta)
-        t = total + term
-        # Kahan compensation: recover the rounding loss of the addition.
-        comp += np.where(
-            np.abs(total) >= np.abs(term),
-            (total - t) + term,
-            (term - t) + total,
-        )
-        total = t
-        if np.max(np.abs(term)) < _SERIES_STOP * max(1.0, np.max(np.abs(total))):
-            break
-    else:
-        raise NumericalError("Mittag-Leffler series did not converge")
-    return total + comp
+    """Power series sum E_{a,b}(-y) with compensated (Kahan) accumulation.
+
+    The sum stops after the first term n whose largest magnitude falls
+    below 1e-18 of max(1, largest running sum) and returns the running sum
+    plus its compensation there. Terms go in blocks of up to 16, fewer when
+    the call has more than _SERIES_BLOCK / 16 arguments: the power, the
+    running sum and the compensation take one multiply or add per term, in
+    term order, and the terms, each addition's exact rounding error (Knuth's
+    TwoSum, equal to the Fast2Sum of the larger operand) and the stop test a
+    few calls per block. The values are those of the term-by-term loop; a
+    block only computes past the stop.
+    """
+    neg_y = -y
+    width = max(1, min(16, _SERIES_BLOCK // y.size))
+    # Row 0 carries the previous block's power, running sum and compensation.
+    powers, sums, comps = np.empty((3, width + 1, y.size))
+    powers[0], sums[0], comps[0] = 1.0, _rgamma(beta), 0.0
+    for n in range(1, _MAX_SERIES_TERMS, width):
+        k = min(width, _MAX_SERIES_TERMS - n)
+        rg = np.array([_rgamma(alpha * i + beta) for i in range(n, n + k)])
+        for i in range(k):
+            np.multiply(powers[i], neg_y, out=powers[i + 1])
+        terms = powers[1 : k + 1] * rg[:, None]
+        for i in range(k):
+            np.add(sums[i], terms[i], out=sums[i + 1])
+        before, after = sums[:k], sums[1 : k + 1]
+        term_part = after - before
+        loss = (before - (after - term_part)) + (terms - term_part)
+        for i in range(k):
+            np.add(comps[i], loss[i], out=comps[i + 1])
+        small = (np.max(np.abs(terms), axis=1)
+                 < _SERIES_STOP * np.fmax(np.max(np.abs(after), axis=1), 1.0))
+        if small.any():
+            i = int(np.argmax(small)) + 1
+            return sums[i] + comps[i]
+        powers[0], sums[0], comps[0] = powers[k], sums[k], comps[k]
+    raise NumericalError("Mittag-Leffler series did not converge")
 
 
 def _asymptotic_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:

@@ -252,8 +252,14 @@ class TestWeightTable:
 
 
 class TestHistoryContraction:
-    """`LinearPlan.contract` of a `spread` row against the complex
-    product-and-sum."""
+    """`LinearPlan.contract` of the compact cell row against the complex
+    product-and-sum over the modes."""
+
+    @staticmethod
+    def slot_planes(plan, modes):
+        planes = np.empty(modes.shape[:-1] + (2, plan.nmodes))
+        plan.to_slots(modes, planes)
+        return planes
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_equals_the_complex_oracle(self, dim):
@@ -263,18 +269,16 @@ class TestHistoryContraction:
         m = 6
         hist = (rng.standard_normal((m + 1, plan.nmodes))
                 + 1j * rng.standard_normal((m + 1, plan.nmodes)))
-        planes = np.stack([hist.real, hist.imag], axis=1)
+        planes = self.slot_planes(plan, hist)
         trap = 0.5 * (planes[:-1] + planes[1:])
-        gathered = np.empty((m, plan.nmodes))
         for n in (1, 2, m):
             cells = rng.random((n, plan.lam_u.size))
             wf = np.take(cells, plan.inv, axis=1)
             left = np.multiply(wf, hist[:n]).sum(axis=0)
-            row = plan.spread(cells, gathered)
-            assert np.array_equal(plan.contract(row, planes), left)
+            assert np.array_equal(plan.contract(cells, planes), left)
             # picard_solve's cell-trapezoid sample (N_j + N_{j+1}) / 2
             mid = np.sum(wf * 0.5 * (hist[:n] + hist[1 : n + 1]), axis=0)
-            assert np.array_equal(plan.contract(row, trap), mid)
+            assert np.array_equal(plan.contract(cells, trap), mid)
 
     def test_planes_hold_the_modes(self):
         # Plane 0 is the real part and plane 1 the imaginary part: one cell
@@ -283,21 +287,24 @@ class TestHistoryContraction:
                           GridSpec(dim=2, points=64, half_width=8.0))
         v = np.random.default_rng(5).standard_normal(plan.grid.shape)
         modes = plan.to_modes(v)
-        planes = np.stack([modes.real, modes.imag])[None]
-        unit = plan.spread(np.ones((1, plan.lam_u.size)))
-        out = plan.contract(unit, planes)
+        planes = self.slot_planes(plan, modes[None])
+        assert np.array_equal(planes[0, 0], modes.real[plan.perm])
+        assert np.array_equal(planes[0, 1], modes.imag[plan.perm])
+        out = plan.contract(np.ones((1, plan.lam_u.size)), planes)
         assert np.array_equal(out.real, modes.real)
         assert np.array_equal(out.imag, modes.imag)
+        with pytest.raises(PreconditionError):  # a copy would drop the writes
+            plan.to_slots(modes, np.empty((plan.nmodes, 2)).T)
 
 
 class TestMarchMemory:
     def test_traced_peak_of_a_warm_2d_march(self):
-        # The march holds the real-plane history, the weight-gather buffer
-        # and the cell-weight scratch (two planes of M rows); an
-        # (M, nmodes) complex temporary (1.35 MB here) must not come back.
-        # Slack: 1.2 MB for the scratch's second plane, the table's chunk
-        # buffers and the step's mode vectors.  Measured peak: 3.07 MB of a
-        # 3.41 MB bound.
+        # The march holds the real-plane history and the cell-weight
+        # scratch (two planes of M rows), and contracts the compact row
+        # with no (M, nmodes) weight gather (0.68 MB here) or complex
+        # temporary (1.35 MB).  Slack: 1.2 MB for the scratch's second
+        # plane, the table's chunk buffers, the plan's slot gathers and the
+        # step's mode vectors.  Measured peak: 2.52 MB of a 2.73 MB bound.
         params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=2)
         grid = GridSpec(dim=2, points=64, half_width=8.0)
         mesh = TimeMesh.make(10.0, 40)
@@ -306,7 +313,6 @@ class TestMarchMemory:
         plan = LinearPlan(params, grid, mesh)
         m = mesh.steps
         history = (m + 1) * plan.nmodes * 16
-        gather = m * plan.nmodes * 8
         row = m * plan.lam_u.size * 8
         slack = 1.2e6
         tracemalloc.start()
@@ -316,7 +322,7 @@ class TestMarchMemory:
         finally:
             tracemalloc.stop()
         assert res.t_nodes.size == m + 1
-        assert peak < history + gather + row + slack
+        assert peak < history + row + slack
 
     FAULTS = """
 import resource
@@ -459,9 +465,13 @@ class TestModeMap:
         points = plan.grid.points
         assert plan.nmodes == points ** (dim - 1) * (points // 2 + 1)
         lam_full = full_lam(plan.grid, plan.params.s)
-        assert np.array_equal(plan.lam_u, np.unique(lam_full))
+        # The same eigenvalue set, each value once, zero first.
+        assert np.array_equal(np.sort(plan.lam_u), np.unique(lam_full))
+        assert np.unique(plan.lam_u).size == plan.lam_u.size
+        assert plan.lam_u[0] == 0.0
         if dim == 1:  # every half-spectrum mode has its own eigenvalue
             assert plan.lam_u.size == plan.nmodes
+            assert np.all(np.diff(plan.lam_u) > 0.0)
 
     @pytest.mark.parametrize("dim, points, distinct", [(1, 1024, 513), (2, 128, 1621),
                                                        (3, 64, 1914)])
@@ -474,23 +484,18 @@ class TestModeMap:
         assert plan.lam_u.size == np.unique(k2).size == distinct
         # each |k|^2 maps to one eigenvalue, and each eigenvalue to one |k|^2
         assert np.unique(np.stack([k2, plan.inv]), axis=1).shape[1] == distinct
-        assert plan.identity_map == (dim == 1)
+        # 1D keeps the natural mode order; 2D and 3D regroup the modes
+        assert np.array_equal(plan.perm, np.arange(plan.nmodes)) == (dim == 1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_gather_is_the_row_itself_only_under_the_identity_map(self, dim):
-        plan = self.plan(dim, TimeMesh.make(2.0, 6))
-        cells = plan.cell_weights(4)
-        buffer = plan.gather_buffer()
-        row = plan.spread(cells, buffer)
-        assert np.array_equal(row, np.take(cells, plan.inv, axis=1))
+    def test_spread_puts_each_eigenvalue_on_its_modes(self, dim):
+        plan = self.plan(dim)
         per_lam = plan.propagator(1.0)
-        on_modes = plan.spread(per_lam)
-        assert np.array_equal(on_modes, per_lam[plan.inv])
-        assert plan.identity_map == (dim == 1)
-        if dim == 1:
-            assert row is cells and buffer is None and on_modes is per_lam
-        else:
-            assert row is not cells and np.shares_memory(row, buffer)
+        assert np.array_equal(plan.spread(per_lam), per_lam[plan.inv])
+        cells = np.random.default_rng(dim).random((3, plan.lam_u.size))
+        assert np.array_equal(plan.spread(cells), np.take(cells, plan.inv, axis=1))
+        for gone in ("gather_buffer", "identity_map"):
+            assert not hasattr(plan, gone)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_round_trip(self, dim):
@@ -512,8 +517,9 @@ class TestModeMap:
         u0 = Field(grid, np.exp(-r_sq / 4.0) * (1.0 + 0.3 * x0))
         w = Field(grid, 0.5 * np.exp(-((x0 - 1.0) ** 2) - r_sq / 9.0))
         lam_full = full_lam(grid, params.s)
+        # full-spectrum mode -> the plan's column of its eigenvalue
         _, inv_full = np.unique(lam_full, return_inverse=True)
-        inv_full = inv_full.reshape(grid.shape)
+        inv_full = np.argsort(plan.lam_u)[inv_full.reshape(grid.shape)]
         u0_hat = np.fft.fftn(u0.values) * grid.cell_volume
         w_hat = np.fft.fftn(w.values) * grid.cell_volume
         for n in range(1, mesh.steps + 1):
@@ -529,6 +535,56 @@ class TestModeMap:
                 np.sqrt(np.sum(want**2) * grid.cell_volume), rtol=1e-12)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+
+class TestSlotLayout:
+    """The history's slot order: slot r holds the r-th mode of every
+    eigenvalue with more than r modes, against the suffix of the row's
+    columns ordered by (multiplicity, lam)."""
+
+    @pytest.mark.parametrize("dim, points", [(1, 64), (2, 64), (3, 64), (2, 128)])
+    def test_slots_read_the_column_suffix(self, dim, points):
+        grid = GridSpec(dim=dim, points=points, half_width=8.0)
+        plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim), grid)
+        n_cols, inv, perm = plan.lam_u.size, plan.inv, plan.perm
+        assert np.array_equal(np.sort(perm), np.arange(plan.nmodes))
+        mult = np.bincount(inv, minlength=n_cols)
+        assert np.all(np.diff(mult) >= 0)
+        # within one multiplicity the columns keep ascending lam
+        for m in np.unique(mult):
+            assert np.all(np.diff(plan.lam_u[mult == m]) > 0.0)
+        r, end = 0, 0
+        seen, last = np.zeros(n_cols, dtype=int), np.full(n_cols, -1)
+        widths = [width for _, _, width in plan.slots]
+        assert widths == sorted(set(widths), reverse=True)  # equal widths merged
+        for start, stop, width in plan.slots:
+            assert start == end and (stop - start) % width == 0
+            end = stop
+            for first in range(start, stop, width):
+                # slot r: every column with more than r modes, in order
+                assert width == np.count_nonzero(mult > r)
+                modes = perm[first : first + width]
+                cols = inv[modes]
+                assert np.array_equal(cols, np.arange(n_cols - width, n_cols))
+                assert np.all(mult[cols] > r)
+                # slots 0, 1, ... take each column's modes in natural order
+                assert np.all(modes > last[cols])
+                last[cols] = modes
+                seen[cols] += 1
+                r += 1
+        assert end == plan.nmodes and np.array_equal(seen, mult)
+        assert r == mult.max()
+        if dim == 1:
+            assert plan.slots == ((0, plan.nmodes, plan.nmodes),)
+
+    def test_march_2d_grid_merges_to_one_einsum_per_multiplicity(self):
+        # 1621 eigenvalues on 8320 modes, with 11 distinct multiplicities up
+        # to 16: one merged run of slots per distinct multiplicity.
+        grid = GridSpec(dim=2, points=128, half_width=16.0)
+        plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0, dim=2), grid)
+        mult = np.bincount(plan.inv)
+        assert (plan.lam_u.size, mult.max()) == (1621, 16)
+        assert len(plan.slots) == np.unique(mult).size == 11
 
 
 class TestClassification:
@@ -847,6 +903,17 @@ class TestAlphaOneRecursion:
         res = integrate(params, grid, u0, w, self.MESH, q_report=4.0)
         self.assert_agree(res, self.recursion(params, grid, u0, w, self.MESH, 4.0))
 
+    def test_integrate_3d(self):
+        # 135168 half-spectrum modes on 1914 unique eigenvalues whose
+        # multiplicities reach 280: every slot of the history layout against
+        # the recursion on every mode.
+        grid = GridSpec(dim=3, points=64, half_width=8.0)
+        params = ModelParams(1.0, 0.4, 0.0, 2.0, dim=3)
+        mesh = TimeMesh.make(5.0, 10)
+        u0, w = self.data(grid)
+        res = integrate(params, grid, u0, w, mesh, q_report=4.0)
+        self.assert_agree(res, self.recursion(params, grid, u0, w, mesh, 4.0))
+
     def test_lockstep_members(self):
         grid = GridSpec(dim=1, points=256, half_width=20.0)
         params = [ModelParams(1.0, 0.4, 0.0, p) for p in (2.0, 3.0, 4.0)]
@@ -905,6 +972,29 @@ class TestPicard:
         assert res.iterations == 1
         assert np.max(np.abs(res.final_field.values)) == 0.0
         assert res.contraction_factor == 0.0
+
+    def test_2d_data_along_one_axis_is_the_1d_fixed_point(self):
+        # Data constant along the last axis live on its k = 0 plane, whose
+        # eigenvalues are the 1D grid's: the 2D fixed point, iterated on the
+        # slot-order history, is the 1D one on every row.
+        params = ModelParams(0.5, 0.4, -0.25, 2.0)
+        mesh = TimeMesh.make(2.0, 12, grading=2.0)
+        line = GridSpec(dim=1, points=64, half_width=10.0)
+        plane = GridSpec(dim=2, points=64, half_width=10.0)
+        profile = np.exp(-line.axis() ** 2)
+        one = picard_solve(params, line, Field(line, 0.3 * profile),
+                           Field(line, 0.2 * profile), mesh)
+        column = np.broadcast_to(profile[:, None], plane.shape)
+        two = picard_solve(dataclasses.replace(params, dim=2), plane,
+                           Field(plane, 0.3 * column), Field(plane, 0.2 * column),
+                           mesh)
+        assert two.iterations == one.iterations > 3
+        u1 = one.final_field.values
+        np.testing.assert_allclose(two.final_field.values,
+                                   np.broadcast_to(u1[:, None], plane.shape),
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(u1)))
+        np.testing.assert_allclose(two.linf_history, one.linf_history,
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_large_data_fails_to_contract(self):

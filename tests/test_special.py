@@ -187,6 +187,45 @@ class TestMittagLeffler:
             assert np.max(np.abs(ml_e_neg(*ab, y) - ml_neg_fast(*ab, y))) <= 1e-9
 
 
+def series_loop_oracle(alpha, beta, y):
+    """The term-by-term Kahan loop (Fast2Sum on the larger operand) that
+    `special._series_neg` blocks."""
+    total = np.full_like(y, special._rgamma(beta))
+    comp = np.zeros_like(y)
+    power = np.ones_like(y)
+    for n in range(1, special._MAX_SERIES_TERMS):
+        power = power * (-y)
+        term = power * special._rgamma(alpha * n + beta)
+        t = total + term
+        comp += np.where(
+            np.abs(total) >= np.abs(term),
+            (total - t) + term,
+            (term - t) + total,
+        )
+        total = t
+        if np.max(np.abs(term)) < special._SERIES_STOP * max(1.0, np.max(np.abs(total))):
+            return total + comp
+    raise AssertionError("the loop did not converge")
+
+
+class TestSeriesRegime:
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (1.0, 1.5), (1.0, 2.75),
+                                            (0.5, 0.5), (0.5, 1.0), (0.5, 1.5)])
+    def test_blocks_equal_the_term_by_term_loop(self, alpha, beta):
+        # Bit for bit, on sizes that take blocks of 16, 2 and 1 terms, with
+        # y = 0, subnormal and tiny arguments, and both ends of the regime,
+        # where the terms outgrow the running sum.
+        x_lo = special._series_edge(alpha, beta)
+        rng = np.random.default_rng(int(10 * alpha + beta))
+        edge = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.5 * x_lo, x_lo])
+        for size in (1, 6, 100, 1500, 5000):
+            y = np.concatenate([edge, rng.uniform(0.0, x_lo, size)])[:size]
+            got = special._series_neg(alpha, beta, y)
+            assert np.array_equal(got, series_loop_oracle(alpha, beta, y))
+            # the same values through the public entry
+            assert np.array_equal(ml_e_neg(alpha, beta, y)[y <= x_lo], got[y <= x_lo])
+
+
 def branch_cut_oracle(alpha, beta, x):
     """E_{a,b}(-x) by 25-digit mpmath quadrature of the branch-cut integral.
 
