@@ -364,7 +364,10 @@ def profile(kind: str, alpha: float, s: float, dim: int, radii) -> KernelProfile
     With the rule x, w of `_unit_rule`, the value at r > 0 is
     r^-dim sum_i w_i E(-x_i^(2s) r^(-2s)): x^(2s) is formed once, and the
     symbol of a whole block of radii, at most _BLOCK_POINTS values, comes
-    from one Mittag-Leffler table call and one matrix-vector product.
+    from one Mittag-Leffler table call and one matrix-vector product.  The
+    call allocates one block-sized scratch: each block writes its arguments
+    r^(-2s) x_i^(2s) there and the table evaluates them in place
+    (`ml_neg_fast(..., out=y)`), so no block creates a second bulk array.
 
     Raises NumericalError if the quadrature produces values that violate
     positivity or radial monotonicity beyond rounding slack.
@@ -379,9 +382,12 @@ def profile(kind: str, alpha: float, s: float, dim: int, radii) -> KernelProfile
     x, w = _unit_rule(dim)
     x_pow = x ** (2.0 * s)
     block = _BLOCK_POINTS // x.size
+    scratch = np.empty((min(block, r.size - start), x.size))
     for lo in range(start, r.size, block):
         rb = r[lo : lo + block]
-        symbol = ml_neg_fast(alpha, beta, rb[:, None] ** (-2.0 * s) * x_pow)
+        symbol = scratch[: rb.size]
+        np.multiply((rb ** (-2.0 * s))[:, None], x_pow, out=symbol)
+        ml_neg_fast(alpha, beta, symbol, out=symbol)
         values[lo : lo + block] = (symbol @ w) / rb**dim
 
     # Quadrature sanity: the profile must be positive and radially

@@ -28,18 +28,22 @@ closed forms exp(-x) and (1 - exp(-x))/x.
 is the scalar API and is the oracle in tests.  Every bulk caller goes
 through `ml_neg_fast` instead: the time stepper's `LinearPlan` (cell
 weights, forcing weights, the Z(t)u0 propagator) and the kernels (the Z and
-Y symbols, propagator application, profile inversion).  It keeps one cached
-table per (a, b), fitted from the three regimes in aligned blocks of 16
-degree-7 interpolants on pieces of width 1/16 in log1p(y), and extended on
-demand whenever a call reaches past the pieces built so far.  Each fitted
-piece is stored economized, as 8 degree-4 sub-pieces of width 1/128: the
-interpolant re-expanded exactly in each sub-piece's Chebyshev basis and
-truncated there.  The sub-pieces are stored coefficient-major (one row per
-monomial power, one column per sub-piece) and evaluated by Horner on the 5
-contiguous rows of one gather per chunk of 8192 points.  The table is
-within 1e-14 of `ml_e_neg` on y in [0, 1e4] (worst 3.8e-15 over a in
-{0.3, 0.5, 0.7, 0.9, 0.95}, b in {1, a, a + 1, a + 0.75, a + 0.5}).  At
-a = 1 there is no table: `ml_neg_fast` hands off to `ml_e_neg`.
+Y symbols, propagator application, profile inversion).  The largest bulk
+callers, the march's cell weights and profile inversion, write their
+arguments into a scratch they keep and hand the table that array as
+`out`, so it evaluates them in place and allocates nothing of their size.
+`ml_neg_fast` keeps one cached table per (a, b), fitted from the three
+regimes in aligned blocks of 16 degree-7 interpolants on pieces of width
+1/16 in log1p(y), and extended on demand whenever a call reaches past the
+pieces built so far.  Each fitted piece is stored economized, as 8 degree-4
+sub-pieces of width 1/128: the interpolant re-expanded exactly in each
+sub-piece's Chebyshev basis and truncated there.  The sub-pieces are stored
+coefficient-major (one row per monomial power, one column per sub-piece)
+and evaluated by Horner on the 5 contiguous rows of one gather per chunk of
+8192 points.  The table is within 1e-14 of `ml_e_neg` on y in [0, 1e4]
+(worst 3.8e-15 over a in {0.3, 0.5, 0.7, 0.9, 0.95},
+b in {1, a, a + 1, a + 0.75, a + 0.5}).  At a = 1 there is no table:
+`ml_neg_fast` hands off to `ml_e_neg`.
 
 Gamma values come from the standard library's `math.gamma` and
 `math.lgamma`; `_rgamma` is 1/Gamma with 0.0 at the poles and beyond the
@@ -502,16 +506,15 @@ class _FastMLNeg:
         written into `out` (new when None; it may be y itself).
 
         Chunking caps the gathered coefficients at CHUNK points, so their
-        memory does not grow with the size of the call.  Each chunk of y is
-        read before the same chunk of `out` is written, so `out=y` evaluates
-        in place.
+        memory does not grow with the size of the call, and the chunk
+        buffers are made once per thread (`_chunk_buffers`).  Each chunk of
+        y is read before the same chunk of `out` is written, so `out=y`
+        evaluates in place.
         """
         if out is None:
             out = np.empty_like(y)
         m = min(y.size, self.CHUNK)
-        t_buf = np.empty(m)
-        idx_buf = np.empty(m, dtype=np.intp)
-        rows_buf = np.empty((self.DEG + 1) * m)
+        t_buf, idx_buf, rows_buf = _chunk_buffers()
         for lo in range(0, y.size, m):
             n = min(m, y.size - lo)
             t = t_buf[:n]
@@ -537,6 +540,26 @@ class _FastMLNeg:
                 o *= t
             o += rows[0]
         return out
+
+
+_CHUNK_BUFFERS = threading.local()
+
+
+def _chunk_buffers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's t, idx and gathered-rows buffers for one chunk of
+    `_FastMLNeg.__call__`, made on its first call.
+
+    Kept for the life of the thread, so an in-place table call allocates
+    nothing: freeing ~0.46 MB on every call let glibc trim its heap, and
+    the next call faulted the pages back in.
+    """
+    bufs = getattr(_CHUNK_BUFFERS, "bufs", None)
+    if bufs is None:
+        n = _FastMLNeg.CHUNK
+        bufs = (np.empty(n), np.empty(n, dtype=np.intp),
+                np.empty((_FastMLNeg.DEG + 1) * n))
+        _CHUNK_BUFFERS.bufs = bufs
+    return bufs
 
 
 _FAST_CACHE: dict[tuple[float, float], _FastMLNeg] = {}

@@ -2,6 +2,7 @@
 import math
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -436,6 +437,28 @@ class TestFastTable:
         other = np.empty_like(y)
         assert ml_neg_fast(*ab, y, out=other) is other
         assert np.array_equal(other, want)
+
+    def test_chunk_buffers_are_kept_per_thread(self):
+        mine = special._chunk_buffers()
+        assert special._chunk_buffers() is mine
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            theirs = pool.submit(special._chunk_buffers).result()
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_warm_in_place_call_allocates_no_chunk_buffers(self):
+        # Fresh t, idx and row buffers would take CHUNK * 56 B = 459 KB;
+        # the 128 KiB bound leaves room for NumPy's 64 KiB cast buffer.
+        y = np.geomspace(1e-6, 3e4, 3 * special._FastMLNeg.CHUNK)
+        buf = y.copy()
+        ml_neg_fast(0.5, 1.0, buf, out=buf)
+        buf[...] = y
+        tracemalloc.start()
+        try:
+            ml_neg_fast(0.5, 1.0, buf, out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 17
 
     @pytest.mark.parametrize("ab", [(0.5, 1.0), (0.7, 1.7)])
     def test_in_place_zeros_are_exact(self, ab):
