@@ -237,8 +237,10 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
     if u0.grid != w.grid:
         raise PreconditionError("u0 and w must share a grid")
     t_samples = np.asarray(t_samples, dtype=float)
-    if t_samples.ndim != 1 or t_samples.size == 0 or np.any(t_samples <= 0.0):
-        raise DomainError("t_samples must be a nonempty array of positive times")
+    if (t_samples.ndim != 1 or t_samples.size == 0
+            or not np.all((0.0 < t_samples) & (t_samples < np.inf))):
+        raise DomainError(
+            "t_samples must be a nonempty array of finite positive times")
     beta = beta_exponent(params, q).value
     plan = LinearPlan(params, w.grid)
     u0_modes = plan.to_modes(u0.values) if np.any(u0.values) else None

@@ -22,10 +22,12 @@ step computes one cell-weight row of L unique-eigenvalue columns and one
 linear-mode vector, and each live member contracts its own nonlinear
 history with the row (`LinearPlan.contract`) into its row of one
 (live, modes) stack. The rest of the step runs once over the stack: one
-inverse transform, one finite check, the norms and tail fractions per row
+inverse transform, the L^inf and L^q norms and tail fractions of every row
 (`spectral.lq_norms`, `spectral.tail_fractions`), the triggers, and one
 forward transform of |u|^p with each row's own p, taken into each history
-in slot order. `integrate` is its march of one member. The history N_j is
+in slot order. A row is non-finite exactly when its L^inf norm is: max|u|
+is NaN or inf iff some sample is. Node 0's norms come from the same
+helper. `integrate` is its march of one member. The history N_j is
 stored as real and imaginary planes, shape (M+1, 2, modes) float64, with
 the modes in slot order: slot r holds the r-th mode of every eigenvalue
 with more than r modes, so its weights are a suffix of the row's columns,
@@ -64,7 +66,7 @@ from .errors import (
     PreconditionError,
     ResolutionWarning,
 )
-from .spectral import Field, GridSpec, lq_norm, lq_norms, tail_fractions
+from .spectral import Field, GridSpec, lq_norms, tail_fractions
 from .special import ml_neg_fast
 
 __all__ = [
@@ -146,10 +148,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Graded mesh t_j = T (j/M)^g on [0, T]."""
+    """Time nodes increasing strictly from 0; `make` builds the graded mesh
+    t_j = T (j/M)^g on [0, T]."""
 
     nodes: np.ndarray
-    grading: float
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -170,7 +172,7 @@ class TimeMesh:
         if not (1.0 <= grading < np.inf):
             raise DomainError(f"grading must be >= 1 and finite, got {grading!r}")
         j = np.arange(int(steps) + 1, dtype=float)
-        return cls(t_end * (j / steps) ** grading, grading)
+        return cls(t_end * (j / steps) ** grading)
 
     @property
     def steps(self) -> int:
@@ -389,22 +391,20 @@ class LinearPlan:
         e(d) = d^a / Gamma(a+1) exactly, so only the lam > 0 columns reach
         the table.
 
-        With `out` from `cell_buffer`, plane 0 holds the table's arguments,
-        which the table overwrites with its values, and the returned row is
-        a view of plane 1; without it every array is new. Both give the
-        same values.
+        Plane 0 of the scratch `out` (from `cell_buffer`) holds the table's
+        arguments, which the table overwrites with its values, and the
+        returned row is a view of plane 1. Without `out` a (2, n * len(lam_u))
+        scratch is allocated for this call, and the row keeps it alive.
         """
         a, k = self.params.alpha, self.lam_u.size
         da = (self.mesh.nodes[n] - self.mesh.nodes[:n]) ** a
         e_zero = (1.0 / math.gamma(a + 1.0)) * da
         if out is None:
-            e = ml_neg_fast(a, a + 1.0, da[:, None] * self.lam_u[None, 1:])
-            cells = np.empty((n, k))
-        else:
-            e = out[0, : n * (k - 1)].reshape(n, k - 1)
-            np.multiply(da[:, None], self.lam_u[None, 1:], out=e)
-            ml_neg_fast(a, a + 1.0, e, out=e)
-            cells = out[1, : n * k].reshape(n, k)
+            out = np.empty((2, n * k))
+        e = out[0, : n * (k - 1)].reshape(n, k - 1)
+        np.multiply(da[:, None], self.lam_u[None, 1:], out=e)
+        ml_neg_fast(a, a + 1.0, e, out=e)
+        cells = out[1, : n * k].reshape(n, k)
         e *= da[:, None]
         cells[:-1, 0] = e_zero[:-1] - e_zero[1:]
         np.subtract(e[:-1], e[1:], out=cells[:-1, 1:])
@@ -550,7 +550,6 @@ class _Member:
         self.tail_max = 0.0
         self.trigger: Trigger | None = None
         self.last_values = u_prev
-        self.n_reached = 0
 
     def stop(self, kind: str, t_n: float, value: float) -> None:
         """Record the trigger and drop the history."""
@@ -565,14 +564,13 @@ class _Member:
             notes.append(
                 f"top-octave spectral energy fraction reached {self.tail_max:.2e}"
             )
-        t_hist = plan.mesh.nodes[: self.n_reached + 1]
-        lq_arr = np.asarray(self.lq)
-        linf_arr = np.asarray(self.linf)
+        n_reached = len(self.lq) - 1
+        t_hist = plan.mesh.nodes[: n_reached + 1]
+        lq_arr, linf_arr = np.asarray(self.lq), np.asarray(self.linf)
         classification, blowup_est = classify(
             t_hist, lq_arr, linf_arr, thr,
             triggered_at=None if self.trigger is None else self.trigger.t,
-            reached_end=(self.trigger is None
-                         and self.n_reached == plan.mesh.steps),
+            reached_end=self.trigger is None and n_reached == plan.mesh.steps,
         )
         decay_exp = decay_r2 = None
         if classification == GLOBAL:
@@ -581,8 +579,8 @@ class _Member:
                 decay_exp, decay_r2 = estimate_decay_exponent(
                     t_hist[sel], lq_arr[sel]
                 )
-        last = self.last_values
-        final = Field(plan.grid, last) if np.all(np.isfinite(last)) else None
+        non_finite = self.trigger is not None and self.trigger.kind == "non_finite"
+        final = None if non_finite else Field(plan.grid, self.last_values)
         return SimResult(
             params=self.params,
             q_report=q_report,
@@ -620,31 +618,26 @@ def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
 
     Each member contracts its own history with node n's cell-weight row
     into its row of the (live, nmodes) buffer `modes`. One inverse transform,
-    finite check, norm and tail pass and forward transform of |u|^p then
-    serve the whole stack. Norms and tails read only the finite rows.
+    norm and tail pass and forward transform of |u|^p then serve the whole
+    stack. A member whose L^inf norm is not finite stops "non_finite" with
+    both norms recorded as inf.
     """
     grid, t_n = plan.grid, plan.mesh.nodes[n]
     for m, out in zip(live, modes):
         plan.contract(row, m.hist, out)
     modes += linear
     values = plan.to_values(modes)
-    finite = np.isfinite(values).reshape(len(live), -1).all(axis=1)
-    if not finite.all():
-        values_ok, modes_ok = values[finite], modes[finite]
-    else:
-        values_ok, modes_ok = values, modes
-    stats = zip(lq_norms(grid, values_ok, np.inf).tolist(),
-                lq_norms(grid, values_ok, q_report).tolist(),
-                tail_fractions(grid, modes_ok).tolist())
+    stats = zip(live, lq_norms(grid, values, np.inf).tolist(),
+                lq_norms(grid, values, q_report).tolist(),
+                tail_fractions(grid, modes).tolist())
     going, kept = [], []
-    for i, m in enumerate(live):
-        m.n_reached, m.last_values = n, values[i]
-        if not finite[i]:
+    for i, (m, cur_linf, cur_lq, tail) in enumerate(stats):
+        m.last_values = values[i]
+        if not math.isfinite(cur_linf):
             m.lq.append(np.inf)
             m.linf.append(np.inf)
             m.stop("non_finite", t_n, np.inf)
             continue
-        cur_linf, cur_lq, tail = next(stats)
         m.lq.append(cur_lq)
         m.linf.append(cur_linf)
         m.tail_max = max(m.tail_max, tail)
@@ -696,8 +689,7 @@ def integrate_many(
         u0_modes = plan.to_modes(u0.values) if u0 is not None else None
         w_modes = plan.to_modes(w.values) if w is not None else None
         u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
-        lq0 = lq_norm(Field(grid, u_prev), q_report)
-        linf0 = float(np.max(np.abs(u_prev)))
+        lq0, linf0 = (lq_norms(grid, u_prev, q).item() for q in (q_report, np.inf))
         members = [_Member(params, plan, lq0, linf0, u_prev)
                    for params in params_seq]
         _store(plan, members, 0,
@@ -807,7 +799,10 @@ def picard_solve(
     u0_modes = plan.to_modes(u0.values) if u0 is not None else None
     w_modes = plan.to_modes(w.values) if w is not None else None
 
-    w_tables = [None] + [plan.cell_weights(n) for n in range(1, m + 1)]
+    cell_buf = plan.cell_buffer()
+    w_tables = [None] + [plan.cell_weights(n, cell_buf).copy()
+                         for n in range(1, m + 1)]
+    del cell_buf  # the kept rows are copies: the iteration holds no scratch
     lin_modes = np.zeros((m + 1, plan.nmodes), dtype=complex)
     if u0_modes is not None:
         lin_modes[0] = u0_modes
@@ -819,30 +814,33 @@ def picard_solve(
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0
-    for it in range(1, max_iter + 1):
-        plan.to_slots(plan.to_modes(np.abs(hist) ** p), nl)
-        trap = 0.5 * (nl[:-1] + nl[1:])
-        new_hist = hist.copy()
-        for n in range(1, m + 1):
-            contrib = plan.contract(w_tables[n], trap)
-            new_hist[n] = plan.to_values(lin_modes[n] + contrib)
-        diff = float(np.max(np.abs(new_hist - hist)))
-        hist = new_hist
-        if not math.isfinite(diff):
-            raise NonContractionError("Picard iterate diverged to non-finite values")
-        if prev_diff is not None and prev_diff > 0.0:
-            ratio = diff / prev_diff
-            factors.append(ratio)
-            growth_streak = growth_streak + 1 if ratio >= 1.0 else 0
-            if growth_streak >= 5:
+    # Divergence is reported as NonContractionError; NumPy's warnings would
+    # only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            plan.to_slots(plan.to_modes(np.abs(hist) ** p), nl)
+            trap = 0.5 * (nl[:-1] + nl[1:])
+            new_hist = hist.copy()
+            for n in range(1, m + 1):
+                contrib = plan.contract(w_tables[n], trap)
+                new_hist[n] = plan.to_values(lin_modes[n] + contrib)
+            diff = float(np.max(np.abs(new_hist - hist)))
+            hist = new_hist
+            if not math.isfinite(diff):
                 raise NonContractionError(
-                    f"no contraction: update ratio {ratio:.3g} after {it} iterations"
-                )
-        if diff <= tol:
-            break
-        prev_diff = diff
-    else:
-        raise NonContractionError(f"no convergence within {max_iter} iterations")
+                    "Picard iterate diverged to non-finite values")
+            if prev_diff is not None and prev_diff > 0.0:
+                ratio = diff / prev_diff
+                factors.append(ratio)
+                growth_streak = growth_streak + 1 if ratio >= 1.0 else 0
+                if growth_streak >= 5:
+                    raise NonContractionError(f"no contraction: update ratio "
+                                              f"{ratio:.3g} after {it} iterations")
+            if diff <= tol:
+                break
+            prev_diff = diff
+        else:
+            raise NonContractionError(f"no convergence within {max_iter} iterations")
 
     lq_hist = lq_norms(grid, hist, q_report)
     linf_hist = lq_norms(grid, hist, np.inf)

@@ -209,6 +209,8 @@ def lq_norm(f: Field, q: float) -> float:
 
 def restricted_lq_norm(f: Field, q: float, r_min: float) -> float:
     """L^q norm of a field restricted to the exterior region |x| > r_min."""
+    if not r_min >= 0.0:
+        raise DomainError(f"r_min must be >= 0, got {r_min!r}")
     outside = f.values[f.grid.radius_squared() > r_min**2]
     return float(_lq_rows(outside[None], f.grid.cell_volume, q)[0])
 

@@ -236,7 +236,6 @@ def _dichotomy_run(p: float, amplitude: float, u_max: float = 1e8):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_08_fujita_dichotomy_desk_experiment():
     blow = _dichotomy_run(1.5, 1.0)
     print(f"\n  p=1.5, amp 1.0: {blow.classification}"
@@ -255,7 +254,6 @@ def test_criterion_08_fujita_dichotomy_desk_experiment():
     assert abs(glob.decay_exponent - (-beta)) <= 0.25 * beta
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_09_empirical_threshold_bracketing():
     config = SweepConfig(
         alpha=0.5,

@@ -220,6 +220,9 @@ class TestSmallness:
             smallness_condition(canonical_params, u0, u0, 4.0, [])
         with pytest.raises(DomainError):
             smallness_condition(canonical_params, u0, u0, 4.0, [0.0, 1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite positive times"):
+                smallness_condition(canonical_params, u0, u0, 4.0, [1.0, bad])
 
 
 class TestBallAverageSup:

@@ -370,7 +370,6 @@ class TestBracket:
         # the initial pass holds the whole path predicted from p* = 7/3
         assert marches == [[1.5, 3.0, 2.25, 2.625, 2.4375, 2.34375]]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_real_bisection_takes_one_march_of_identical_rows(self):
         # criterion 09 at 100 steps: the inputs of the `bracket` benchmark
         cfg = small_config(

@@ -401,6 +401,13 @@ class TestProfileNorms:
         assert restricted_lq_norm(f, 2.0, 1.0) < restricted_lq_norm(f, 2.0, 0.5)
         assert restricted_lq_norm(f, 2.0, 40.0) <= 1e-100
 
+    @pytest.mark.parametrize("r_min", [-3.0, math.nan])
+    def test_restricted_field_norm_rejects_bad_radius(self, r_min):
+        # -3 would give the r_min = 3 norm and NaN the empty region's 0.0
+        f = gaussian_field(GRID, 1.0, 1.0)
+        with pytest.raises(DomainError, match="r_min must be >= 0"):
+            restricted_lq_norm(f, 2.0, r_min)
+
 
 class TestPropagator:
     def test_mass_conservation_constant(self):
