@@ -26,6 +26,7 @@ from .harness import (bracket_pstar, config_from_dict, config_from_json,
                       hypotheses_options, read_config, rows_to_csv, run_sweep)
 from .kernels import apply_propagator, lq_norm_is_finite, profile, q_critical
 from .solver import ModelParams
+from .special import power_law_fit
 from .spectral import Field, GridSpec, gaussian_field, lq_norm
 
 USAGE_ERROR = 1
@@ -68,12 +69,7 @@ def _check_out(out_path: str | None) -> None:
 
 
 def _emit_json(payload, out_path: str | None) -> None:
-    text = json.dumps(_plain(payload), indent=2, allow_nan=False)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit_text(json.dumps(_plain(payload), indent=2, allow_nan=False) + "\n", out_path)
 
 
 def _emit_text(text: str, out_path: str | None) -> None:
@@ -140,7 +136,7 @@ def _cmd_kernel(args) -> int:
         norms = np.array([lq_norm(f, q) for f in fields])
         scale = (args.alpha / (2.0 * args.s)) * (1.0 - 1.0 / q)
         predicted = -scale if kind == "Z" else -(1.0 - args.alpha + scale)
-        fitted = float(np.polyfit(np.log(t_values), np.log(norms), 1)[0])
+        fitted = power_law_fit(t_values, norms)[0]
         for t, n in zip(t_values, norms):
             lines.append(f"{float(t)!r},{float(q)!r},{float(n)!r},{predicted!r},{fitted!r}")
     _emit_text("\n".join(lines) + "\n", args.out)

@@ -366,34 +366,6 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_REQUIRED = object()
-_ABSENT = object()
-
-
-def _value(cfg: dict, path: str, conv, default=_REQUIRED):
-    """conv(cfg[k1][k2]...) for path "k1.k2..."; errors name the path."""
-    node = cfg
-    for key in path.split("."):
-        if not isinstance(node, dict):
-            raise DomainError(f"config {path}: parent is not an object")
-        if key not in node:
-            if default is _REQUIRED:
-                raise DomainError(f"config is missing {path}")
-            return default
-        node = node[key]
-    try:
-        return conv(node)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"config {path}: {exc}") from None
-
-
-def _given(cfg: dict, prefix: str, convs: dict) -> dict:
-    """{key: conv(value)} for each key of `convs` the config holds at prefix."""
-    found = {key: _value(cfg, prefix + key, conv, _ABSENT)
-             for key, conv in convs.items()}
-    return {key: value for key, value in found.items() if value is not _ABSENT}
-
-
 def _integer(value) -> int:
     """int(value); booleans and numbers with a fractional part are rejected."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -401,69 +373,96 @@ def _integer(value) -> int:
     return int(value)
 
 
-def config_from_dict(cfg: dict) -> SweepConfig:
-    """Build a SweepConfig from a schema-1 JSON dict.
+# Every key of a schema-1 config: the converter of its value or its section.
+_DATA_KEYS = {"kind": str, "amplitude": float, "width": float}
+_SCHEMA = {
+    "schema": _integer,
+    "model": {"alpha": float, "s": float, "sigma": float, "dim": _integer},
+    "p": float,
+    "p_values": lambda value: tuple(float(x) for x in value),
+    "u0": _DATA_KEYS,
+    "w": _DATA_KEYS,
+    "grid": {"points": _integer, "half_width": float},
+    "time": {"t_end": float, "steps": _integer, "grading": float},
+    "classify": {"u_max": float, "ratio_max": float, "t_end": float,
+                 "beta": float, "monotone_slack": float},
+    "hypotheses": {"q": float, "M": float, "delta": float, "M_script": float,
+                   "tail_norm_exponent": str},
+    "q_report": float,
+    "forcing_scheme": str,
+}
 
-    Only the keys the dict holds are passed on, so every default of
-    `SweepConfig`, `DataSpec` and `ClassifyThresholds` is the dataclass's.
-    The reader owns the defaults with no dataclass home: `grid.points` 4096,
-    `grid.half_width` 50, `time.t_end` 50, `time.steps` 600, and
-    `classify.t_end` = `time.t_end`. Missing required keys and values of the
-    wrong type raise DomainError naming the key path (e.g. ``time.steps``).
+
+def _read(node, schema: dict, path: str = "") -> dict:
+    """{key: converted value} for the non-null keys of the object `node`; an
+    unknown key or a rejected value or section raises DomainError naming it."""
+    if not isinstance(node, dict):
+        raise DomainError(f"config {path}: expected an object, got {type(node).__name__}")
+    given = {}
+    for key, value in node.items():
+        where = f"{path}.{key}" if path else key
+        if key not in schema:
+            raise DomainError(f"config {where}: unknown key (expected one of "
+                              f"{', '.join(schema)})")
+        if value is None:
+            continue
+        if isinstance(schema[key], dict):
+            given[key] = _read(value, schema[key], where)
+            continue
+        try:
+            given[key] = schema[key](value)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"config {where}: {exc}") from None
+    return given
+
+
+def config_from_dict(cfg: dict) -> SweepConfig:
+    """Build a SweepConfig from a schema-1 JSON dict, read once by `_read`.
+
+    Only the keys the dict holds (null counts as absent) are passed on, so
+    every default of `SweepConfig`, `DataSpec` and `ClassifyThresholds` is
+    the dataclass's.  The reader owns the defaults with no dataclass home:
+    `grid.points` 4096, `grid.half_width` 50, `time.t_end` 50, `time.steps`
+    600, and `classify.t_end` = `time.t_end`.  A missing `model` key, or
+    both or neither of `p` and `p_values`, raises DomainError naming them.
     """
     if not isinstance(cfg, dict):
         raise DomainError("config must be a JSON object")
     if cfg.get("schema") != 1:
         raise DomainError(f"unsupported config schema {cfg.get('schema')!r}")
-    dim = _value(cfg, "model.dim", _integer)
-    grid = GridSpec(dim=dim, **{"points": 4096, "half_width": 50.0} | _given(
-        cfg, "grid.", {"points": _integer, "half_width": float}))
-    if cfg.get("p_values") is not None:
-        p_values = _value(cfg, "p_values", lambda v: tuple(float(x) for x in v))
-    else:
-        p_values = (_value(cfg, "p", float),)
-
-    def data_spec(name: str) -> DataSpec:
-        if cfg.get(name) is None:
-            return DataSpec()
-        return DataSpec(**_given(cfg, f"{name}.", {
-            "kind": str, "amplitude": float, "width": float}))
-
-    time = {"t_end": 50.0, "steps": 600} | _given(
-        cfg, "time.", {"t_end": float, "steps": _integer, "grading": float})
-    classify = {"t_end": time["t_end"]} | _given(cfg, "classify.", {
-        "u_max": float, "ratio_max": float, "t_end": float, "beta": float,
-        "monotone_slack": float})
+    given = _read(cfg, _SCHEMA)
+    model = given.get("model", {})
+    for key in ("dim", "alpha", "s", "sigma"):
+        if key not in model:
+            raise DomainError(f"config is missing model.{key}")
+    if ("p" in given) == ("p_values" in given):
+        raise DomainError("config p and p_values exclude each other; give one"
+                          if "p" in given else "config is missing p")
+    time = {"t_end": 50.0, "steps": 600} | given.get("time", {})
     return SweepConfig(
-        alpha=_value(cfg, "model.alpha", float),
-        s=_value(cfg, "model.s", float),
-        sigma=_value(cfg, "model.sigma", float),
-        dim=dim,
-        p_values=p_values,
-        u0=data_spec("u0"),
-        w=data_spec("w"),
-        grid=grid,
-        thresholds=ClassifyThresholds(**classify),
+        **model,
+        p_values=given["p_values"] if "p_values" in given else (given["p"],),
+        u0=DataSpec(**given.get("u0", {})),
+        w=DataSpec(**given.get("w", {})),
+        grid=GridSpec(dim=model["dim"], **{"points": 4096, "half_width": 50.0}
+                      | given.get("grid", {})),
+        thresholds=ClassifyThresholds(**{"t_end": time["t_end"]}
+                                      | given.get("classify", {})),
         **time,
-        **_given(cfg, "", {"q_report": float, "forcing_scheme": str}),
+        **{key: given[key] for key in ("q_report", "forcing_scheme") if key in given},
     )
 
 
 def hypotheses_options(cfg: dict, q_default: float) -> dict:
     """Keyword arguments of `local_average_hypotheses` from `hypotheses`.
 
-    Values of the wrong type raise DomainError naming the key path (e.g.
+    The config is read by `_read`, so its errors name the key path (e.g.
     ``hypotheses.q``).  The reader owns the defaults of `q` (the config's
     `q_report`), `M`, `delta` and `M_script`, which have no home elsewhere;
     `tail_norm_exponent` is passed only when the config holds it.
     """
-    return {
-        "q": _value(cfg, "hypotheses.q", float, q_default),
-        "M": _value(cfg, "hypotheses.M", float, 1.0),
-        "delta": _value(cfg, "hypotheses.delta", float, 1.0),
-        "M_script": _value(cfg, "hypotheses.M_script", float, 1.0),
-        **_given(cfg, "hypotheses.", {"tail_norm_exponent": str}),
-    }
+    return ({"q": q_default, "M": 1.0, "delta": 1.0, "M_script": 1.0}
+            | _read(cfg, _SCHEMA).get("hypotheses", {}))
 
 
 def read_config(path: str | Path) -> dict:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRangeError
-from .special import gamma, gauss_panels, ml_neg_fast
+from .special import gamma, gauss_panels, ml_neg_fast, power_law_fit
 from .spectral import Field, SpectralField, to_real, to_spectral
 
 __all__ = [
@@ -444,17 +444,6 @@ def lq_norm_is_finite(q: float, dim: int, s: float, *, kind: str = "F",
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
-def _fit_power_law(r: np.ndarray, v: np.ndarray):
-    """Least-squares slope/intercept/R^2 of log v against log r."""
-    x = np.log(r)
-    y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
-
-
 def profile_lq_norm(
     prof: KernelProfile, q: float, *, r_min: float = 0.0, r_max: float = np.inf
 ) -> float:
@@ -501,11 +490,11 @@ def profile_lq_norm(
     if np.count_nonzero(head_mask) < 4:
         head_mask = np.zeros_like(r, dtype=bool)
         head_mask[: min(4, r.size)] = True
-    h_slope, h_inter, _ = _fit_power_law(r[head_mask], v[head_mask])
+    h_slope, h_inter, _ = power_law_fit(r[head_mask], v[head_mask])
     tail_mask = r >= r[-1] / 10.0
     if np.count_nonzero(tail_mask) < 4:
         raise NumericalError("too few radii in the last decade for tail fitting")
-    t_slope, t_inter, t_r2 = _fit_power_law(r[tail_mask], v[tail_mask])
+    t_slope, t_inter, t_r2 = power_law_fit(r[tail_mask], v[tail_mask])
 
     def model_value(rr: float) -> float:
         logs = np.log(r)

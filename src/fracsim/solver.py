@@ -67,7 +67,7 @@ from .errors import (
     ResolutionWarning,
 )
 from .spectral import Field, GridSpec, lq_norms, tail_fractions
-from .special import ml_neg_fast
+from .special import ml_neg_fast, power_law_fit
 
 __all__ = [
     "ModelParams",
@@ -761,13 +761,8 @@ def estimate_decay_exponent(
     good = (t_nodes > 0.0) & (norms > 0.0) & np.isfinite(norms)
     if np.count_nonzero(good) < 10:
         raise PreconditionError("need at least 10 positive samples for the fit")
-    x = np.log(t_nodes[good])
-    y = np.log(norms[good])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), float(r2)
+    slope, _, r2 = power_law_fit(t_nodes[good], norms[good])
+    return slope, r2
 
 
 # --------------------------------------------------------------------------

@@ -211,6 +211,16 @@ def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x, half * w
 
 
+def power_law_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares slope, intercept and R^2 of log y against log x."""
+    log_x, log_y = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    resid = log_y - (slope * log_x + intercept)
+    ss_tot = float(np.sum((log_y - np.mean(log_y)) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
+    return float(slope), float(intercept), r2
+
+
 @functools.lru_cache(maxsize=64)
 def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     """Nodes r^a and weights of the fixed branch-cut rule for (a, b).

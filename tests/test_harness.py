@@ -594,13 +594,21 @@ class TestCli:
          "sweep"),
         (config_with("p_values", [2.0, math.inf]),
          "all p values must be finite and exceed 1", "sweep"),
+        (config_with("time.stpes", 20), "config time.stpes: unknown key", "sweep"),
+        (config_with("q_reprot", 4.0), "config q_reprot: unknown key", "sweep"),
+        (config_with("w.widht", 1.0), "config w.widht: unknown key", "sweep"),
+        (config_with("model.N", 1), "config model.N: unknown key", "bracket"),
+        (config_with("hypotheses.m", 2.0), "config hypotheses.m: unknown key", "sweep"),
+        (config_with("p", 3.0), "config p and p_values exclude each other", "sweep"),
     ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
             "grading-below-one", "bracket-grading-below-one", "grading-nan",
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
             "points-fractional", "u-max-negative", "bracket-u-max-negative",
             "ratio-max-one", "slack-negative", "classify-t-end-past-horizon",
             "bracket-classify-t-end-past-horizon", "q-report-nan",
-            "q-report-below-one", "p-infinite"])
+            "q-report-below-one", "p-infinite", "time-key-misspelled",
+            "top-level-key-misspelled", "w-key-misspelled", "model-key-unknown",
+            "sweep-hypotheses-key-misspelled", "p-and-p-values"])
     def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
                                                 command):
         cfg_path = tmp_path / "bad.json"
@@ -637,9 +645,10 @@ class TestCli:
     @pytest.mark.parametrize("section, names", [
         ({"q": "abc"}, "config hypotheses.q: "),
         ({"M": [1.0]}, "config hypotheses.M: "),
-        ("abc", "config hypotheses.q: parent is not an object"),
+        ("abc", "config hypotheses: expected an object, got str"),
         ({"M": math.nan}, "need finite M >= 0"),
-    ], ids=["q-not-float", "M-is-list", "not-an-object", "M-nan"])
+        ({"m": 2.0, "M_script": 3.0}, "config hypotheses.m: unknown key"),
+    ], ids=["q-not-float", "M-is-list", "not-an-object", "M-nan", "m-misspelled"])
     def test_bad_hypotheses_section_is_one_line_usage_error(
         self, tmp_path, capsys, section, names
     ):

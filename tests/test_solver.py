@@ -24,6 +24,7 @@ from fracsim import (
     ModelParams,
     NonContractionError,
     PreconditionError,
+    ResolutionWarning,
     SimResult,
     TimeMesh,
     Trigger,
@@ -653,7 +654,8 @@ class TestIntegratorBehaviour:
         grid = GridSpec(dim=1, points=256, half_width=50.0)
         u0 = gaussian_field(grid, 50.0, 1.0)
         mesh = TimeMesh.make(5.0, 40, grading=2.0)
-        res = integrate(params, grid, u0, None, mesh)
+        with pytest.warns(ResolutionWarning):  # 256 points do not resolve it
+            res = integrate(params, grid, u0, None, mesh)
         assert res.classification == "BlowUp"
         assert res.blowup_time_est is not None
 
