@@ -93,6 +93,10 @@ class DataSpec:
             raise DomainError(f"unknown data kind {self.kind!r}")
         if not np.isfinite(self.amplitude):
             raise DomainError("amplitude must be finite")
+        if self.kind == "zero" and self.amplitude != 0.0:
+            raise DomainError(
+                f"amplitude {self.amplitude!r} given for zero data; "
+                "name a kind (\"gaussian\" or \"indicator\")")
         if not self.width > 0.0:
             raise DomainError("width must be positive")
 
@@ -126,6 +130,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         p = tuple(float(x) for x in self.p_values)
+        if not p:
+            raise DomainError("p_values must name at least one power")
         if not all(1.0 < x < math.inf for x in p):
             raise DomainError(f"all p values must be finite and exceed 1, got {p!r}")
         if list(p) != sorted(p):
@@ -152,15 +158,11 @@ class SweepConfig:
             alpha=self.alpha, s=self.s, sigma=self.sigma, p=p, dim=self.dim
         )
 
-    def mesh(self) -> TimeMesh:
-        """The time mesh, built and checked once when the config is made."""
-        return self._mesh
-
     def simulate(self, ps: Sequence[float]) -> list[SimResult]:
         """The classified marches of this config at the powers `ps`, marched
         in lockstep."""
         return integrate_many([self.model(p) for p in ps], self.grid,
-                              self.u0_field, self.w_field, self.mesh(),
+                              self.u0_field, self.w_field, self._mesh,
                               q_report=self.q_report,
                               thresholds=self.thresholds,
                               forcing_scheme=self.forcing_scheme)

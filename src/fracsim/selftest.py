@@ -57,8 +57,8 @@ def _checks():
     def weight_telescoping():
         params = ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=1)
         mesh = TimeMesh.make(2.0, 40)
-        plan = LinearPlan(params, GridSpec(dim=1, points=64, half_width=10.0), mesh)
-        row = plan.cell_weights(mesh.steps)  # column 0 is the zero mode
+        plan = LinearPlan(params, GridSpec(dim=1, points=64, half_width=10.0))
+        row = plan.cell_weights(mesh.nodes)  # column 0 is the zero mode
         got = float(np.sum(row[:, 0]))
         want = mesh.t_end**0.5 / gamma(1.5)
         return abs(got - want) / want, 1e-12

@@ -12,7 +12,8 @@ kernel frozen at the sigma-weighted centroid, midpoint samples of t^sigma
 against the cell weights elsewhere).
 
 `LinearPlan` owns this p-independent linear part (the eigenvalue map, the
-cell weights, the forcing rules and Z(t)u0); `integrate_many`,
+cell weights, the forcing rules and Z(t)u0) on one grid, with no mesh: the
+march passes each step's node times t_0..t_n. `integrate_many`,
 `picard_solve` and the smallness check each build one. Its modes are the
 flattened real-FFT half spectrum of `spectral`, the package's one mode
 convention.
@@ -36,9 +37,8 @@ of one width contracts both planes against that suffix, and one take puts
 the sums back in natural order; no weight row is spread to the modes. In
 1D every mode has its own eigenvalue, so there is one slot and the order
 is natural. The same contraction serves `picard_solve` on its trapezoid
-history. A march holds one history, (M+1)*modes*16 B, per live member; no
-product buffer and no (M, modes) weight gather. It also holds one
-cell-weight scratch, 2*M*L*8 B: the table's arguments, which the table
+history. A march holds one history, (M+1)*modes*16 B, per live member, and
+one cell-weight scratch, 2*M*L*8 B: the table's arguments, which the table
 overwrites in place with its values, and the row. It is sized for the last
 step and allocated once per march: arrays allocated per step, one row
 larger each step, come back from the allocator as fresh pages, and a
@@ -275,7 +275,7 @@ FORCING_SCHEMES = ("fast", "accurate")
 
 
 class LinearPlan:
-    """The p-independent linear part of the march on one grid and mesh.
+    """The p-independent linear part of the march on one grid.
 
     Modes are the flattened half spectrum of `GridSpec.to_modes` (shape
     `grid.mode_shape`), so a kept mode off the last-axis planes k = 0 and
@@ -287,13 +287,12 @@ class LinearPlan:
     history keeps the modes in slot order (`perm`, `slots`, `to_slots`):
     slot r holds the r-th mode of every column with more than r modes, and
     its weights are the last columns of the cell row, so `contract` reads
-    the compact row directly. A plan without a mesh serves the mode map,
-    `propagator` and `exact_forcing` only. `contract` sums into the plan's
-    own scratch, so one plan serves one thread at a time.
+    the compact row directly. The node-indexed methods take the node times
+    t_0..t_n (n >= 1) of the step they serve. `contract` sums into the
+    plan's own scratch, so one plan serves one thread at a time.
     """
 
-    def __init__(self, params: ModelParams, grid: GridSpec,
-                 mesh: TimeMesh | None = None,
+    def __init__(self, params: ModelParams, grid: GridSpec, *,
                  forcing_scheme: str = "fast") -> None:
         if grid.dim != params.dim:
             raise PreconditionError("grid dimension does not match model dimension")
@@ -302,7 +301,7 @@ class LinearPlan:
                 f"unknown forcing scheme {forcing_scheme!r}; "
                 f"expected one of {FORCING_SCHEMES}"
             )
-        self.params, self.grid, self.mesh = params, grid, mesh
+        self.params, self.grid = params, grid
         self.forcing_scheme = forcing_scheme
         lam, inv = np.unique(grid.xi_squared().ravel() ** params.s,
                              return_inverse=True)
@@ -381,23 +380,24 @@ class LinearPlan:
         order: a new array."""
         return np.take(per_lam, self.inv, axis=-1)
 
-    def cell_weights(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    def cell_weights(self, nodes: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
 
         Differences of e(d) = d^a E_{a,a+1}(-lam d^a) at the left ends
-        d = t_n - t_j, j < n; e(0) = 0 closes the last cell, so the d = 0
-        point is never evaluated. The telescoped sum over all cells is
-        exactly t_n^a E_{a,a+1}(-lam t_n^a). On the zero mode lam_u[0] = 0,
-        e(d) = d^a / Gamma(a+1) exactly, so only the lam > 0 columns reach
-        the table.
+        d = t_n - t_j, j < n, of `nodes` = t_0..t_n; e(0) = 0 closes the
+        last cell, so the d = 0 point is never evaluated. The telescoped
+        sum over all cells is exactly t_n^a E_{a,a+1}(-lam t_n^a). On the
+        zero mode lam_u[0] = 0, e(d) = d^a / Gamma(a+1) exactly, so only
+        the lam > 0 columns reach the table.
 
         Plane 0 of the scratch `out` (from `cell_buffer`) holds the table's
         arguments, which the table overwrites with its values, and the
         returned row is a view of plane 1. Without `out` a (2, n * len(lam_u))
         scratch is allocated for this call, and the row keeps it alive.
         """
-        a, k = self.params.alpha, self.lam_u.size
-        da = (self.mesh.nodes[n] - self.mesh.nodes[:n]) ** a
+        a, k, n = self.params.alpha, self.lam_u.size, nodes.size - 1
+        da = (nodes[n] - nodes[:n]) ** a
         e_zero = (1.0 / math.gamma(a + 1.0)) * da
         if out is None:
             out = np.empty((2, n * k))
@@ -411,11 +411,11 @@ class LinearPlan:
         cells[-1, 0], cells[-1, 1:] = e_zero[-1], e[-1]
         return cells
 
-    def cell_buffer(self) -> np.ndarray:
-        """The (2, M * len(lam_u)) scratch of `cell_weights(n, out=...)`,
-        sized for the last step: the table's arguments and values, and the
-        row."""
-        return np.empty((2, self.mesh.steps * self.lam_u.size))
+    def cell_buffer(self, steps: int) -> np.ndarray:
+        """The (2, steps * len(lam_u)) scratch of `cell_weights(nodes,
+        out=...)` for every step n <= `steps`: the table's arguments and
+        values, and the row."""
+        return np.empty((2, steps * self.lam_u.size))
 
     def to_slots(self, modes: np.ndarray, out: np.ndarray) -> None:
         """Write complex natural-order modes, shape (..., nmodes), into the
@@ -466,20 +466,21 @@ class LinearPlan:
         a = self.params.alpha
         return ml_neg_fast(a, 1.0, self.lam_u * t**a)
 
-    def forcing_weights(self, n: int, cells: np.ndarray | None = None) -> np.ndarray:
+    def forcing_weights(self, nodes: np.ndarray,
+                        cells: np.ndarray | None = None) -> np.ndarray:
         """S[lam] = int_0^{t_n} tau^sigma Y(t_n - tau; lam) dtau under the scheme.
 
-        "accurate" is `exact_forcing(t_n)`; "fast" integrates on the mesh
-        cells.  At sigma = 0 both rules are the closed form `exact_forcing`,
-        which the telescoped cell row sums to.  `cells` is node n's
-        cell-weight row if the caller already holds it; the row is computed
-        here only when the rule reads it.
+        "accurate" is `exact_forcing(t_n)`; "fast" integrates on the cells
+        of `nodes` = t_0..t_n.  At sigma = 0 both rules are the closed form
+        `exact_forcing`, which the telescoped cell row sums to.  `cells` is
+        `cell_weights(nodes)` if the caller already holds it; the row is
+        computed here only when the rule reads it.
         """
         a, sig = self.params.alpha, self.params.sigma
         if self.forcing_scheme == "accurate" or sig == 0.0:
-            return self.exact_forcing(self.mesh.nodes[n])
-        lam_u, t_hist = self.lam_u, self.mesh.nodes[: n + 1]
-        t_now, t1 = t_hist[n], t_hist[1]
+            return self.exact_forcing(nodes[-1])
+        lam_u, n = self.lam_u, nodes.size - 1
+        t_now, t1 = nodes[n], nodes[1]
         if n == 1:
             # Single cell with both endpoint singularities: Gauss-Jacobi with
             # weight (1-x)^(a-1) (1+x)^sigma after mapping tau = t1 (x+1)/2.
@@ -498,19 +499,19 @@ class LinearPlan:
             / (sig + 1.0)
         )
         if cells is None:
-            cells = self.cell_weights(n)
-        mids = 0.5 * (t_hist[1:n] + t_hist[2 : n + 1])
+            cells = self.cell_weights(nodes)
+        mids = 0.5 * (nodes[1:n] + nodes[2 : n + 1])
         return y_first + (mids**sig) @ cells[1:n]
 
-    def linear_modes(self, n: int, u0_modes: np.ndarray | None,
+    def linear_modes(self, nodes: np.ndarray, u0_modes: np.ndarray | None,
                      w_modes: np.ndarray | None,
                      cells: np.ndarray | None = None) -> np.ndarray:
-        """Modes of Z(t_n) u0 + S_w(t_n) at node n; None drops a term."""
+        """Modes of Z(t_n) u0 + S_w(t_n), t_n = nodes[-1]; None drops a term."""
         out = np.zeros(self.nmodes, dtype=complex)
         if u0_modes is not None:
-            out += self.spread(self.propagator(self.mesh.nodes[n])) * u0_modes
+            out += self.spread(self.propagator(nodes[-1])) * u0_modes
         if w_modes is not None:
-            out += self.spread(self.forcing_weights(n, cells)) * w_modes
+            out += self.spread(self.forcing_weights(nodes, cells)) * w_modes
         return out
 
 
@@ -540,11 +541,10 @@ def integrate(
 class _Member:
     """One power p of a lockstep march: its history, norms and trigger."""
 
-    def __init__(self, params: ModelParams, plan: LinearPlan, lq0: float,
-                 linf0: float, u_prev: np.ndarray) -> None:
+    def __init__(self, params: ModelParams, plan: LinearPlan, steps: int,
+                 lq0: float, linf0: float, u_prev: np.ndarray) -> None:
         self.params = params
-        self.hist: np.ndarray | None = np.empty(
-            (plan.mesh.steps + 1, 2, plan.nmodes))
+        self.hist: np.ndarray | None = np.empty((steps + 1, 2, plan.nmodes))
         self.lq = [lq0]
         self.linf = [linf0]
         self.tail_max = 0.0
@@ -556,21 +556,21 @@ class _Member:
         self.trigger = Trigger(kind, float(t_n), float(value))
         self.hist = None
 
-    def result(self, plan: LinearPlan, thr: ClassifyThresholds,
-               q_report: float) -> SimResult:
-        """The classified run."""
+    def result(self, plan: LinearPlan, nodes: np.ndarray,
+               thr: ClassifyThresholds, q_report: float) -> SimResult:
+        """The classified run on the march's node times `nodes`."""
         notes = [self.trigger.note] if self.trigger is not None else []
         if self.tail_max > TAIL_THRESHOLD:
             notes.append(
                 f"top-octave spectral energy fraction reached {self.tail_max:.2e}"
             )
         n_reached = len(self.lq) - 1
-        t_hist = plan.mesh.nodes[: n_reached + 1]
+        t_hist = nodes[: n_reached + 1]
         lq_arr, linf_arr = np.asarray(self.lq), np.asarray(self.linf)
         classification, blowup_est = classify(
             t_hist, lq_arr, linf_arr, thr,
             triggered_at=None if self.trigger is None else self.trigger.t,
-            reached_end=self.trigger is None and n_reached == plan.mesh.steps,
+            reached_end=self.trigger is None and n_reached == nodes.size - 1,
         )
         decay_exp = decay_r2 = None
         if classification == GLOBAL:
@@ -611,10 +611,10 @@ def _store(plan: LinearPlan, members: list[_Member], n: int,
 
 
 def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
-             live: list[_Member], n: int, row: np.ndarray, linear: np.ndarray,
-             modes: np.ndarray) -> list[_Member]:
-    """Advance the live members to node n in one batched step; returns the
-    members that go on.
+             live: list[_Member], nodes: np.ndarray, row: np.ndarray,
+             linear: np.ndarray, modes: np.ndarray) -> list[_Member]:
+    """Advance the live members to the last node n of `nodes` = t_0..t_n in
+    one batched step; returns the members that go on.
 
     Each member contracts its own history with node n's cell-weight row
     into its row of the (live, nmodes) buffer `modes`. One inverse transform,
@@ -622,7 +622,7 @@ def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
     stack. A member whose L^inf norm is not finite stops "non_finite" with
     both norms recorded as inf.
     """
-    grid, t_n = plan.grid, plan.mesh.nodes[n]
+    grid, n, t_n = plan.grid, nodes.size - 1, nodes[-1]
     for m, out in zip(live, modes):
         plan.contract(row, m.hist, out)
     modes += linear
@@ -679,7 +679,7 @@ def integrate_many(
     if len({(p.alpha, p.s, p.sigma, p.dim) for p in params_seq}) > 1:
         raise PreconditionError(
             "the members of one march must share alpha, s, sigma and dim")
-    plan = LinearPlan(params_seq[0], grid, mesh, forcing_scheme)
+    plan = LinearPlan(params_seq[0], grid, forcing_scheme=forcing_scheme)
     thr = thresholds or ClassifyThresholds(t_end=mesh.t_end)
     thr.check_reachable(mesh.t_end)
 
@@ -690,26 +690,27 @@ def integrate_many(
         w_modes = plan.to_modes(w.values) if w is not None else None
         u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
         lq0, linf0 = (lq_norms(grid, u_prev, q).item() for q in (q_report, np.inf))
-        members = [_Member(params, plan, lq0, linf0, u_prev)
+        members = [_Member(params, plan, mesh.steps, lq0, linf0, u_prev)
                    for params in params_seq]
         _store(plan, members, 0,
                np.broadcast_to(u_prev, (len(members),) + grid.shape))
         # Sized for the last step and reused by every step instead of
         # growing temporaries per step, each of which would come back from
         # the allocator as fresh pages.
-        cell_buf = plan.cell_buffer()
+        cell_buf = plan.cell_buffer(mesh.steps)
         modes = np.empty((len(members), plan.nmodes), dtype=complex)
 
         live = members
         for n in range(1, mesh.steps + 1):
             if not live:
                 break
-            cells = plan.cell_weights(n, cell_buf)
-            linear = plan.linear_modes(n, u0_modes, w_modes, cells)
-            live = _advance(plan, thr, q_report, live, n, cells, linear,
+            nodes = mesh.nodes[: n + 1]
+            cells = plan.cell_weights(nodes, cell_buf)
+            linear = plan.linear_modes(nodes, u0_modes, w_modes, cells)
+            live = _advance(plan, thr, q_report, live, nodes, cells, linear,
                             modes[: len(live)])
 
-        results = [m.result(plan, thr, q_report) for m in members]
+        results = [m.result(plan, mesh.nodes, thr, q_report) for m in members]
     for res in results:
         if res.tail_fraction_max > TAIL_THRESHOLD:
             warnings.warn(
@@ -788,21 +789,20 @@ def picard_solve(
     implicit; iteration proceeds from the zero-nonlinearity solution.
     Raises NonContractionError if the sup-norm update fails to contract.
     """
-    plan = LinearPlan(params, grid, mesh, forcing_scheme)
-    p = params.p
-    m = mesh.steps
+    plan = LinearPlan(params, grid, forcing_scheme=forcing_scheme)
+    p, m, nodes = params.p, mesh.steps, mesh.nodes
     u0_modes = plan.to_modes(u0.values) if u0 is not None else None
     w_modes = plan.to_modes(w.values) if w is not None else None
 
-    cell_buf = plan.cell_buffer()
-    w_tables = [None] + [plan.cell_weights(n, cell_buf).copy()
+    cell_buf = plan.cell_buffer(m)
+    w_tables = [None] + [plan.cell_weights(nodes[: n + 1], cell_buf).copy()
                          for n in range(1, m + 1)]
     del cell_buf  # the kept rows are copies: the iteration holds no scratch
     lin_modes = np.zeros((m + 1, plan.nmodes), dtype=complex)
     if u0_modes is not None:
         lin_modes[0] = u0_modes
     for n in range(1, m + 1):
-        lin_modes[n] = plan.linear_modes(n, u0_modes, w_modes, w_tables[n])
+        lin_modes[n] = plan.linear_modes(nodes[: n + 1], u0_modes, w_modes, w_tables[n])
 
     hist = plan.to_values(lin_modes)
     nl = np.empty((m + 1, 2, plan.nmodes))
@@ -841,7 +841,7 @@ def picard_solve(
     linf_hist = lq_norms(grid, hist, np.inf)
     contraction = float(np.median(factors)) if factors else 0.0
     return PicardResult(
-        t_nodes=mesh.nodes.copy(),
+        t_nodes=nodes.copy(),
         lq_history=lq_hist,
         linf_history=linf_hist,
         iterations=it,

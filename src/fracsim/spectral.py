@@ -250,13 +250,13 @@ def spectral_tail_fraction(sf: SpectralField) -> float:
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> Field:
     """amplitude * exp(-|x|^2 / width^2), centered at the origin."""
-    if width <= 0.0:
-        raise DomainError("width must be positive")
+    if not width > 0.0:
+        raise DomainError(f"width must be positive, got {width!r}")
     return Field(grid, amplitude * np.exp(-grid.radius_squared() / width**2))
 
 
 def indicator_field(grid: GridSpec, amplitude: float, radius: float) -> Field:
     """amplitude on the ball |x| <= radius, zero outside."""
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    if not radius > 0.0:
+        raise DomainError(f"radius must be positive, got {radius!r}")
     return Field(grid, amplitude * (grid.radius_squared() <= radius**2))

@@ -43,14 +43,13 @@ def f_profile_canonical():
 
 @pytest.fixture(scope="session")
 def linear_values():
-    """linear_values(plan, u0, w, n=None): the real-space linear solution
-    Z(t_n) u0 + S_w(t_n) at node n of the plan's mesh (default: the last),
+    """linear_values(plan, nodes, u0, w): the real-space linear solution
+    Z(t_n) u0 + S_w(t_n) at the last of the node times `nodes` = t_0..t_n,
     from `LinearPlan.linear_modes`; a None field drops its term."""
 
-    def solve(plan: LinearPlan, u0, w, n: int | None = None) -> np.ndarray:
+    def solve(plan: LinearPlan, nodes: np.ndarray, u0, w) -> np.ndarray:
         u0_modes = None if u0 is None else plan.to_modes(u0.values)
         w_modes = None if w is None else plan.to_modes(w.values)
-        n = plan.mesh.steps if n is None else n
-        return plan.to_values(plan.linear_modes(n, u0_modes, w_modes))
+        return plan.to_values(plan.linear_modes(nodes, u0_modes, w_modes))
 
     return solve

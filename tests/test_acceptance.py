@@ -79,9 +79,9 @@ def test_criterion_02_beta_identity_graded_quadrature():
     # forcing at lambda = 0, against the Gamma-function oracle.
     mesh = TimeMesh.make(1.0, 100, grading=2.0)
     grid = GridSpec(dim=1, points=64, half_width=10.0)
-    plan = LinearPlan(CANONICAL, grid, mesh, "accurate")
+    plan = LinearPlan(CANONICAL, grid, forcing_scheme="accurate")
     assert plan.lam_u[0] == 0.0
-    s_val = plan.forcing_weights(mesh.steps)
+    s_val = plan.forcing_weights(mesh.nodes)
     measured = float(s_val[0]) * gamma_fn(CANONICAL.alpha)
     exact = beta_fn(0.75, 0.5)
     rel = abs(measured - exact) / exact
@@ -200,8 +200,8 @@ def test_criterion_07_forcing_only_closed_forms(linear_values):
     c = 0.3
     w_const = Field(grid, np.full(grid.shape, c))
     mesh = TimeMesh.make(2.0, 100, grading=2.0)
-    values = linear_values(LinearPlan(CANONICAL, grid, mesh, "accurate"),
-                           None, w_const)
+    values = linear_values(LinearPlan(CANONICAL, grid, forcing_scheme="accurate"),
+                           mesh.nodes, None, w_const)
     a, sig = CANONICAL.alpha, CANONICAL.sigma
     exact0 = c * 2.0 ** (sig + a) * beta_fn(sig + 1.0, a) / gamma_fn(a)
     mean = float(np.mean(values))
@@ -215,8 +215,8 @@ def test_criterion_07_forcing_only_closed_forms(linear_values):
     grid = GridSpec(dim=1, points=256, half_width=50.0)
     xi = 8 * math.pi / grid.half_width
     w_mode = Field(grid, np.cos(xi * grid.axis()))
-    values = linear_values(LinearPlan(CANONICAL, grid, mesh, "accurate"),
-                           None, w_mode)
+    values = linear_values(LinearPlan(CANONICAL, grid, forcing_scheme="accurate"),
+                           mesh.nodes, None, w_mode)
     val = float(values[grid.points // 2])
     rel1 = abs(val - frozen) / frozen
     print(f"  lambda>0: amplitude {val:.12f} vs {frozen:.12f}  rel err {rel1:.3e}")

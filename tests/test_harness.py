@@ -83,6 +83,13 @@ class TestDataSpec:
         with pytest.raises(DomainError):
             DataSpec(kind="gaussian", width=0.0)
 
+    def test_amplitude_without_kind_rejected(self):
+        # The default kind is "zero": an amplitude there would march no data.
+        with pytest.raises(DomainError, match="name a kind"):
+            DataSpec(amplitude=0.4, width=1.0)
+        grid = GridSpec(dim=1, points=64, half_width=10.0)
+        assert DataSpec(amplitude=0.0).build(grid) is None
+
 
 class TestSweepConfig:
     def test_p_values_must_be_sorted_and_supercritical(self):
@@ -90,6 +97,12 @@ class TestSweepConfig:
             small_config(p_values=(3.0, 2.0))
         with pytest.raises(DomainError):
             small_config(p_values=(1.0, 2.0))
+
+    def test_empty_p_values_rejected(self):
+        # all(...) over no powers is true, so the power check alone would
+        # accept a sweep with no rows.
+        with pytest.raises(DomainError, match="p_values must name at least one power"):
+            small_config(p_values=())
 
     def test_fractional_steps_rejected(self):
         with pytest.raises(DomainError, match="steps must be an integer >= 2, got 20.5"):
@@ -149,9 +162,6 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
-    def test_empty(self):
-        assert run_sweep(small_config(p_values=())) == []
-
     def test_duplicate_p_gives_identical_rows(self):
         rows = run_sweep(small_config(p_values=(3.0, 3.0)))
         assert len(rows) == 2
@@ -600,6 +610,10 @@ class TestCli:
         (config_with("model.N", 1), "config model.N: unknown key", "bracket"),
         (config_with("hypotheses.m", 2.0), "config hypotheses.m: unknown key", "sweep"),
         (config_with("p", 3.0), "config p and p_values exclude each other", "sweep"),
+        (config_with("w", {"amplitude": 0.4, "width": 1.0}),
+         "given for zero data; name a kind", "simulate"),
+        (config_with("p_values", []), "p_values must name at least one power", "sweep"),
+        (config_with("p_values", []), "p_values must name at least one power", "bracket"),
     ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
             "grading-below-one", "bracket-grading-below-one", "grading-nan",
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
@@ -608,7 +622,8 @@ class TestCli:
             "bracket-classify-t-end-past-horizon", "q-report-nan",
             "q-report-below-one", "p-infinite", "time-key-misspelled",
             "top-level-key-misspelled", "w-key-misspelled", "model-key-unknown",
-            "sweep-hypotheses-key-misspelled", "p-and-p-values"])
+            "sweep-hypotheses-key-misspelled", "p-and-p-values", "amplitude-without-kind",
+            "p-values-empty", "bracket-p-values-empty"])
     def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
                                                 command):
         cfg_path = tmp_path / "bad.json"

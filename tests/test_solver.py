@@ -180,7 +180,7 @@ class TestWeightTable:
         # lambda = 0: cell weight is ((t-t_j)^a - (t-t_{j+1})^a) / Gamma(a+1).
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         mesh = TimeMesh.make(2.0, 8, grading=2.0)
-        plan = LinearPlan(params, self.GRID, mesh)
+        plan = LinearPlan(params, self.GRID)
         assert plan.lam_u[0] == 0.0
         a = params.alpha
         t = mesh.nodes
@@ -188,14 +188,15 @@ class TestWeightTable:
             expected = (
                 (t[n] - t[:n]) ** a - (t[n] - t[1 : n + 1]) ** a
             ) / gamma_fn(a + 1.0)
-            assert plan.cell_weights(n)[:, 0] == pytest.approx(expected, rel=1e-12)
+            row = plan.cell_weights(t[: n + 1])
+            assert row[:, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_classical_limit_exponential_weights(self):
         # alpha = 1: the kernel is e^{-lam (t - tau)}.  A wide box keeps every
         # lam = |xi| at most ~1, as in the single-lam check this replaces.
         params = ModelParams(1.0, 0.5, 0.0, 2.0)
         mesh = TimeMesh.make(1.5, 6, grading=1.0)
-        plan = LinearPlan(params, GridSpec(dim=1, points=64, half_width=100.0), mesh)
+        plan = LinearPlan(params, GridSpec(dim=1, points=64, half_width=100.0))
         lam = plan.lam_u[1:]
         assert plan.lam_u[0] == 0.0 and lam.max() < 1.01
         t = mesh.nodes
@@ -204,16 +205,17 @@ class TestWeightTable:
                 np.exp(-lam * (t[n] - t[1 : n + 1, None]))
                 - np.exp(-lam * (t[n] - t[:n, None]))
             ) / lam
-            assert plan.cell_weights(n)[:, 1:] == pytest.approx(expected, rel=1e-12)
+            row = plan.cell_weights(t[: n + 1])
+            assert row[:, 1:] == pytest.approx(expected, rel=1e-12)
 
     def test_telescoping_and_positivity(self):
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         mesh = TimeMesh.make(3.0, 12, grading=2.0)
-        plan = LinearPlan(params, self.GRID, mesh)
+        plan = LinearPlan(params, self.GRID)
         a = params.alpha
         lam = plan.lam_u
         for n in range(1, 13):
-            w = plan.cell_weights(n)
+            w = plan.cell_weights(mesh.nodes[: n + 1])
             # one row per cell before node n, one column per unique lam
             assert w.shape == (n, lam.size)
             assert np.all(w >= 0.0)
@@ -228,12 +230,11 @@ class TestWeightTable:
         # on the criterion-09 bracket mesh; the row must match it bit for bit.
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         mesh = TimeMesh.make(50.0, 100, grading=2.0)
-        plan = LinearPlan(params, GridSpec(dim=1, points=1024, half_width=50.0),
-                          mesh)
+        plan = LinearPlan(params, GridSpec(dim=1, points=1024, half_width=50.0))
         a = params.alpha
         d = (mesh.nodes[n] - mesh.nodes[: n + 1])[:, None] ** a
         e = d * solver.ml_neg_fast(a, a + 1.0, d * plan.lam_u[None, :])
-        assert np.array_equal(plan.cell_weights(n), e[:-1] - e[1:])
+        assert np.array_equal(plan.cell_weights(mesh.nodes[: n + 1]), e[:-1] - e[1:])
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_row_in_the_march_scratch_equals_the_new_row(self, dim):
@@ -242,14 +243,13 @@ class TestWeightTable:
         # for bit; nothing is read from an earlier step's contents.
         params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim)
         mesh = TimeMesh.make(10.0, 30, grading=2.0)
-        plan = LinearPlan(params, GridSpec(dim=dim, points=64, half_width=10.0),
-                          mesh)
-        buf = plan.cell_buffer()
+        plan = LinearPlan(params, GridSpec(dim=dim, points=64, half_width=10.0))
+        buf = plan.cell_buffer(mesh.steps)
         for n in [*range(1, mesh.steps + 1), *range(mesh.steps, 0, -1)]:
-            row = plan.cell_weights(n, buf)
+            row = plan.cell_weights(mesh.nodes[: n + 1], buf)
             assert row.shape == (n, plan.lam_u.size)
             assert np.shares_memory(row, buf)
-            assert np.array_equal(row, plan.cell_weights(n))
+            assert np.array_equal(row, plan.cell_weights(mesh.nodes[: n + 1]))
 
 
 class TestHistoryContraction:
@@ -311,7 +311,7 @@ class TestMarchMemory:
         mesh = TimeMesh.make(10.0, 40)
         w = gaussian_field(grid, 0.4, 1.0)
         integrate(params, grid, None, w, mesh)  # warm the Mittag-Leffler tables
-        plan = LinearPlan(params, grid, mesh)
+        plan = LinearPlan(params, grid)
         m = mesh.steps
         history = (m + 1) * plan.nmodes * 16
         row = m * plan.lam_u.size * 8
@@ -364,7 +364,7 @@ class TestLinearExactness:
         grid = GridSpec(dim=1, points=128, half_width=20.0)
         u0 = gaussian_field(grid, 1.0, 2.0)
         mesh = TimeMesh.make(2.0, 7, grading=2.0)
-        values = linear_values(LinearPlan(params, grid, mesh), u0, None)
+        values = linear_values(LinearPlan(params, grid), mesh.nodes, u0, None)
         lam = full_lam(grid, params.s)
         u0_modes = np.fft.fft(u0.values)
         exact_modes = ml_e_neg(params.alpha, 1.0, lam * 2.0**params.alpha) * u0_modes
@@ -380,7 +380,8 @@ class TestLinearExactness:
         c = 0.3
         w = Field(grid, np.full(grid.shape, c))
         mesh = TimeMesh.make(2.0, 100, grading=2.0)
-        values = linear_values(LinearPlan(params, grid, mesh, "accurate"), None, w)
+        values = linear_values(LinearPlan(params, grid, forcing_scheme="accurate"),
+                               mesh.nodes, None, w)
         a, sig = params.alpha, params.sigma
         exact = c * 2.0 ** (sig + a) * beta_fn(sig + 1.0, a) / gamma_fn(a)
         mean = float(np.mean(values))
@@ -396,7 +397,8 @@ class TestLinearExactness:
         grid = GridSpec(dim=1, points=256, half_width=50.0)
         w = cosine_field(grid, 8)
         mesh = TimeMesh.make(2.0, 100, grading=2.0)
-        values = linear_values(LinearPlan(params, grid, mesh, "accurate"), None, w)
+        values = linear_values(LinearPlan(params, grid, forcing_scheme="accurate"),
+                               mesh.nodes, None, w)
         # solution is frozen * cos(xi x); read it off at x = 0
         val = float(values[grid.points // 2])
         assert val == pytest.approx(frozen, rel=1e-12)
@@ -409,7 +411,7 @@ class TestLinearExactness:
         c = 0.3
         w = Field(grid, np.full(grid.shape, c))
         mesh = TimeMesh.make(2.0, 5, grading=2.0)
-        values = linear_values(LinearPlan(params, grid, mesh), None, w)
+        values = linear_values(LinearPlan(params, grid), mesh.nodes, None, w)
         exact = c * 2.0**0.5 / gamma_fn(1.5)
         mean = float(np.mean(values))
         assert mean == pytest.approx(exact, rel=1e-13)
@@ -425,8 +427,8 @@ class TestLinearExactness:
         for scheme, found in errs.items():
             for steps in (25, 50, 100):
                 mesh = TimeMesh.make(2.0, steps, grading=2.0)
-                plan = LinearPlan(params, grid, mesh, scheme)
-                val = float(linear_values(plan, None, w)[grid.points // 2])
+                plan = LinearPlan(params, grid, forcing_scheme=scheme)
+                val = float(linear_values(plan, mesh.nodes, None, w)[grid.points // 2])
                 found.append(abs(val - frozen) / frozen)
         fast = errs["fast"]
         assert fast[0] > fast[1] > fast[2]
@@ -439,7 +441,8 @@ class TestLinearExactness:
         grid = GridSpec(dim=1, points=64, half_width=10.0)
         mesh = TimeMesh.make(5.0, 4, grading=2.0)
         for sigma in (-0.75, -0.25, -0.1):
-            plan = LinearPlan(ModelParams(1.0, 0.5, sigma, 3.0), grid, mesh, "accurate")
+            plan = LinearPlan(ModelParams(1.0, 0.5, sigma, 3.0), grid,
+                              forcing_scheme="accurate")
             assert plan.lam_u.max() * mesh.t_end > 30.0
             for n in (1, 4):
                 t = mesh.nodes[n]
@@ -448,17 +451,30 @@ class TestLinearExactness:
                          wvar=(sigma, 0.0), epsabs=0.0, epsrel=1e-13)[0]
                     for lam in plan.lam_u
                 ]
-                np.testing.assert_allclose(plan.forcing_weights(n), want, rtol=1e-12)
+                np.testing.assert_allclose(plan.forcing_weights(mesh.nodes[: n + 1]),
+                                           want, rtol=1e-12)
 
 
 class TestModeMap:
     """The plan's real-FFT half-spectrum mode map in dims 1-3."""
 
+    def test_plan_takes_no_mesh(self):
+        # The march owns the node times: a positional third argument is a
+        # stale call, not a forcing scheme.
+        params = ModelParams(0.5, 0.4, -0.25, 3.0)
+        grid = GridSpec(dim=1, points=64, half_width=8.0)
+        mesh = TimeMesh.make(2.0, 6)
+        with pytest.raises(TypeError):
+            LinearPlan(params, grid, mesh)
+        with pytest.raises(TypeError):
+            LinearPlan(params, grid, "accurate")
+        assert not hasattr(LinearPlan(params, grid), "mesh")
+
     @staticmethod
-    def plan(dim, mesh=None, scheme="fast"):
+    def plan(dim, scheme="fast"):
         params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim)
         return LinearPlan(params, GridSpec(dim=dim, points=64, half_width=8.0),
-                          mesh, scheme)
+                          forcing_scheme=scheme)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_mode_count_and_eigenvalues(self, dim):
@@ -511,7 +527,7 @@ class TestModeMap:
         # Z(t)u0 + S_w(t) from the full complex spectrum, built here from
         # ml_e_neg and the closed-form forcing, at every node of the march.
         mesh = TimeMesh.make(2.0, 6, grading=2.0)
-        plan = self.plan(dim, mesh, "accurate")
+        plan = self.plan(dim, "accurate")
         grid, params = plan.grid, plan.params
         r_sq = grid.radius_squared()
         x0 = grid.axis()[(slice(None),) + (None,) * (dim - 1)]
@@ -528,7 +544,7 @@ class TestModeMap:
             z = ml_e_neg(params.alpha, 1.0, lam_full * t_n**params.alpha)
             modes = z * u0_hat + plan.exact_forcing(t_n)[inv_full] * w_hat
             want = np.fft.ifftn(modes / grid.cell_volume).real
-            got = linear_values(plan, u0, w, n)
+            got = linear_values(plan, mesh.nodes[: n + 1], u0, w)
             np.testing.assert_allclose(
                 np.max(np.abs(got)), np.max(np.abs(want)), rtol=1e-12)
             np.testing.assert_allclose(
@@ -907,9 +923,9 @@ class TestAlphaOneRecursion:
         u0, w = self.data(grid)
         linear = None
         if sigma != 0.0:
-            plan = LinearPlan(params, grid, self.MESH)
+            plan = LinearPlan(params, grid)
             u0_m, w_m = plan.to_modes(u0.values), plan.to_modes(w.values)
-            linear = lambda n: plan.linear_modes(n, u0_m, w_m)
+            linear = lambda n: plan.linear_modes(self.MESH.nodes[: n + 1], u0_m, w_m)
         res = integrate(params, grid, u0, w, self.MESH, q_report=4.0)
         self.assert_agree(res, self.recursion(params, grid, u0, w, self.MESH,
                                               4.0, linear))

@@ -299,3 +299,17 @@ class TestDataAndIO:
         f = indicator_field(GRID, 2.0, 1.0)
         assert set(np.unique(f.values)) <= {0.0, 2.0}
         assert np.all(f.values[GRID.radius_squared() > 1.0] == 0.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_indicator_radius_must_be_positive(self, radius):
+        # NaN fails every comparison: `radius <= 0` alone passes it, and the
+        # ball test then makes a field of zeros.
+        with pytest.raises(DomainError, match="radius must be positive"):
+            indicator_field(GRID, 1.0, radius)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_gaussian_width_must_be_positive(self, width):
+        # NaN fails every comparison: `width <= 0` alone passes it, and Field
+        # then rejects the values instead of naming the width.
+        with pytest.raises(DomainError, match="width must be positive"):
+            gaussian_field(GRID, 1.0, width)
