@@ -243,16 +243,16 @@ def smallness_condition(params: ModelParams, u0: Field, w: Field, q: float,
             "t_samples must be a nonempty array of finite positive times")
     beta = beta_exponent(params, q).value
     plan = LinearPlan(params, w.grid)
-    u0_modes = plan.to_modes(u0.values) if np.any(u0.values) else None
-    w_modes = plan.to_modes(w.values) if np.any(w.values) else None
+    u0_modes = w.grid.to_modes(u0.values) if np.any(u0.values) else None
+    w_modes = w.grid.to_modes(w.values) if np.any(w.values) else None
     vals = np.empty_like(t_samples)
     for i, t in enumerate(t_samples):
         term = 0.0
         if u0_modes is not None:
-            z_u0 = plan.to_values(plan.spread(plan.propagator(t)) * u0_modes)
+            z_u0 = w.grid.to_values(plan.spread(plan.propagator(t)) * u0_modes)
             term += lq_norms(w.grid, z_u0, q)[0]
         if w_modes is not None:
-            s_w = plan.to_values(plan.spread(plan.exact_forcing(t)) * w_modes)
+            s_w = w.grid.to_values(plan.spread(plan.exact_forcing(t)) * w_modes)
             term += lq_norms(w.grid, s_w, q)[0]
         vals[i] = t**beta * term
     return SmallnessReport(

@@ -138,6 +138,8 @@ class SweepConfig:
             raise DomainError("p_values must be sorted ascending")
         if not self.q_report >= 1.0:
             raise DomainError(f"q_report must be >= 1 or inf, got {self.q_report!r}")
+        if self.grid.dim != self.dim:
+            raise DomainError(f"grid dim {self.grid.dim} differs from dim {self.dim}")
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "_mesh",
                            TimeMesh.make(self.t_end, self.steps, self.grading))
@@ -220,7 +222,7 @@ def _classify(config: SweepConfig, ps: Sequence[float]) -> list[SweepRow]:
 
 def march_members(config: SweepConfig) -> int:
     """The most powers one march of `config` holds."""
-    history = (config.steps + 1) * 2 * math.prod(config.grid.mode_shape) * 8
+    history = (config.steps + 1) * 2 * config.grid.nmodes * 8
     return max(MIN_MARCH_MEMBERS, MARCH_HISTORY_BYTES // history)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UnsupportedRangeError
 from .special import gamma, gauss_panels, ml_neg_fast, power_law_fit
-from .spectral import Field, SpectralField, to_real, to_spectral
+from .spectral import Field
 
 __all__ = [
     "KernelProfile",
@@ -110,8 +110,8 @@ def apply_propagator(kind: str, t: float, f: Field, alpha: float, s: float) -> F
     if kind not in ("Z", "Y"):
         raise DomainError(f"kind must be 'Z' or 'Y', got {kind!r}")
     symbol = symbol_Z if kind == "Z" else symbol_Y
-    modes = to_spectral(f).modes * symbol(t, f.grid.xi_squared(), alpha, s)
-    return to_real(SpectralField(f.grid, modes))
+    modes = f.grid.to_modes(f.values) * symbol(t, f.grid.xi_squared(), alpha, s)
+    return Field(f.grid, f.grid.to_values(modes))
 
 
 # --------------------------------------------------------------------------

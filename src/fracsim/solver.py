@@ -15,8 +15,8 @@ against the cell weights elsewhere).
 cell weights, the forcing rules and Z(t)u0) on one grid, with no mesh: the
 march passes each step's node times t_0..t_n. `integrate_many`,
 `picard_solve` and the smallness check each build one. Its modes are the
-flattened real-FFT half spectrum of `spectral`, the package's one mode
-convention.
+grid's own layout, the flat half spectrum of `GridSpec.to_modes`, and the
+march transforms with the grid; u0 and w must lie on the march's grid.
 
 `integrate_many` marches several powers p in lockstep on one plan: each
 step computes one cell-weight row of L unique-eigenvalue columns and one
@@ -277,9 +277,7 @@ FORCING_SCHEMES = ("fast", "accurate")
 class LinearPlan:
     """The p-independent linear part of the march on one grid.
 
-    Modes are the flattened half spectrum of `GridSpec.to_modes` (shape
-    `grid.mode_shape`), so a kept mode off the last-axis planes k = 0 and
-    k = points/2 stands for itself and its conjugate twin. Every per-mode
+    Modes are the grid's flat half spectrum (`GridSpec.to_modes`). Every per-mode
     factor is evaluated once per unique eigenvalue lam = |xi|^(2s) (`lam_u`)
     and spread to the modes by `inv` (`spread`). The columns of `lam_u` are
     ordered by (multiplicity, lam), so lam_u[0] = 0 is the zero mode's and,
@@ -303,7 +301,7 @@ class LinearPlan:
             )
         self.params, self.grid = params, grid
         self.forcing_scheme = forcing_scheme
-        lam, inv = np.unique(grid.xi_squared().ravel() ** params.s,
+        lam, inv = np.unique(grid.xi_squared() ** params.s,
                              return_inverse=True)
         # Columns by (multiplicity, lam): a stable sort of the ascending lam.
         order = np.argsort(np.bincount(inv), kind="stable")
@@ -358,22 +356,6 @@ class LinearPlan:
         """(start, stop, width) of each run of consecutive slots of one
         width, in slot positions; `contract` merges each run."""
         return self._slot_layout[1]
-
-    @property
-    def nmodes(self) -> int:
-        return self.inv.size
-
-    def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Flat half-spectrum modes of real-space samples; leading axes
-        beyond the grid's are a stack."""
-        modes = self.grid.to_modes(values)
-        return modes.reshape(modes.shape[: modes.ndim - self.grid.dim] + (-1,))
-
-    def to_values(self, modes: np.ndarray) -> np.ndarray:
-        """Real-space samples of flat half-spectrum modes (a stack along
-        the leading axes)."""
-        return self.grid.to_values(
-            modes.reshape(modes.shape[:-1] + self.grid.mode_shape))
 
     def spread(self, per_lam: np.ndarray) -> np.ndarray:
         """A per-eigenvalue array (last axis lam_u) on the modes, in natural
@@ -446,7 +428,7 @@ class LinearPlan:
                       hist[:, :, start:stop].reshape(n, 2, -1, width),
                       out=sums[:, start:stop].reshape(2, -1, width))
         if out is None:
-            out = np.empty(self.nmodes, dtype=complex)
+            out = np.empty(self.grid.nmodes, dtype=complex)
         np.take(sums.reshape(-1), gathers[1], out=out.view(np.float64),
                 mode="clip")
         return out
@@ -507,7 +489,7 @@ class LinearPlan:
                      w_modes: np.ndarray | None,
                      cells: np.ndarray | None = None) -> np.ndarray:
         """Modes of Z(t_n) u0 + S_w(t_n), t_n = nodes[-1]; None drops a term."""
-        out = np.zeros(self.nmodes, dtype=complex)
+        out = np.zeros(self.grid.nmodes, dtype=complex)
         if u0_modes is not None:
             out += self.spread(self.propagator(nodes[-1])) * u0_modes
         if w_modes is not None:
@@ -544,7 +526,7 @@ class _Member:
     def __init__(self, params: ModelParams, plan: LinearPlan, steps: int,
                  lq0: float, linf0: float, u_prev: np.ndarray) -> None:
         self.params = params
-        self.hist: np.ndarray | None = np.empty((steps + 1, 2, plan.nmodes))
+        self.hist: np.ndarray | None = np.empty((steps + 1, 2, plan.grid.nmodes))
         self.lq = [lq0]
         self.linf = [linf0]
         self.tail_max = 0.0
@@ -606,7 +588,7 @@ def _store(plan: LinearPlan, members: list[_Member], n: int,
     powered = np.abs(values)
     for row, m in zip(powered, members):
         row **= m.params.p
-    for modes, m in zip(plan.to_modes(powered), members):
+    for modes, m in zip(plan.grid.to_modes(powered), members):
         plan.to_slots(modes, m.hist[n])
 
 
@@ -626,7 +608,7 @@ def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
     for m, out in zip(live, modes):
         plan.contract(row, m.hist, out)
     modes += linear
-    values = plan.to_values(modes)
+    values = grid.to_values(modes)
     stats = zip(live, lq_norms(grid, values, np.inf).tolist(),
                 lq_norms(grid, values, q_report).tolist(),
                 tail_fractions(grid, modes).tolist())
@@ -652,6 +634,13 @@ def _advance(plan: LinearPlan, thr: ClassifyThresholds, q_report: float,
     if going:
         _store(plan, going, n, values if len(kept) == len(live) else values[kept])
     return going
+
+
+def _data_modes(grid: GridSpec, name: str, f: Field | None) -> np.ndarray | None:
+    """Modes of the march data `f`, which must lie on the march's grid."""
+    if f is not None and f.grid != grid:
+        raise PreconditionError(f"{name} lies on {f.grid}, not the march's {grid}")
+    return None if f is None else grid.to_modes(f.values)
 
 
 def integrate_many(
@@ -686,8 +675,7 @@ def integrate_many(
     # Overflow to inf or nan is what the march reports as its "non_finite"
     # trigger; NumPy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        u0_modes = plan.to_modes(u0.values) if u0 is not None else None
-        w_modes = plan.to_modes(w.values) if w is not None else None
+        u0_modes, w_modes = _data_modes(grid, "u0", u0), _data_modes(grid, "w", w)
         u_prev = u0.values if u0 is not None else np.zeros(grid.shape)
         lq0, linf0 = (lq_norms(grid, u_prev, q).item() for q in (q_report, np.inf))
         members = [_Member(params, plan, mesh.steps, lq0, linf0, u_prev)
@@ -698,7 +686,7 @@ def integrate_many(
         # growing temporaries per step, each of which would come back from
         # the allocator as fresh pages.
         cell_buf = plan.cell_buffer(mesh.steps)
-        modes = np.empty((len(members), plan.nmodes), dtype=complex)
+        modes = np.empty((len(members), grid.nmodes), dtype=complex)
 
         live = members
         for n in range(1, mesh.steps + 1):
@@ -791,21 +779,20 @@ def picard_solve(
     """
     plan = LinearPlan(params, grid, forcing_scheme=forcing_scheme)
     p, m, nodes = params.p, mesh.steps, mesh.nodes
-    u0_modes = plan.to_modes(u0.values) if u0 is not None else None
-    w_modes = plan.to_modes(w.values) if w is not None else None
+    u0_modes, w_modes = _data_modes(grid, "u0", u0), _data_modes(grid, "w", w)
 
     cell_buf = plan.cell_buffer(m)
     w_tables = [None] + [plan.cell_weights(nodes[: n + 1], cell_buf).copy()
                          for n in range(1, m + 1)]
     del cell_buf  # the kept rows are copies: the iteration holds no scratch
-    lin_modes = np.zeros((m + 1, plan.nmodes), dtype=complex)
+    lin_modes = np.zeros((m + 1, grid.nmodes), dtype=complex)
     if u0_modes is not None:
         lin_modes[0] = u0_modes
     for n in range(1, m + 1):
         lin_modes[n] = plan.linear_modes(nodes[: n + 1], u0_modes, w_modes, w_tables[n])
 
-    hist = plan.to_values(lin_modes)
-    nl = np.empty((m + 1, 2, plan.nmodes))
+    hist = grid.to_values(lin_modes)
+    nl = np.empty((m + 1, 2, grid.nmodes))
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0
@@ -813,12 +800,12 @@ def picard_solve(
     # only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            plan.to_slots(plan.to_modes(np.abs(hist) ** p), nl)
+            plan.to_slots(grid.to_modes(np.abs(hist) ** p), nl)
             trap = 0.5 * (nl[:-1] + nl[1:])
             new_hist = hist.copy()
             for n in range(1, m + 1):
                 contrib = plan.contract(w_tables[n], trap)
-                new_hist[n] = plan.to_values(lin_modes[n] + contrib)
+                new_hist[n] = grid.to_values(lin_modes[n] + contrib)
             diff = float(np.max(np.abs(new_hist - hist)))
             hist = new_hist
             if not math.isfinite(diff):

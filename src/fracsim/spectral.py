@@ -1,11 +1,15 @@
 """Periodic pseudo-spectral representation of real fields on [-L, L]^d.
 
 Every operator multiplies the modes of a real field by a real symbol of |xi|,
-so modes are the half spectrum `GridSpec.to_modes` = cell_volume *
-rfftn(values) (shape `mode_shape`: the last axis keeps k = 0 .. points/2), in
-the continuum normalization: the zero mode of a constant c is c * (2L)^d. A
-mode off the last-axis planes k = 0 and k = points/2 stands for itself and its
-conjugate twin. Wavenumbers along each axis are xi_k = pi k / L.
+so modes are the half spectrum cell_volume * rfftn(values), last axis cut to
+k = 0 .. points/2, in the continuum normalization: the zero mode of a constant
+c is c * (2L)^d. A mode off the last-axis planes k = 0 and k = points/2 stands
+for itself and its conjugate twin. Wavenumbers along each axis are xi_k = pi k / L.
+
+`GridSpec` owns the one mode layout, the flat half spectrum (..., nmodes). The
+march reads modes only through its `shape`, `nmodes`, `to_modes`, `to_values`,
+`xi_squared()` and `tail_weights`. `SpectralField` is the shaped view
+(`mode_shape`): only `to_spectral` and `to_real` reshape.
 
 `to_modes` and `to_values` transform the trailing `dim` axes, so a stack of
 fields transforms in one call; `lq_norms` and `tail_fractions` are the
@@ -67,8 +71,13 @@ class GridSpec:
 
     @property
     def mode_shape(self) -> tuple[int, ...]:
-        """Shape of the half spectrum: the last axis keeps k = 0 .. points/2."""
+        """`SpectralField`'s shape: the last axis keeps k = 0 .. points/2."""
         return (self.points,) * (self.dim - 1) + (self.points // 2 + 1,)
+
+    @property
+    def nmodes(self) -> int:
+        """Length of the flat half spectrum: the last axis of `to_modes`."""
+        return self.points ** (self.dim - 1) * (self.points // 2 + 1)
 
     @property
     def cell_volume(self) -> float:
@@ -80,13 +89,15 @@ class GridSpec:
         return tuple(range(-self.dim, 0))
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum modes cell_volume * rfftn(values) of real samples,
-        over the trailing `dim` axes."""
-        return np.fft.rfftn(values, s=self.shape, axes=self._axes) * self.cell_volume
+        """Flat half-spectrum modes cell_volume * rfftn(values), shape
+        (..., nmodes), of real samples over the trailing `dim` axes."""
+        modes = np.fft.rfftn(values, s=self.shape, axes=self._axes) * self.cell_volume
+        return modes.reshape(modes.shape[: modes.ndim - self.dim] + (self.nmodes,))
 
     def to_values(self, modes: np.ndarray) -> np.ndarray:
-        """Real samples of half-spectrum modes, over the trailing `dim`
-        axes; inverse of `to_modes`."""
+        """Real samples of flat half-spectrum modes, shape (..., nmodes);
+        inverse of `to_modes`."""
+        modes = modes.reshape(modes.shape[:-1] + self.mode_shape)
         return np.fft.irfftn(modes / self.cell_volume, s=self.shape,
                              axes=self._axes)
 
@@ -95,21 +106,34 @@ class GridSpec:
         return -self.half_width + self.spacing * np.arange(self.points)
 
     def xi_squared(self) -> np.ndarray:
-        """|xi|^2 = (pi/L)^2 |k|^2 on the half-spectrum mode grid
-        (`mode_shape`), xi_k = pi k / L.  |k|^2 is summed in integers, so
-        modes with equal |k|^2 get the same |xi|^2."""
+        """|xi|^2 = (pi/L)^2 |k|^2 on the flat half spectrum, shape
+        (nmodes,), xi_k = pi k / L.  |k|^2 is summed in integers, so modes
+        with equal |k|^2 get the same |xi|^2."""
         k = np.arange(self.points)
         k = np.minimum(k, self.points - k)  # |k| in FFT order
         return (np.pi / self.half_width) ** 2 * self._on_modes(k * k)
+
+    @functools.cached_property
+    def tail_weights(self) -> np.ndarray:
+        """Read-only (2, nmodes) rows (top octave, all) of Hermitian energy
+        weights: the top octave is the modes with some |index| >= points/4,
+        and a mode off the planes k = 0 and k = points/2 weighs 2 for its twin."""
+        k = np.arange(self.points)
+        top = self._on_modes(np.minimum(k, self.points - k) >= self.points // 4) > 0
+        herm = np.full(self.mode_shape, 2.0)
+        herm[..., 0] = herm[..., -1] = 1.0
+        rows = np.stack([herm.ravel() * top, herm.ravel()])
+        rows.flags.writeable = False
+        return rows
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 on the sample grid."""
         return sum(np.meshgrid(*[self.axis() ** 2] * self.dim, indexing="ij"))
 
     def _on_modes(self, per_axis: np.ndarray) -> np.ndarray:
-        """Sum over the axes of an FFT-ordered, k-even `per_axis` on the half grid."""
+        """Flat half-spectrum sum over the axes of an FFT-ordered, k-even `per_axis`."""
         axes = [per_axis] * (self.dim - 1) + [per_axis[: self.points // 2 + 1]]
-        return sum(np.meshgrid(*axes, indexing="ij"))
+        return sum(np.meshgrid(*axes, indexing="ij")).ravel()
 
 
 @dataclass(frozen=True)
@@ -120,6 +144,8 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise PreconditionError("field values must be real")
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.shape:
@@ -154,7 +180,7 @@ _SYMMETRY_TOL = 1e-10
 
 
 def to_spectral(f: Field) -> SpectralField:
-    return SpectralField(f.grid, f.grid.to_modes(f.values))
+    return SpectralField(f.grid, f.grid.to_modes(f.values).reshape(f.grid.mode_shape))
 
 
 def to_real(sf: SpectralField) -> Field:
@@ -172,15 +198,15 @@ def to_real(sf: SpectralField) -> Field:
         raise PreconditionError(
             "modes are not conjugate-symmetric: inverse transform is not real"
         )
-    return Field(grid, grid.to_values(sf.modes))
+    return Field(grid, grid.to_values(sf.modes.ravel()))
 
 
 def fractional_laplacian(f: Field, s: float) -> Field:
     """Spectral (-Laplace)^s via the multiplier |xi|^(2s); zero mode maps to 0."""
     if not (0.0 < s <= 1.0):
         raise DomainError(f"s must lie in (0, 1], got {s!r}")
-    modes = to_spectral(f).modes * f.grid.xi_squared() ** s
-    return to_real(SpectralField(f.grid, modes))
+    grid = f.grid
+    return Field(grid, grid.to_values(grid.to_modes(f.values) * grid.xi_squared() ** s))
 
 
 def _lq_rows(rows: np.ndarray, cell_volume: float, q: float) -> np.ndarray:
@@ -215,27 +241,11 @@ def restricted_lq_norm(f: Field, q: float, r_min: float) -> float:
     return float(_lq_rows(outside[None], f.grid.cell_volume, q)[0])
 
 
-@functools.lru_cache(maxsize=16)
-def _tail_weights(grid: GridSpec) -> np.ndarray:
-    """Read-only rows (top octave, all) of Hermitian energy weights per mode.
-
-    The top octave is the modes with some |index| >= points/4; a mode off
-    the self-conjugate planes k = 0 and k = points/2 weighs 2 for its twin.
-    """
-    k = np.arange(grid.points)
-    top = grid._on_modes(np.minimum(k, grid.points - k) >= grid.points // 4) > 0
-    herm = np.full(grid.mode_shape, 2.0)
-    herm[..., 0] = herm[..., -1] = 1.0
-    rows = np.stack([herm * top, herm]).reshape(2, -1)
-    rows.flags.writeable = False
-    return rows
-
-
 def tail_fractions(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     """Top-octave fraction of the spectral energy of each field in a stack
-    of half spectra, shape (..., *grid.mode_shape) or (..., modes)."""
-    weights = _tail_weights(grid)
-    energy = np.abs(modes).reshape(-1, weights.shape[1]) ** 2
+    of flat half spectra, shape (..., grid.nmodes)."""
+    weights = grid.tail_weights
+    energy = np.abs(modes).reshape(-1, grid.nmodes) ** 2
     # One matrix-vector product per row: a matrix product sums in another
     # order.
     sums = np.array([weights @ row for row in energy]).reshape(-1, 2)
@@ -245,7 +255,7 @@ def tail_fractions(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
 
 def spectral_tail_fraction(sf: SpectralField) -> float:
     """Fraction of spectral energy carried by the top octave of wavenumbers."""
-    return float(tail_fractions(sf.grid, sf.modes)[0])
+    return float(tail_fractions(sf.grid, sf.modes.ravel())[0])
 
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> Field:

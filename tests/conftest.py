@@ -48,8 +48,8 @@ def linear_values():
     from `LinearPlan.linear_modes`; a None field drops its term."""
 
     def solve(plan: LinearPlan, nodes: np.ndarray, u0, w) -> np.ndarray:
-        u0_modes = None if u0 is None else plan.to_modes(u0.values)
-        w_modes = None if w is None else plan.to_modes(w.values)
-        return plan.to_values(plan.linear_modes(nodes, u0_modes, w_modes))
+        u0_modes = None if u0 is None else plan.grid.to_modes(u0.values)
+        w_modes = None if w is None else plan.grid.to_modes(w.values)
+        return plan.grid.to_values(plan.linear_modes(nodes, u0_modes, w_modes))
 
     return solve

@@ -184,11 +184,11 @@ class TestSmallness:
         ts = [0.5, 1.0, 7.3]
         rep = smallness_condition(params, u0, w, q, ts)
         plan = LinearPlan(params, grid)
-        w_modes = plan.to_modes(w.values)
+        w_modes = grid.to_modes(w.values)
         want = [
             t**rep.beta * (
                 lq_norm(apply_propagator("Z", t, u0, 0.5, 0.4), q)
-                + lq_norm(Field(grid, plan.to_values(
+                + lq_norm(Field(grid, grid.to_values(
                     plan.exact_forcing(t)[plan.inv] * w_modes)), q)
             )
             for t in ts

@@ -61,29 +61,55 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def private_reads(source: str) -> list[str]:
+    """`line: statement` of each private name of another package module
+    that `source` reads: `from .x import _y`, `from . import _y` and `x._y`
+    with x a module of the package bound by `from . import x` or
+    `import fracsim.x as x`."""
+    tree = ast.parse(source)
+    found, modules = [], {"fracsim"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fracsim"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{node.lineno}: imports {alias.name}")
+                elif node.module in (None, "fracsim"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.name.startswith("fracsim.") and alias.asname)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{node.lineno}: reads {ast.unparse(node)}")
+    return found
+
+
 def test_no_module_imports_private_names_of_another():
-    # `from .x import _y`, `from . import _y` and `x._y` with x a module of
-    # the package bound by `from . import x` or `import fracsim.x as x`
-    found = []
-    for path in sorted(Path(fracsim.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        modules = {"fracsim"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "fracsim"):
-                for alias in node.names:
-                    if _private(alias.name):
-                        found.append(f"{path.name}:{node.lineno} imports {alias.name}")
-                    elif node.module in (None, "fracsim"):
-                        modules.add(alias.asname or alias.name)
-            elif isinstance(node, ast.Import):
-                modules.update(alias.asname for alias in node.names
-                               if alias.name.startswith("fracsim.") and alias.asname)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and _private(node.attr):
-                root = node.value
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if isinstance(root, ast.Name) and root.id in modules:
-                    found.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
-    assert found == []
+    paths = sorted(Path(fracsim.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10  # the scan found the package
+    found = {path.name: reads for path in paths
+             if (reads := private_reads(path.read_text()))}
+    assert found == {}
+
+
+def test_private_name_guard_flags_drift():
+    assert private_reads("from .spectral import _tail_weights") == [
+        "1: imports _tail_weights"]
+    assert private_reads("from fracsim.solver import _Member, LinearPlan") == [
+        "1: imports _Member"]
+    assert private_reads("from . import _cache") == ["1: imports _cache"]
+    assert private_reads("from . import spectral as sp\nsp._on_modes(1)") == [
+        "2: reads sp._on_modes"]
+    assert private_reads("import fracsim.special as sp\nsp._TABLE.x") == [
+        "2: reads sp._TABLE"]
+    assert private_reads("import fracsim\nfracsim.solver._store") == [
+        "2: reads fracsim.solver._store"]
+    # a private method of an object, dunders and other packages' names pass
+    assert private_reads("from . import __version__\n"
+                         "from .spectral import GridSpec\n"
+                         "grid._axes\nnp.__name__\nnp._NoValue") == []

@@ -108,6 +108,12 @@ class TestSweepConfig:
         with pytest.raises(DomainError, match="steps must be an integer >= 2, got 20.5"):
             small_config(steps=20.5)
 
+    def test_grid_dim_must_match_model_dim(self):
+        # Without the check every row came back "Failed", and bracket_pstar
+        # reported the usage error as a BracketingError.
+        with pytest.raises(DomainError, match="grid dim 2 differs from dim 1"):
+            small_config(grid=GridSpec(dim=2, points=64, half_width=5.0))
+
     def test_round_trip_from_dict(self):
         cfg_dict = {
             "schema": 1,

@@ -258,7 +258,7 @@ class TestHistoryContraction:
 
     @staticmethod
     def slot_planes(plan, modes):
-        planes = np.empty(modes.shape[:-1] + (2, plan.nmodes))
+        planes = np.empty(modes.shape[:-1] + (2, plan.grid.nmodes))
         plan.to_slots(modes, planes)
         return planes
 
@@ -268,8 +268,8 @@ class TestHistoryContraction:
         plan = LinearPlan(params, GridSpec(dim=dim, points=64, half_width=8.0))
         rng = np.random.default_rng(dim)
         m = 6
-        hist = (rng.standard_normal((m + 1, plan.nmodes))
-                + 1j * rng.standard_normal((m + 1, plan.nmodes)))
+        hist = (rng.standard_normal((m + 1, plan.grid.nmodes))
+                + 1j * rng.standard_normal((m + 1, plan.grid.nmodes)))
         planes = self.slot_planes(plan, hist)
         trap = 0.5 * (planes[:-1] + planes[1:])
         for n in (1, 2, m):
@@ -287,7 +287,7 @@ class TestHistoryContraction:
         plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0, dim=2),
                           GridSpec(dim=2, points=64, half_width=8.0))
         v = np.random.default_rng(5).standard_normal(plan.grid.shape)
-        modes = plan.to_modes(v)
+        modes = plan.grid.to_modes(v)
         planes = self.slot_planes(plan, modes[None])
         assert np.array_equal(planes[0, 0], modes.real[plan.perm])
         assert np.array_equal(planes[0, 1], modes.imag[plan.perm])
@@ -295,7 +295,7 @@ class TestHistoryContraction:
         assert np.array_equal(out.real, modes.real)
         assert np.array_equal(out.imag, modes.imag)
         with pytest.raises(PreconditionError):  # a copy would drop the writes
-            plan.to_slots(modes, np.empty((plan.nmodes, 2)).T)
+            plan.to_slots(modes, np.empty((plan.grid.nmodes, 2)).T)
 
 
 class TestMarchMemory:
@@ -313,7 +313,7 @@ class TestMarchMemory:
         integrate(params, grid, None, w, mesh)  # warm the Mittag-Leffler tables
         plan = LinearPlan(params, grid)
         m = mesh.steps
-        history = (m + 1) * plan.nmodes * 16
+        history = (m + 1) * plan.grid.nmodes * 16
         row = m * plan.lam_u.size * 8
         slack = 1.2e6
         tracemalloc.start()
@@ -480,14 +480,14 @@ class TestModeMap:
     def test_mode_count_and_eigenvalues(self, dim):
         plan = self.plan(dim)
         points = plan.grid.points
-        assert plan.nmodes == points ** (dim - 1) * (points // 2 + 1)
+        assert plan.grid.nmodes == points ** (dim - 1) * (points // 2 + 1)
         lam_full = full_lam(plan.grid, plan.params.s)
         # The same eigenvalue set, each value once, zero first.
         assert np.array_equal(np.sort(plan.lam_u), np.unique(lam_full))
         assert np.unique(plan.lam_u).size == plan.lam_u.size
         assert plan.lam_u[0] == 0.0
         if dim == 1:  # every half-spectrum mode has its own eigenvalue
-            assert plan.lam_u.size == plan.nmodes
+            assert plan.lam_u.size == plan.grid.nmodes
             assert np.all(np.diff(plan.lam_u) > 0.0)
 
     @pytest.mark.parametrize("dim, points, distinct", [(1, 1024, 513), (2, 128, 1621),
@@ -502,7 +502,7 @@ class TestModeMap:
         # each |k|^2 maps to one eigenvalue, and each eigenvalue to one |k|^2
         assert np.unique(np.stack([k2, plan.inv]), axis=1).shape[1] == distinct
         # 1D keeps the natural mode order; 2D and 3D regroup the modes
-        assert np.array_equal(plan.perm, np.arange(plan.nmodes)) == (dim == 1)
+        assert np.array_equal(plan.perm, np.arange(plan.grid.nmodes)) == (dim == 1)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_spread_puts_each_eigenvalue_on_its_modes(self, dim):
@@ -518,7 +518,7 @@ class TestModeMap:
     def test_round_trip(self, dim):
         plan = self.plan(dim)
         v = np.random.default_rng(dim).standard_normal(plan.grid.shape)
-        back = plan.to_values(plan.to_modes(v))
+        back = plan.grid.to_values(plan.grid.to_modes(v))
         assert back.shape == v.shape
         assert np.max(np.abs(back - v)) <= 1e-14 * np.max(np.abs(v))
 
@@ -564,7 +564,7 @@ class TestSlotLayout:
         grid = GridSpec(dim=dim, points=points, half_width=8.0)
         plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim), grid)
         n_cols, inv, perm = plan.lam_u.size, plan.inv, plan.perm
-        assert np.array_equal(np.sort(perm), np.arange(plan.nmodes))
+        assert np.array_equal(np.sort(perm), np.arange(plan.grid.nmodes))
         mult = np.bincount(inv, minlength=n_cols)
         assert np.all(np.diff(mult) >= 0)
         # within one multiplicity the columns keep ascending lam
@@ -589,10 +589,10 @@ class TestSlotLayout:
                 last[cols] = modes
                 seen[cols] += 1
                 r += 1
-        assert end == plan.nmodes and np.array_equal(seen, mult)
+        assert end == plan.grid.nmodes and np.array_equal(seen, mult)
         assert r == mult.max()
         if dim == 1:
-            assert plan.slots == ((0, plan.nmodes, plan.nmodes),)
+            assert plan.slots == ((0, plan.grid.nmodes, plan.grid.nmodes),)
 
     def test_march_2d_grid_merges_to_one_einsum_per_multiplicity(self):
         # 1621 eigenvalues on 8320 modes, with 11 distinct multiplicities up
@@ -681,6 +681,23 @@ class TestIntegratorBehaviour:
         mesh = TimeMesh.make(1.0, 5)
         with pytest.raises(PreconditionError):
             integrate(params, grid, None, None, mesh)
+
+    @pytest.mark.parametrize("march", [integrate, integrate_many, picard_solve])
+    @pytest.mark.parametrize("role", ["u0", "w"])
+    @pytest.mark.parametrize("other", [
+        GridSpec(dim=1, points=256, half_width=50.0),  # was zero-padded
+        GridSpec(dim=1, points=1024, half_width=10.0),  # was read on [-50, 50]
+        GridSpec(dim=2, points=64, half_width=50.0),  # was a numpy ValueError
+    ])
+    def test_data_off_the_march_grid_rejected(self, march, role, other):
+        params = ModelParams(0.5, 0.4, -0.25, 3.0)
+        grid = GridSpec(dim=1, points=1024, half_width=50.0)
+        data = {"u0": None, "w": gaussian_field(grid, 0.05, 1.0)}
+        data[role] = gaussian_field(other, 0.05, 1.0)
+        members = [params] if march is integrate_many else params
+        with pytest.raises(PreconditionError,
+                           match=f"{role} lies on .*, not the march's GridSpec"):
+            march(members, grid, data["u0"], data["w"], TimeMesh.make(5.0, 20))
 
     def test_classify_t_end_past_the_mesh_end_rejected(self):
         # Classification at t = 50 on a mesh that ends at 20 could only say
@@ -882,7 +899,7 @@ class TestAlphaOneRecursion:
 
         t = mesh.nodes
         u0_modes, w_modes = grid.to_modes(u0.values), grid.to_modes(w.values)
-        hist = np.zeros(grid.mode_shape, dtype=complex)
+        hist = np.zeros(grid.nmodes, dtype=complex)
         u = u0.values
         lq, linf = [lq_norm(u0, q)], [float(np.max(np.abs(u)))]
         for n in range(1, mesh.steps + 1):
@@ -892,7 +909,7 @@ class TestAlphaOneRecursion:
             if linear is None:
                 lin = np.exp(-lam * t[n]) * u0_modes + cell(t[n]) * w_modes
             else:
-                lin = linear(n).reshape(grid.mode_shape)
+                lin = linear(n)
             u = grid.to_values(lin + hist)
             lq.append(lq_norm(Field(grid, u), q))
             linf.append(float(np.max(np.abs(u))))
@@ -924,7 +941,7 @@ class TestAlphaOneRecursion:
         linear = None
         if sigma != 0.0:
             plan = LinearPlan(params, grid)
-            u0_m, w_m = plan.to_modes(u0.values), plan.to_modes(w.values)
+            u0_m, w_m = grid.to_modes(u0.values), grid.to_modes(w.values)
             linear = lambda n: plan.linear_modes(self.MESH.nodes[: n + 1], u0_m, w_m)
         res = integrate(params, grid, u0, w, self.MESH, q_report=4.0)
         self.assert_agree(res, self.recursion(params, grid, u0, w, self.MESH,

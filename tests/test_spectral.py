@@ -65,7 +65,8 @@ class TestGridSpec:
         grid = GridSpec(dim=dim, points=64, half_width=5.0)
         assert grid.mode_shape == (64,) * (dim - 1) + (33,)
         # the half grid is the full grid's last axis cut to k = 0 .. points/2
-        want = full_xi_squared(grid)[..., :33]
+        want = full_xi_squared(grid)[..., :33].ravel()
+        assert grid.nmodes == want.size
         assert np.array_equal(grid.xi_squared(), want)
 
     def test_geometry(self):
@@ -138,6 +139,12 @@ class TestTransforms:
     def test_mode_shape_enforced(self):
         with pytest.raises(PreconditionError):
             SpectralField(GRID, np.zeros(128, dtype=complex))
+
+    def test_complex_values_rejected(self):
+        # A float cast would keep 1.0 of 1 + 1j and only warn.
+        grid = GridSpec(1, 64, 5.0)
+        with pytest.raises(PreconditionError, match="field values must be real"):
+            Field(grid, np.ones(64) * (1 + 1j))
 
 
 class TestFractionalLaplacian:
@@ -243,8 +250,8 @@ class TestTailMonitor:
         herm = np.full(grid.mode_shape, 2.0)
         herm[..., 0] = herm[..., -1] = 1.0
         mask = full_top_octave(grid)[..., : grid.points // 2 + 1]
-        cached = spectral._tail_weights(grid)
-        assert spectral._tail_weights(grid) is cached
+        cached = grid.tail_weights
+        assert grid.tail_weights is cached
         assert np.array_equal(cached, [(herm * mask).ravel(), herm.ravel()])
         assert not cached.flags.writeable
 
@@ -276,9 +283,10 @@ class TestStacks:
         tails = spectral.tail_fractions(grid, modes)
         qs = (1.0, 2.0, 4.0, 4.5, np.inf)
         norms = {q: spectral.lq_norms(grid, stack, q) for q in qs}
-        weights = spectral._tail_weights(grid)
+        weights = grid.tail_weights
         for i, v in enumerate(stack):
-            assert np.array_equal(modes[i], np.fft.rfftn(v) * grid.cell_volume)
+            assert np.array_equal(modes[i],
+                                  (np.fft.rfftn(v) * grid.cell_volume).ravel())
             assert np.array_equal(values[i], grid.to_values(modes[i]))
             # Each row reduces exactly as the whole single field does.
             for q in qs:
