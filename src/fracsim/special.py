@@ -33,15 +33,16 @@ callers, the march's cell weights and profile inversion, write their
 arguments into a scratch they keep and hand the table that array as
 `out`, so it evaluates them in place and allocates nothing of their size.
 `ml_neg_fast` keeps one cached table per (a, b), fitted from the three
-regimes in aligned blocks of 16 degree-7 interpolants on pieces of width
-1/16 in log1p(y), and extended on demand whenever a call reaches past the
-pieces built so far.  Each fitted piece is stored economized, as 8 degree-4
-sub-pieces of width 1/128: the interpolant re-expanded exactly in each
-sub-piece's Chebyshev basis and truncated there.  The sub-pieces are stored
+regimes with degree-15 interpolants on pieces of width 1/2 in log1p(y), 32
+arguments per unit of log1p(y), and extended on demand whenever a call
+reaches past the pieces built so far, by one `ml_e_neg` call per
+extension.  Each fitted piece is stored economized, as 64 degree-4
+sub-pieces of width 1/128: the interpolant re-expanded in each sub-piece's
+Chebyshev basis and truncated there.  The sub-pieces are stored
 coefficient-major (one row per monomial power, one column per sub-piece)
 and evaluated by Horner on the 5 contiguous rows of one gather per chunk of
 8192 points.  The table is within 1e-14 of `ml_e_neg` on y in [0, 1e4]
-(worst 3.8e-15 over a in {0.3, 0.5, 0.7, 0.9, 0.95},
+(worst 5.8e-15 over a in {0.3, 0.5, 0.7, 0.9, 0.95},
 b in {1, a, a + 1, a + 0.75, a + 0.5}).  At a = 1 there is no table:
 `ml_neg_fast` hands off to `ml_e_neg`.
 
@@ -399,41 +400,48 @@ def _chebyshev_to_monomial(deg: int) -> np.ndarray:
     return m
 
 
-def _monomial_to_chebyshev(deg: int) -> np.ndarray:
-    """Inverse of `_chebyshev_to_monomial`: x^n = 2^(1-n) sum_k C(n, k)
-    T_{n-2k}(x), the k = n/2 term halved."""
-    m = np.zeros((deg + 1, deg + 1))
-    m[0, 0] = 1.0
-    for n in range(1, deg + 1):
-        for k in range(n // 2 + 1):
-            m[n - 2 * k, n] += math.comb(n, k) * 2.0 ** (1 - n) * (0.5 if 2 * k == n else 1.0)
-    return m
-
-
 @functools.cache
-def _economization(deg: int, sub: int, sub_deg: int) -> np.ndarray:
-    """Read-only (sub, sub_deg + 1, deg + 1) map from the Chebyshev
-    coefficients of a degree-`deg` polynomial on [-1, 1] to, on each of `sub`
-    equal sub-intervals, the monomial coefficients in s in [-1/2, 1/2) of its
-    Chebyshev truncation to degree `sub_deg` there.
+def _re_expansion(deg: int, sub: int, sub_deg: int) -> np.ndarray:
+    """Read-only (deg + 1, sub * (sub_deg + 1)) map from the values of a
+    degree-`deg` polynomial at the deg + 1 Chebyshev points cos(pi (l + 1/2)
+    / (deg + 1)) to, on each of `sub` equal sub-intervals of [-1, 1], the
+    monomial coefficients in s in [-1/2, 1/2) of its Chebyshev truncation to
+    degree `sub_deg` there: column j * (sub_deg + 1) + r is coefficient r on
+    sub-interval j.
 
-    On sub-interval j, with center x_j, x = x_j + 2 s / sub: the polynomial
-    is taken to monomials in x, shifted and scaled exactly to monomials in
-    2 s, re-expanded in Chebyshev polynomials T_m(2 s), truncated to
-    m <= sub_deg and taken back to monomials in s.  For (7, 8, 4) every
-    entry and every partial sum is a dyadic rational that float64 holds, so
-    the map is exact (tested against rational arithmetic).
+    On sub-interval j, with center x_j and half-width h = 1/sub, x = x_j +
+    h u with u = 2 s.  The values go to Chebyshev coefficients c_k by the
+    discrete cosine projection, and each T_k(x_j + h u) to its Chebyshev
+    coefficients S_k in u by the three-term recurrence T_{k+1} = 2 x T_k -
+    T_{k-1}, with u T_0 = T_1 and u T_m = (T_{m+1} + T_{m-1}) / 2.  Each
+    coefficient of S_k is then accurate relative to itself, while the
+    small high-order ones would lose their digits if they were read off
+    sampled values, and a detour through degree-`deg` monomials loses more
+    (the map is tested against exact rational arithmetic).
     """
+    n = deg + 1
+    proj = (2.0 / n) * np.cos(np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n)
+    proj[0] *= 0.5
+    h = 1.0 / sub
+    x_j = (-1.0 + (2.0 * np.arange(sub) + 1.0) * h)[:, None]
+    prev = np.zeros((sub, n))
+    prev[:, 0] = 1.0
+    cur = np.zeros((sub, n))
+    cur[:, 0], cur[:, 1] = x_j[:, 0], h
+    local = np.empty((n, sub, sub_deg + 1))  # S_k[m], m <= sub_deg
+    local[0], local[1] = prev[:, : sub_deg + 1], cur[:, : sub_deg + 1]
+    for k in range(2, n):
+        hu = h * cur
+        nxt = 2.0 * x_j * cur - prev
+        nxt[:, 1:] += hu[:, :-1]
+        nxt[:, 1] += hu[:, 0]
+        nxt[:, :-1] += hu[:, 1:]
+        prev, cur = cur, nxt
+        local[k] = cur[:, : sub_deg + 1]
+    # T_m(2 s) to monomials in s, then (values, sub-interval, coefficient).
     scale = _chebyshev_to_monomial(sub_deg) * 2.0 ** np.arange(sub_deg + 1)[:, None]
-    to_mono = _chebyshev_to_monomial(deg)
-    to_cheb = _monomial_to_chebyshev(deg)
-    out = np.empty((sub, sub_deg + 1, deg + 1))
-    for j in range(sub):
-        x_j = -1.0 + (2.0 * j + 1.0) / sub
-        # x^b = sum_a C(b, a) x_j^(b - a) sub^-a (2 s)^a
-        shift = np.array([[math.comb(b, a) * x_j ** (b - a) * float(sub) ** -a
-                           for b in range(deg + 1)] for a in range(deg + 1)])
-        out[j] = scale @ (to_cheb @ shift @ to_mono)[: sub_deg + 1]
+    lagrange = (proj.T @ local.reshape(n, -1)).reshape(n, sub, sub_deg + 1)
+    out = (lagrange @ scale.T).reshape(n, -1)
     out.setflags(write=False)
     return out
 
@@ -445,57 +453,60 @@ class _FastMLNeg:
     degree-FIT_DEG interpolant on that piece's own Chebyshev nodes.  It is
     stored economized (Trefethen, Approximation Theory and Approximation
     Practice, ch. 4) as SUB sub-pieces of width PIECE = FIT_PIECE / SUB:
-    on each, the interpolant is re-expanded exactly in that sub-piece's
-    Chebyshev basis and truncated to degree DEG (`_economization`).
-    Sub-piece k covers v in [k * PIECE, (k + 1) * PIECE] and is column k of
-    the C-contiguous, coefficient-major `coeffs` (DEG+1, sub-pieces):
-    monomial coefficients in the local variable t = v / PIECE - k - 1/2 in
+    on each, the interpolant is re-expanded in that sub-piece's Chebyshev
+    basis and truncated to degree DEG (`_re_expansion`).  Sub-piece k
+    covers v in [k * PIECE, (k + 1) * PIECE] and is column k of the
+    C-contiguous, coefficient-major `coeffs` (DEG+1, sub-pieces): monomial
+    coefficients in the local variable t = v / PIECE - k - 1/2 in
     [-1/2, 1/2).  A chunk of points gathers its sub-pieces' columns into
-    DEG+1 contiguous rows and runs Horner along them.  Pieces are fitted in
-    aligned blocks of BLOCK, each from one vectorised `ml_e_neg` call on the
-    block's nodes, so every value comes from the series, branch-cut or
-    asymptotic regime that owns it and every sub-piece depends only on its
-    block.  The table starts empty and appends blocks whenever a call
-    reaches past the last one; existing pieces are never refitted, so a
-    value does not depend on what was evaluated before and is never
-    extrapolated.  Appending is serialised by a lock, so threads sharing a
-    table each see whole, correctly ordered pieces.  The table is within
-    ~1e-14 of `ml_e_neg` on y in [0, 1e4], and each sub-piece within 1e-14
-    of its interpolant, relative to the largest value (validated in tests).
+    DEG+1 contiguous rows and runs Horner along them.
+
+    Pieces are fitted in aligned blocks of BLOCK, one unit of v each.  An
+    extension fits all the blocks it appends from one vectorised `ml_e_neg`
+    call on their nodes, so every value comes from the series, branch-cut or
+    asymptotic regime that owns it, and re-expands each block by one matrix
+    product of fixed shape, so every sub-piece depends only on its block's
+    values.  The first extension fits at least HEAD blocks, which hold every
+    series argument of every order (v <= log1p(2.5) < 2): the series' stop
+    test looks at all of a call's series arguments at once, and this way
+    they are always the same ones.  The table starts empty and appends
+    blocks whenever a call reaches past the last one; existing pieces are
+    never refitted, so a value does not depend on what was evaluated
+    before and is never extrapolated.  Appending is serialised by a lock,
+    so threads sharing a table each see whole, correctly ordered pieces.
+    The table is within ~1e-14 of `ml_e_neg` on y in [0, 1e4], and each
+    sub-piece within 1e-14 of its interpolant, relative to the largest
+    value (validated in tests).
     """
 
-    FIT_DEG = 7
-    FIT_PIECE = 1.0 / 16.0  # fitted piece width in log1p(y)
-    SUB = 8  # stored sub-pieces per fitted piece
+    FIT_DEG = 15
+    FIT_PIECE = 0.5  # fitted piece width in log1p(y)
+    SUB = 64  # stored sub-pieces per fitted piece
     DEG = 4
     PIECE = FIT_PIECE / SUB  # stored sub-piece width in log1p(y)
-    BLOCK = 16  # fitted pieces per fitting block
+    BLOCK = 2  # fitted pieces per fitting block: one unit of log1p(y)
+    HEAD = 2  # blocks a first extension fits at least: every series argument
     CHUNK = 8192  # points per evaluation chunk
-    _NODES = np.cos(np.pi * (np.arange(FIT_DEG + 1) + 0.5) / (FIT_DEG + 1.0))
-    # First-kind Chebyshev coefficients by discrete cosine projection.
-    _PROJ = (2.0 / (FIT_DEG + 1.0)) * np.cos(
-        np.pi * np.outer(np.arange(FIT_DEG + 1), np.arange(FIT_DEG + 1) + 0.5)
-        / (FIT_DEG + 1.0)
-    )
-    _PROJ[0] *= 0.5
     # Nodes of one block in units of FIT_PIECE, relative to its first piece.
-    _BLOCK_NODES = np.arange(BLOCK)[:, None] + 0.5 + 0.5 * _NODES
+    _BLOCK_NODES = np.arange(BLOCK)[:, None] + 0.5 + 0.5 * np.cos(
+        np.pi * (np.arange(FIT_DEG + 1) + 0.5) / (FIT_DEG + 1.0))
 
     def __init__(self, alpha: float, beta: float) -> None:
         self.alpha, self.beta = alpha, beta
         self.coeffs = np.empty((self.DEG + 1, 0))
         self._lock = threading.Lock()
 
-    def _fit_block(self, block: int) -> np.ndarray:
-        """Coefficient columns (DEG+1, BLOCK * SUB) of the sub-pieces of one
-        aligned block."""
-        v = (block * self.BLOCK + self._BLOCK_NODES) * self.FIT_PIECE
-        values = ml_e_neg(self.alpha, self.beta, np.expm1(v))
-        econ = _economization(self.FIT_DEG, self.SUB, self.DEG)
-        # (BLOCK, SUB, DEG+1); sub-piece j of piece i is column i * SUB + j.
-        sub = (values @ self._PROJ.T) @ econ.reshape(-1, self.FIT_DEG + 1).T
-        return sub.reshape(self.BLOCK, self.SUB, self.DEG + 1).transpose(
-            2, 0, 1).reshape(self.DEG + 1, -1)
+    def _fit_blocks(self, first: int, stop: int) -> np.ndarray:
+        """Coefficient columns (DEG+1, (stop - first) * BLOCK * SUB) of the
+        sub-pieces of aligned blocks first .. stop - 1."""
+        starts = np.arange(first, stop)[:, None, None] * self.BLOCK
+        v = (starts + self._BLOCK_NODES) * self.FIT_PIECE
+        values = ml_e_neg(self.alpha, self.beta, np.expm1(v).ravel())
+        expand = _re_expansion(self.FIT_DEG, self.SUB, self.DEG)
+        # Sub-piece j of piece i in a block is its column i * SUB + j.
+        return np.concatenate([
+            (block @ expand).reshape(-1, self.DEG + 1).T
+            for block in values.reshape(stop - first, self.BLOCK, -1)], axis=1)
 
     def _extend(self, n_pieces: int) -> np.ndarray:
         """Append fitted blocks until the table holds `n_pieces` sub-pieces;
@@ -504,10 +515,9 @@ class _FastMLNeg:
             c = self.coeffs
             per_block = self.BLOCK * self.SUB
             have = c.shape[1] // per_block
-            need = -(-n_pieces // per_block)
+            need = max(-(-n_pieces // per_block), self.HEAD)
             if have < need:
-                blocks = [self._fit_block(b) for b in range(have, need)]
-                c = np.concatenate([c] + blocks, axis=1)
+                c = np.concatenate([c, self._fit_blocks(have, need)], axis=1)
                 self.coeffs = c
         return c
 

@@ -90,7 +90,14 @@ class GridSpec:
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Flat half-spectrum modes cell_volume * rfftn(values), shape
-        (..., nmodes), of real samples over the trailing `dim` axes."""
+        (..., nmodes), of real samples over the trailing `dim` axes.
+
+        Those axes must be the grid's `shape`: rfftn would zero-pad or
+        truncate samples of another length without a word."""
+        trailing = np.shape(values)[-self.dim :]
+        if trailing != self.shape:
+            raise PreconditionError(
+                f"values' trailing shape {trailing} does not match grid {self.shape}")
         modes = np.fft.rfftn(values, s=self.shape, axes=self._axes) * self.cell_volume
         return modes.reshape(modes.shape[: modes.ndim - self.dim] + (self.nmodes,))
 

@@ -107,6 +107,27 @@ class TestBesselJ0:
         want = sp.jn_zeros(0, kernels._N_SEGMENTS + 1)
         np.testing.assert_allclose(zeros, want, rtol=1e-14, atol=0.0)
 
+    def test_j1_from_the_same_pass_matches_scipy(self):
+        x = np.concatenate([np.linspace(0.0, 240.0, 48001),
+                            [1.0, np.nextafter(1.0, 2.0), np.nextafter(20.0, 0.0), 20.0]])
+        j0, j1 = kernels._j0(x, with_j1=True)
+        assert np.array_equal(j0, kernels._j0(x))
+        assert np.max(np.abs(j1 - sp.j1(x))) <= 1e-15
+
+    def test_zeros_take_at_most_four_passes(self, monkeypatch):
+        # McMahon's starts are polished by Newton steps, one J0/J1 pass each.
+        passes = []
+        j0 = kernels._j0
+
+        def counting(x, **kwargs):
+            passes.append(np.size(x))
+            return j0(x, **kwargs)
+
+        monkeypatch.setattr(kernels, "_j0", counting)
+        zeros = kernels._j0_zeros.__wrapped__()
+        assert 1 <= len(passes) <= 4
+        assert np.array_equal(zeros, kernels._j0_zeros())
+
 
 def per_radius_inverse(sym_fn, r, dim):
     """The inversion at one radius with its breaks built in xi: the rule

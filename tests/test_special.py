@@ -334,8 +334,8 @@ class TestFastTable:
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.95])
     def test_sub_pieces_match_the_interpolants_they_came_from(self, alpha):
-        # Each fitted piece's degree-7 interpolant, rebuilt from the table's
-        # own block calls of the regime evaluator, against its stored
+        # Each fitted piece's degree-15 interpolant, rebuilt from the regime
+        # evaluator at the table's block nodes, against its stored
         # degree-4 sub-pieces at 33 points each.  The bound is the
         # truncation itself: near y = 0 at a = b = 0.3 the dropped T_5
         # coefficient is 2.8e-15 of a largest value of 0.33.
@@ -358,9 +358,16 @@ class TestFastTable:
             err = np.max(np.abs(got - want)) / np.max(np.abs(values))
             assert err <= 1e-14, (beta, err)
 
-    def test_economization_is_exact(self):
-        # Rational arithmetic: T_k(x_j + s/4) as a polynomial in s, peeled
-        # into T_m(2 s) from the top degree down, truncated to m <= 4.
+    def test_re_expansion_matches_exact_arithmetic(self):
+        # Rational arithmetic: T_k(x_j + s/32) as a polynomial in s, peeled
+        # into T_m(2 s) from the top degree down, truncated to m <= 4.  The
+        # map, applied to each T_k's values at the 16 nodes, must give those
+        # truncations within 1e-14 as polynomials on s in [-1/2, 1/2] (sum
+        # of |error_r| 2^-r), for every k <= 15 and every sub-piece.  The
+        # map's inputs are irrational, so it cannot be exact.  Its
+        # recurrence reaches 7.6e-15; reading the coefficients off sampled
+        # values gives 3.5e-14 and a detour through degree-15 monomials
+        # 9e-12.
         def combine(p, q, c=1):
             n = max(len(p), len(q))
             p, q = p + [0] * (n - len(p)), q + [0] * (n - len(q))
@@ -373,24 +380,46 @@ class TestFastTable:
                     out[i + j] += a * b
             return out
 
-        def chebyshev(x):  # T_0 .. T_7 of the linear polynomial x
+        def chebyshev(x):  # T_0 .. T_15 of the linear polynomial x
             ts = [[Fraction(1)], x]
-            while len(ts) < 8:
+            while len(ts) < 16:
                 ts.append(combine(times([2 * a for a in x], ts[-1]), ts[-2], -1))
             return ts
 
         basis = chebyshev([Fraction(0), Fraction(2)])
-        econ = special._economization(7, 8, 4)
-        for j in range(8):
-            x_j = Fraction(2 * j + 1, 8) - 1
-            for k, p in enumerate(chebyshev([x_j, Fraction(1, 4)])):
+        theta = np.pi * (np.arange(16) + 0.5) / 16
+        got = (np.cos(np.outer(np.arange(16), theta))
+               @ special._re_expansion(15, 64, 4)).reshape(16, 64, 5)
+        weight = 0.5 ** np.arange(5)
+        for j in range(64):
+            x_j = Fraction(2 * j + 1, 64) - 1
+            for k, p in enumerate(chebyshev([x_j, Fraction(1, 32)])):
                 kept = [Fraction(0)] * 5
                 for m in range(k, -1, -1):
                     d = p[m] / basis[m][m]
                     p = combine(p, basis[m], -d)
                     if m <= 4:
                         kept = combine(kept, basis[m], d)
-                assert [float(c) for c in kept] == econ[j, :, k].tolist(), (j, k)
+                err = np.abs(got[k, j] - [float(c) for c in kept]) @ weight
+                assert err <= 1e-14, (j, k, err)
+
+    def test_each_extension_fits_its_blocks_in_one_call(self, monkeypatch):
+        # Ten blocks of 32 nodes reach y = 1e4 (log1p(1e4) = 9.2), and each
+        # extension fits the blocks it appends in one call.
+        calls = []
+
+        def counting(alpha, beta, y):
+            calls.append(np.size(y))
+            return ml_e_neg(alpha, beta, y)
+
+        monkeypatch.setattr(special, "ml_e_neg", counting)
+        ml_neg_fast(0.5, 1.0, np.array([0.0, 1e4]))
+        assert len(calls) == 1 and calls[0] <= 400, calls
+        calls.clear()
+        fresh = special._FastMLNeg(0.5, 1.0)
+        fresh(np.array([10.0]))
+        fresh(np.array([1e4]))
+        assert calls == [3 * 32, 7 * 32]
 
     def test_one_wide_call_builds_the_same_table_as_many_narrow_ones(self):
         wide = special._FastMLNeg(0.7, 1.45)

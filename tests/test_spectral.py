@@ -140,6 +140,23 @@ class TestTransforms:
         with pytest.raises(PreconditionError):
             SpectralField(GRID, np.zeros(128, dtype=complex))
 
+    @pytest.mark.parametrize("points", [256, 2048])
+    def test_to_modes_rejects_samples_of_another_length(self, points):
+        # rfftn(..., s=shape) would zero-pad 256 samples (a zero mode of
+        # 25.0 for ones on a half-width-50 grid) or drop half of 2048.
+        grid = GridSpec(1, 1024, 50.0)
+        with pytest.raises(PreconditionError, match="trailing shape"):
+            grid.to_modes(np.ones(points))
+        with pytest.raises(PreconditionError, match="trailing shape"):
+            grid.to_modes(np.ones((2, points)))
+
+    def test_to_modes_checks_every_transformed_axis(self):
+        grid = GridSpec(2, 64, 5.0)
+        for shape in ((64,), (64, 32), (32, 64), (3, 64, 128)):
+            with pytest.raises(PreconditionError, match="trailing shape"):
+                grid.to_modes(np.ones(shape))
+        assert grid.to_modes(np.ones((3, 64, 64))).shape == (3, grid.nmodes)
+
     def test_complex_values_rejected(self):
         # A float cast would keep 1.0 of 1 + 1j and only warn.
         grid = GridSpec(1, 64, 5.0)
