@@ -67,6 +67,7 @@ from .criticality import (
     ExponentReport,
     HypothesisReport,
     QWindow,
+    SmallnessReport,
     admissible_q_window,
     beta_exponent,
     critical_exponents,

@@ -35,6 +35,7 @@ __all__ = [
     "BetaCheck",
     "QWindow",
     "HypothesisReport",
+    "SmallnessReport",
     "critical_exponents",
     "p_star_exponent",
     "beta_exponent",

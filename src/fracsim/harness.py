@@ -377,22 +377,36 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """float(value); booleans are rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value) -> tuple[float, ...]:
+    """A list of numbers as floats; a string or an object is rejected."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of numbers, got {type(value).__name__}")
+    return tuple(_real(x) for x in value)
+
+
 # Every key of a schema-1 config: the converter of its value or its section.
-_DATA_KEYS = {"kind": str, "amplitude": float, "width": float}
+_DATA_KEYS = {"kind": str, "amplitude": _real, "width": _real}
 _SCHEMA = {
     "schema": _integer,
-    "model": {"alpha": float, "s": float, "sigma": float, "dim": _integer},
-    "p": float,
-    "p_values": lambda value: tuple(float(x) for x in value),
+    "model": {"alpha": _real, "s": _real, "sigma": _real, "dim": _integer},
+    "p": _real,
+    "p_values": _reals,
     "u0": _DATA_KEYS,
     "w": _DATA_KEYS,
-    "grid": {"points": _integer, "half_width": float},
-    "time": {"t_end": float, "steps": _integer, "grading": float},
-    "classify": {"u_max": float, "ratio_max": float, "t_end": float,
-                 "beta": float, "monotone_slack": float},
-    "hypotheses": {"q": float, "M": float, "delta": float, "M_script": float,
+    "grid": {"points": _integer, "half_width": _real},
+    "time": {"t_end": _real, "steps": _integer, "grading": _real},
+    "classify": {"u_max": _real, "ratio_max": _real, "t_end": _real,
+                 "beta": _real, "monotone_slack": _real},
+    "hypotheses": {"q": _real, "M": _real, "delta": _real, "M_script": _real,
                    "tail_norm_exponent": str},
-    "q_report": float,
+    "q_report": _real,
     "forcing_scheme": str,
 }
 

@@ -4,10 +4,11 @@ The two-parameter Mittag-Leffler function E_{a,b} is only ever needed on the
 closed negative real axis, where it is completely monotone for a in (0,1].
 Evaluation uses three regimes, writing x = -z >= 0:
 
-* power series for x <= x_lo (stopped once terms fall below 1e-18 of the
-  running sum); x_lo is half the largest argument whose floating-point
-  cancellation stays below ~1e4 ulps of the max term, 0.8 to 2.5 for the
-  orders used here,
+* power series for x <= x_lo, the same terms n = 0 .. N for every
+  argument: N is the first n after which x_lo^n / Gamma(a n + b) stays
+  below 1e-18, and x_lo is half the largest argument whose floating-point
+  cancellation stays below ~1e4 ulps of the max term (N = 27 to 68 and
+  x_lo = 0.8 to 2.5 for the orders used here),
 * the branch-cut (Laplace-type) integral representation of Gorenflo,
   Loutchko & Luchko (2002) for x_lo < x < 150 and b <= 1, summed for all
   arguments of a call at once by one fixed composite Gauss-Legendre rule in
@@ -17,12 +18,14 @@ Evaluation uses three regimes, writing x = -z >= 0:
   takes its place for every b (`_kummer_neg`),
 * the algebraic asymptotic expansion (8 terms) for x >= 150.
 
-Against a 25-digit mpmath quadrature the three regimes are within 1e-14
-absolute on both sides of both edges (worst 9.7e-15, at a = b = 0.7 just
-below x_lo) for a in {0.3, 0.5, 0.7, 0.9, 0.95} and b in {a, 1}; at a = 1
-they are within 1e-14 absolute of 40-digit mpmath 1F1 for b in [0.01, 10]
-on [0, 1e6].  Only b = 1 and b = 2 at a = 1 skip the regimes, for the
-closed forms exp(-x) and (1 - exp(-x))/x.
+Every regime is elementwise: a value depends only on its own argument,
+never on the other arguments of the call.  Against a 25-digit mpmath
+quadrature the three regimes are within 1e-14 absolute on both sides of
+both edges (worst 9.7e-15, at a = b = 0.7 just below x_lo) for a in
+{0.3, 0.5, 0.7, 0.9, 0.95} and b in {a, 1}; at a = 1 they are within 1e-14
+absolute of 40-digit mpmath 1F1 for b in [0.01, 10] on [0, 1e6].  Only
+b = 1 and b = 2 at a = 1 skip the regimes, for the closed forms exp(-x)
+and (1 - exp(-x))/x.
 
 `ml_e_neg` evaluates these regimes directly.  It builds the table below,
 is the scalar API and is the oracle in tests.  Every bulk caller goes
@@ -36,15 +39,16 @@ arguments into a scratch they keep and hand the table that array as
 regimes with degree-15 interpolants on pieces of width 1/2 in log1p(y), 32
 arguments per unit of log1p(y), and extended on demand whenever a call
 reaches past the pieces built so far, by one `ml_e_neg` call per
-extension.  Each fitted piece is stored economized, as 64 degree-4
-sub-pieces of width 1/128: the interpolant re-expanded in each sub-piece's
-Chebyshev basis and truncated there.  The sub-pieces are stored
-coefficient-major (one row per monomial power, one column per sub-piece)
-and evaluated by Horner on the 5 contiguous rows of one gather per chunk of
-8192 points.  The table is within 1e-14 of `ml_e_neg` on y in [0, 1e4]
-(worst 5.8e-15 over a in {0.3, 0.5, 0.7, 0.9, 0.95},
-b in {1, a, a + 1, a + 0.75, a + 0.5}).  At a = 1 there is no table:
-`ml_neg_fast` hands off to `ml_e_neg`.
+extension on just the blocks it needs; since every regime is elementwise,
+a table's bytes do not depend on how it was extended.  Each fitted piece
+is stored economized, as 64 degree-4 sub-pieces of width 1/128: the
+interpolant re-expanded in each sub-piece's Chebyshev basis and truncated
+there.  The sub-pieces are stored coefficient-major (one row per monomial
+power, one column per sub-piece) and evaluated by Horner on the 5
+contiguous rows of one gather per chunk of 8192 points.  The table is
+within 1e-14 of `ml_e_neg` on y in [0, 1e4] (worst 5.8e-15 over a in
+{0.3, 0.5, 0.7, 0.9, 0.95}, b in {1, a, a + 1, a + 0.75, a + 0.5}).  At
+a = 1 there is no table: `ml_neg_fast` hands off to `ml_e_neg`.
 
 Gamma values come from the standard library's `math.gamma` and
 `math.lgamma`; `_rgamma` is 1/Gamma with 0.0 at the poles and beyond the
@@ -66,7 +70,7 @@ import threading
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "gamma",
@@ -80,7 +84,7 @@ _SERIES_STOP = 1e-18
 _ASYMPTOTIC_EDGE = 150.0
 _ASYMPTOTIC_TERMS = 8
 _MAX_SERIES_TERMS = 600
-_SERIES_BLOCK = 1 << 12  # (argument, term) pairs per block of series terms
+_EVAL_BLOCK = 1 << 16  # (argument, term or node) pairs per evaluation block
 
 
 def gamma(x: float) -> float:
@@ -125,43 +129,33 @@ def _lgamma_row(z: np.ndarray) -> np.ndarray:
 
 
 def _series_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:
-    """Power series sum E_{a,b}(-y) with compensated (Kahan) accumulation.
+    """Power series E_{a,b}(-y) = sum_{n <= N} (-y)^n / Gamma(a n + b) with
+    compensated (Kahan) accumulation.
 
-    The sum stops after the first term n whose largest magnitude falls
-    below 1e-18 of max(1, largest running sum) and returns the running sum
-    plus its compensation there. Terms go in blocks of up to 16, fewer when
-    the call has more than _SERIES_BLOCK / 16 arguments: the power, the
-    running sum and the compensation take one multiply or add per term, in
-    term order, and the terms, each addition's exact rounding error (Knuth's
-    TwoSum, equal to the Fast2Sum of the larger operand) and the stop test a
-    few calls per block. The values are those of the term-by-term loop; a
-    block only computes past the stop.
+    Every argument sums the same N + 1 terms of `_series_rule`, in blocks of
+    at most _EVAL_BLOCK (argument, term) pairs: the powers by one running
+    product and the running sums by one running addition along the term
+    axis, in term order, and each addition's exact rounding error (Knuth's
+    TwoSum, equal to the Fast2Sum of the larger operand) summed once and
+    added to the last running sum.  The values are those of the
+    term-by-term loop, and each depends only on its own argument.
     """
-    neg_y = -y
-    width = max(1, min(16, _SERIES_BLOCK // y.size))
-    # Row 0 carries the previous block's power, running sum and compensation.
-    powers, sums, comps = np.empty((3, width + 1, y.size))
-    powers[0], sums[0], comps[0] = 1.0, _rgamma(beta), 0.0
-    for n in range(1, _MAX_SERIES_TERMS, width):
-        k = min(width, _MAX_SERIES_TERMS - n)
-        rg = np.array([_rgamma(alpha * i + beta) for i in range(n, n + k)])
-        for i in range(k):
-            np.multiply(powers[i], neg_y, out=powers[i + 1])
-        terms = powers[1 : k + 1] * rg[:, None]
-        for i in range(k):
-            np.add(sums[i], terms[i], out=sums[i + 1])
-        before, after = sums[:k], sums[1 : k + 1]
+    coeffs = _series_rule(alpha, beta)[1]
+    out = np.empty_like(y)
+    m = max(1, _EVAL_BLOCK // coeffs.size)
+    for lo in range(0, y.size, m):
+        yb = y[lo : lo + m]
+        terms = np.empty((coeffs.size, yb.size))
+        terms[0] = 1.0
+        terms[1:] = -yb
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        terms *= coeffs[:, None]
+        sums = np.add.accumulate(terms, axis=0)
+        before, after = sums[:-1], sums[1:]
         term_part = after - before
-        loss = (before - (after - term_part)) + (terms - term_part)
-        for i in range(k):
-            np.add(comps[i], loss[i], out=comps[i + 1])
-        small = (np.max(np.abs(terms), axis=1)
-                 < _SERIES_STOP * np.fmax(np.max(np.abs(after), axis=1), 1.0))
-        if small.any():
-            i = int(np.argmax(small)) + 1
-            return sums[i] + comps[i]
-        powers[0], sums[0], comps[0] = powers[k], sums[k], comps[k]
-    raise NumericalError("Mittag-Leffler series did not converge")
+        loss = (before - (after - term_part)) + (terms[1:] - term_part)
+        out[lo : lo + m] = sums[-1] + loss.sum(axis=0)
+    return out
 
 
 def _asymptotic_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:
@@ -178,22 +172,27 @@ def _asymptotic_neg(alpha: float, beta: float, y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _series_edge(alpha: float, beta: float) -> float:
-    """Upper end x_lo of the series regime.
+def _series_rule(alpha: float, beta: float) -> tuple[float, np.ndarray]:
+    """Upper end x_lo of the series regime and its coefficients
+    1 / Gamma(a n + b), n = 0 .. N.
 
-    Half the largest argument whose alternating-sum cancellation stays
-    ~<= 1e4: at the full argument the series is up to ~1e-11 off, at half of
-    it ~1e-15, and the branch-cut rule is as accurate on both sides.
+    x_lo is half the largest argument whose alternating-sum cancellation
+    stays ~<= 1e4: at the full argument the series is up to ~1e-11 off, at
+    half of it ~1e-15, and the branch-cut rule is as accurate on both
+    sides.  N is the first n after which x_lo^n / Gamma(a n + b) stays below
+    _SERIES_STOP, so no argument of the regime has a larger dropped term.
     """
     n = np.arange(1, _MAX_SERIES_TERMS)
     lg = _lgamma_row(alpha * n + beta)
-    for x in (5.0, 4.0, 3.0, 2.5, 2.0, 1.6, 1.3, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3):
-        if np.max(n * math.log(x) - lg) <= math.log(1e4):
-            return 0.5 * x
-    return 0.125
-
-
-_BRANCH_CUT_BLOCK = 1 << 16  # (argument, node) pairs per evaluation block
+    x_lo = next((0.5 * x for x in (5.0, 4.0, 3.0, 2.5, 2.0, 1.6, 1.3, 1.0, 0.8,
+                                   0.6, 0.5, 0.4, 0.3)
+                 if np.max(n * math.log(x) - lg) <= math.log(1e4)), 0.125)
+    # N is one past the last n whose term at x_lo reaches the stop.
+    big = n[n * math.log(x_lo) - lg >= math.log(_SERIES_STOP)]
+    last = int(big[-1]) + 1 if big.size else 1
+    coeffs = np.array([_rgamma(alpha * i + beta) for i in range(last + 1)])
+    coeffs.setflags(write=False)
+    return x_lo, coeffs
 
 
 @functools.lru_cache(maxsize=4)
@@ -236,7 +235,7 @@ def _branch_cut_rule(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     there double in width leftwards from 4 (4, 8, 16, ... below u_mid).  The
     nodes depend on (a, b) only, never on the arguments.
     """
-    x_lo = _series_edge(alpha, beta)
+    x_lo = _series_rule(alpha, beta)[0]
     u_hi = math.log(45.0)
     u_mid = min(math.log(x_lo) / alpha - 2.0, 0.0)
     u_lo = math.log(1e-18 * x_lo) / (alpha - beta + 1.0)
@@ -271,14 +270,14 @@ def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
                       / (r^2a + 2 x r^a cos(pi a) + x^2) dr,
 
     summed with `_branch_cut_rule` for all x at once, in blocks of at most
-    _BRANCH_CUT_BLOCK (argument, node) pairs.  Each value is a row sum of
+    _EVAL_BLOCK (argument, node) pairs.  Each value is a row sum of
     elementwise terms, so it does not depend on the other arguments.
     """
     rho, w_a, w_b = _branch_cut_rule(alpha, beta)
     c = math.cos(math.pi * alpha)
     s2 = math.sin(math.pi * alpha) ** 2
     out = np.empty_like(x)
-    m = max(1, _BRANCH_CUT_BLOCK // rho.size)
+    m = max(1, _EVAL_BLOCK // rho.size)
     for lo in range(0, x.size, m):
         xb = x[lo : lo + m, None]
         # r^2a + 2 x r^a cos(pi a) + x^2 = (r^a + x cos(pi a))^2 + (x sin(pi a))^2
@@ -309,13 +308,13 @@ def _kummer_neg(beta: float, x: np.ndarray) -> np.ndarray:
 
     Poisson weights over k + b - 1: past k = 0 every term has one sign, so
     the sum does not cancel.  Every x sums the same terms, _KUMMER_K, in
-    blocks of at most _BRANCH_CUT_BLOCK (argument, term) pairs, so each
+    blocks of at most _EVAL_BLOCK (argument, term) pairs, so each
     value does not depend on the other arguments.
     """
     k = _KUMMER_K
     inv = 1.0 / (k + (beta - 1.0))
     out = np.empty_like(x)
-    m = max(1, _BRANCH_CUT_BLOCK // k.size)
+    m = max(1, _EVAL_BLOCK // k.size)
     for lo in range(0, x.size, m):
         xb = x[lo : lo + m, None]
         t = np.log(xb) * k
@@ -333,12 +332,14 @@ def _kummer_neg(beta: float, x: np.ndarray) -> np.ndarray:
 def ml_e_neg(alpha: float, beta: float, y):
     """E_{alpha,beta}(-y) for y >= 0, elementwise over arrays.
 
-    alpha in (0, 1], beta > 0 finite.  On the mid range x_lo < y < 150 (the
-    fixed branch-cut rule, or Kummer's sum at alpha = 1) each value depends
-    only on its own argument.  Against mpmath the absolute error is below
-    1e-14 for alpha in {0.3, 0.5, 0.7, 0.9, 0.95} and beta in {alpha, 1},
-    and at alpha = 1 for beta from 0.01 to 10, on both sides of the series
-    edge x_lo and of the asymptotic edge y = 150 as well.
+    alpha in (0, 1], beta > 0 finite.  Each value depends only on its own
+    argument: every argument of a regime sums the same terms, N(alpha,
+    beta) + 1 of the series below x_lo, the fixed branch-cut rule (Kummer's
+    sum at alpha = 1) on x_lo < y < 150, and 8 of the asymptotic expansion
+    from y = 150 on.  Against mpmath the absolute error is below 1e-14 for
+    alpha in {0.3, 0.5, 0.7, 0.9, 0.95} and beta in {alpha, 1}, and at
+    alpha = 1 for beta from 0.01 to 10, on both sides of the series edge
+    x_lo and of the asymptotic edge y = 150 as well.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
@@ -361,7 +362,7 @@ def ml_e_neg(alpha: float, beta: float, y):
             out[~small] = -np.expm1(-ys) / ys
         return float(out[0]) if scalar else out
 
-    x_lo = _series_edge(alpha, beta)
+    x_lo = _series_rule(alpha, beta)[0]
     m_series = y_arr <= x_lo
     m_asym = y_arr >= _ASYMPTOTIC_EDGE
     m_mid = ~(m_series | m_asym)
@@ -466,17 +467,15 @@ class _FastMLNeg:
     call on their nodes, so every value comes from the series, branch-cut or
     asymptotic regime that owns it, and re-expands each block by one matrix
     product of fixed shape, so every sub-piece depends only on its block's
-    values.  The first extension fits at least HEAD blocks, which hold every
-    series argument of every order (v <= log1p(2.5) < 2): the series' stop
-    test looks at all of a call's series arguments at once, and this way
-    they are always the same ones.  The table starts empty and appends
-    blocks whenever a call reaches past the last one; existing pieces are
-    never refitted, so a value does not depend on what was evaluated
-    before and is never extrapolated.  Appending is serialised by a lock,
-    so threads sharing a table each see whole, correctly ordered pieces.
-    The table is within ~1e-14 of `ml_e_neg` on y in [0, 1e4], and each
-    sub-piece within 1e-14 of its interpolant, relative to the largest
-    value (validated in tests).
+    values.  Every regime of `ml_e_neg` is elementwise, so those values do
+    not depend on which other blocks the same call fits.  The table starts
+    empty and appends the blocks a call needs whenever it reaches past the
+    last one; existing pieces are never refitted, so a value does not
+    depend on what was evaluated before and is never extrapolated.
+    Appending is serialised by a lock, so threads sharing a table each see
+    whole, correctly ordered pieces.  The table is within ~1e-14 of
+    `ml_e_neg` on y in [0, 1e4], and each sub-piece within 1e-14 of its
+    interpolant, relative to the largest value (validated in tests).
     """
 
     FIT_DEG = 15
@@ -485,7 +484,6 @@ class _FastMLNeg:
     DEG = 4
     PIECE = FIT_PIECE / SUB  # stored sub-piece width in log1p(y)
     BLOCK = 2  # fitted pieces per fitting block: one unit of log1p(y)
-    HEAD = 2  # blocks a first extension fits at least: every series argument
     CHUNK = 8192  # points per evaluation chunk
     # Nodes of one block in units of FIT_PIECE, relative to its first piece.
     _BLOCK_NODES = np.arange(BLOCK)[:, None] + 0.5 + 0.5 * np.cos(
@@ -515,7 +513,7 @@ class _FastMLNeg:
             c = self.coeffs
             per_block = self.BLOCK * self.SUB
             have = c.shape[1] // per_block
-            need = max(-(-n_pieces // per_block), self.HEAD)
+            need = -(-n_pieces // per_block)
             if have < need:
                 c = np.concatenate([c, self._fit_blocks(have, need)], axis=1)
                 self.coeffs = c

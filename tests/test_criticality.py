@@ -10,6 +10,7 @@ from fracsim import (
     LinearPlan,
     ModelParams,
     PreconditionError,
+    SmallnessReport,
     UnsupportedRangeError,
     admissible_q_window,
     apply_propagator,
@@ -152,6 +153,12 @@ class TestSmallness:
         rep = smallness_condition(canonical_params, zero, zero, 4.0, [0.5, 1.0])
         assert rep.sup_value == 0.0
         assert rep.beta == pytest.approx(0.09375)
+
+    def test_report_type_is_exported(self, canonical_params):
+        zero = Field(GRID, np.zeros(GRID.shape))
+        rep = smallness_condition(canonical_params, zero, zero, 4.0, [1.0])
+        assert type(rep) is SmallnessReport
+        assert "SmallnessReport" in criticality.__all__
 
     def test_single_mode_closed_form(self, canonical_params):
         # u0 = cos(xi x) is a propagator eigenfunction, so the criterion value

@@ -620,6 +620,18 @@ class TestCli:
          "given for zero data; name a kind", "simulate"),
         (config_with("p_values", []), "p_values must name at least one power", "sweep"),
         (config_with("p_values", []), "p_values must name at least one power", "bracket"),
+        (config_with("model.alpha", True), "config model.alpha: expected a number, got True",
+         "sweep"),
+        (config_with("model.sigma", False),
+         "config model.sigma: expected a number, got False", "simulate"),
+        (config_with("w.amplitude", True), "config w.amplitude: expected a number, got True",
+         "bracket"),
+        (config_with("p_values", [True, 3.0]),
+         "config p_values: expected a number, got True", "sweep"),
+        (config_with("p_values", "23"),
+         "config p_values: expected a list of numbers, got str", "sweep"),
+        (config_with("p_values", {"2": 3.0}),
+         "config p_values: expected a list of numbers, got dict", "bracket"),
     ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
             "grading-below-one", "bracket-grading-below-one", "grading-nan",
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
@@ -629,7 +641,9 @@ class TestCli:
             "q-report-below-one", "p-infinite", "time-key-misspelled",
             "top-level-key-misspelled", "w-key-misspelled", "model-key-unknown",
             "sweep-hypotheses-key-misspelled", "p-and-p-values", "amplitude-without-kind",
-            "p-values-empty", "bracket-p-values-empty"])
+            "p-values-empty", "bracket-p-values-empty", "alpha-bool", "sigma-bool",
+            "bracket-amplitude-bool", "p-values-bool-entry", "p-values-string",
+            "bracket-p-values-object"])
     def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
                                                 command):
         cfg_path = tmp_path / "bad.json"

@@ -90,11 +90,20 @@ class TestGammaHelpers:
         want = sp.gammaln(z)
         row = special._lgamma_row(z)
         assert np.max(np.abs(row - want) / np.maximum(np.abs(want), 1.0)) <= 1e-15
-        # The edge the scipy row gives, by the rule of `_series_edge`.
+        # The edge the scipy row gives, by the rule of `_series_rule`.
         edge = next((0.5 * x for x in (5.0, 4.0, 3.0, 2.5, 2.0, 1.6, 1.3, 1.0, 0.8,
                                        0.6, 0.5, 0.4, 0.3)
                      if np.max(n * math.log(x) - want) <= math.log(1e4)), 0.125)
-        assert special._series_edge(alpha, beta) == edge
+        x_lo, coeffs = special._series_rule(alpha, beta)
+        assert x_lo == edge
+        # N = coeffs.size - 1 is the first n from which x_lo^n / Gamma(a n + b)
+        # stays below the stop (log_terms[i] is term n = i + 1).
+        last = coeffs.size - 1
+        log_terms = n * math.log(edge) - want
+        assert np.all(log_terms[last - 1 :] < math.log(special._SERIES_STOP))
+        assert log_terms[last - 2] >= math.log(special._SERIES_STOP)
+        np.testing.assert_allclose(
+            coeffs, sp.rgamma(alpha * np.arange(last + 1) + beta), rtol=1e-15, atol=0.0)
 
 
 class TestMittagLeffler:
@@ -133,7 +142,7 @@ class TestMittagLeffler:
     def test_alpha_one_hypergeometric(self, beta):
         # E_{1,b}(-y) = 1F1(1; b; -y) / Gamma(b), oracle at 40 digits, on all
         # three regimes and both sides of the series edge and of y = 150.
-        edges = np.array([special._series_edge(1.0, beta), special._ASYMPTOTIC_EDGE])
+        edges = np.array([special._series_rule(1.0, beta)[0], special._ASYMPTOTIC_EDGE])
         near = edges[:, None] * np.array([0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1])
         y = np.concatenate([[0.0, 29.0, 31.0], np.geomspace(1e-3, 1e6, 60), near.ravel()])
         with mpmath.workdps(40):
@@ -189,12 +198,13 @@ class TestMittagLeffler:
 
 
 def series_loop_oracle(alpha, beta, y):
-    """The term-by-term Kahan loop (Fast2Sum on the larger operand) that
-    `special._series_neg` blocks."""
+    """The term-by-term Kahan loop (Fast2Sum on the larger operand) over the
+    fixed N + 1 terms of `special._series_rule` that `special._series_neg`
+    sums in blocks."""
     total = np.full_like(y, special._rgamma(beta))
     comp = np.zeros_like(y)
     power = np.ones_like(y)
-    for n in range(1, special._MAX_SERIES_TERMS):
+    for n in range(1, special._series_rule(alpha, beta)[1].size):
         power = power * (-y)
         term = power * special._rgamma(alpha * n + beta)
         t = total + term
@@ -204,19 +214,17 @@ def series_loop_oracle(alpha, beta, y):
             (term - t) + total,
         )
         total = t
-        if np.max(np.abs(term)) < special._SERIES_STOP * max(1.0, np.max(np.abs(total))):
-            return total + comp
-    raise AssertionError("the loop did not converge")
+    return total + comp
 
 
 class TestSeriesRegime:
     @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (1.0, 1.5), (1.0, 2.75),
                                             (0.5, 0.5), (0.5, 1.0), (0.5, 1.5)])
     def test_blocks_equal_the_term_by_term_loop(self, alpha, beta):
-        # Bit for bit, on sizes that take blocks of 16, 2 and 1 terms, with
-        # y = 0, subnormal and tiny arguments, and both ends of the regime,
-        # where the terms outgrow the running sum.
-        x_lo = special._series_edge(alpha, beta)
+        # Bit for bit, on sizes that take one and several blocks of
+        # arguments, with y = 0, subnormal and tiny arguments, and both ends
+        # of the regime, where the terms outgrow the running sum.
+        x_lo = special._series_rule(alpha, beta)[0]
         rng = np.random.default_rng(int(10 * alpha + beta))
         edge = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.5 * x_lo, x_lo])
         for size in (1, 6, 100, 1500, 5000):
@@ -255,7 +263,7 @@ class TestMidRegime:
 
     @staticmethod
     def mid_points(alpha, beta, n):
-        x_lo, x_hi = special._series_edge(alpha, beta), special._ASYMPTOTIC_EDGE
+        x_lo, x_hi = special._series_rule(alpha, beta)[0], special._ASYMPTOTIC_EDGE
         return np.geomspace(x_lo, x_hi, n + 2)[1:-1]
 
     @pytest.mark.parametrize(
@@ -266,17 +274,24 @@ class TestMidRegime:
     def test_against_mpmath(self, alpha, beta):
         # The mid range and both sides of its edges: the series below x_lo
         # and the asymptotic expansion from 150 on.
-        edges = np.array([special._series_edge(alpha, beta), special._ASYMPTOTIC_EDGE])
+        edges = np.array([special._series_rule(alpha, beta)[0], special._ASYMPTOTIC_EDGE])
         near = edges[:, None] * np.array([0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.1])
         y = np.concatenate([self.mid_points(alpha, beta, 8), near.ravel()])
         want = np.array([float(branch_cut_oracle(alpha, beta, v)) for v in y])
         np.testing.assert_allclose(ml_e_neg(alpha, beta, y), want, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("alpha,beta",
-                             [(0.3, 1.0), (0.95, 0.95), (0.5, 1.5), (1.0, 1.75)])
+                             [(0.3, 1.0), (0.95, 0.95), (0.5, 1.5), (1.0, 1.75),
+                              (0.5, 0.5)])
     def test_values_do_not_depend_on_the_other_arguments(self, alpha, beta):
-        # Enough points to span several evaluation blocks.
-        y = self.mid_points(alpha, beta, 400)
+        # Enough mid-range points to span several evaluation blocks, and the
+        # series and asymptotic regimes too.  A stop test taken over the
+        # whole call gave E_{1/2,1/2}(-0.15335839598997494) another last bit
+        # next to x_lo = 1.5 than alone.
+        x_lo = special._series_rule(alpha, beta)[0]
+        y = np.concatenate([[0.15335839598997494], np.linspace(0.0, x_lo, 50),
+                            self.mid_points(alpha, beta, 400),
+                            np.geomspace(special._ASYMPTOTIC_EDGE, 1e6, 20)])
         vals = ml_e_neg(alpha, beta, y)
         assert np.array_equal(ml_e_neg(alpha, beta, y[::-1]), vals[::-1])
         assert all(ml_e_neg(alpha, beta, v) == want for v, want in zip(y, vals))
