@@ -371,17 +371,26 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def _integer(value) -> int:
-    """int(value); booleans and numbers with a fractional part are rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value); booleans, strings and numbers with a fractional part are
+    rejected."""
+    if (isinstance(value, (bool, str))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _real(value) -> float:
-    """float(value); booleans are rejected."""
-    if isinstance(value, bool):
+    """float(value); booleans and strings are rejected."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _string(value) -> str:
+    """value itself, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
 def _reals(value) -> tuple[float, ...]:
@@ -392,7 +401,7 @@ def _reals(value) -> tuple[float, ...]:
 
 
 # Every key of a schema-1 config: the converter of its value or its section.
-_DATA_KEYS = {"kind": str, "amplitude": _real, "width": _real}
+_DATA_KEYS = {"kind": _string, "amplitude": _real, "width": _real}
 _SCHEMA = {
     "schema": _integer,
     "model": {"alpha": _real, "s": _real, "sigma": _real, "dim": _integer},
@@ -405,9 +414,9 @@ _SCHEMA = {
     "classify": {"u_max": _real, "ratio_max": _real, "t_end": _real,
                  "beta": _real, "monotone_slack": _real},
     "hypotheses": {"q": _real, "M": _real, "delta": _real, "M_script": _real,
-                   "tail_norm_exponent": str},
+                   "tail_norm_exponent": _string},
     "q_report": _real,
-    "forcing_scheme": str,
+    "forcing_scheme": _string,
 }
 
 

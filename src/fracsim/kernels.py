@@ -138,7 +138,10 @@ def _check_profile_args(kind: str, alpha: float, s: float, dim: int,
 
 @dataclass(frozen=True)
 class KernelProfile:
-    """Radial profile of a kernel at t = 1 (F for Z, G for Y)."""
+    """Radial profile of a kernel at t = 1 (F for Z, G for Y).
+
+    `radii` and `values` are read-only copies of the caller's arrays.
+    """
 
     kind: str  # "F" or "G"
     alpha: float
@@ -154,8 +157,33 @@ class KernelProfile:
             raise DomainError("radii and values must be 1-d arrays of equal length")
         if not np.all(np.isfinite(v)):
             raise DomainError("values must be finite")
+        r, v = r.copy(), v.copy()
+        r.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", v)
+
+    @functools.cached_property
+    def _decade_fits(self) -> tuple:
+        """The radii and values `profile_lq_norm` integrates (r = 0 and the
+        trailing nonpositive values dropped), and the power laws fitted once
+        on their first and last decades: (slope, intercept) of the head,
+        (slope, intercept, R^2) of the tail."""
+        r, v = self.radii, self.values
+        if r[0] == 0.0:
+            r, v = r[1:], v[1:]
+        pos = v > 0.0
+        if not np.all(pos):
+            last = int(np.nonzero(pos)[0][-1]) + 1
+            r, v = r[:last], v[:last]
+        tail_mask = r >= r[-1] / 10.0
+        if np.count_nonzero(tail_mask) < 4:
+            raise NumericalError("too few radii in the last decade for tail fitting")
+        head_mask = r <= r[0] * 10.0
+        if np.count_nonzero(head_mask) < 4:
+            head_mask = np.zeros_like(r, dtype=bool)
+            head_mask[:4] = True
+        head = power_law_fit(r[head_mask], v[head_mask])[:2]
+        return r, v, head, power_law_fit(r[tail_mask], v[tail_mask])
 
 
 _N_SEGMENTS = 72
@@ -495,27 +523,9 @@ def profile_lq_norm(
                 f"s={prof.s}, alpha={prof.alpha} (requires q < "
                 f"{q_critical(prof.dim, prof.s, **bound):.6g})"
             )
-    r = prof.radii
-    v = prof.values
-    if r[0] == 0.0:
-        r = r[1:]
-        v = v[1:]
-    pos = v > 0.0
-    if not np.all(pos):
-        last = int(np.nonzero(pos)[0][-1]) + 1
-        r, v = r[:last], v[:last]
-
-    # Power-law models of the first and last decades, reused for the
-    # sub-grid head, the extrapolated tail, and interpolation at the cuts.
-    head_mask = r <= r[0] * 10.0
-    if np.count_nonzero(head_mask) < 4:
-        head_mask = np.zeros_like(r, dtype=bool)
-        head_mask[: min(4, r.size)] = True
-    h_slope, h_inter, _ = power_law_fit(r[head_mask], v[head_mask])
-    tail_mask = r >= r[-1] / 10.0
-    if np.count_nonzero(tail_mask) < 4:
-        raise NumericalError("too few radii in the last decade for tail fitting")
-    t_slope, t_inter, t_r2 = power_law_fit(r[tail_mask], v[tail_mask])
+    # Power-law models of the first and last decades, fitted once per
+    # profile and reused for the sub-grid head and the extrapolated tail.
+    r, v, (h_slope, h_inter), (t_slope, t_inter, t_r2) = prof._decade_fits
 
     def model_value(rr: float) -> float:
         logs = np.log(r)

@@ -19,8 +19,10 @@ grid's own layout, the flat half spectrum of `GridSpec.to_modes`, and the
 march transforms with the grid; u0 and w must lie on the march's grid.
 
 `integrate_many` marches several powers p in lockstep on one plan: each
-step computes one cell-weight row of L unique-eigenvalue columns and one
-linear-mode vector, and each live member contracts its own nonlinear
+step computes one cell-weight row of L unique-eigenvalue columns (from the
+table at K Chebyshev nodes in ln lam, K ~ 35-70 << L, and one matrix
+product; `LinearPlan.cell_interpolant`) and one linear-mode vector, and
+each live member contracts its own nonlinear
 history with the row (`LinearPlan.contract`) into its row of one
 (live, modes) stack. The rest of the step runs once over the stack: one
 inverse transform, the L^inf and L^q norms and tail fractions of every row
@@ -38,13 +40,14 @@ the sums back in natural order; no weight row is spread to the modes. In
 1D every mode has its own eigenvalue, so there is one slot and the order
 is natural. The same contraction serves `picard_solve` on its trapezoid
 history. A march holds one history, (M+1)*modes*16 B, per live member, and
-one cell-weight scratch, 2*M*L*8 B: the table's arguments, which the table
-overwrites in place with its values, and the row. It is sized for the last
-step and allocated once per march: arrays allocated per step, one row
-larger each step, come back from the allocator as fresh pages, and a
-one-shot march would take minor page faults in proportion to M^2 * L. The
-plan adds modes*56 B for the slot layout: `perm`, the two flat gathers and
-the contraction's sums.
+one cell-weight scratch, (M*L + M*K)*8 B: the row plane and the (M, K)
+plane of the table's arguments at the K interpolation nodes, which the
+table overwrites in place with its values. It is sized for the last step
+and allocated once per march: arrays allocated per step, one row larger
+each step, come back from the allocator as fresh pages, and a one-shot
+march would take minor page faults in proportion to M^2 * L. The plan adds
+K*(L-1)*8 B for the interpolation matrix and modes*56 B for the slot
+layout: `perm`, the two flat gathers and the contraction's sums.
 
 `picard_solve` provides an independent fixed-point oracle: it iterates the
 same Duhamel map but samples the nonlinearity by the cell-trapezoid rule,
@@ -285,9 +288,12 @@ class LinearPlan:
     history keeps the modes in slot order (`perm`, `slots`, `to_slots`):
     slot r holds the r-th mode of every column with more than r modes, and
     its weights are the last columns of the cell row, so `contract` reads
-    the compact row directly. The node-indexed methods take the node times
-    t_0..t_n (n >= 1) of the step they serve. `contract` sums into the
-    plan's own scratch, so one plan serves one thread at a time.
+    the compact row directly. The cell row's lam > 0 columns come from the
+    table at K nodes and one barycentric matrix (`cell_interpolant`), built
+    on first use; `propagator` and `exact_forcing` take the table at every
+    eigenvalue. The node-indexed methods take the node times t_0..t_n
+    (n >= 1) of the step they serve. `contract` sums into the plan's own
+    scratch, so one plan serves one thread at a time.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec, *,
@@ -362,6 +368,57 @@ class LinearPlan:
         order: a new array."""
         return np.take(per_lam, self.inv, axis=-1)
 
+    @functools.cached_property
+    def cell_interpolant(self) -> tuple[np.ndarray, np.ndarray]:
+        """The K eigenvalue nodes of the cell row and the (K, L-1)
+        barycentric matrix P that takes values at them to the columns
+        1..L-1 of lam_u, built on first use.
+
+        For a fixed left end d, d^a E_{a,a+1}(-lam d^a) is analytic in
+        ln lam on the strip |Im ln lam| < pi (1 - a/2), so its Chebyshev
+        interpolant in ln lam on [ln lam_min, ln lam_max] converges like
+        rho^-K for the Bernstein ellipse rho = b/h + sqrt(1 + (b/h)^2),
+        h = ln(lam_max / lam_min) / 2, with b = 0.9 pi (1 - a/2) inside
+        the strip; K = ceil(16 / log10 rho). The nodes are the K Chebyshev
+        points of the second kind in ln lam, and P holds the barycentric
+        basis ell_k (Berrut & Trefethen 2004) at every ln lam, an exact
+        node hit taking the unit column. What P interpolates is
+        lam e(d) = 1 - E_a(-lam d^a), which lies in [0, 1] for every lam:
+        P[k, l] = lam_k ell_k(ln lam_l) / lam_l. Interpolating e(d) itself
+        carried the rounding of its large values at small lam into the
+        large-lam columns: on a 65536-point line at a = 0.9 that error
+        reached 2.2e-13 of a column's largest weight, 1.8e-14 scaled. Where
+        K >= (L-1)/2 the nodes are lam_u[1:] themselves and P is the
+        identity, so the row is the table's values at every eigenvalue.
+        """
+        lam = self.lam_u[1:]
+        count = lam.size
+        if count > 2:
+            half = 0.5 * math.log(lam.max() / lam.min())
+            b = 0.9 * math.pi * (1.0 - 0.5 * self.params.alpha) / half
+            count = max(2, math.ceil(16.0 / math.log10(b + math.hypot(1.0, b))))
+        if 2 * count >= lam.size:
+            return lam, np.eye(lam.size)
+        lo, hi = math.log(lam.min()), math.log(lam.max())
+        x = np.cos(np.pi * np.arange(count) / (count - 1))
+        log_nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        log_nodes[0], log_nodes[-1] = hi, lo
+        weights = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+        weights[[0, -1]] *= 0.5
+        # One (K, L-1) array, built in place: w_k / (x_k - ln lam_l), each
+        # column divided by its sum, then scaled by lam_k / lam_l.
+        basis = np.subtract.outer(log_nodes, np.log(lam))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(weights[:, None], basis, out=basis)
+            sums = basis.sum(axis=0)
+            basis /= sums
+        hits = np.flatnonzero(~np.isfinite(sums))
+        basis[:, hits] = np.isnan(basis[:, hits])
+        lam_nodes = np.exp(log_nodes)
+        basis *= lam_nodes[:, None]
+        basis /= lam
+        return lam_nodes, basis
+
     def cell_weights(self, nodes: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
         """W[j, lam] = int_{t_j}^{t_{j+1}} Y(t_n - tau) dtau for the cells j < n.
@@ -369,35 +426,40 @@ class LinearPlan:
         Differences of e(d) = d^a E_{a,a+1}(-lam d^a) at the left ends
         d = t_n - t_j, j < n, of `nodes` = t_0..t_n; e(0) = 0 closes the
         last cell, so the d = 0 point is never evaluated. The telescoped
-        sum over all cells is exactly t_n^a E_{a,a+1}(-lam t_n^a). On the
-        zero mode lam_u[0] = 0, e(d) = d^a / Gamma(a+1) exactly, so only
-        the lam > 0 columns reach the table.
+        sum over all cells is t_n^a E_{a,a+1}(-lam t_n^a). On the zero mode
+        lam_u[0] = 0, e(d) = d^a / Gamma(a+1) exactly. The columns lam > 0
+        come from the table at the K nodes of `cell_interpolant` only: an
+        (n, K) array of differences times its matrix P.
 
-        Plane 0 of the scratch `out` (from `cell_buffer`) holds the table's
-        arguments, which the table overwrites with its values, and the
-        returned row is a view of plane 1. Without `out` a (2, n * len(lam_u))
-        scratch is allocated for this call, and the row keeps it alive.
+        The returned row is the first n * len(lam_u) values of the flat
+        scratch `out` (from `cell_buffer`), and the table's (n, K)
+        arguments, which it overwrites in place with its values, are the
+        last n * K; the product takes no temporary. Without `out` a scratch
+        is allocated for this call, and the row keeps it alive.
         """
-        a, k, n = self.params.alpha, self.lam_u.size, nodes.size - 1
+        a, n = self.params.alpha, nodes.size - 1
+        lam_k, interp = self.cell_interpolant
         da = (nodes[n] - nodes[:n]) ** a
-        e_zero = (1.0 / math.gamma(a + 1.0)) * da
         if out is None:
-            out = np.empty((2, n * k))
-        e = out[0, : n * (k - 1)].reshape(n, k - 1)
-        np.multiply(da[:, None], self.lam_u[None, 1:], out=e)
+            out = self.cell_buffer(n)
+        cells = out[: n * self.lam_u.size].reshape(n, -1)
+        e = out[out.size - n * lam_k.size:].reshape(n, -1)
+        np.multiply(da[:, None], lam_k, out=e)
         ml_neg_fast(a, a + 1.0, e, out=e)
-        cells = out[1, : n * k].reshape(n, k)
         e *= da[:, None]
+        np.subtract(e[:-1], e[1:], out=e[:-1])  # reads ahead: no copy
+        np.matmul(e, interp, out=cells[:, 1:])
+        e_zero = (1.0 / math.gamma(a + 1.0)) * da
         cells[:-1, 0] = e_zero[:-1] - e_zero[1:]
-        np.subtract(e[:-1], e[1:], out=cells[:-1, 1:])
-        cells[-1, 0], cells[-1, 1:] = e_zero[-1], e[-1]
+        cells[-1, 0] = e_zero[-1]
         return cells
 
     def cell_buffer(self, steps: int) -> np.ndarray:
-        """The (2, steps * len(lam_u)) scratch of `cell_weights(nodes,
-        out=...)` for every step n <= `steps`: the table's arguments and
-        values, and the row."""
-        return np.empty((2, steps * self.lam_u.size))
+        """The flat scratch of `cell_weights(nodes, out=...)` for every step
+        n <= `steps`: the row's steps * L values, then the table's
+        steps * K arguments and values (L = len(lam_u), K nodes of
+        `cell_interpolant`)."""
+        return np.empty(steps * (self.lam_u.size + self.cell_interpolant[0].size))
 
     def to_slots(self, modes: np.ndarray, out: np.ndarray) -> None:
         """Write complex natural-order modes, shape (..., nmodes), into the

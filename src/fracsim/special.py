@@ -32,9 +32,11 @@ is the scalar API and is the oracle in tests.  Every bulk caller goes
 through `ml_neg_fast` instead: the time stepper's `LinearPlan` (cell
 weights, forcing weights, the Z(t)u0 propagator) and the kernels (the Z and
 Y symbols, propagator application, profile inversion).  The largest bulk
-callers, the march's cell weights and profile inversion, write their
-arguments into a scratch they keep and hand the table that array as
-`out`, so it evaluates them in place and allocates nothing of their size.
+callers, the march's cell weights (at the K ~ 35-70 interpolation nodes
+of `LinearPlan.cell_interpolant` per left end, not at every eigenvalue)
+and profile inversion, write their arguments into a scratch they keep and
+hand the table that array as `out`, so it evaluates them in place and
+allocates nothing of their size.
 `ml_neg_fast` keeps one cached table per (a, b), fitted from the three
 regimes with degree-15 interpolants on pieces of width 1/2 in log1p(y), 32
 arguments per unit of log1p(y), and extended on demand whenever a call
@@ -70,7 +72,7 @@ import threading
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "gamma",
@@ -212,13 +214,23 @@ def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def power_law_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept and R^2 of log y against log x."""
+    """Least-squares slope, intercept and R^2 of log y against log x.
+
+    Closed form from the centred sums: slope = sum dx dy / sum dx^2 and
+    intercept = mean(log y) - slope mean(log x), with R^2 = 1 for a
+    constant log y.  Fewer than two distinct log x raise PreconditionError.
+    """
     log_x, log_y = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(log_x, log_y, 1)
-    resid = log_y - (slope * log_x + intercept)
-    ss_tot = float(np.sum((log_y - np.mean(log_y)) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), float(intercept), r2
+    mean_x, mean_y = float(np.mean(log_x)), float(np.mean(log_y))
+    dx, dy = log_x - mean_x, log_y - mean_y
+    sxx = float(dx @ dx)
+    if not sxx > 0.0:
+        raise PreconditionError("a power-law fit needs two distinct x values")
+    slope = float(dx @ dy) / sxx
+    ss_tot = float(dy @ dy)
+    dy -= slope * dx
+    r2 = 1.0 - float(dy @ dy) / ss_tot if ss_tot > 0.0 else 1.0
+    return slope, mean_y - slope * mean_x, r2
 
 
 @functools.lru_cache(maxsize=64)

@@ -166,6 +166,29 @@ class TestSweepConfig:
         with pytest.raises(DomainError, match="forcing scheme"):
             small_config(forcing_scheme="bogus")
 
+    @pytest.mark.parametrize("key_path, value, message", [
+        ("model.alpha", "0.5", "config model.alpha: expected a number, got '0.5'"),
+        ("time.steps", "20", "config time.steps: expected an integer, got '20'"),
+        ("p_values", ["2", "3"], "config p_values: expected a number, got '2'"),
+        ("q_report", "4", "config q_report: expected a number, got '4'"),
+        ("w.kind", True, "config w.kind: expected a string, got True"),
+        ("forcing_scheme", 1, "config forcing_scheme: expected a string, got 1"),
+    ], ids=["alpha-string", "steps-string", "p-values-strings", "q-report-string",
+            "kind-bool", "forcing-scheme-number"])
+    def test_value_of_the_wrong_json_type_rejected(self, key_path, value, message):
+        # A quoted number never runs as a number, and a string key never
+        # takes the str() of another JSON type.
+        with pytest.raises(DomainError) as err:
+            config_from_dict(json.loads(config_with(key_path, value)))
+        assert str(err.value) == message
+
+    def test_tail_norm_exponent_must_be_a_string(self):
+        cfg = json.loads(config_with("hypotheses.tail_norm_exponent", 1))
+        with pytest.raises(DomainError) as err:
+            harness.hypotheses_options(cfg, 4.0)
+        assert str(err.value) == (
+            "config hypotheses.tail_norm_exponent: expected a string, got 1")
+
 
 class TestRunSweep:
     def test_duplicate_p_gives_identical_rows(self):
@@ -632,6 +655,8 @@ class TestCli:
          "config p_values: expected a list of numbers, got str", "sweep"),
         (config_with("p_values", {"2": 3.0}),
          "config p_values: expected a list of numbers, got dict", "bracket"),
+        (config_with("model.alpha", "0.5"),
+         "config model.alpha: expected a number, got '0.5'", "sweep"),
     ], ids=["malformed-json", "no-model", "steps-not-int", "bogus-scheme",
             "grading-below-one", "bracket-grading-below-one", "grading-nan",
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
@@ -643,7 +668,7 @@ class TestCli:
             "sweep-hypotheses-key-misspelled", "p-and-p-values", "amplitude-without-kind",
             "p-values-empty", "bracket-p-values-empty", "alpha-bool", "sigma-bool",
             "bracket-amplitude-bool", "p-values-bool-entry", "p-values-string",
-            "bracket-p-values-object"])
+            "bracket-p-values-object", "alpha-string"])
     def test_bad_config_is_one_line_usage_error(self, tmp_path, capsys, text, names,
                                                 command):
         cfg_path = tmp_path / "bad.json"

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 import fracsim.kernels as kernels
-from fracsim.special import ml_neg_fast
+from fracsim.special import ml_neg_fast, power_law_fit
 from fracsim import (
     DomainError,
     Field,
@@ -358,6 +358,35 @@ class TestProfiles:
 
 
 class TestProfileNorms:
+    def test_profile_owns_read_only_copies(self):
+        radii, values = np.geomspace(1e-2, 1e2, 30), np.linspace(2.0, 1.0, 30)
+        prof = kernels.KernelProfile("F", 0.5, 0.4, 1, radii, values)
+        for mine, theirs in ((prof.radii, radii), (prof.values, values)):
+            assert not np.shares_memory(mine, theirs)
+            assert np.array_equal(mine, theirs) and not mine.flags.writeable
+        radii[0] = values[0] = -1.0  # the caller's arrays stay the caller's
+        assert prof.radii[0] == 1e-2 and prof.values[0] == 2.0
+        with pytest.raises(ValueError):
+            prof.values[0] = 0.0
+
+    def test_decades_are_fitted_once_per_profile(self, monkeypatch):
+        # The three norms the local-average hypotheses take of one profile
+        # fit its head and tail decades once, and give the same numbers.
+        prof = profile("F", 0.5, 0.4, 1, np.geomspace(1e-3, 1e3, 60))
+        calls = []
+
+        def counted(x, y):
+            calls.append(x.size)
+            return power_law_fit(x, y)
+
+        monkeypatch.setattr(kernels, "power_law_fit", counted)
+        want = [profile_lq_norm(profile("F", 0.5, 0.4, 1, prof.radii), q, **cut)
+                for q, cut in ((2.0, {}), (2.0, {"r_max": 1.0}), (3.0, {"r_min": 1.0}))]
+        calls.clear()
+        got = [profile_lq_norm(prof, 2.0), profile_lq_norm(prof, 2.0, r_max=1.0),
+               profile_lq_norm(prof, 3.0, r_min=1.0)]
+        assert len(calls) == 2 and got == want
+
     def test_q_critical(self):
         assert q_critical(1, 0.4) == pytest.approx(5.0, rel=1e-12)
         assert q_critical(1, 0.5) == np.inf

@@ -208,10 +208,23 @@ class TestWeightTable:
             row = plan.cell_weights(t[: n + 1])
             assert row[:, 1:] == pytest.approx(expected, rel=1e-12)
 
+    # The 64-point line's cell row takes the table at every eigenvalue;
+    # the bracket's 1024-point line and the march_2d 128^2 grid interpolate.
+    GRIDS = [GRID, GridSpec(dim=1, points=1024, half_width=50.0),
+             GridSpec(dim=2, points=128, half_width=16.0)]
+
     def test_telescoping_and_positivity(self):
-        params = ModelParams(0.5, 0.4, -0.25, 3.0)
+        self.check_telescoping_and_positivity(self.GRID)
+
+    @pytest.mark.parametrize("grid", GRIDS[1:], ids=["1d-1024", "2d-128"])
+    def test_telescoping_and_positivity_of_interpolated_rows(self, grid):
+        self.check_telescoping_and_positivity(grid)
+
+    @staticmethod
+    def check_telescoping_and_positivity(grid):
+        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=grid.dim)
         mesh = TimeMesh.make(3.0, 12, grading=2.0)
-        plan = LinearPlan(params, self.GRID)
+        plan = LinearPlan(params, grid)
         a = params.alpha
         lam = plan.lam_u
         for n in range(1, 13):
@@ -223,27 +236,87 @@ class TestWeightTable:
             total = t_n**a * ml_e_neg(a, a + 1.0, lam * t_n**a)
             assert np.sum(w, axis=0) == pytest.approx(total, rel=1e-10)
 
+    @staticmethod
+    def regime_row(plan, nodes):
+        """Node n's row from `ml_e_neg` at every eigenvalue, and its
+        largest weight per column."""
+        a, n = plan.params.alpha, nodes.size - 1
+        d = (nodes[n] - nodes)[:, None] ** a
+        e = d * ml_e_neg(a, a + 1.0, d * plan.lam_u)
+        row = e[:-1] - e[1:]
+        return row, np.max(np.abs(row), axis=0)
 
     @pytest.mark.parametrize("n", [1, 2, 100])
     def test_row_equals_the_closed_telescoped_row(self, n):
-        # The old (n+1)-point formula, which also evaluates the d = 0 end,
-        # on the criterion-09 bracket mesh; the row must match it bit for bit.
+        # The old (n+1)-point formula, which also evaluates the d = 0 end and
+        # takes the table at every eigenvalue, on the criterion-09 bracket
+        # mesh: the interpolated row and that direct row are each within
+        # 5e-14 of the regimes' row, relative to the column's largest weight.
         params = ModelParams(0.5, 0.4, -0.25, 3.0)
         mesh = TimeMesh.make(50.0, 100, grading=2.0)
         plan = LinearPlan(params, GridSpec(dim=1, points=1024, half_width=50.0))
-        a = params.alpha
-        d = (mesh.nodes[n] - mesh.nodes[: n + 1])[:, None] ** a
+        a, nodes = params.alpha, mesh.nodes[: n + 1]
+        d = (nodes[n] - nodes)[:, None] ** a
         e = d * solver.ml_neg_fast(a, a + 1.0, d * plan.lam_u[None, :])
-        assert np.array_equal(plan.cell_weights(mesh.nodes[: n + 1]), e[:-1] - e[1:])
+        exact, scale = self.regime_row(plan, nodes)
+        for row in (plan.cell_weights(nodes), e[:-1] - e[1:]):
+            assert np.max(np.abs(row - exact) / scale) <= 5e-14
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_row_in_the_march_scratch_equals_the_new_row(self, dim):
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0])
+    @pytest.mark.parametrize("grid, mesh, steps", [
+        (GridSpec(dim=1, points=1024, half_width=50.0), TimeMesh.make(50.0, 100),
+         (1, 2, 10, 100)),
+        (GridSpec(dim=1, points=65536, half_width=50.0), TimeMesh.make(50.0, 20),
+         (1, 3, 20)),
+        (GridSpec(dim=2, points=128, half_width=16.0), TimeMesh.make(20.0, 40),
+         (1, 5, 40)),
+        (GridSpec(dim=3, points=64, half_width=16.0), TimeMesh.make(20.0, 10),
+         (1, 10)),
+    ], ids=["1d-1024", "1d-65536", "2d-128", "3d-64"])
+    def test_interpolated_row_against_the_regimes(self, alpha, grid, mesh, steps):
+        # The rows from K table nodes and the barycentric matrix are within
+        # 1e-13 of the regimes' rows at every eigenvalue, relative to each
+        # column's largest weight (worst measured: 7.6e-14, which is the
+        # table's own error on the 1024-point line at alpha = 0.95).
+        plan = LinearPlan(ModelParams(alpha, 0.4, -0.25, 3.0, dim=grid.dim), grid)
+        lam_k, interp = plan.cell_interpolant
+        assert interp.shape == (lam_k.size, plan.lam_u.size - 1)
+        assert 2 * lam_k.size < plan.lam_u.size - 1
+        for n in steps:
+            exact, scale = self.regime_row(plan, mesh.nodes[: n + 1])
+            row = plan.cell_weights(mesh.nodes[: n + 1])
+            assert np.max(np.abs(row - exact) / scale) <= 1e-13
+
+    def test_node_count_and_identity(self):
+        # K from the Bernstein-ellipse bound: 48 on the bracket's line, 37 on
+        # the march_2d grid.  Where K >= (L-1)/2 (the 64-point line needs
+        # 41 of 32) the nodes are the eigenvalues and P is the identity.
+        for alpha, grid, count in [
+            (0.5, GridSpec(dim=1, points=1024, half_width=50.0), 48),
+            (0.9, GridSpec(dim=1, points=1024, half_width=50.0), 63),
+            (1.0, GridSpec(dim=1, points=1024, half_width=50.0), 69),
+            (0.5, GridSpec(dim=2, points=128, half_width=16.0), 37),
+        ]:
+            plan = LinearPlan(ModelParams(alpha, 0.4, -0.25, 3.0, dim=grid.dim), grid)
+            assert plan.cell_interpolant[0].size == count
+            lam = plan.lam_u[1:]
+            assert plan.cell_interpolant[0].min() == pytest.approx(lam.min(), rel=1e-15)
+            assert plan.cell_interpolant[0].max() == pytest.approx(lam.max(), rel=1e-15)
+        plan = LinearPlan(ModelParams(0.5, 0.4, -0.25, 3.0), self.GRID)
+        lam_k, interp = plan.cell_interpolant
+        assert np.array_equal(lam_k, plan.lam_u[1:])
+        assert np.array_equal(interp, np.eye(lam_k.size))
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(dim=2, points=64, half_width=10.0),
+                                      *GRIDS[1:]],
+                             ids=["1", "2", "1d-1024", "2d-128"])
+    def test_row_in_the_march_scratch_equals_the_new_row(self, grid):
         # Every node's row, written into one scratch in rising and then in
         # falling order, is a view of it and equals the allocating call bit
         # for bit; nothing is read from an earlier step's contents.
-        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim)
+        params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=grid.dim)
         mesh = TimeMesh.make(10.0, 30, grading=2.0)
-        plan = LinearPlan(params, GridSpec(dim=dim, points=64, half_width=10.0))
+        plan = LinearPlan(params, grid)
         buf = plan.cell_buffer(mesh.steps)
         for n in [*range(1, mesh.steps + 1), *range(mesh.steps, 0, -1)]:
             row = plan.cell_weights(mesh.nodes[: n + 1], buf)
@@ -301,11 +374,12 @@ class TestHistoryContraction:
 class TestMarchMemory:
     def test_traced_peak_of_a_warm_2d_march(self):
         # The march holds the real-plane history and the cell-weight
-        # scratch (two planes of M rows), and contracts the compact row
-        # with no (M, nmodes) weight gather (0.68 MB here) or complex
-        # temporary (1.35 MB).  Slack: 1.2 MB for the scratch's second
-        # plane, the table's chunk buffers, the plan's slot gathers and the
-        # step's mode vectors.  Measured peak: 2.52 MB of a 2.73 MB bound.
+        # scratch (the row plane and the (M, K) argument plane), and
+        # contracts the compact row with no (M, nmodes) weight gather
+        # (0.68 MB here) or complex temporary (1.35 MB).  Slack: 1.2 MB for
+        # the argument plane, the (K, L-1) interpolation matrix, the
+        # table's chunk buffers, the plan's slot gathers and the step's
+        # mode vectors.  Measured peak: 2.17 MB of a 2.73 MB bound.
         params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=2)
         grid = GridSpec(dim=2, points=64, half_width=8.0)
         mesh = TimeMesh.make(10.0, 40)

@@ -17,6 +17,7 @@ from scipy.special import erfcx
 
 from fracsim import (
     DomainError,
+    PreconditionError,
     beta_fn,
     gamma,
     ml_e_neg,
@@ -104,6 +105,48 @@ class TestGammaHelpers:
         assert log_terms[last - 2] >= math.log(special._SERIES_STOP)
         np.testing.assert_allclose(
             coeffs, sp.rgamma(alpha * np.arange(last + 1) + beta), rtol=1e-15, atol=0.0)
+
+
+class TestPowerLawFit:
+    """`power_law_fit` in closed form against exact power laws and
+    `np.polyfit`'s least-squares line."""
+
+    @pytest.mark.parametrize("c, k", [(1.0, -0.5), (3.0, -0.09375), (0.02, 2.5),
+                                      (7.5, 0.0)])
+    def test_exact_power_law(self, c, k):
+        x = np.geomspace(0.3, 80.0, 25)
+        slope, intercept, r2 = special.power_law_fit(x, c * x**k)
+        assert abs(slope - k) <= 1e-14
+        assert abs(intercept - math.log(c)) <= 1e-14
+        assert r2 == 1.0
+
+    @staticmethod
+    def polyfit_line(x, y):
+        log_x, log_y = np.log(x), np.log(y)
+        slope, intercept = np.polyfit(log_x, log_y, 1)
+        resid = log_y - (slope * log_x + intercept)
+        ss_tot = np.sum((log_y - np.mean(log_y)) ** 2)
+        return slope, intercept, 1.0 - np.sum(resid**2) / ss_tot
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3, 0.3])
+    def test_agrees_with_polyfit(self, noise):
+        # Criterion 08's decay window: the mesh nodes t >= 0.75 T of the
+        # T = 50, M = 600 graded mesh, a t^(-beta) norm with a ripple, and
+        # multiplicative noise.
+        t = 50.0 * (np.arange(601) / 600.0) ** 2
+        t = t[t >= 37.5]
+        rng = np.random.default_rng(8)
+        y = (t**-0.09375 * (1.0 + 0.01 * np.sin(t))
+             * np.exp(noise * rng.standard_normal(t.size)))
+        got = special.power_law_fit(t, y)
+        want = self.polyfit_line(t, y)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+    @pytest.mark.parametrize("x", [[2.0, 2.0, 2.0], [5.0]])
+    def test_one_distinct_x_rejected(self, x):
+        with pytest.raises(PreconditionError, match="two distinct x"):
+            special.power_law_fit(np.array(x), np.arange(1.0, len(x) + 1.0))
 
 
 class TestMittagLeffler:
