@@ -21,10 +21,10 @@ from . import __version__
 from .criticality import (critical_exponents, local_average_hypotheses,
                           p_star_exponent)
 from .errors import (BracketingError, DomainError, NumericalError,
-                     PreconditionError, UnsupportedRangeError)
+                     PreconditionError, UnsupportedRangeError, check_q)
 from .harness import (bracket_pstar, config_from_dict, config_from_json,
                       hypotheses_options, read_config, rows_to_csv, run_sweep)
-from .kernels import apply_propagator, lq_norm_is_finite, profile, q_critical
+from .kernels import apply_propagator, check_lq_finite, profile
 from .solver import ModelParams
 from .special import power_law_fit
 from .spectral import Field, GridSpec, gaussian_field, lq_norm
@@ -110,21 +110,13 @@ def _cmd_kernel(args) -> int:
         raise DomainError(
             f"kernel --mode norms computes on a 1D grid; got --dim {args.dim}"
         )
-    below_one = [q for q in args.q if not q >= 1.0]
-    if below_one:
-        raise DomainError(f"kernel --q must be >= 1, got {', '.join(map(repr, below_one))}")
     kind = "Z" if args.kind == "F" else "Y"
     # Beyond the kernel's q_critical its L^q norm is infinite (the symbol
     # decays too slowly for an origin singularity to be integrable): no
     # slope is predicted there.
-    bound = dict(kind=kind, alpha=args.alpha)
-    infinite = [q for q in args.q
-                if not lq_norm_is_finite(q, args.dim, args.s, **bound)]
-    if infinite:
-        raise UnsupportedRangeError(
-            f"kernel --q {', '.join(map(repr, infinite))}: the L^q norm of "
-            f"{kind}(t) is infinite for dim={args.dim}, s={args.s!r} (requires "
-            f"q < {q_critical(args.dim, args.s, **bound):.6g})")
+    for q in args.q:
+        check_q(q, "kernel --q")
+        check_lq_finite(q, args.dim, args.s, kind=kind, alpha=args.alpha)
     grid = GridSpec(dim=1, points=32768, half_width=100.0)
     values = np.zeros(grid.shape)
     values[grid.points // 2] = 1.0 / grid.cell_volume

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, UnsupportedRangeError
+from .errors import (DomainError, PreconditionError, UnsupportedRangeError,
+                     check_model, check_q)
 from .kernels import KernelProfile, profile, profile_lq_norm, q_critical
 from .solver import LinearPlan, ModelParams
 from .special import beta_fn, gamma as gamma_fn
@@ -91,6 +92,7 @@ class ExponentReport:
 
 def p_star_exponent(alpha: float, s: float, sigma: float, dim: int) -> float | None:
     """Forced critical exponent; None when its denominator is nonpositive."""
+    check_model(alpha, s, sigma, dim)
     den = dim * alpha - 2.0 * s * (alpha + sigma)
     if den <= 0.0:
         return None
@@ -99,8 +101,7 @@ def p_star_exponent(alpha: float, s: float, sigma: float, dim: int) -> float | N
 
 def beta_exponent(params: ModelParams, q: float) -> BetaCheck:
     """Decay exponent beta for the norm weight t^beta ||u(t)||_q."""
-    if not q >= 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
+    check_q(q)
     a, s, N, p = params.alpha, params.s, params.dim, params.p
     value = a / (p - 1.0) - N * a / (2.0 * s * q)
     return BetaCheck(

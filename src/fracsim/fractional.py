@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import (DomainError, PreconditionError, check_node_times,
+                     check_open_order, check_order)
 
 __all__ = ["TimeSeries", "rl_integral", "caputo_derivative", "rl_right_derivative"]
 
@@ -32,32 +33,19 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = check_node_times(self.nodes, 2)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        if nodes.ndim != 1 or values.shape != nodes.shape:
-            raise PreconditionError("nodes and values must be 1-d and congruent")
-        if nodes.size < 2:
-            raise PreconditionError("need at least two nodes")
-        if nodes[0] != 0.0:
-            raise PreconditionError("mesh must start at t = 0")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise PreconditionError("mesh must be strictly increasing")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
-            raise PreconditionError("nodes and values must be finite")
-
-
-def _check_alpha(alpha: float, include_one: bool) -> None:
-    hi_ok = alpha <= 1.0 if include_one else alpha < 1.0
-    if not (0.0 < alpha and hi_ok):
-        rng = "(0, 1]" if include_one else "(0, 1)"
-        raise DomainError(f"alpha must lie in {rng}, got {alpha!r}")
+        if values.shape != nodes.shape:
+            raise PreconditionError("values must have the shape of the nodes")
+        if not np.all(np.isfinite(values)):
+            raise PreconditionError("values must be finite")
 
 
 def rl_integral(u: TimeSeries, alpha: float) -> TimeSeries:
     """Riemann-Liouville integral of order alpha evaluated at the mesh nodes."""
-    _check_alpha(alpha, include_one=True)
+    check_order(alpha=alpha)
     t = u.nodes
     v = u.values
     n = t.size
@@ -78,7 +66,7 @@ def rl_integral(u: TimeSeries, alpha: float) -> TimeSeries:
 
 def caputo_derivative(u: TimeSeries, alpha: float) -> TimeSeries:
     """Caputo derivative of order alpha by the L1 scheme; node 0 is set to 0."""
-    _check_alpha(alpha, include_one=False)
+    check_open_order(alpha)
     t = u.nodes
     n = t.size
     slopes = np.diff(u.values) / np.diff(t)
@@ -96,9 +84,12 @@ def rl_right_derivative(v: TimeSeries, alpha: float, t_end: float) -> TimeSeries
     """Right-sided Riemann-Liouville derivative on [t, T] for v with v(T) = 0.
 
     Values are produced at nodes 0..M-1; the final node, where the operator
-    is not defined by this scheme, is reported as 0.
+    is not defined by this scheme, is reported as 0. `t_end` = T must be
+    finite and the mesh's last node.
     """
-    _check_alpha(alpha, include_one=False)
+    check_open_order(alpha)
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end!r}")
     t = v.nodes
     if abs(t[-1] - t_end) > 1e-12 * max(1.0, abs(t_end)):
         raise PreconditionError("mesh must end at t_end")

@@ -33,16 +33,19 @@ from .errors import (
     NumericalError,
     PreconditionError,
     UnsupportedRangeError,
+    check_forcing_scheme,
+    check_grid_dim,
+    check_q,
 )
 from .solver import (
     BLOWUP,
-    FORCING_SCHEMES,
     GLOBAL,
     UNDETERMINED,
     ClassifyThresholds,
     ModelParams,
     SimResult,
     TimeMesh,
+    history_shape,
     integrate_many,
 )
 from .spectral import Field, GridSpec, gaussian_field, indicator_field
@@ -75,7 +78,7 @@ CSV_COLUMNS = (
 
 # A march holds as many powers as fit in MARCH_HISTORY_BYTES of histories,
 # and never fewer than MIN_MARCH_MEMBERS: each live member keeps its own
-# (steps + 1, 2, modes) float64 history.
+# float64 history of `history_shape`.
 MARCH_HISTORY_BYTES = 32 * 2**20
 MIN_MARCH_MEMBERS = 3
 
@@ -132,14 +135,12 @@ class SweepConfig:
         p = tuple(float(x) for x in self.p_values)
         if not p:
             raise DomainError("p_values must name at least one power")
-        if not all(1.0 < x < math.inf for x in p):
-            raise DomainError(f"all p values must be finite and exceed 1, got {p!r}")
+        for x in p:
+            self.model(x)  # checks the power and alpha, s, sigma and dim
         if list(p) != sorted(p):
             raise DomainError("p_values must be sorted ascending")
-        if not self.q_report >= 1.0:
-            raise DomainError(f"q_report must be >= 1 or inf, got {self.q_report!r}")
-        if self.grid.dim != self.dim:
-            raise DomainError(f"grid dim {self.grid.dim} differs from dim {self.dim}")
+        check_q(self.q_report, "q_report")
+        check_grid_dim(self.grid.dim, self.dim)
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "_mesh",
                            TimeMesh.make(self.t_end, self.steps, self.grading))
@@ -147,11 +148,7 @@ class SweepConfig:
             object.__setattr__(self, "thresholds",
                                ClassifyThresholds(t_end=self.t_end))
         self.thresholds.check_reachable(self.t_end)
-        if self.forcing_scheme not in FORCING_SCHEMES:
-            raise DomainError(
-                f"unknown forcing scheme {self.forcing_scheme!r}; "
-                f"expected one of {FORCING_SCHEMES}"
-            )
+        check_forcing_scheme(self.forcing_scheme)
         object.__setattr__(self, "u0_field", self.u0.build(self.grid))
         object.__setattr__(self, "w_field", self.w.build(self.grid))
 
@@ -222,7 +219,7 @@ def _classify(config: SweepConfig, ps: Sequence[float]) -> list[SweepRow]:
 
 def march_members(config: SweepConfig) -> int:
     """The most powers one march of `config` holds."""
-    history = (config.steps + 1) * 2 * config.grid.nmodes * 8
+    history = 8 * math.prod(history_shape(config.steps, config.grid.nmodes))
     return max(MIN_MARCH_MEMBERS, MARCH_HISTORY_BYTES // history)
 
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UnsupportedRangeError
+from .errors import (DomainError, NumericalError, UnsupportedRangeError,
+                     check_dim, check_order, check_q)
 from .special import gamma, gauss_panels, ml_neg_fast, power_law_fit
 from .spectral import Field
 
@@ -44,6 +45,7 @@ __all__ = [
     "symbol_decay",
     "q_critical",
     "lq_norm_is_finite",
+    "check_lq_finite",
 ]
 
 
@@ -62,21 +64,15 @@ def symbol_decay(kind: str, alpha: float, s: float) -> float:
     """
     if kind not in ("F", "G", "Z", "Y"):
         raise DomainError(f"kind must be 'F', 'G', 'Z' or 'Y', got {kind!r}")
+    check_order(alpha=alpha, s=s)
     if alpha == 1.0:
         return np.inf
     return 2.0 * s if kind in ("F", "Z") else 4.0 * s
 
 
-def _check_alpha_s(alpha: float, s: float) -> None:
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    if not (0.0 < s <= 1.0):
-        raise DomainError(f"s must be in (0, 1], got {s}")
-
-
 def _symbol_argument(t: float, xi_sq, alpha: float, s: float) -> np.ndarray:
     """The Mittag-Leffler argument |xi|^(2s) t^alpha of both symbols, checked."""
-    _check_alpha_s(alpha, s)
+    check_order(alpha=alpha, s=s)
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     xi_sq = np.asarray(xi_sq, dtype=float)
@@ -125,9 +121,8 @@ def _check_profile_args(kind: str, alpha: float, s: float, dim: int,
     alpha, s, dim and radii."""
     if kind not in ("F", "G"):
         raise DomainError(f"kind must be 'F' or 'G', got {kind!r}")
-    _check_alpha_s(alpha, s)
-    if isinstance(dim, bool) or dim not in (1, 2, 3):
-        raise DomainError(f"dim must be 1, 2 or 3, got {dim!r}")
+    check_order(alpha=alpha, s=s)
+    check_dim(dim)
     r = np.asarray(radii, dtype=float)
     if not np.all(np.isfinite(r)):
         raise DomainError("radii must be finite")
@@ -471,6 +466,7 @@ def q_critical(dim: int, s: float, *, kind: str = "F", alpha: float = 0.5) -> fl
     when dim <= d.  The defaults give the paper's q_c = dim/(dim - 2s) of F
     and Z, the same for every alpha < 1.
     """
+    check_dim(dim)
     decay = symbol_decay(kind, alpha, s)
     if dim <= decay:
         return np.inf
@@ -486,8 +482,21 @@ def lq_norm_is_finite(q: float, dim: int, s: float, *, kind: str = "F",
     inputs such as dim = 1, s = 0.4, q = 5 sit exactly on q_c, and rounding
     in q_c could put them on either side.
     """
+    check_q(q)
+    check_dim(dim)
     return (dim < symbol_decay(kind, alpha, s)
             or q < q_critical(dim, s, kind=kind, alpha=alpha) * (1.0 - 1e-12))
+
+
+def check_lq_finite(q: float, dim: int, s: float, *, kind: str = "F",
+                    alpha: float = 0.5) -> None:
+    """UnsupportedRangeError unless the kernel `kind` lies in L^q(R^dim)
+    (`lq_norm_is_finite`): the message names `q_critical`."""
+    if not lq_norm_is_finite(q, dim, s, kind=kind, alpha=alpha):
+        raise UnsupportedRangeError(
+            f"the L^q norm of {kind} is infinite at q={q!r} for dim={dim}, "
+            f"s={s!r}, alpha={alpha!r} (requires q < "
+            f"{q_critical(dim, s, kind=kind, alpha=alpha):.6g})")
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -514,15 +523,8 @@ def profile_lq_norm(
         raise DomainError(f"q must be finite and >= 1, got {q}")
     if not (0.0 <= r_min < r_max):
         raise DomainError(f"need 0 <= r_min < r_max, got {r_min}, {r_max}")
-    full_space = r_min == 0.0 and np.isinf(r_max)
-    if full_space:
-        bound = dict(kind=prof.kind, alpha=prof.alpha)
-        if not lq_norm_is_finite(q, prof.dim, prof.s, **bound):
-            raise UnsupportedRangeError(
-                f"L^{q} norm of {prof.kind} is infinite for dim={prof.dim}, "
-                f"s={prof.s}, alpha={prof.alpha} (requires q < "
-                f"{q_critical(prof.dim, prof.s, **bound):.6g})"
-            )
+    if r_min == 0.0 and np.isinf(r_max):
+        check_lq_finite(q, prof.dim, prof.s, kind=prof.kind, alpha=prof.alpha)
     # Power-law models of the first and last decades, fitted once per
     # profile and reused for the sub-grid head and the extrapolated tail.
     r, v, (h_slope, h_inter), (t_slope, t_inter, t_r2) = prof._decade_fits

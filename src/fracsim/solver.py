@@ -64,10 +64,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    FORCING_SCHEMES,
     DomainError,
     NonContractionError,
     PreconditionError,
     ResolutionWarning,
+    check_forcing_scheme,
+    check_grid_dim,
+    check_model,
+    check_node_times,
+    check_power,
 )
 from .spectral import Field, GridSpec, lq_norms, tail_fractions
 from .special import ml_neg_fast, power_law_fit
@@ -81,6 +87,7 @@ __all__ = [
     "PicardResult",
     "LinearPlan",
     "FORCING_SCHEMES",
+    "history_shape",
     "integrate",
     "integrate_many",
     "picard_solve",
@@ -95,6 +102,10 @@ UNDETERMINED = "Undetermined"
 # A run whose top-octave spectral energy fraction exceeds this gets a note
 # and a ResolutionWarning: the grid no longer resolves the solution.
 TAIL_THRESHOLD = 1e-6
+
+# A Global run's decay exponent is fitted on the last quarter of its nodes
+# (`_last_quarter`) when that window holds at least this many positive norms.
+DECAY_FIT_SAMPLES = 10
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -132,16 +143,8 @@ class ModelParams:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        if not (0.0 < self.s <= 1.0):
-            raise DomainError(f"s must lie in (0, 1], got {self.s!r}")
-        if not (-1.0 < self.sigma <= 0.0):
-            raise DomainError(f"sigma must lie in (-1, 0], got {self.sigma!r}")
-        if not (1.0 < self.p < np.inf):
-            raise DomainError(f"p must be finite and exceed 1, got {self.p!r}")
-        if isinstance(self.dim, bool) or self.dim not in (1, 2, 3):
-            raise DomainError(f"dim must be 1, 2 or 3, got {self.dim!r}")
+        check_model(self.alpha, self.s, self.sigma, self.dim)
+        check_power(self.p)
 
     @property
     def outside_theorem_range(self) -> bool:
@@ -157,14 +160,7 @@ class TimeMesh:
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise PreconditionError("mesh needs at least three nodes")
-        if not np.all(np.isfinite(nodes)):
-            raise PreconditionError("mesh nodes must be finite")
-        if nodes[0] != 0.0 or not np.all(np.diff(nodes) > 0.0):
-            raise PreconditionError("mesh must increase strictly from 0")
+        object.__setattr__(self, "nodes", check_node_times(self.nodes, 3))
 
     @classmethod
     def make(cls, t_end: float, steps: int, grading: float = 2.0) -> "TimeMesh":
@@ -274,9 +270,6 @@ class PicardResult:
 # --------------------------------------------------------------------------
 
 
-FORCING_SCHEMES = ("fast", "accurate")
-
-
 class LinearPlan:
     """The p-independent linear part of the march on one grid.
 
@@ -298,13 +291,8 @@ class LinearPlan:
 
     def __init__(self, params: ModelParams, grid: GridSpec, *,
                  forcing_scheme: str = "fast") -> None:
-        if grid.dim != params.dim:
-            raise PreconditionError("grid dimension does not match model dimension")
-        if forcing_scheme not in FORCING_SCHEMES:
-            raise DomainError(
-                f"unknown forcing scheme {forcing_scheme!r}; "
-                f"expected one of {FORCING_SCHEMES}"
-            )
+        check_grid_dim(grid.dim, params.dim)
+        check_forcing_scheme(forcing_scheme)
         self.params, self.grid = params, grid
         self.forcing_scheme = forcing_scheme
         lam, inv = np.unique(grid.xi_squared() ** params.s,
@@ -582,13 +570,19 @@ def integrate(
                           forcing_scheme)[0]
 
 
+def history_shape(steps: int, nmodes: int) -> tuple[int, int, int]:
+    """Shape of one march's float64 nonlinear history: N_0..N_steps as
+    slot-order real and imaginary planes of `nmodes` modes."""
+    return (steps + 1, 2, nmodes)
+
+
 class _Member:
     """One power p of a lockstep march: its history, norms and trigger."""
 
     def __init__(self, params: ModelParams, plan: LinearPlan, steps: int,
                  lq0: float, linf0: float, u_prev: np.ndarray) -> None:
         self.params = params
-        self.hist: np.ndarray | None = np.empty((steps + 1, 2, plan.grid.nmodes))
+        self.hist: np.ndarray | None = np.empty(history_shape(steps, plan.grid.nmodes))
         self.lq = [lq0]
         self.linf = [linf0]
         self.tail_max = 0.0
@@ -618,8 +612,8 @@ class _Member:
         )
         decay_exp = decay_r2 = None
         if classification == GLOBAL:
-            sel = t_hist >= 0.75 * t_hist[-1]
-            if np.count_nonzero(sel & (lq_arr > 0.0)) >= 10:
+            sel = _last_quarter(t_hist)
+            if np.count_nonzero(sel & (lq_arr > 0.0)) >= DECAY_FIT_SAMPLES:
                 decay_exp, decay_r2 = estimate_decay_exponent(
                     t_hist[sel], lq_arr[sel]
                 )
@@ -772,6 +766,12 @@ def integrate_many(
     return results
 
 
+def _last_quarter(t_nodes: np.ndarray) -> np.ndarray:
+    """Mask of the node times in the last quarter of the run: the window
+    of `classify`'s monotone test and of the decay fit."""
+    return t_nodes >= 0.75 * t_nodes[-1]
+
+
 def classify(
     t_nodes: np.ndarray,
     lq_history: np.ndarray,
@@ -794,7 +794,7 @@ def classify(
         return BLOWUP, float(t_nodes[np.argmax(linf_history > thresholds.u_max)])
     if not reached_end or t_nodes[-1] < thresholds.t_end * (1.0 - 1e-9):
         return UNDETERMINED, None
-    sel = t_nodes >= 0.75 * t_nodes[-1]
+    sel = _last_quarter(t_nodes)
     tb = t_nodes[sel] ** thresholds.beta * lq_history[sel]
     if tb.size >= 3:
         rising = tb[1:] > tb[:-1] * (1.0 + thresholds.monotone_slack)
@@ -810,8 +810,8 @@ def estimate_decay_exponent(
     t_nodes = np.asarray(t_nodes, dtype=float)
     norms = np.asarray(norms, dtype=float)
     good = (t_nodes > 0.0) & (norms > 0.0) & np.isfinite(norms)
-    if np.count_nonzero(good) < 10:
-        raise PreconditionError("need at least 10 positive samples for the fit")
+    if np.count_nonzero(good) < DECAY_FIT_SAMPLES:
+        raise PreconditionError(f"a decay fit needs {DECAY_FIT_SAMPLES} positive samples")
     slope, _, r2 = power_law_fit(t_nodes[good], norms[good])
     return slope, r2
 
@@ -854,7 +854,7 @@ def picard_solve(
         lin_modes[n] = plan.linear_modes(nodes[: n + 1], u0_modes, w_modes, w_tables[n])
 
     hist = grid.to_values(lin_modes)
-    nl = np.empty((m + 1, 2, grid.nmodes))
+    nl = np.empty(history_shape(m, grid.nmodes))
     prev_diff = None
     factors: list[float] = []
     growth_streak = 0

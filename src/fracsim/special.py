@@ -72,7 +72,7 @@ import threading
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_open_order
 
 __all__ = [
     "gamma",
@@ -647,14 +647,9 @@ def ml_neg_fast(alpha: float, beta: float, y, *, out: np.ndarray | None = None):
 _WRIGHT_SERIES_EDGE = 0.3  # theta <= this: the power series, 40 terms
 
 
-def _check_wright_order(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-
-
 def wright_tail_cut(alpha: float) -> float:
     """Argument beyond which phi_alpha is below ~1e-14 (stretched-exponential tail)."""
-    _check_wright_order(alpha)
+    check_open_order(alpha)
     b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     return (34.0 / b) ** (1.0 - alpha)
 
@@ -709,7 +704,7 @@ def wright_phi(alpha: float, theta: float) -> float:
 
     Each term is one exponential, so none overflows; the far tail is 0.
     """
-    _check_wright_order(alpha)
+    check_open_order(alpha)
     if not np.isfinite(theta) or theta < 0.0:
         raise DomainError(f"theta must be >= 0, got {theta!r}")
     coeffs, log_a, log_wa = _wright_rule(alpha)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, check_dim, check_order, check_q
 
 __all__ = [
     "GridSpec",
@@ -53,8 +53,7 @@ class GridSpec:
     half_width: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.dim, bool) or self.dim not in (1, 2, 3):
-            raise DomainError(f"dim must be 1, 2 or 3, got {self.dim!r}")
+        check_dim(self.dim)
         p = self.points
         if not isinstance(p, numbers.Integral) or p < 64 or (p & (p - 1)) != 0:
             raise DomainError(f"points must be a power of two >= 64, got {p!r}")
@@ -210,16 +209,14 @@ def to_real(sf: SpectralField) -> Field:
 
 def fractional_laplacian(f: Field, s: float) -> Field:
     """Spectral (-Laplace)^s via the multiplier |xi|^(2s); zero mode maps to 0."""
-    if not (0.0 < s <= 1.0):
-        raise DomainError(f"s must lie in (0, 1], got {s!r}")
+    check_order(s=s)
     grid = f.grid
     return Field(grid, grid.to_values(grid.to_modes(f.values) * grid.xi_squared() ** s))
 
 
 def _lq_rows(rows: np.ndarray, cell_volume: float, q: float) -> np.ndarray:
     """L^q norm of each row of the 2-D array `rows`; q = inf gives the max."""
-    if not (q == np.inf or (q >= 1.0 and np.isfinite(q))):
-        raise DomainError(f"q must satisfy q >= 1 or be inf, got {q!r}")
+    check_q(q)
     if rows.shape[1] == 0:
         return np.zeros(rows.shape[0])
     if q == np.inf:

@@ -37,7 +37,7 @@ from fracsim import (
 )
 from fracsim.fractional import TimeSeries
 from fracsim.special import beta_fn, gamma as gamma_fn
-from fracsim.spectral import Field, to_spectral
+from fracsim.spectral import Field
 
 CANONICAL = ModelParams(alpha=0.5, s=0.4, sigma=-0.25, p=3.0, dim=1)
 

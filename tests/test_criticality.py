@@ -78,7 +78,7 @@ class TestExponentAlgebra:
             beta_exponent(canonical_params, 0.5)
 
     def test_beta_rejects_nan_q_and_accepts_inf(self, canonical_params):
-        with pytest.raises(DomainError, match="q must be >= 1, got nan"):
+        with pytest.raises(DomainError, match="q must be >= 1 or inf, got nan"):
             beta_exponent(canonical_params, float("nan"))
         # q = inf is the max norm: beta = a/(p-1)
         assert beta_exponent(canonical_params, np.inf).value == 0.25

@@ -118,6 +118,14 @@ class TestRightDerivative:
         with pytest.raises(PreconditionError):
             rl_right_derivative(uniform_series(lambda t: 1.0 + t), 0.5, 1.0)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_non_finite_end_rejected(self, t_end):
+        # With NaN the end check |t[-1] - t_end| > tol is False, so the
+        # derivative used to come back on the mesh as if T were its end.
+        v = TimeSeries(np.linspace(0.0, 1.0, 11), 1.0 - np.linspace(0.0, 1.0, 11))
+        with pytest.raises(DomainError, match=f"t_end must be finite, got {t_end}"):
+            rl_right_derivative(v, 0.5, t_end)
+
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_integration_by_parts(alpha):

@@ -632,7 +632,7 @@ class TestCli:
         (config_with("q_report", 0.5), "q_report must be >= 1 or inf, got 0.5",
          "sweep"),
         (config_with("p_values", [2.0, math.inf]),
-         "all p values must be finite and exceed 1", "sweep"),
+         "p must be finite and exceed 1, got inf", "sweep"),
         (config_with("time.stpes", 20), "config time.stpes: unknown key", "sweep"),
         (config_with("q_reprot", 4.0), "config q_reprot: unknown key", "sweep"),
         (config_with("w.widht", 1.0), "config w.widht: unknown key", "sweep"),
@@ -836,8 +836,8 @@ class TestCli:
         (["--r-min", "-1"], "0 < --r-min < --r-max"),
         (["--r-min", "10", "--r-max", "1"], "0 < --r-min < --r-max"),
         (["--r-max", "inf"], "0 < --r-min < --r-max"),
-        (["--mode", "norms", "--q", "nan"], "--q must be >= 1, got nan"),
-        (["--mode", "norms", "--q", "2", "0.5"], "--q must be >= 1, got 0.5\n"),
+        (["--mode", "norms", "--q", "nan"], "--q must be >= 1 or inf, got nan"),
+        (["--mode", "norms", "--q", "2", "0.5"], "--q must be >= 1 or inf, got 0.5\n"),
     ], ids=["norms-one-point", "zero-points", "negative-points", "r-min-zero",
             "r-min-negative", "r-min-above-r-max", "r-max-infinite", "q-nan",
             "q-below-one"])

@@ -753,7 +753,7 @@ class TestIntegratorBehaviour:
         params = ModelParams(0.5, 0.4, -0.25, 3.0, dim=2)
         grid = GridSpec(dim=1, points=64, half_width=10.0)
         mesh = TimeMesh.make(1.0, 5)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             integrate(params, grid, None, None, mesh)
 
     @pytest.mark.parametrize("march", [integrate, integrate_many, picard_solve])
