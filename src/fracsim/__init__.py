@@ -30,7 +30,6 @@ from .spectral import (
     indicator_field,
     lq_norm,
     restricted_lq_norm,
-    spectral_tail_fraction,
     to_real,
     to_spectral,
 )

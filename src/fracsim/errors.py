@@ -7,7 +7,7 @@ reader (through the dataclasses it fills) and the CLI.
 
 - `check_order`: alpha and s lie in (0, 1].
 - `check_open_order`: the Caputo and Wright order alpha lies in (0, 1).
-- `check_dim`: dim is 1, 2 or 3, and not a boolean.
+- `check_dim`: dim is the integer 1, 2 or 3: not a boolean or a float.
 - `check_model`: alpha, s, sigma and dim together; sigma lies in (-1, 0].
 - `check_power`: p is finite and exceeds 1.
 - `check_q`: a Lebesgue exponent q is >= 1 or inf; NaN is rejected.
@@ -20,6 +20,8 @@ A parameter rule's message reads `<name> must ..., got <repr>`, for example
 ``alpha must lie in (0, 1], got nan`` or ``dim must be 1, 2 or 3, got True``.
 """
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -56,9 +58,10 @@ FORCING_SCHEMES = ("fast", "accurate")
 
 
 def check_dim(dim) -> None:
-    """DomainError unless `dim` is 1, 2 or 3; a boolean, NumPy's too, is
-    not a dimension."""
-    if isinstance(dim, (bool, np.bool_)) or dim not in (1, 2, 3):
+    """DomainError unless `dim` is an integer (NumPy's too) 1, 2 or 3; a
+    boolean or a float, even 2.0, is not a dimension."""
+    if (isinstance(dim, bool) or not isinstance(dim, numbers.Integral)
+            or dim not in (1, 2, 3)):
         raise DomainError(f"dim must be 1, 2 or 3, got {dim!r}")
 
 

@@ -184,7 +184,15 @@ class TimeMesh:
 
 @dataclass(frozen=True)
 class ClassifyThresholds:
-    """Blow-up triggers and the decay criterion used to label a run."""
+    """Blow-up triggers and the decay criterion used to label a run.
+
+    `u_max` and `ratio_max` are the march's triggers; `beta` and
+    `monotone_slack` are `classify`'s last-quarter test. The verdict is
+    taken at the run's last node, so `t_end` must be the mesh end
+    (`check_reachable`): it restates `time.t_end`, and stays a field
+    because callers, the benchmark's workloads among them, build
+    `ClassifyThresholds(t_end=...)` with the mesh end.
+    """
 
     u_max: float = 1e8
     ratio_max: float = 10.0
@@ -204,11 +212,11 @@ class ClassifyThresholds:
                 raise DomainError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
     def check_reachable(self, t_end: float) -> None:
-        """DomainError unless a run that ends at t_end reaches self.t_end;
-        classify could never call a shorter run Global."""
-        if self.t_end > t_end:
+        """DomainError unless self.t_end is the mesh end `t_end`, where the
+        verdict is taken."""
+        if self.t_end != t_end:
             raise DomainError(
-                f"classify.t_end {self.t_end!r} exceeds time.t_end {t_end!r}"
+                f"classify.t_end {self.t_end!r} differs from time.t_end {t_end!r}"
             )
 
 
@@ -564,8 +572,9 @@ def integrate(
 ) -> SimResult:
     """March the mild solution across the mesh; halt on blow-up triggers.
 
-    Classify at `thresholds.t_end` (default: the mesh end), which must not
-    lie past the mesh end. The march of `integrate_many` with one member."""
+    The verdict is taken at the mesh end, which `thresholds.t_end` must
+    equal (default: thresholds for the mesh end). The march of
+    `integrate_many` with one member."""
     return integrate_many([params], grid, u0, w, mesh, q_report, thresholds,
                           forcing_scheme)[0]
 
@@ -602,14 +611,9 @@ class _Member:
             notes.append(
                 f"top-octave spectral energy fraction reached {self.tail_max:.2e}"
             )
-        n_reached = len(self.lq) - 1
-        t_hist = nodes[: n_reached + 1]
+        t_hist = nodes[: len(self.lq)]
         lq_arr, linf_arr = np.asarray(self.lq), np.asarray(self.linf)
-        classification, blowup_est = classify(
-            t_hist, lq_arr, linf_arr, thr,
-            triggered_at=None if self.trigger is None else self.trigger.t,
-            reached_end=self.trigger is None and n_reached == nodes.size - 1,
-        )
+        classification = classify(t_hist, lq_arr, thr, self.trigger)
         decay_exp = decay_r2 = None
         if classification == GLOBAL:
             sel = _last_quarter(t_hist)
@@ -626,7 +630,7 @@ class _Member:
             lq_history=lq_arr,
             linf_history=linf_arr,
             classification=classification,
-            blowup_time_est=blowup_est,
+            blowup_time_est=None if self.trigger is None else self.trigger.t,
             decay_exponent=decay_exp,
             decay_r_squared=decay_r2,
             tail_fraction_max=self.tail_max,
@@ -775,32 +779,24 @@ def _last_quarter(t_nodes: np.ndarray) -> np.ndarray:
 def classify(
     t_nodes: np.ndarray,
     lq_history: np.ndarray,
-    linf_history: np.ndarray,
     thresholds: ClassifyThresholds,
-    triggered_at: float | None = None,
-    reached_end: bool = False,
-) -> tuple[str, float | None]:
-    """Label a run Global / BlowUp / Undetermined.
+    trigger: Trigger | None = None,
+) -> str:
+    """Label a run Global / BlowUp / Undetermined at its last node.
 
-    BlowUp requires a trigger (threshold, growth ratio or non-finite values);
-    Global requires reaching t_end with t^beta * ||u||_q nonincreasing (within
-    a small relative slack) over the last quarter of the run.
+    BlowUp exactly when the march stopped on a `trigger` (non-finite
+    values, amplitude or growth ratio), which dates the blow-up: the
+    march's triggers are the one blow-up rule. Otherwise Global when
+    t^beta * ||u||_q does not rise by more than `monotone_slack` between
+    consecutive nodes of the last quarter of the run, else Undetermined.
     """
-    if triggered_at is not None:
-        return BLOWUP, float(triggered_at)
-    if not np.all(np.isfinite(linf_history)):
-        return BLOWUP, float(t_nodes[-1])
-    if float(np.max(linf_history)) > thresholds.u_max:
-        return BLOWUP, float(t_nodes[np.argmax(linf_history > thresholds.u_max)])
-    if not reached_end or t_nodes[-1] < thresholds.t_end * (1.0 - 1e-9):
-        return UNDETERMINED, None
+    if trigger is not None:
+        return BLOWUP
     sel = _last_quarter(t_nodes)
     tb = t_nodes[sel] ** thresholds.beta * lq_history[sel]
-    if tb.size >= 3:
-        rising = tb[1:] > tb[:-1] * (1.0 + thresholds.monotone_slack)
-        if np.any(rising):
-            return UNDETERMINED, None
-    return GLOBAL, None
+    if tb.size >= 3 and np.any(tb[1:] > tb[:-1] * (1.0 + thresholds.monotone_slack)):
+        return UNDETERMINED
+    return GLOBAL
 
 
 def estimate_decay_exponent(

@@ -12,8 +12,8 @@ march reads modes only through its `shape`, `nmodes`, `to_modes`, `to_values`,
 (`mode_shape`): only `to_spectral` and `to_real` reshape.
 
 `to_modes` and `to_values` transform the trailing `dim` axes, so a stack of
-fields transforms in one call; `lq_norms` and `tail_fractions` are the
-row-wise cores of `lq_norm` and `spectral_tail_fraction`.  Each row is
+fields transforms in one call. `lq_norms` is the row-wise core of
+`lq_norm`, and `tail_fractions` is the one top-octave monitor. Each row is
 reduced exactly as its own field would be, so a stacked row's norm equals
 the single field's bit for bit.
 """
@@ -37,7 +37,6 @@ __all__ = [
     "lq_norm",
     "lq_norms",
     "restricted_lq_norm",
-    "spectral_tail_fraction",
     "tail_fractions",
     "gaussian_field",
     "indicator_field",
@@ -255,11 +254,6 @@ def tail_fractions(grid: GridSpec, modes: np.ndarray) -> np.ndarray:
     sums = np.array([weights @ row for row in energy]).reshape(-1, 2)
     tail, total = sums[:, 0], sums[:, 1]
     return np.divide(tail, total, out=np.zeros_like(tail), where=total != 0.0)
-
-
-def spectral_tail_fraction(sf: SpectralField) -> float:
-    """Fraction of spectral energy carried by the top octave of wavenumbers."""
-    return float(tail_fractions(sf.grid, sf.modes.ravel())[0])
 
 
 def gaussian_field(grid: GridSpec, amplitude: float, width: float) -> Field:

@@ -152,8 +152,9 @@ ENTRY_POINTS = {
     "fracsim kernel": (_kernel, "alpha s dim q", "kernel --q", False),
 }
 
-BAD = [("dim", True), ("dim", np.True_), ("dim", 4), ("alpha", math.nan), ("s", 0.0),
-       ("p", 1.0), ("q", 0.5)]
+BAD = [("dim", True), ("dim", np.True_), ("dim", 4), ("dim", 1.0),
+       ("dim", np.float64(2.0)), ("alpha", math.nan), ("s", 0.0), ("p", 1.0),
+       ("q", 0.5)]
 
 
 def _message(param: str, value, q_name: str | None, open_order: bool) -> str:
@@ -168,13 +169,13 @@ def _message(param: str, value, q_name: str | None, open_order: bool) -> str:
     return f"{q_name} must be >= 1 or inf, got {value!r}"
 
 
-# A JSON config and a CLI flag cannot pass a boolean dim through to the
-# rule: the reader rejects a boolean for every integer key, and argparse
-# reads --N and --dim with int().
+# A JSON config and a CLI flag cannot pass a boolean or float dim through
+# to the rule: the reader rejects a boolean for every integer key and reads
+# an integral float as an int, and argparse reads --N and --dim with int().
 TEXTUAL = ("config_from_dict", "fracsim exponents", "fracsim kernel")
 CELLS = [(entry, param, value) for entry, (_, params, _, _) in ENTRY_POINTS.items()
          for param, value in BAD if param in params.split()
-         and not (isinstance(value, (bool, np.bool_)) and entry in TEXTUAL)]
+         and not (param == "dim" and type(value) is not int and entry in TEXTUAL)]
 
 
 @pytest.mark.parametrize("entry, param, value", CELLS,
@@ -190,6 +191,12 @@ def test_every_entry_point_gives_the_rule_message(entry, param, value, capsys):
     with pytest.raises(DomainError) as info:
         call(GOOD | {param: value})
     assert str(info.value) == message
+
+
+def test_numpy_integer_dims_pass():
+    assert GridSpec(np.int64(2), 64, 1.0).shape == (64, 64)
+    assert ModelParams(0.5, 0.4, -0.25, 3.0, dim=np.int64(2)).dim == 2
+    assert profile("F", 0.5, 0.4, np.int64(1), RADII).dim == 1
 
 
 def test_the_table_covers_every_bad_value_and_entry_point():

@@ -140,9 +140,13 @@ class TestSweepConfig:
         assert cfg.thresholds == ClassifyThresholds(t_end=10.0)
         (row,) = run_sweep(cfg)
         assert row.classification == "Global"
-        with pytest.raises(DomainError, match="exceeds time.t_end"):
-            small_config(t_end=10.0, steps=20,
-                         thresholds=ClassifyThresholds(t_end=10.5))
+        # The verdict is taken at time.t_end: thresholds for another time
+        # are rejected when the config is made, not ignored.
+        for t_end in (10.5, 9.5):
+            with pytest.raises(DomainError, match=f"classify.t_end {t_end} differs "
+                                                  "from time.t_end 10.0"):
+                small_config(t_end=10.0, steps=20,
+                             thresholds=ClassifyThresholds(t_end=t_end))
 
     def test_reader_states_only_defaults_with_no_dataclass_home(self):
         model = {"alpha": 0.5, "s": 0.4, "sigma": -0.25, "dim": 1}
@@ -625,8 +629,11 @@ class TestCli:
         (config_with("classify.ratio_max", 1.0), "ratio_max must be finite and > 1", "sweep"),
         (config_with("classify.monotone_slack", -0.1), "monotone_slack must be >= 0",
          "sweep"),
-        (config_with("classify.t_end", 5.0), "exceeds time.t_end", "sweep"),
-        (config_with("classify.t_end", 5.0), "exceeds time.t_end", "bracket"),
+        (config_with("classify.t_end", 5.0), "differs from time.t_end", "sweep"),
+        (config_with("classify.t_end", 5.0), "differs from time.t_end", "bracket"),
+        (config_with("classify.t_end", 1.0), "differs from time.t_end", "sweep"),
+        (config_with("classify.t_end", 1.0), "differs from time.t_end", "bracket"),
+        (config_with("classify.t_end", 1.0), "differs from time.t_end", "simulate"),
         (config_with("q_report", float("nan")), "q_report must be >= 1 or inf, got nan",
          "sweep"),
         (config_with("q_report", 0.5), "q_report must be >= 1 or inf, got 0.5",
@@ -662,7 +669,9 @@ class TestCli:
             "t-end-infinite", "steps-fractional", "dim-fractional", "dim-bool",
             "points-fractional", "u-max-negative", "bracket-u-max-negative",
             "ratio-max-one", "slack-negative", "classify-t-end-past-horizon",
-            "bracket-classify-t-end-past-horizon", "q-report-nan",
+            "bracket-classify-t-end-past-horizon", "classify-t-end-before-horizon",
+            "bracket-classify-t-end-before-horizon",
+            "simulate-classify-t-end-before-horizon", "q-report-nan",
             "q-report-below-one", "p-infinite", "time-key-misspelled",
             "top-level-key-misspelled", "w-key-misspelled", "model-key-unknown",
             "sweep-hypotheses-key-misspelled", "p-and-p-values", "amplitude-without-kind",

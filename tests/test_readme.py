@@ -1,11 +1,14 @@
 """README drift guard: its commands parse, the repo paths and environment
-variables it names exist, its config example is valid, and the calls it
-writes out name the parameters of the package's callables."""
+variables it names exist, its config example is valid, the calls it
+writes out name the parameters of the package's callables, and its
+mode-layout figures are the ones the code computes."""
 import inspect
 import json
 import re
 import shlex
 from pathlib import Path
+
+import numpy as np
 
 import fracsim
 from fracsim import config_from_dict
@@ -97,3 +100,60 @@ def test_signature_guard_flags_drift():
     assert _signature_drift("LinearPlan(params, grid, forcing_scheme=...)") is None
     assert _signature_drift("integrate(params, ...)") is None
     assert _signature_drift("exp(-y)") is None
+
+
+def _march_plan(dim: int, points: int, half_width: float) -> fracsim.LinearPlan:
+    """A march's plan at the canonical orders (alpha 0.5, s 0.4)."""
+    return fracsim.LinearPlan(fracsim.ModelParams(0.5, 0.4, -0.25, 3.0, dim=dim),
+                              fracsim.GridSpec(dim, points, half_width))
+
+
+def _layout_figures() -> dict[str, list[int]]:
+    """Each layout figure README states, as {pattern of its sentence, with
+    one group per number: the numbers computed from the code}."""
+    line_1024, line_65536 = _march_plan(1, 1024, 50.0), _march_plan(1, 65536, 50.0)
+    grid_128, grid_64 = _march_plan(2, 128, 16.0), _march_plan(3, 64, 16.0)
+
+    def nodes(plan):
+        return [plan.cell_interpolant[0].size]
+
+    def runs(plan):
+        return [len(plan.slots), int(np.bincount(plan.inv).max())]
+
+    return {
+        r"(\d+) on the bracket's 1024-point line": nodes(line_1024),
+        r"(\d+) on the `march_2d` 128² grid": nodes(grid_128),
+        r"(\d+) on a 65536-point line": nodes(line_65536),
+        r"a 128² grid has (\d+) distinct ones and a 64³ grid (\d+)":
+            [grid_128.lam_u.size, grid_64.lam_u.size],
+        r"128² grid carries (\d+) modes": [grid_128.grid.nmodes],
+        r"(\d+) runs on a 128² grid \(multiplicities up to (\d+)\), (\d+) on 64³ "
+        r"\(up to (\d+)\)": runs(grid_128) + runs(grid_64),
+    }
+
+
+def _figure_drift(text: str, figures: dict[str, list[int]]) -> dict[str, object]:
+    """{pattern: what README says} for each figure whose sentence is not
+    found exactly once in `text` (line breaks read as spaces) or states
+    other numbers than the code gives."""
+    text = " ".join(text.split())
+    drift = {}
+    for pattern, want in figures.items():
+        found = [[int(x) for x in m.groups()] for m in re.finditer(pattern, text)]
+        if found != [want]:
+            drift[pattern] = found
+    return drift
+
+
+def test_readme_layout_figures_match_the_code():
+    figures = _layout_figures()
+    assert _figure_drift((ROOT / "README.md").read_text(), figures) == {}
+
+
+def test_figure_guard_flags_drift():
+    figures = {r"has (\d+) distinct ones": [1621]}
+    assert _figure_drift("a grid has 1621\n  distinct ones", figures) == {}
+    assert _figure_drift("a grid has 1757 distinct ones", figures) == {
+        r"has (\d+) distinct ones": [[1757]]}
+    assert _figure_drift("no such sentence", figures) == {
+        r"has (\d+) distinct ones": []}

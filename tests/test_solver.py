@@ -11,6 +11,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
@@ -684,29 +686,28 @@ class TestClassification:
     def test_trigger_means_blowup(self):
         t = np.array([0.0, 1.0, 2.0])
         ones = np.ones(3)
-        label, when = classify(t, ones, ones, self.THR, triggered_at=2.0)
-        assert label == "BlowUp"
-        assert when == pytest.approx(2.0)
+        trigger = Trigger("amplitude", 2.0, 1e9)
+        assert classify(t, ones, self.THR, trigger) == "BlowUp"
+        # The trigger is the one blow-up rule: the same history without it
+        # is judged by the last-quarter test alone.
+        assert classify(t, ones, self.THR) == "Global"
 
-    def test_short_run_is_undetermined(self):
-        t = np.linspace(0.0, 5.0, 20)  # stops before t_end = 10
+    def test_verdict_is_taken_at_the_last_node(self):
+        # The history stops before THR.t_end = 10; classify reads no t_end,
+        # only the last quarter of the nodes it is given.
+        t = np.linspace(0.0, 5.0, 20)
         ones = np.ones(20)
-        label, when = classify(t, ones, ones, self.THR, reached_end=False)
-        assert label == "Undetermined"
-        assert when is None
+        assert classify(t, ones, self.THR) == "Global"
 
     def test_decaying_run_is_global(self):
         t = np.linspace(0.0, 10.0, 40)
         norms = 1.0 / (1.0 + t)
-        label, when = classify(t, norms, norms, self.THR, reached_end=True)
-        assert label == "Global"
-        assert when is None
+        assert classify(t, norms, self.THR) == "Global"
 
     def test_rising_tail_is_undetermined(self):
         t = np.linspace(0.0, 10.0, 40)
         norms = 1.0 + 0.5 * t  # grows 5% per node near the end
-        label, _ = classify(t, norms, norms, self.THR, reached_end=True)
-        assert label == "Undetermined"
+        assert classify(t, norms, self.THR) == "Undetermined"
 
     def test_decay_fit_power_law(self):
         t = np.geomspace(1.0, 100.0, 50)
@@ -774,17 +775,36 @@ class TestIntegratorBehaviour:
             march(members, grid, data["u0"], data["w"], TimeMesh.make(5.0, 20))
 
     def test_classify_t_end_past_the_mesh_end_rejected(self):
-        # Classification at t = 50 on a mesh that ends at 20 could only say
-        # Undetermined; the same run classified at its mesh end is Global.
+        # The verdict is taken at the mesh end, so thresholds for any other
+        # time are rejected, not ignored; the same run with thresholds for
+        # its mesh end is Global.
         params = ModelParams(0.5, 0.4, -0.25, 4.0)
         grid = GridSpec(dim=1, points=512, half_width=50.0)
         w = gaussian_field(grid, 0.01, 1.0)
         mesh = TimeMesh.make(20.0, 100)
         assert integrate(params, grid, None, w, mesh).classification == "Global"
-        with pytest.raises(DomainError, match="classify.t_end 50.0 exceeds "
-                                              "time.t_end 20.0"):
-            integrate(params, grid, None, w, mesh,
-                      thresholds=ClassifyThresholds(u_max=1e6))
+        for t_end in (50.0, 10.0):
+            for march in (integrate, integrate_many):
+                members = [params] if march is integrate_many else params
+                with pytest.raises(DomainError, match=f"classify.t_end {t_end} "
+                                                      "differs from time.t_end 20.0"):
+                    march(members, grid, None, w, mesh,
+                          thresholds=ClassifyThresholds(u_max=1e6, t_end=t_end))
+
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    def test_decaying_data_above_u_max_is_not_blowup(self):
+        # The data start above u_max and decay at once, so no trigger fires;
+        # a scan of the L^inf history used to call this BlowUp at t = 0.
+        grid = GridSpec(dim=1, points=1024, half_width=20.0)
+        u0 = Field(grid, 1.05 * np.exp(-grid.axis() ** 2 / 0.1**2))
+        mesh = TimeMesh.make(10.0, 10, grading=1.0)
+        thr = ClassifyThresholds(u_max=1.0, t_end=10.0)
+        res = integrate(ModelParams(0.5, 0.4, -0.25, 3.0), grid, u0, None, mesh,
+                        thresholds=thr)
+        assert res.linf_history[0] > thr.u_max > res.linf_history[1]
+        assert res.t_nodes.size == mesh.nodes.size
+        assert res.trigger is None and res.blowup_time_est is None
+        assert res.classification == "Global"
 
     @pytest.mark.parametrize("sigma, with_w", [(0.0, True), (-0.25, False)])
     def test_unknown_forcing_scheme_rejected(self, sigma, with_w):
@@ -1087,6 +1107,25 @@ class TestTrigger:
         trig = Trigger("amplitude", 1.0, 2e8)
         with pytest.raises(dataclasses.FrozenInstanceError):
             trig.value = 0.0
+
+    GRID = GridSpec(dim=1, points=64, half_width=10.0)
+
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    @given(p=st.floats(1.2, 6.0), amplitude=st.floats(0.0, 1.0))
+    def test_blowup_exactly_when_triggered(self, p, amplitude):
+        # The data start above u_max, so a scan of the L^inf history would
+        # call every run BlowUp; only a trigger may.
+        grid = self.GRID
+        u0 = gaussian_field(grid, 1.05, 0.3)
+        w = gaussian_field(grid, amplitude, 1.0) if amplitude > 0.0 else None
+        mesh = TimeMesh.make(5.0, 20, grading=1.0)
+        thr = ClassifyThresholds(u_max=1.0, t_end=5.0)
+        res = integrate(ModelParams(0.5, 0.4, -0.25, p), grid, u0, w, mesh,
+                        thresholds=thr)
+        if res.classification == "BlowUp":
+            assert res.blowup_time_est == res.trigger.t
+        else:
+            assert res.trigger is None and res.blowup_time_est is None
 
 
 class TestPicard:

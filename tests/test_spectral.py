@@ -17,7 +17,6 @@ from fracsim import (
     gaussian_field,
     indicator_field,
     lq_norm,
-    spectral_tail_fraction,
     to_real,
     to_spectral,
 )
@@ -249,16 +248,15 @@ class TestNorms:
 class TestTailMonitor:
     def test_smooth_field_resolved(self):
         f = gaussian_field(GRID, 1.0, 2.0)
-        assert spectral_tail_fraction(to_spectral(f)) <= 1e-10
+        assert spectral.tail_fractions(GRID, GRID.to_modes(f.values)).item() <= 1e-10
 
     def test_zero_field(self):
-        f = Field(GRID, np.zeros(128))
-        assert spectral_tail_fraction(to_spectral(f)) == 0.0
+        assert spectral.tail_fractions(GRID, GRID.to_modes(np.zeros(128))).item() == 0.0
 
     def test_rough_field_flagged(self):
         rng = np.random.default_rng(5)
-        f = Field(GRID, rng.standard_normal(128))
-        assert spectral_tail_fraction(to_spectral(f)) > 0.1
+        values = rng.standard_normal(128)
+        assert spectral.tail_fractions(GRID, GRID.to_modes(values)).item() > 0.1
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cached_mask_matches_direct_construction(self, dim):
@@ -279,13 +277,13 @@ class TestTailMonitor:
         grid = GridSpec(dim=dim, points=64, half_width=5.0)
         rng = np.random.default_rng(10 + dim)
         for _ in range(2):  # the second call reads the cached weights
-            f = Field(grid, rng.standard_normal(grid.shape))
-            energy = np.abs(np.fft.fftn(f.values)) ** 2
+            values = rng.standard_normal(grid.shape)
+            energy = np.abs(np.fft.fftn(values)) ** 2
             want = float(np.sum(energy[full_top_octave(grid)]) / np.sum(energy))
-            assert spectral_tail_fraction(to_spectral(f)) == pytest.approx(
-                want, rel=1e-13)
-        zero = SpectralField(grid, np.zeros(grid.mode_shape, dtype=complex))
-        assert spectral_tail_fraction(zero) == 0.0
+            tail = spectral.tail_fractions(grid, grid.to_modes(values)).item()
+            assert tail == pytest.approx(want, rel=1e-13)
+        zero = grid.to_modes(np.zeros(grid.shape))
+        assert spectral.tail_fractions(grid, zero).item() == 0.0
 
 
 class TestStacks:
