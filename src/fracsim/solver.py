@@ -27,11 +27,12 @@ history with the row (`LinearPlan.contract`) into its row of one
 (live, modes) stack. The rest of the step runs once over the stack: one
 inverse transform, the L^inf and L^q norms and tail fractions of every row
 (`spectral.lq_norms`, `spectral.tail_fractions`), the triggers, and one
-forward transform of |u|^p with each row's own p, taken into each history
-in slot order. A row is non-finite exactly when its L^inf norm is: max|u|
-is NaN or inf iff some sample is. Node 0's norms come from the same
-helper. `integrate` is its march of one member. The history N_j is
-stored as real and imaginary planes, shape (M+1, 2, modes) float64, with
+forward transform of |u|^p with each row's own p (`spectral.abs_pow`,
+which multiplies for p = 2, 3 and 4), taken into each history in slot
+order. A row is non-finite exactly when its L^inf norm is: max|u| is NaN
+or inf iff some sample is. Node 0's norms come from the same helper.
+`integrate` is its march of one member. The history N_j is stored as
+real and imaginary planes, shape (M+1, 2, modes) float64, with
 the modes in slot order: slot r holds the r-th mode of every eigenvalue
 with more than r modes, so its weights are a suffix of the row's columns,
 which are ordered by (multiplicity, lam). One real einsum per run of slots
@@ -75,7 +76,7 @@ from .errors import (
     check_node_times,
     check_power,
 )
-from .spectral import Field, GridSpec, lq_norms, tail_fractions
+from .spectral import Field, GridSpec, abs_pow, lq_norms, tail_fractions
 from .special import ml_neg_fast, power_law_fit
 
 __all__ = [
@@ -106,6 +107,10 @@ TAIL_THRESHOLD = 1e-6
 # A Global run's decay exponent is fitted on the last quarter of its nodes
 # (`_last_quarter`) when that window holds at least this many positive norms.
 DECAY_FIT_SAMPLES = 10
+
+# `classify`'s last-quarter test needs at least this many nodes in its
+# window; an untriggered run with fewer is Undetermined.
+VERDICT_WINDOW_NODES = 3
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -547,12 +552,14 @@ class LinearPlan:
                      w_modes: np.ndarray | None,
                      cells: np.ndarray | None = None) -> np.ndarray:
         """Modes of Z(t_n) u0 + S_w(t_n), t_n = nodes[-1]; None drops a term."""
-        out = np.zeros(self.grid.nmodes, dtype=complex)
+        # The first term starts the sum: no pass over a vector of zeros.
+        out = None
         if u0_modes is not None:
-            out += self.spread(self.propagator(nodes[-1])) * u0_modes
+            out = self.spread(self.propagator(nodes[-1])) * u0_modes
         if w_modes is not None:
-            out += self.spread(self.forcing_weights(nodes, cells)) * w_modes
-        return out
+            forced = self.spread(self.forcing_weights(nodes, cells)) * w_modes
+            out = forced if out is None else np.add(out, forced, out=out)
+        return np.zeros(self.grid.nmodes, dtype=complex) if out is None else out
 
 
 # --------------------------------------------------------------------------
@@ -606,17 +613,21 @@ class _Member:
     def result(self, plan: LinearPlan, nodes: np.ndarray,
                thr: ClassifyThresholds, q_report: float) -> SimResult:
         """The classified run on the march's node times `nodes`."""
+        t_hist = nodes[: len(self.lq)]
+        sel = _last_quarter(t_hist)
+        window = np.count_nonzero(sel)
         notes = [self.trigger.note] if self.trigger is not None else []
+        if self.trigger is None and window < VERDICT_WINDOW_NODES:
+            notes.append(f"last quarter holds {window} node(s), fewer than "
+                         f"{VERDICT_WINDOW_NODES}: too short to test")
         if self.tail_max > TAIL_THRESHOLD:
             notes.append(
                 f"top-octave spectral energy fraction reached {self.tail_max:.2e}"
             )
-        t_hist = nodes[: len(self.lq)]
         lq_arr, linf_arr = np.asarray(self.lq), np.asarray(self.linf)
         classification = classify(t_hist, lq_arr, thr, self.trigger)
         decay_exp = decay_r2 = None
         if classification == GLOBAL:
-            sel = _last_quarter(t_hist)
             if np.count_nonzero(sel & (lq_arr > 0.0)) >= DECAY_FIT_SAMPLES:
                 decay_exp, decay_r2 = estimate_decay_exponent(
                     t_hist[sel], lq_arr[sel]
@@ -644,10 +655,11 @@ def _store(plan: LinearPlan, members: list[_Member], n: int,
            values: np.ndarray) -> None:
     """Write |u|^p at node n into each member's history, from the stack
     `values` (one row per member), one forward transform and one take per
-    member into slot order."""
-    powered = np.abs(values)
-    for row, m in zip(powered, members):
-        row **= m.params.p
+    member into slot order. Each row is powered by `abs_pow` with its own p,
+    as a march of that member alone would power it."""
+    powered = np.empty(values.shape)
+    for row, src, m in zip(powered, values, members):
+        abs_pow(src, m.params.p, out=row)
     for modes, m in zip(plan.grid.to_modes(powered), members):
         plan.to_slots(modes, m.hist[n])
 
@@ -789,12 +801,16 @@ def classify(
     march's triggers are the one blow-up rule. Otherwise Global when
     t^beta * ||u||_q does not rise by more than `monotone_slack` between
     consecutive nodes of the last quarter of the run, else Undetermined.
+    A last quarter of fewer than `VERDICT_WINDOW_NODES` nodes is too short
+    to test, and its run is Undetermined.
     """
     if trigger is not None:
         return BLOWUP
     sel = _last_quarter(t_nodes)
+    if np.count_nonzero(sel) < VERDICT_WINDOW_NODES:
+        return UNDETERMINED
     tb = t_nodes[sel] ** thresholds.beta * lq_history[sel]
-    if tb.size >= 3 and np.any(tb[1:] > tb[:-1] * (1.0 + thresholds.monotone_slack)):
+    if np.any(tb[1:] > tb[:-1] * (1.0 + thresholds.monotone_slack)):
         return UNDETERMINED
     return GLOBAL
 
@@ -858,7 +874,7 @@ def picard_solve(
     # only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            plan.to_slots(grid.to_modes(np.abs(hist) ** p), nl)
+            plan.to_slots(grid.to_modes(abs_pow(hist, p)), nl)
             trap = 0.5 * (nl[:-1] + nl[1:])
             new_hist = hist.copy()
             for n in range(1, m + 1):

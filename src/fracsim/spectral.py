@@ -15,7 +15,9 @@ march reads modes only through its `shape`, `nmodes`, `to_modes`, `to_values`,
 fields transforms in one call. `lq_norms` is the row-wise core of
 `lq_norm`, and `tail_fractions` is the one top-octave monitor. Each row is
 reduced exactly as its own field would be, so a stacked row's norm equals
-the single field's bit for bit.
+the single field's bit for bit. `abs_pow` is the one place that forms
+|x|^e, for the L^q sums here and for the march's |u|^p: it multiplies for
+e = 2, 3 and 4 instead of calling libm pow.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ __all__ = [
     "fractional_laplacian",
     "lq_norm",
     "lq_norms",
+    "abs_pow",
     "restricted_lq_norm",
     "tail_fractions",
     "gaussian_field",
@@ -96,15 +99,17 @@ class GridSpec:
         if trailing != self.shape:
             raise PreconditionError(
                 f"values' trailing shape {trailing} does not match grid {self.shape}")
-        modes = np.fft.rfftn(values, s=self.shape, axes=self._axes) * self.cell_volume
+        modes = np.fft.rfftn(values, s=self.shape, axes=self._axes)
+        modes *= self.cell_volume
         return modes.reshape(modes.shape[: modes.ndim - self.dim] + (self.nmodes,))
 
     def to_values(self, modes: np.ndarray) -> np.ndarray:
         """Real samples of flat half-spectrum modes, shape (..., nmodes);
         inverse of `to_modes`."""
         modes = modes.reshape(modes.shape[:-1] + self.mode_shape)
-        return np.fft.irfftn(modes / self.cell_volume, s=self.shape,
-                             axes=self._axes)
+        values = np.fft.irfftn(modes, s=self.shape, axes=self._axes)
+        values /= self.cell_volume
+        return values
 
     def axis(self) -> np.ndarray:
         """Sample coordinates along one axis: x_i = -L + i*spacing."""
@@ -213,14 +218,33 @@ def fractional_laplacian(f: Field, s: float) -> Field:
     return Field(grid, grid.to_values(grid.to_modes(f.values) * grid.xi_squared() ** s))
 
 
+def abs_pow(values: np.ndarray, e: float,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """|values|^e elementwise, into `out` (new when None; may be `values`).
+
+    For e = 2, 3 and 4 it multiplies: at most two roundings, so within 2 ulp
+    of the exact power, where libm pow takes about ten times as long. Every
+    other e is np.abs(values) ** e bit for bit.
+    """
+    if e == 2 or e == 4:
+        square = np.multiply(values, values, out=out)
+        return square if e == 2 else np.multiply(square, square, out=square)
+    mag = np.abs(values, out=out)
+    if e == 3:
+        return np.multiply(mag * mag, mag, out=mag)
+    mag **= e
+    return mag
+
+
 def _lq_rows(rows: np.ndarray, cell_volume: float, q: float) -> np.ndarray:
     """L^q norm of each row of the 2-D array `rows`; q = inf gives the max."""
     check_q(q)
     if rows.shape[1] == 0:
         return np.zeros(rows.shape[0])
     if q == np.inf:
-        return np.abs(rows).max(axis=1)
-    sums = (np.abs(rows) ** q).sum(axis=1) * cell_volume
+        # max|x| without an |x| pass; + 0.0 turns a -0.0 extreme into 0.0.
+        return np.maximum(rows.max(axis=1), -rows.min(axis=1)) + 0.0
+    sums = abs_pow(rows, q).sum(axis=1) * cell_volume
     # The root per element, as a scalar: an array power may take another
     # path (sqrt at q = 2) and round differently.
     return np.array([s ** (1.0 / q) for s in sums])

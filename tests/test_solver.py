@@ -684,13 +684,36 @@ class TestClassification:
     THR = ClassifyThresholds(u_max=1e8, ratio_max=10.0, t_end=10.0)
 
     def test_trigger_means_blowup(self):
-        t = np.array([0.0, 1.0, 2.0])
-        ones = np.ones(3)
+        t = np.linspace(0.0, 2.0, 9)  # the last quarter holds 3 nodes
+        ones = np.ones(9)
         trigger = Trigger("amplitude", 2.0, 1e9)
         assert classify(t, ones, self.THR, trigger) == "BlowUp"
         # The trigger is the one blow-up rule: the same history without it
         # is judged by the last-quarter test alone.
         assert classify(t, ones, self.THR) == "Global"
+
+    def test_window_too_short_to_test_is_undetermined(self):
+        # With 2 nodes in the last quarter there is no rise to test for.
+        t = np.array([0.0, 1.0, 2.0])
+        assert classify(t, np.ones(3), self.THR) == "Undetermined"
+        assert classify(t, np.ones(3), self.THR, Trigger("amplitude", 2.0, 1e9)) == "BlowUp"
+
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    def test_short_window_march_is_undetermined(self):
+        # t^beta ||u||_4 rises 2% per node at the end, past the 1% slack.
+        # At M = 10 the last quarter holds 2 nodes, which no rise can show
+        # in, and the run used to be Global; at M = 16 it holds 3 and the
+        # test finds the rise.
+        grid = GridSpec(dim=1, points=256, half_width=50.0)
+        w = gaussian_field(grid, 0.01, 1.0)
+        thr = ClassifyThresholds(t_end=50.0, beta=0.09375)
+        short, tested = (integrate(ModelParams(0.5, 0.4, -0.25, 1.5), grid, None, w,
+                                   TimeMesh.make(50.0, steps), q_report=4.0,
+                                   thresholds=thr) for steps in (10, 16))
+        assert short.classification == tested.classification == "Undetermined"
+        assert short.notes[0] == ("last quarter holds 2 node(s), fewer than 3: "
+                                  "too short to test")
+        assert not any("last quarter" in note for note in tested.notes)
 
     def test_verdict_is_taken_at_the_last_node(self):
         # The history stops before THR.t_end = 10; classify reads no t_end,
@@ -891,6 +914,22 @@ class TestIntegrateMany:
         assert [r.trigger.kind for r in many] == list(self.TRIGGER_POWERS)
         first, second, third = (r.trigger.t for r in many)
         assert first == second == mesh.nodes[1] < third
+        for par, res in zip(params, many):
+            self.assert_identical(res, integrate(par, grid, u0, None, mesh,
+                                                 q_report=4.0, thresholds=thr))
+
+    @pytest.mark.filterwarnings("ignore::fracsim.ResolutionWarning")
+    def test_integer_power_overflow_stops_non_finite(self):
+        # |u0|^4 overflows to inf by multiplication at node 0, so the p = 4
+        # member stops non_finite at the first step; |u0|^3 does not, and
+        # that member stops on its amplitude there.
+        grid, _, mesh, thr = self.trigger_setup()
+        u0 = gaussian_field(grid, 1e80, 1.0)
+        params = [ModelParams(0.5, 0.4, -0.25, p) for p in (4.0, 3.0)]
+        many = integrate_many(params, grid, u0, None, mesh, q_report=4.0,
+                              thresholds=thr)
+        assert [r.trigger.kind for r in many] == ["non_finite", "amplitude"]
+        assert [r.trigger.t for r in many] == [mesh.nodes[1]] * 2
         for par, res in zip(params, many):
             self.assert_identical(res, integrate(par, grid, u0, None, mesh,
                                                  q_report=4.0, thresholds=thr))
@@ -1098,9 +1137,10 @@ class TestTrigger:
             assert trig.note == f"per-step growth ratio exceeded at t={trig.t:.6g}"
 
     def test_a_run_to_the_end_has_none(self):
+        # 16 steps: the last quarter holds the 3 nodes a verdict tests.
         grid = GridSpec(dim=1, points=64, half_width=10.0)
         res = integrate(ModelParams(0.5, 0.4, -0.25, 3.0), grid, None,
-                        gaussian_field(grid, 0.05, 1.0), TimeMesh.make(2.0, 12))
+                        gaussian_field(grid, 0.05, 1.0), TimeMesh.make(2.0, 16))
         assert res.trigger is None and res.notes == []
 
     def test_is_frozen(self):

@@ -1,5 +1,8 @@
 """Periodic-box fields, transforms, the fractional Laplacian and norms."""
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from fracsim import (
     to_real,
     to_spectral,
 )
+import fracsim
 import fracsim.spectral as spectral
 
 GRID = GridSpec(dim=1, points=128, half_width=10.0)
@@ -315,6 +319,113 @@ class TestStacks:
         modes = np.zeros((2, GRID.points // 2 + 1), dtype=complex)
         modes[1, -1] = 1.0
         assert spectral.tail_fractions(GRID, modes).tolist() == [0.0, 1.0]
+
+
+class TestAbsPow:
+    """|x|^e by multiplication for e = 2, 3, 4, and the L^inf norm."""
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_within_two_ulp_of_the_exact_power(self, e):
+        rng = np.random.default_rng(e)
+        x = 10.0 ** rng.uniform(-323.5, 100.0, 1500)
+        x = np.concatenate([x, [5e-324, 2.2250738585072014e-308, 1e-100, 1.0,
+                                1e77, 1.1e77, 1e100]])
+        x *= rng.choice([-1.0, 1.0], x.size)
+        with np.errstate(over="ignore"):
+            got = spectral.abs_pow(x, e)
+        top = Fraction(np.finfo(float).max)
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            exact = Fraction(abs(xi)) ** e
+            if exact > top:
+                assert gi == math.inf, xi
+                continue
+            ulp = Fraction(float(np.spacing(float(exact))))
+            assert abs(Fraction(gi) - exact) <= 2 * ulp, xi
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 2.0, 3.0, np.float64(4.0)])
+    def test_special_values(self, e):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, -2.0])
+        with np.errstate(over="ignore"):
+            got = spectral.abs_pow(x, e)
+        assert got[:2].tolist() == [0.0, 0.0] and not np.signbit(got[:2]).any()
+        assert got[2:4].tolist() == [math.inf, math.inf]
+        assert math.isnan(got[4])
+        assert got[5:7].tolist() == [math.inf, math.inf]  # overflow
+        assert got[7] == 2.0**e
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 1.0, 1.5, 7.0 / 3.0, 4.5])
+    def test_in_place(self, e):
+        x = np.random.default_rng(3).standard_normal((3, 64)) * 10.0
+        want = spectral.abs_pow(x, e)
+        out = x.copy()
+        assert spectral.abs_pow(out, e, out=out) is out
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("e", [1.0, 1.5, 7.0 / 3.0, 4.5, 5.0])
+    def test_other_powers_are_numpy_powers(self, e):
+        x = np.random.default_rng(4).standard_normal(4096) * 10.0
+        assert np.array_equal(spectral.abs_pow(x, e), np.abs(x) ** e)
+
+    def test_max_norm_equals_the_max_of_the_magnitudes(self):
+        grid = GridSpec(dim=1, points=64, half_width=1.0)
+        planted = [[], [-0.0], [-0.0] * 64, [0.0, -0.0], [-0.0, 0.0],
+                   [np.nan, 1.0, -2.0], [-3.0, np.nan], [np.inf, -1.0],
+                   [-np.inf, 2.0], [np.nan, np.inf], [-0.0, -5e-324],
+                   [-3.0, 2.0], [1e308, -1.5e308]]
+        rows = np.zeros((len(planted), 64))
+        for row, values in zip(rows, planted):
+            row[: len(values)] = values
+        norms = spectral.lq_norms(grid, rows, np.inf)
+        for got, row in zip(norms, rows):
+            want = np.max(np.abs(row))
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert np.float64(got).view(np.uint64) == want.view(np.uint64), row[:2]
+
+
+def power_sites(sources: dict[str, str]) -> list[str]:
+    """`file:line` of every `np.abs(...) ** e` and every `**=` in `sources`
+    ({file name: source}), outside the function `abs_pow` of spectral.py."""
+    sites = []
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        home = set()
+        if name == "spectral.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "abs_pow":
+                    home.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in home:
+                continue
+            pow_assign = isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow)
+            abs_power = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                         and isinstance(node.left, ast.Call)
+                         and ast.unparse(node.left.func) in ("np.abs", "np.absolute"))
+            if pow_assign or abs_power:
+                sites.append(f"{name}:{node.lineno}")
+    return sites
+
+
+def test_abs_pow_is_the_one_home_of_powers_of_magnitudes():
+    paths = sorted(Path(fracsim.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10  # the scan found the package
+    assert power_sites({path.name: path.read_text() for path in paths}) == []
+
+
+def test_power_guard_flags_a_planted_copy():
+    home = ("def abs_pow(values, e):\n"
+            "    mag = np.abs(values)\n"
+            "    mag **= e\n"
+            "    return np.abs(values) ** e\n")
+    assert power_sites({"spectral.py": home}) == []
+    assert power_sites({"solver.py": home}) == ["solver.py:3", "solver.py:4"]
+    copies = ("def store(rows, p):\n"
+              "    for row in rows:\n"
+              "        row **= p\n"
+              "    return (np.abs(rows) ** p).sum()\n")
+    assert power_sites({"spectral.py": copies}) == ["spectral.py:3", "spectral.py:4"]
+    assert power_sites({"a.py": "y = abs(x) ** 2 + np.square(x)\n"}) == []
 
 
 class TestDataAndIO:
